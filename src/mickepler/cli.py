@@ -6,9 +6,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,10 +32,6 @@ MATRIX_KINDS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -46,12 +41,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
-    return buf.getvalue().rstrip("\n")
+    """Header line, then every row formatted by one row template.
+
+    All rows share the layout of the first.  String cells (labels, which
+    hold no comma or quote) go through as they are; numbers print as
+    %.17g, which re-parses to the same double.
+    """
+    lines = [",".join(header)]
+    if rows:
+        template = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                            for cell in rows[0])
+        lines += [template % tuple(row) for row in rows]
+    return "\n".join(lines)
 
 
 def _json_table(header: list[str], rows: list[list]) -> str:
@@ -71,12 +72,14 @@ def _params(args) -> SystemParams:
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, steps = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(steps))
-    except Exception as exc:
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError as exc:
         raise ValueError(f"bad R grid {spec!r}, expected start:stop:steps") from exc
-    if grid.size < 1:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"bad R grid {spec!r}, start and stop must be finite")
+    if steps < 1:
         raise ValueError("R grid must contain at least one point")
-    return [float(r) for r in grid]
+    return [float(r) for r in np.linspace(start, stop, steps)]
 
 
 def cmd_spectrum(args) -> int:
@@ -103,7 +106,7 @@ def _matrix_output(args, matrix: ExpansionMatrix) -> str:
             "entries": [[float(v) for v in row] for row in matrix.entries],
         })
     header = ["row"] + list(matrix.col_labels)
-    rows = [[label] + [v for v in matrix.entries[i]]
+    rows = [[label, *matrix.entries[i].tolist()]
             for i, label in enumerate(matrix.row_labels)]
     return _csv_table(header, rows)
 
@@ -135,19 +138,23 @@ def cmd_sweep(args) -> int:
     if grid == [None]:
         raise ValueError("sweep needs --R or --R-grid")
     solutions = sweep(params, two_n, two_m, grid)
+    first = solutions[0]
+    d = first.spherical_coefficients.dim
+    # one row per (R, q): stack the grid points, vector q of each as a row
     header = ["R", "q", "lambda"]
-    d = solutions[0].spherical_coefficients.dim
+    columns = [
+        np.repeat([sol.R for sol in solutions], d)[:, None],
+        np.tile(np.arange(d, dtype=float), len(solutions))[:, None],
+        np.concatenate([sol.lambdas for sol in solutions])[:, None],
+    ]
     if args.vectors:
-        header += [f"u[{lab}]" for lab in solutions[0].spherical_coefficients.row_labels]
-        header += [f"v[{lab}]" for lab in solutions[0].parabolic_coefficients.row_labels]
-    rows = []
-    for sol in solutions:
-        for q in range(d):
-            row = [sol.R, float(q), sol.lambdas[q]]
-            if args.vectors:
-                row += [v for v in sol.spherical_coefficients.entries[:, q]]
-                row += [v for v in sol.parabolic_coefficients.entries[:, q]]
-            rows.append(row)
+        header += [f"u[{lab}]" for lab in first.spherical_coefficients.row_labels]
+        header += [f"v[{lab}]" for lab in first.parabolic_coefficients.row_labels]
+        columns += [
+            np.concatenate([sol.spherical_coefficients.entries.T for sol in solutions]),
+            np.concatenate([sol.parabolic_coefficients.entries.T for sol in solutions]),
+        ]
+    rows = np.hstack(columns).tolist()
     _emit(_table(args, header, rows), args.out)
     return 0
 

@@ -47,6 +47,10 @@ class SystemParams:
     c2: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError(
+                f"perturbation strengths c1, c2 must be finite, got c1={self.c1}, c2={self.c2}"
+            )
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("perturbation strengths c1, c2 must be nonnegative")
 
@@ -213,7 +217,12 @@ def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> floa
     dc = derive_constants(params, pq.two_m)
     two_n = principal_two_n(params, pq)
     eps = epsilon(n_effective(params, pq.two_m, two_n))
-    return eps * (pq.n1 - pq.n2 + 0.5 * (dc.m1 - dc.m2))
+    return _separation_constant(dc, eps, pq.n1, pq.n2)
+
+
+def _separation_constant(dc: DerivedConstants, eps: float, n1: int, n2: int) -> float:
+    """beta of the state (n1, n2) for precomputed block constants and epsilon."""
+    return eps * (n1 - n2 + 0.5 * (dc.m1 - dc.m2))
 
 
 def enumerate_basis(params: SystemParams, two_m: int, two_n: int

@@ -12,6 +12,11 @@ The parabolic-side matrix uses the closed form rederived from the
 Clebsch-Gordan ladder relation; it is symmetric by construction and its
 spectrum reproduces the angular eigenvalue list exactly (both facts are
 enforced by the verification suite).
+
+Only R varies within a block: the spherical-side matrix is A + R X, with
+A the diagonal angular spectrum and X the Runge-Lenz matrix, and the
+parabolic-side matrix is M + R diag(beta).  The R-independent bands are
+derived once per block, so a sweep builds them once for its whole grid.
 """
 
 from __future__ import annotations
@@ -24,13 +29,15 @@ import scipy.linalg
 
 from .interbasis import ExpansionMatrix, expansion_matrix
 from .qnum import (
-    ParabolicQN,
+    DerivedConstants,
     QuantumNumberError,
     SystemParams,
+    _separation_constant,
     block_dimension,
     derive_constants,
+    epsilon,
     format_half_integer,
-    parabolic_separation_constant,
+    n_effective,
 )
 
 __all__ = [
@@ -48,6 +55,13 @@ __all__ = [
 ]
 
 
+def _dense(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    m = np.diag(diag)
+    if diag.size > 1:
+        m += np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    return m
+
+
 @dataclass(frozen=True)
 class TridiagonalSystem:
     """Symmetric tridiagonal matrix of the separation operator."""
@@ -55,14 +69,10 @@ class TridiagonalSystem:
     dim: int
     diag: np.ndarray
     offdiag: np.ndarray
-    basis_tag: str              # "spherical" or "parabolic"
     labels: tuple[str, ...]
 
     def matrix(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.dim > 1:
-            m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
+        return _dense(self.diag, self.offdiag)
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,11 @@ def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -
         raise QuantumNumberError(
             f"coupling defined for m_plus <= j <= n, got two_j={two_j}"
         )
+    return _coupling(dc, two_n, two_j)
+
+
+def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
+    """Unvalidated :func:`angular_coupling` for precomputed block constants."""
     j = two_j / 2.0
     n = two_n / 2.0
     delta = dc.delta_total
@@ -119,13 +134,69 @@ def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -
     return math.sqrt(num / den)
 
 
-def _angular_eigenvalues(params: SystemParams, two_n: int, two_m: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Block:
+    """R-independent bands of the separation operator of one (n, m) block.
+
+    Spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
+    Runge-Lenz z-component.  Parabolic side: M + R diag(betas), with
+    M = (m_diag, m_off) the angular momentum square.
+    """
+
+    dim: int
+    spherical_labels: tuple[str, ...]
+    parabolic_labels: tuple[str, ...]
+    angular: np.ndarray
+    x_diag: np.ndarray
+    x_off: np.ndarray
+    m_diag: np.ndarray
+    m_off: np.ndarray
+    betas: np.ndarray
+
+    def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        return self.angular + R * self.x_diag, R * self.x_off
+
+    def parabolic_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        return self.m_diag + R * self.betas, self.m_off
+
+
+def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
+    """Bands of the (n, m) block, derived once from the block constants."""
     dc = derive_constants(params, two_m)
     d = block_dimension(params, two_m, two_n)
-    half_delta = 0.5 * dc.delta_total
-    j0 = dc.two_m_plus / 2.0
-    return np.array([(j0 + k + half_delta) * (j0 + k + half_delta + 1.0)
-                     for k in range(d)])
+    delta = dc.delta_total
+    half_delta = 0.5 * delta
+    n = two_n / 2.0
+    eps = epsilon(n_effective(params, two_m, two_n))
+    num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
+    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
+    js = [dc.m_plus + k for k in range(d)]
+    pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
+    return _Block(
+        dim=d,
+        spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
+                               for k in range(d)),
+        parabolic_labels=tuple(f"n1={n1}" for n1 in range(d)),
+        angular=np.array([(j + half_delta) * (j + half_delta + 1.0) for j in js]),
+        x_diag=np.array([
+            0.0 if num == 0.0 else num / ((2.0 * j + delta) * (2.0 * j + delta + 2.0))
+            for j in js
+        ]),
+        x_off=np.array([
+            -2.0 / (2.0 * n + delta) * _coupling(dc, two_n, dc.two_m_plus + 2 * k)
+            for k in range(1, d)
+        ]),
+        m_diag=np.array([
+            2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base for n1, n2 in pairs
+        ]),
+        m_off=np.array([
+            -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
+            for n1, n2 in pairs[:-1]
+        ]),
+        betas=np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs]),
+    )
 
 
 def runge_lenz_matrix_spherical(params: SystemParams, two_n: int, two_m: int
@@ -135,24 +206,8 @@ def runge_lenz_matrix_spherical(params: SystemParams, two_n: int, two_m: int
     Symmetric tridiagonal d x d matrix; its eigenvalues are the parabolic
     separation constants of the block.
     """
-    dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
-    delta = dc.delta_total
-    n = two_n / 2.0
-    diag = np.empty(d)
-    for k in range(d):
-        j = dc.m_plus + k
-        num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
-        diag[k] = 0.0 if num == 0.0 else num / ((2.0 * j + delta) * (2.0 * j + delta + 2.0))
-    off = np.array([
-        -2.0 / (2.0 * n + delta)
-        * angular_coupling(params, two_n, dc.two_m_plus + 2 * (k + 1), two_m)
-        for k in range(d - 1)
-    ])
-    m = np.diag(diag)
-    if d > 1:
-        m += np.diag(off, 1) + np.diag(off, -1)
-    return m
+    block = _block(params, two_n, two_m)
+    return _dense(block.x_diag, block.x_off)
 
 
 def angular_momentum_matrix_parabolic(params: SystemParams, two_n: int, two_m: int
@@ -162,76 +217,103 @@ def angular_momentum_matrix_parabolic(params: SystemParams, two_n: int, two_m: i
     Symmetric tridiagonal d x d matrix with eigenvalues
     (j + delta/2)(j + delta/2 + 1), j = m_plus .. n-1.
     """
-    dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
-    half_delta = 0.5 * dc.delta_total
-    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
-    diag = np.empty(d)
-    off = np.empty(max(d - 1, 0))
-    for n1 in range(d):
-        n2 = d - 1 - n1
-        diag[n1] = (2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base)
-        if n1 < d - 1:
-            off[n1] = -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
-    m = np.diag(diag)
-    if d > 1:
-        m += np.diag(off, 1) + np.diag(off, -1)
-    return m
+    block = _block(params, two_n, two_m)
+    return _dense(block.m_diag, block.m_off)
+
+
+def _check_r(R: float) -> None:
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
+    if R < 0.0:
+        raise ValueError("R must be nonnegative")
 
 
 def spherical_system(params: SystemParams, two_n: int, two_m: int, R: float
                      ) -> TridiagonalSystem:
     """Separation-operator matrix in the spherical basis at interfocus R."""
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
-    dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
-    x = runge_lenz_matrix_spherical(params, two_n, two_m)
-    diag = _angular_eigenvalues(params, two_n, two_m) + R * np.diag(x)
-    off = R * np.diag(x, 1) if d > 1 else np.empty(0)
-    labels = tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}" for k in range(d))
-    return TridiagonalSystem(dim=d, diag=diag, offdiag=np.asarray(off),
-                             basis_tag="spherical", labels=labels)
+    _check_r(R)
+    block = _block(params, two_n, two_m)
+    diag, off = block.spherical_bands(R)
+    return TridiagonalSystem(dim=block.dim, diag=diag, offdiag=off,
+                             labels=block.spherical_labels)
 
 
 def parabolic_system(params: SystemParams, two_n: int, two_m: int, R: float
                      ) -> TridiagonalSystem:
     """Separation-operator matrix in the parabolic basis at interfocus R."""
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
-    d = block_dimension(params, two_m, two_n)
-    m = angular_momentum_matrix_parabolic(params, two_n, two_m)
-    betas = np.array([
-        parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
-        for n1 in range(d)
-    ])
-    diag = np.diag(m) + R * betas
-    off = np.diag(m, 1) if d > 1 else np.empty(0)
-    labels = tuple(f"n1={n1}" for n1 in range(d))
-    return TridiagonalSystem(dim=d, diag=diag, offdiag=np.asarray(off),
-                             basis_tag="parabolic", labels=labels)
+    _check_r(R)
+    block = _block(params, two_n, two_m)
+    diag, off = block.parabolic_bands(R)
+    return TridiagonalSystem(dim=block.dim, diag=diag, offdiag=off,
+                             labels=block.parabolic_labels)
 
 
-def _eigh_tridiagonal(system: TridiagonalSystem) -> tuple[np.ndarray, np.ndarray]:
-    if system.dim == 1:
-        return system.diag.copy(), np.ones((1, 1))
+def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One tridiagonal eigensolve per row of ``diags``.
+
+    Returns eigenvalues (P, d) and eigenvectors stored one per row,
+    ``vectors[p, q]`` being eigenvector q at point p.
+    """
+    points, d = diags.shape
+    if d == 1:
+        return diags.copy(), np.ones((points, 1, 1))
+    offdiags = np.broadcast_to(offdiags, (points, d - 1))
+    lambdas = np.empty((points, d))
+    vectors = np.empty((points, d, d))
     try:
-        return scipy.linalg.eigh_tridiagonal(system.diag, system.offdiag)
+        for p in range(points):
+            lambdas[p], v = scipy.linalg.eigh_tridiagonal(diags[p], offdiags[p])
+            vectors[p] = v.T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure
         raise RuntimeError(
-            f"tridiagonal eigensolver failed to converge for {system.basis_tag} "
-            f"system of dimension {system.dim}"
+            f"tridiagonal eigensolver failed to converge for a system of dimension {d}"
         ) from exc
+    return lambdas, vectors
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # first nonzero component of each column made positive
-    for q in range(vectors.shape[1]):
-        col = vectors[:, q]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vectors[:, q] = -col
+    # first nonzero component of each eigenvector (last axis) made positive
+    first = np.argmax(vectors != 0.0, axis=-1)[..., None]
+    lead = np.take_along_axis(vectors, first, axis=-1)
+    vectors *= np.where(lead < 0.0, -1.0, 1.0)
     return vectors
+
+
+def _continue_signs(vectors: np.ndarray) -> None:
+    # flip an eigenvector when its overlap with the same one at the previous,
+    # already continued grid point is negative; an overlap of 0 never flips
+    for p in range(1, len(vectors)):
+        overlap = np.einsum("qk,qk->q", vectors[p - 1], vectors[p])
+        vectors[p][overlap < 0.0] *= -1.0
+
+
+def _eigensolve(block: _Block, r_values: list[float]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and sign-fixed U and V stacks (vectors as rows) at each R."""
+    r = np.asarray(r_values, dtype=float)[:, None]
+    lambdas, u = _eigh_stack(*block.spherical_bands(r))
+    _, v = _eigh_stack(*block.parabolic_bands(r))
+    return lambdas, _fix_signs(u), _fix_signs(v)
+
+
+def _solutions(block: _Block, r_values: list[float], lambdas: np.ndarray,
+               u: np.ndarray, v: np.ndarray) -> list[SpheroidalSolution]:
+    # entries are column-major views into the stacks: column q is vector q
+    q_labels = tuple(f"q={q}" for q in range(block.dim))
+    return [
+        SpheroidalSolution(
+            R=R,
+            lambdas=lambdas[p],
+            spherical_coefficients=ExpansionMatrix(
+                dim=block.dim, entries=u[p].T,
+                row_labels=block.spherical_labels, col_labels=q_labels),
+            parabolic_coefficients=ExpansionMatrix(
+                dim=block.dim, entries=v[p].T,
+                row_labels=block.parabolic_labels, col_labels=q_labels),
+        )
+        for p, R in enumerate(r_values)
+    ]
 
 
 def solve(params: SystemParams, two_n: int, two_m: int, R: float
@@ -242,32 +324,15 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     the first nonzero component positive.  The two eigenvalue sets agree
     to solver accuracy since both matrices represent the same operator.
     """
-    sph = spherical_system(params, two_n, two_m, R)
-    par = parabolic_system(params, two_n, two_m, R)
-    lam_s, u = _eigh_tridiagonal(sph)
-    _, v = _eigh_tridiagonal(par)
-    u = _fix_signs(u)
-    v = _fix_signs(v)
-    q_labels = tuple(f"q={q}" for q in range(sph.dim))
-    return SpheroidalSolution(
-        R=R,
-        lambdas=lam_s,
-        spherical_coefficients=ExpansionMatrix(
-            dim=sph.dim, entries=u, row_labels=sph.labels, col_labels=q_labels),
-        parabolic_coefficients=ExpansionMatrix(
-            dim=par.dim, entries=v, row_labels=par.labels, col_labels=q_labels),
-    )
+    _check_r(R)
+    block = _block(params, two_n, two_m)
+    return _solutions(block, [R], *_eigensolve(block, [R]))[0]
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> float:
     """Max entry deviation after flipping each column to best match the target."""
-    dev = 0.0
-    for q in range(actual.shape[1]):
-        col = actual[:, q]
-        if np.dot(col, target[:, q]) < 0.0:
-            col = -col
-        dev = max(dev, float(np.abs(col - target[:, q]).max()))
-    return dev
+    flip = np.einsum("kq,kq->q", actual, target) < 0.0
+    return float(np.abs(np.where(flip, -actual, actual) - target).max())
 
 
 def limits(params: SystemParams, two_n: int, two_m: int,
@@ -280,8 +345,11 @@ def limits(params: SystemParams, two_n: int, two_m: int,
     """
     w = expansion_matrix(params, two_n, two_m).entries
     d = w.shape[0]
-    small = solve(params, two_n, two_m, r_small)
-    large = solve(params, two_n, two_m, r_large)
+    _check_r(r_small)
+    _check_r(r_large)
+    block = _block(params, two_n, two_m)
+    r_values = [r_small, r_large]
+    small, large = _solutions(block, r_values, *_eigensolve(block, r_values))
     return LimitReport(
         r_small=r_small,
         r_large=r_large,
@@ -301,20 +369,21 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[Spheroid
 
     Each eigenvector column keeps the sign that maximizes its overlap
     with the previous grid point, so lambda branches and coefficient
-    curves are continuous along the grid.
+    curves are continuous along the grid.  The block's bands are built
+    once for the whole grid; the returned coefficient matrices are views
+    into shared per-grid stacks.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("R grid must contain at least one point")
+    bad = [r for r in r_grid if not math.isfinite(r)]
+    if bad:
+        raise ValueError(f"R grid values must be finite, got {bad[0]}")
     if any(b < a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("R grid must be ascending")
-    solutions = [solve(params, two_n, two_m, r) for r in r_grid]
-    for prev, cur in zip(solutions, solutions[1:]):
-        for mat_prev, mat_cur in (
-            (prev.spherical_coefficients, cur.spherical_coefficients),
-            (prev.parabolic_coefficients, cur.parabolic_coefficients),
-        ):
-            for q in range(mat_cur.dim):
-                if np.dot(mat_prev.entries[:, q], mat_cur.entries[:, q]) < 0.0:
-                    mat_cur.entries[:, q] *= -1.0
-    return solutions
+    _check_r(r_grid[0])
+    block = _block(params, two_n, two_m)
+    lambdas, u, v = _eigensolve(block, r_grid)
+    _continue_signs(u)
+    _continue_signs(v)
+    return _solutions(block, r_grid, lambdas, u, v)

@@ -60,6 +60,7 @@ from .qnum import (
     parabolic_separation_constant,
 )
 from .spheroidal import (
+    _aligned_deviation,
     angular_momentum_matrix_parabolic,
     limits,
     parabolic_system,
@@ -542,15 +543,8 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             reports.append(_report(
                 "spheroidal.spectrum_equality", ctx_r,
                 float(np.abs(np.sort(sol.lambdas) - lam_par).max()), TOL_ALGEBRA))
-            wv = w @ v
-            dev = 0.0
-            for q in range(d):
-                col = wv[:, q]
-                if np.dot(col, u[:, q]) < 0.0:
-                    col = -col
-                dev = max(dev, float(np.abs(col - u[:, q]).max()))
-            reports.append(_report("spheroidal.basis_change", ctx_r, dev,
-                                   TOL_BASIS_CHANGE))
+            reports.append(_report("spheroidal.basis_change", ctx_r,
+                                   _aligned_deviation(w @ v, u), TOL_BASIS_CHANGE))
             norm_dev = max(
                 float(np.abs(np.linalg.norm(u, axis=0) - 1.0).max()),
                 float(np.abs(np.linalg.norm(v, axis=0) - 1.0).max()),

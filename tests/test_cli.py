@@ -9,6 +9,8 @@ from pytest import approx
 
 import mickepler.verify as verify
 from mickepler.cli import main
+from mickepler.qnum import SystemParams
+from mickepler.spheroidal import solve, sweep
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +22,34 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def reference_csv(header, rows):
+    """CSV written cell by cell through csv.writer, numbers as {:.17g}."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
+    return buf.getvalue()
+
+
+def reference_sweep_table(solutions, vectors):
+    """Header and rows of `sweep`, built one (R, q) row at a time."""
+    first = solutions[0]
+    header = ["R", "q", "lambda"]
+    if vectors:
+        header += [f"u[{lab}]" for lab in first.spherical_coefficients.row_labels]
+        header += [f"v[{lab}]" for lab in first.parabolic_coefficients.row_labels]
+    rows = []
+    for sol in solutions:
+        for q in range(first.spherical_coefficients.dim):
+            row = [sol.R, float(q), sol.lambdas[q]]
+            if vectors:
+                row += list(sol.spherical_coefficients.entries[:, q])
+                row += list(sol.parabolic_coefficients.entries[:, q])
+            rows.append(row)
+    return header, rows
 
 
 class TestSpectrum:
@@ -89,6 +119,32 @@ class TestCoefficients:
                           "spheroidal-in-spherical", "--n", "2", "--m", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["parabolic-in-spherical", "spheroidal-in-parabolic"])
+    def test_csv_matches_cell_by_cell_reference(self, capsys, kind):
+        code, out = run_cli(capsys, "coefficients", "--kind", kind, "--s", "1/2",
+                            "--c1", "0.3", "--c2", "0.7", "--n", "9/2", "--m=-1/2",
+                            "--R", "2.5")
+        assert code == 0
+        header, rows = parse_csv(out)
+        expected = [[r[0]] + [float(v) for v in r[1:]] for r in rows]
+        assert out == reference_csv(header, expected)
+
+    @pytest.mark.parametrize("kind", ["spheroidal-in-spherical", "spheroidal-in-parabolic"])
+    def test_spheroidal_json_unchanged(self, capsys, kind):
+        code, out = run_cli(capsys, "coefficients", "--kind", kind, "--s", "1",
+                            "--c1", "0.3", "--c2", "0.7", "--n", "5", "--m", "1",
+                            "--R", "3.5", "--format", "json")
+        assert code == 0
+        sol = solve(SystemParams(two_s=2, c1=0.3, c2=0.7), 10, 2, 3.5)
+        matrix = (sol.spherical_coefficients if kind == "spheroidal-in-spherical"
+                  else sol.parabolic_coefficients)
+        assert out == json.dumps({
+            "kind": kind,
+            "row_labels": list(matrix.row_labels),
+            "col_labels": list(matrix.col_labels),
+            "entries": [[float(v) for v in row] for row in matrix.entries],
+        }) + "\n"
+
     def test_json_shape(self, capsys):
         code, out = run_cli(capsys, "coefficients", "--n", "3", "--m", "1",
                             "--format", "json")
@@ -135,6 +191,42 @@ class TestSweep:
         assert header == ["R", "q", "lambda", "u[j=0]", "u[j=1]", "v[n1=0]", "v[n1=1]"]
         first = [float(v) for v in rows[0][3:5]]
         assert math.hypot(*first) == approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("vectors", [(), ("--vectors",)])
+    def test_one_dimensional_block(self, capsys, vectors):
+        code, out = run_cli(capsys, "sweep", "--c1", "0.3", "--c2", "0.7",
+                            "--n", "1", "--m", "0", "--R-grid", "0:4:3", *vectors)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["R", "q", "lambda"] + (["u[j=0]", "v[n1=0]"] if vectors else [])
+        assert [r[:2] for r in rows] == [["0", "0"], ["2", "0"], ["4", "0"]]
+        if vectors:
+            assert all(r[3:] == ["1", "1"] for r in rows)
+
+    def test_vector_table_round_trips_sweep(self, capsys):
+        argv = ("sweep", "--s", "1/2", "--c1", "0.3", "--c2", "0.7", "--n", "9/2",
+                "--m", "1/2", "--R-grid", "0:20:15", "--vectors")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        solutions = sweep(SystemParams(two_s=1, c1=0.3, c2=0.7), 9, 1,
+                          np.linspace(0.0, 20.0, 15))
+        header, expected = reference_sweep_table(solutions, vectors=True)
+        got_header, rows = parse_csv(out)
+        assert got_header == header
+        # every cell re-parses to exactly the double sweep returned
+        assert [[float(c) for c in r] for r in rows] == expected
+        assert out == reference_csv(header, expected)
+
+    @pytest.mark.parametrize("vectors", [(), ("--vectors",)])
+    def test_json_table_unchanged(self, capsys, vectors):
+        code, out = run_cli(capsys, "sweep", "--s", "1", "--c1", "0.3", "--c2", "0.7",
+                            "--n", "4", "--m=-1", "--R-grid", "0.5:30:9",
+                            "--format", "json", *vectors)
+        assert code == 0
+        solutions = sweep(SystemParams(two_s=2, c1=0.3, c2=0.7), 8, -2,
+                          np.linspace(0.5, 30.0, 9))
+        header, rows = reference_sweep_table(solutions, vectors=bool(vectors))
+        assert out == json.dumps({"columns": header, "rows": rows}) + "\n"
 
     def test_empty_grid_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--n", "2", "--m", "0",
@@ -185,6 +277,21 @@ class TestVerify:
     def test_negative_strength_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--c1", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        (("spectrum", "--c1", "nan"), "c1=nan"),
+        (("coefficients", "--n", "3", "--m", "0", "--c2", "inf"), "c2=inf"),
+        (("sweep", "--n", "3", "--m", "0", "--R", "nan"), "nan"),
+        (("sweep", "--n", "3", "--m", "0", "--R-grid", "0:inf:3"), "0:inf:3"),
+        (("coefficients", "--kind", "spheroidal-in-spherical", "--n", "3",
+          "--m", "0", "--R", "inf"), "inf"),
+    ])
+    def test_non_finite_input_is_usage_error(self, capsys, argv, named):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err and named in captured.err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

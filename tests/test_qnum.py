@@ -53,6 +53,12 @@ class TestDerivedConstants:
         with pytest.raises(ValueError):
             SystemParams(two_s=0, c1=-0.1)
 
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 0.0), (0.0, math.inf),
+                                        (-math.inf, 0.3), (0.3, math.nan)])
+    def test_non_finite_strength_rejected(self, c1, c2):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(two_s=1, c1=c1, c2=c2)
+
     @given(st.integers(min_value=-3, max_value=3),
            st.integers(min_value=-6, max_value=6),
            st.floats(min_value=0.0, max_value=5.0),

@@ -13,6 +13,7 @@ from mickepler.qnum import (
     parabolic_separation_constant,
 )
 from mickepler.spheroidal import (
+    _aligned_deviation,
     angular_coupling,
     angular_momentum_matrix_parabolic,
     limits,
@@ -170,6 +171,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(HYDROGEN, 4, 0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, bad):
+        for build in (spherical_system, parabolic_system, solve):
+            with pytest.raises(ValueError, match="finite"):
+                build(HYDROGEN, 6, 0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            limits(HYDROGEN, 6, 0, 1e-6, bad)
+        with pytest.raises(ValueError, match="finite"):
+            sweep(HYDROGEN, 6, 0, [0.0, 1.0, bad] if bad > 0 else [bad, 0.0])
+
 
 class TestLimits:
     def test_d1_exact(self):
@@ -235,11 +246,58 @@ class TestSweep:
         assert aligned_dev(sols[-1].parabolic_coefficients.entries, np.eye(2)) <= 1e-5
         assert aligned_dev(sols[-1].spherical_coefficients.entries, w) <= 1e-5
 
+    def test_every_point_equals_solve_up_to_continued_sign(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        two_n, two_m = 11, 1
+        grid = np.linspace(0.0, 40.0, 57)
+        previous = None
+        for R, sol in zip(grid, sweep(params, two_n, two_m, grid)):
+            direct = solve(params, two_n, two_m, float(R))
+            assert sol.R == R
+            assert np.array_equal(sol.lambdas, direct.lambdas)
+            for attr in ("spherical_coefficients", "parabolic_coefficients"):
+                cont = getattr(sol, attr).entries
+                ref = getattr(direct, attr).entries
+                for q in range(ref.shape[1]):
+                    flipped = not np.array_equal(cont[:, q], ref[:, q])
+                    if flipped:
+                        assert np.array_equal(cont[:, q], -ref[:, q])
+                    # continuation rule: flip exactly when the overlap with the
+                    # previous, already continued column is negative
+                    expected = (previous is not None and np.dot(
+                        getattr(previous, attr).entries[:, q], ref[:, q]) < 0.0)
+                    assert flipped == expected
+            previous = sol
+
+    def test_one_dimensional_block(self):
+        params = SystemParams(two_s=0, c1=0.3, c2=0.7)
+        beta = parabolic_separation_constant(params, ParabolicQN(0, 0, 0))
+        sols = sweep(params, 2, 0, [0.0, 2.0, 4.0])
+        base = sols[0].lambdas[0]
+        for sol in sols:
+            assert sol.lambdas[0] == approx(base + sol.R * beta, rel=1e-15)
+            assert sol.spherical_coefficients.entries.tolist() == [[1.0]]
+            assert sol.parabolic_coefficients.entries.tolist() == [[1.0]]
+
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(HYDROGEN, 4, 0, [1.0, 0.5])
         with pytest.raises(ValueError):
             sweep(HYDROGEN, 4, 0, [])
+
+
+def test_aligned_deviation_matches_column_loop():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 12):
+        target = rng.normal(size=(d, d))
+        actual = (target + 1e-3 * rng.normal(size=(d, d))) * rng.choice([-1.0, 1.0], d)
+        expected = 0.0
+        for q in range(d):
+            col = actual[:, q]
+            if np.dot(col, target[:, q]) < 0.0:
+                col = -col
+            expected = max(expected, float(np.abs(col - target[:, q]).max()))
+        assert _aligned_deviation(actual, target) == expected
 
 
 class TestHydrogenReduction:
