@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_genlaguerre
 
-from .numkernel import jacobi_p, kummer_terminating, ln_gamma
+from .numkernel import jacobi_p, ln_gamma
 from .qnum import (
     DerivedConstants,
     ParabolicQN,
@@ -136,6 +137,17 @@ def angular_z(state: SphericalState, theta: float, phi: float) -> complex:
     return angular_profile(state, theta) * np.exp(1j * _winding(state) * phi)
 
 
+def _kummer(n: int, c: float, t):
+    """Terminating confluent hypergeometric F(-n; c; t) = n! / (c)_n L_n^(c-1)(t).
+
+    The generalized Laguerre polynomial comes from its forward three-term
+    recurrence, which stays accurate where the alternating power series of
+    F loses every digit to cancellation (large n and t).
+    """
+    scale = math.exp(math.lgamma(n + 1.0) + math.lgamma(c) - math.lgamma(c + n))
+    return scale * eval_genlaguerre(n, c - 1.0, t)
+
+
 def radial_r(state: SphericalState, r):
     """Normalized radial function; returns an array if r is an array."""
     r = np.asarray(r, dtype=float)
@@ -144,7 +156,7 @@ def radial_r(state: SphericalState, r):
     power = j + 0.5 * dc.delta_total
     n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
     t = 2.0 * state.eps * r
-    poly = kummer_terminating(n_r, 2.0 * j + dc.delta_total + 2.0, t)
+    poly = _kummer(n_r, 2.0 * j + dc.delta_total + 2.0, t)
     # log of a sentinel 1.0 where t == 0; that branch is overwritten below
     log_t = np.log(np.where(t > 0.0, t, 1.0))
     envelope = np.where(
@@ -169,7 +181,7 @@ def _phi_factor(n_i: int, m_i: float, norm: float, eps: float, x):
     """One-dimensional parabolic factor without the azimuthal phase."""
     x = np.asarray(x, dtype=float)
     t = eps * x
-    poly = kummer_terminating(n_i, m_i + 1.0, t)
+    poly = _kummer(n_i, m_i + 1.0, t)
     log_t = np.log(np.where(t > 0.0, t, 1.0))
     envelope = np.where(
         t > 0.0,

@@ -1,12 +1,26 @@
 """Expansion coefficients connecting the parabolic and spherical bases.
 
 A parabolic bound state of the level (n, m) is a finite mixture of the
-d = n - m_plus spherical states of the same level.  The mixing matrix is
-real orthogonal; it is computed from a terminating 3F2 closed form and,
-independently, from the analytic continuation of the SU(2) Clebsch-Gordan
-closed form to real arguments.  The radial bi-orthogonality integral
-(no r^2 weight) that underpins the derivation is exposed with both its
-quadrature value and its closed form.
+d = n - m_plus spherical states of the same level.  The parabolic states
+are the eigenstates of the generalized Runge-Lenz z-component, which is
+a symmetric tridiagonal matrix X in the spherical basis, so the real
+orthogonal mixing matrix is the eigenvector matrix of X: column n1 is
+the eigenvector of the n1-th smallest separation constant beta, signed
+so that its j = m_plus entry is positive.  One tridiagonal eigensolve
+per block keeps every entry accurate to rounding at any dimension.
+
+Two closed forms give the same coefficients entry by entry: a
+terminating 3F2 sum and the analytic continuation of the SU(2)
+Clebsch-Gordan closed form to real arguments.  Their alternating sums
+lose digits as the block grows (accurate to about d <= 12), so they
+serve as independent oracles for the verification suite and the tests.
+The radial bi-orthogonality integral (no r^2 weight) that underpins the
+derivation is exposed with both its quadrature value and its closed form.
+
+The R-independent bands of the spheroidal separation operator of a block
+(angular spectrum and X on the spherical side, the angular momentum
+square and the betas on the parabolic side) are derived here once per
+block and shared with :mod:`mickepler.spheroidal`.
 """
 
 from __future__ import annotations
@@ -15,13 +29,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .numkernel import hyp3f2_unit_scaled, ln_gamma
 from .qnum import (
+    DerivedConstants,
     QuantumNumberError,
     SystemParams,
+    _separation_constant,
     block_dimension,
     derive_constants,
+    epsilon,
     format_half_integer,
     n_effective,
 )
@@ -172,26 +190,111 @@ def inverse_expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
     return expansion_coefficient(params, two_n, two_j, n1, two_m)
 
 
-def _block_labels(params: SystemParams, two_n: int, two_m: int):
+def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
+    """Unvalidated ``spheroidal.angular_coupling`` for precomputed block constants."""
+    j = two_j / 2.0
+    n = two_n / 2.0
+    delta = dc.delta_total
+    num = (
+        (j - dc.m_plus)
+        * (j + dc.m_plus + delta)
+        * (j - dc.m_minus + dc.delta1)
+        * (j + dc.m_minus + dc.delta2)
+        * (n - j)
+        * (n + j + delta)
+    )
+    if num == 0.0:
+        return 0.0
+    den = (j + 0.5 * delta) ** 2 * (2.0 * j + delta - 1.0) * (2.0 * j + delta + 1.0)
+    return math.sqrt(num / den)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """R-independent bands of the separation operator of one (n, m) block.
+
+    Spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
+    Runge-Lenz z-component.  Parabolic side: M + R diag(betas), with
+    M = (m_diag, m_off) the angular momentum square.
+    """
+
+    dim: int
+    spherical_labels: tuple[str, ...]
+    parabolic_labels: tuple[str, ...]
+    angular: np.ndarray
+    x_diag: np.ndarray
+    x_off: np.ndarray
+    m_diag: np.ndarray
+    m_off: np.ndarray
+    betas: np.ndarray
+
+    def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        return self.angular + R * self.x_diag, R * self.x_off
+
+    def parabolic_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        return self.m_diag + R * self.betas, self.m_off
+
+
+def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
+    """Bands of the (n, m) block, derived once from the block constants."""
     dc = derive_constants(params, two_m)
     d = block_dimension(params, two_m, two_n)
-    j_labels = tuple(
-        f"j={format_half_integer(dc.two_m_plus + 2 * k)}" for k in range(d)
+    delta = dc.delta_total
+    half_delta = 0.5 * delta
+    n = two_n / 2.0
+    eps = epsilon(n_effective(params, two_m, two_n))
+    num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
+    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
+    js = [dc.m_plus + k for k in range(d)]
+    pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
+    return _Block(
+        dim=d,
+        spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
+                               for k in range(d)),
+        parabolic_labels=tuple(f"n1={n1}" for n1 in range(d)),
+        angular=np.array([(j + half_delta) * (j + half_delta + 1.0) for j in js]),
+        x_diag=np.array([
+            0.0 if num == 0.0 else num / ((2.0 * j + delta) * (2.0 * j + delta + 2.0))
+            for j in js
+        ]),
+        x_off=np.array([
+            -2.0 / (2.0 * n + delta) * _coupling(dc, two_n, dc.two_m_plus + 2 * k)
+            for k in range(1, d)
+        ]),
+        m_diag=np.array([
+            2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base for n1, n2 in pairs
+        ]),
+        m_off=np.array([
+            -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
+            for n1, n2 in pairs[:-1]
+        ]),
+        betas=np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs]),
     )
-    n1_labels = tuple(f"n1={n1}" for n1 in range(d))
-    return dc, d, j_labels, n1_labels
+
+
+def _mixing_matrix(block: _Block) -> np.ndarray:
+    """Eigenvectors of the block's X as columns in ascending beta (ascending n1).
+
+    Each column is signed so that its j = m_plus entry is positive.  That
+    entry never vanishes: the off-diagonal of X has no zero inside a block,
+    and an eigenvector of an unreduced tridiagonal matrix with a zero first
+    component would vanish entirely.
+    """
+    if block.dim == 1:
+        return np.ones((1, 1))
+    _, vectors = scipy.linalg.eigh_tridiagonal(block.x_diag, block.x_off)
+    vectors *= np.sign(vectors[0])
+    return vectors
 
 
 def expansion_matrix(params: SystemParams, two_n: int, two_m: int) -> ExpansionMatrix:
     """Orthogonal d x d matrix; rows are spherical j, columns parabolic n1."""
-    dc, d, j_labels, n1_labels = _block_labels(params, two_n, two_m)
-    entries = np.empty((d, d))
-    for k in range(d):
-        two_j = dc.two_m_plus + 2 * k
-        for n1 in range(d):
-            entries[k, n1] = expansion_coefficient(params, two_n, two_j, n1, two_m)
-    return ExpansionMatrix(dim=d, entries=entries,
-                           row_labels=j_labels, col_labels=n1_labels)
+    block = _block(params, two_n, two_m)
+    return ExpansionMatrix(dim=block.dim, entries=_mixing_matrix(block),
+                           row_labels=block.spherical_labels,
+                           col_labels=block.parabolic_labels)
 
 
 def inverse_expansion_matrix(params: SystemParams, two_n: int, two_m: int

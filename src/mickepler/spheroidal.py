@@ -27,18 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .interbasis import ExpansionMatrix, expansion_matrix
-from .qnum import (
-    DerivedConstants,
-    QuantumNumberError,
-    SystemParams,
-    _separation_constant,
-    block_dimension,
-    derive_constants,
-    epsilon,
-    format_half_integer,
-    n_effective,
-)
+from .interbasis import ExpansionMatrix, _Block, _block, _coupling, _mixing_matrix
+from .qnum import QuantumNumberError, SystemParams, derive_constants
 
 __all__ = [
     "TridiagonalSystem",
@@ -113,90 +103,6 @@ def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -
             f"coupling defined for m_plus <= j <= n, got two_j={two_j}"
         )
     return _coupling(dc, two_n, two_j)
-
-
-def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
-    """Unvalidated :func:`angular_coupling` for precomputed block constants."""
-    j = two_j / 2.0
-    n = two_n / 2.0
-    delta = dc.delta_total
-    num = (
-        (j - dc.m_plus)
-        * (j + dc.m_plus + delta)
-        * (j - dc.m_minus + dc.delta1)
-        * (j + dc.m_minus + dc.delta2)
-        * (n - j)
-        * (n + j + delta)
-    )
-    if num == 0.0:
-        return 0.0
-    den = (j + 0.5 * delta) ** 2 * (2.0 * j + delta - 1.0) * (2.0 * j + delta + 1.0)
-    return math.sqrt(num / den)
-
-
-@dataclass(frozen=True)
-class _Block:
-    """R-independent bands of the separation operator of one (n, m) block.
-
-    Spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
-    Runge-Lenz z-component.  Parabolic side: M + R diag(betas), with
-    M = (m_diag, m_off) the angular momentum square.
-    """
-
-    dim: int
-    spherical_labels: tuple[str, ...]
-    parabolic_labels: tuple[str, ...]
-    angular: np.ndarray
-    x_diag: np.ndarray
-    x_off: np.ndarray
-    m_diag: np.ndarray
-    m_off: np.ndarray
-    betas: np.ndarray
-
-    def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
-        return self.angular + R * self.x_diag, R * self.x_off
-
-    def parabolic_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
-        return self.m_diag + R * self.betas, self.m_off
-
-
-def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
-    """Bands of the (n, m) block, derived once from the block constants."""
-    dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
-    delta = dc.delta_total
-    half_delta = 0.5 * delta
-    n = two_n / 2.0
-    eps = epsilon(n_effective(params, two_m, two_n))
-    num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
-    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
-    js = [dc.m_plus + k for k in range(d)]
-    pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
-    return _Block(
-        dim=d,
-        spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
-                               for k in range(d)),
-        parabolic_labels=tuple(f"n1={n1}" for n1 in range(d)),
-        angular=np.array([(j + half_delta) * (j + half_delta + 1.0) for j in js]),
-        x_diag=np.array([
-            0.0 if num == 0.0 else num / ((2.0 * j + delta) * (2.0 * j + delta + 2.0))
-            for j in js
-        ]),
-        x_off=np.array([
-            -2.0 / (2.0 * n + delta) * _coupling(dc, two_n, dc.two_m_plus + 2 * k)
-            for k in range(1, d)
-        ]),
-        m_diag=np.array([
-            2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base for n1, n2 in pairs
-        ]),
-        m_off=np.array([
-            -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
-            for n1, n2 in pairs[:-1]
-        ]),
-        betas=np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs]),
-    )
 
 
 def runge_lenz_matrix_spherical(params: SystemParams, two_n: int, two_m: int
@@ -343,11 +249,11 @@ def limits(params: SystemParams, two_n: int, two_m: int,
     the parabolic-side ones the transposed mixing matrix; as R -> inf the
     roles swap.  Deviations fall off linearly in R (or 1/R).
     """
-    w = expansion_matrix(params, two_n, two_m).entries
-    d = w.shape[0]
     _check_r(r_small)
     _check_r(r_large)
     block = _block(params, two_n, two_m)
+    w = _mixing_matrix(block)
+    d = block.dim
     r_values = [r_small, r_large]
     small, large = _solutions(block, r_values, *_eigensolve(block, r_values))
     return LimitReport(

@@ -27,6 +27,7 @@ from mickepler.coords import SphericalPoint, spherical_to_parabolic
 from mickepler.qnum import SystemParams, derive_constants
 from mickepler.verify import (
     angular_gram_residual,
+    integrate_radial,
     parabolic_norm_residual,
     radial_gram_residual,
 )
@@ -128,6 +129,18 @@ class TestRadial:
             assert radial_gram_residual(params, two_m, two_j, n_list) <= 1e-8
 
 
+    def test_normalization_at_large_radial_number(self):
+        # the Laguerre polynomial of degree n_r = 60 cancels catastrophically
+        # as a power series; the recurrence keeps the norm to rounding
+        params = SystemParams(two_s=0, c1=0.3, c2=0.7)
+        dc = derive_constants(params, 0)
+        for two_j in (0, 10):
+            st = spherical_state(params, two_j + 2 * 60 + 2, two_j, 0)
+            norm = integrate_radial(lambda r: radial_r(st, r) ** 2 * r * r, 2.0 * st.eps,
+                                    singular_power=two_j + dc.delta_total + 2.0)
+            assert abs(norm - 1.0) <= 1e-12
+
+
 class TestFullWavefunctions:
     def test_hydrogen_ground_state_everywhere(self):
         state = spherical_state(HYDROGEN, 2, 0, 0)
@@ -159,6 +172,11 @@ class TestFullWavefunctions:
             (SystemParams(two_s=2, c1=0.3, c2=0.7), 8, -2),
         ]:
             assert parabolic_norm_residual(params, two_n, two_m) <= 1e-8
+
+    def test_parabolic_normalization_at_large_n1(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        dc = derive_constants(params, 1)
+        assert parabolic_norm_residual(params, dc.two_m_plus + 2 * 61, 1) <= 1e-12
 
     def test_profile_is_separable_product(self):
         params = SystemParams(two_s=1, c1=0.4, c2=0.2)

@@ -96,6 +96,15 @@ class TestCoefficients:
         values = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.abs(np.abs(values) - 1 / math.sqrt(2)).max() <= 1e-14
 
+    def test_large_block_is_orthogonal(self, capsys):
+        code, out = run_cli(capsys, "coefficients", "--n", "40", "--m", "0",
+                            "--c1", "0.3", "--c2", "0.7")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(header) == 41 and len(rows) == 40
+        w = np.array([[float(v) for v in r[1:]] for r in rows])
+        assert np.abs(w.T @ w - np.eye(40)).max() <= 1e-13
+
     def test_spheroidal_identity_at_r_zero(self, capsys):
         code, out = run_cli(capsys, "coefficients", "--kind",
                             "spheroidal-in-spherical", "--n", "3", "--m", "0",

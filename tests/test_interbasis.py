@@ -1,10 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
+
+from conftest import blocks_by_dimension, grid_cases
 
 from mickepler.interbasis import (
     clebsch_gordan_continued,
@@ -17,11 +20,14 @@ from mickepler.interbasis import (
     radial_overlap_integral,
 )
 from mickepler.qnum import (
+    ParabolicQN,
     QuantumNumberError,
     SystemParams,
     block_dimension,
     derive_constants,
+    parabolic_separation_constant,
 )
+from mickepler.spheroidal import runge_lenz_matrix_spherical
 from mickepler.verify import overlap_matrix_quadrature
 
 HYDROGEN = SystemParams(two_s=0)
@@ -216,3 +222,100 @@ class TestCompleteness:
             (SystemParams(two_s=0, c1=1.1, c2=0.2), 8, -2),
         ]:
             assert completeness_residual(params, two_n, two_m, rng) <= 1e-8
+
+
+def w_mpmath(two_s, c1, c2, two_n, two_j, n1, two_m, dps=60):
+    """3F2 closed form of W[j, n1] evaluated in mpmath at ``dps`` digits.
+
+    The ring constants are derived from c1, c2 at the same precision, so
+    the only double-precision inputs are the strengths themselves.
+    """
+    with mpmath.workdps(dps):
+        am = mpmath.mpf(abs(two_m - two_s)) / 2
+        ap = mpmath.mpf(abs(two_m + two_s)) / 2
+        m1 = mpmath.sqrt(am * am + 4 * mpmath.mpf(c1))
+        m2 = mpmath.sqrt(ap * ap + 4 * mpmath.mpf(c2))
+        delta1, delta2 = m1 - am, m2 - ap
+        delta = delta1 + delta2
+        mp_, mm = (ap + am) / 2, (ap - am) / 2
+        n = mpmath.mpf(two_n) / 2
+        j = mpmath.mpf(two_j) / 2
+        d = int(n - mp_)
+        k = int(j - mp_)
+        n2 = d - 1 - n1
+        lg = mpmath.loggamma
+        log_pref = (
+            (mpmath.log(2 * j + delta + 1)
+             + lg(n1 + m1 + 1) + lg(n2 + m2 + 1) - lg(n1 + 1) - lg(n2 + 1)
+             - lg(n - j) - lg(k + 1) - lg(j + mm + delta2 + 1)
+             + lg(j - mm + delta1 + 1) + lg(j + mp_ + delta + 1)
+             - lg(n + j + delta + 1)) / 2
+            + lg(n - mp_) - lg(m1 + 1)
+        )
+        a3, b1, b2 = j + mp_ + delta + 1, m1 + 1, -(n - mp_ - 1)
+        series = term = mpmath.mpf(1)
+        for p in range(min(n1, k)):
+            term *= (p - n1) * (p - k) * (a3 + p) / ((b1 + p) * (b2 + p) * (p + 1))
+            series += term
+        return float(mpmath.exp(log_pref) * series)
+
+
+class TestEigenvectorMatrix:
+    """Production W: sign-fixed eigenvectors of the Runge-Lenz matrix X."""
+
+    @pytest.mark.parametrize("d", [20, 30, 60])
+    def test_matches_high_precision_closed_form(self, d, rng):
+        for two_s, c1, c2, two_m in [(0, 0.3, 0.7, 0), (1, 0.3, 0.7, -3)]:
+            params = SystemParams(two_s=two_s, c1=c1, c2=c2)
+            two_m_plus = derive_constants(params, two_m).two_m_plus
+            two_n = two_m_plus + 2 * d
+            w = expansion_matrix(params, two_n, two_m).entries
+            for k, n1 in rng.integers(0, d, size=(6, 2)):
+                ref = w_mpmath(two_s, c1, c2, two_n, two_m_plus + 2 * int(k),
+                               int(n1), two_m)
+                assert abs(w[k, n1] - ref) <= 1e-13
+
+    def test_orthogonal_at_large_dimension(self):
+        params = SystemParams(two_s=0, c1=0.3, c2=0.7)
+        w = expansion_matrix(params, 600, 0).entries
+        assert w.shape == (300, 300)
+        assert np.abs(w.T @ w - np.eye(300)).max() <= 1e-13
+
+    def test_diagonalizes_runge_lenz_in_n1_order(self):
+        for params, two_n, two_m in [
+            (HYDROGEN, 16, 2),
+            (SystemParams(two_s=1, c1=0.3, c2=0.7), 41, -3),
+            (SystemParams(two_s=2, c1=1.5, c2=0.0), 124, 4),
+        ]:
+            d = block_dimension(params, two_m, two_n)
+            w = expansion_matrix(params, two_n, two_m).entries
+            x = runge_lenz_matrix_spherical(params, two_n, two_m)
+            betas = [parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
+                     for n1 in range(d)]
+            assert np.abs(w.T @ x @ w - np.diag(betas)).max() <= 1e-12
+            assert np.all(w[0, :] > 0.0)
+
+    def test_single_state_block(self):
+        params = SystemParams(two_s=1, c1=0.4, c2=0.1)
+        dc = derive_constants(params, 3)
+        w = expansion_matrix(params, dc.two_m_plus + 2, 3)
+        assert w.dim == 1 and np.array_equal(w.entries, np.ones((1, 1)))
+
+    @pytest.mark.parametrize("params", grid_cases(), ids=repr)
+    def test_agrees_with_both_closed_forms_up_to_d12(self, params):
+        # the closed forms carry their own rounding error, which grows with d:
+        # the CG form passes 1e-10 up to d = 9 only (2e-9 at d = 12 against
+        # the mpmath oracle, where W stays within 1e-15)
+        two_m_values = range(params.two_s - 4, params.two_s + 5, 2)
+        for two_n, two_m in blocks_by_dimension(params, range(1, 13), two_m_values):
+            dc = derive_constants(params, two_m)
+            w = expansion_matrix(params, two_n, two_m).entries
+            d = w.shape[0]
+            cg_tol = 1e-10 if d <= 9 else 1e-8
+            for k in range(d):
+                two_j = dc.two_m_plus + 2 * k
+                for n1 in range(d):
+                    assert abs(w[k, n1] - expansion_coefficient(
+                        params, two_n, two_j, n1, two_m)) <= 1e-10
+                    assert abs(w[k, n1] - expansion_coefficient_cg(
+                        params, two_n, two_j, n1, two_m)) <= cg_tol

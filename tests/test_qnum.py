@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -61,8 +62,8 @@ class TestDerivedConstants:
 
     @given(st.integers(min_value=-3, max_value=3),
            st.integers(min_value=-6, max_value=6),
-           st.floats(min_value=0.0, max_value=5.0),
-           st.floats(min_value=0.0, max_value=5.0))
+           st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False),
+           st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False))
     def test_dual_definitions_agree(self, two_s, two_m, c1, c2):
         if (two_m - two_s) % 2 != 0:
             return
@@ -77,6 +78,15 @@ class TestDerivedConstants:
         assert (dc.delta2 == 0.0) == (c2 == 0.0)
         assert dc.m_plus == (ap + am) / 2.0
         assert dc.m_minus == (ap - am) / 2.0
+
+    @pytest.mark.parametrize("two_s, two_m, c1", [(2, -6, 5e-324), (2, -6, 1e-310),
+                                                  (0, 0, 5e-324), (1, 3, 2.5e-320)])
+    def test_subnormal_strength_rounds_correctly(self, two_s, two_m, c1):
+        # 4 c1 / (m1 + |m - s|) may underflow to 0 for a nonzero subnormal c1;
+        # either way it is the correctly rounded quotient
+        dc = derive_constants(SystemParams(two_s=two_s, c1=c1), two_m)
+        am = Fraction(abs(two_m - two_s), 2)
+        assert dc.delta1 == float(4 * Fraction(c1) / (Fraction(dc.m1) + am))
 
     def test_small_c_no_cancellation(self):
         # rationalized form keeps tiny shifts at full relative accuracy
