@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, eval_jacobi
 
-from .numkernel import jacobi_p, ln_gamma
 from .qnum import (
     DerivedConstants,
     ParabolicQN,
@@ -82,16 +81,16 @@ def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
 
     log_norm_ang = 0.5 * (
         math.log(2.0 * j + delta + 1.0)
-        + ln_gamma(k + 1.0)
-        + ln_gamma(j + dc.m_plus + delta + 1.0)
+        + math.lgamma(k + 1.0)
+        + math.lgamma(j + dc.m_plus + delta + 1.0)
         - _LOG_4PI
-        - ln_gamma(j - dc.m_minus + dc.delta1 + 1.0)
-        - ln_gamma(j + dc.m_minus + dc.delta2 + 1.0)
+        - math.lgamma(j - dc.m_minus + dc.delta1 + 1.0)
+        - math.lgamma(j + dc.m_minus + dc.delta2 + 1.0)
     )
     log_norm_rad = (
         math.log(2.0 * eps * eps)
-        - ln_gamma(2.0 * j + delta + 2.0)
-        + 0.5 * (ln_gamma(n + j + delta + 1.0) - ln_gamma(n_r + 1.0))
+        - math.lgamma(2.0 * j + delta + 2.0)
+        + 0.5 * (math.lgamma(n + j + delta + 1.0) - math.lgamma(n_r + 1.0))
     )
     return SphericalState(
         qn=qn,
@@ -111,7 +110,8 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
     two_n = principal_two_n(params, qn)
     eps = epsilon(n_effective(params, two_m, two_n))
     norms = tuple(
-        math.exp(0.5 * (ln_gamma(ni + mi + 1.0) - ln_gamma(ni + 1.0)) - ln_gamma(mi + 1.0))
+        math.exp(0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0))
+                 - math.lgamma(mi + 1.0))
         for ni, mi in ((n1, dc.m1), (n2, dc.m2))
     )
     return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, norms=norms)
@@ -123,11 +123,16 @@ def angular_profile(state: SphericalState, theta):
     dc = state.dc
     k = (state.qn.two_j - dc.two_m_plus) // 2
     half = 0.5 * theta
+    x = np.cos(theta)
+    # scipy's Jacobi recurrence loses digits near x = -1; the reflection
+    # P_k^(a,b)(x) = (-1)^k P_k^(b,a)(-x) keeps its argument in [0, 1]
+    flip = x < 0.0
+    poly = eval_jacobi(k, np.where(flip, dc.m1, dc.m2), np.where(flip, dc.m2, dc.m1), np.abs(x))
     value = (
         state.norm_angular
         * np.cos(half) ** dc.m1
         * np.sin(half) ** dc.m2
-        * jacobi_p(k, dc.m2, dc.m1, np.cos(theta))
+        * np.where(flip & (k % 2 == 1), -poly, poly)
     )
     return value if value.ndim else float(value)
 

@@ -14,8 +14,9 @@ terminating 3F2 sum and the analytic continuation of the SU(2)
 Clebsch-Gordan closed form to real arguments.  Their alternating sums
 lose digits as the block grows (accurate to about d <= 12), so they
 serve as independent oracles for the verification suite and the tests.
-The radial bi-orthogonality integral (no r^2 weight) that underpins the
-derivation is exposed with both its quadrature value and its closed form.
+The closed form of the radial bi-orthogonality integral (no r^2 weight)
+that underpins the derivation is exposed here; :mod:`mickepler.verify`
+holds its quadrature value.
 
 The R-independent bands of the spheroidal separation operator of a block
 (angular spectrum and X on the spherical side, the angular momentum
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkernel import hyp3f2_unit_scaled, ln_gamma
+from .numkernel import hyp3f2_unit_scaled
 from .qnum import (
     DerivedConstants,
     QuantumNumberError,
@@ -49,11 +50,9 @@ __all__ = [
     "clebsch_gordan_continued",
     "expansion_coefficient",
     "expansion_coefficient_cg",
-    "inverse_expansion_coefficient",
     "expansion_matrix",
     "inverse_expansion_matrix",
     "radial_overlap_closed_form",
-    "radial_overlap_integral",
 ]
 
 
@@ -102,17 +101,17 @@ def expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
 
     log_pref = 0.5 * (
         math.log(2.0 * j + delta + 1.0)
-        + ln_gamma(n1 + dc.m1 + 1.0)
-        + ln_gamma(n2 + dc.m2 + 1.0)
-        - ln_gamma(n1 + 1.0)
-        - ln_gamma(n2 + 1.0)
-        - ln_gamma(n - j)
-        - ln_gamma(j - mp + 1.0)
-        - ln_gamma(j + mm + dc.delta2 + 1.0)
-        + ln_gamma(j - mm + dc.delta1 + 1.0)
-        + ln_gamma(j + mp + delta + 1.0)
-        - ln_gamma(n + j + delta + 1.0)
-    ) + ln_gamma(n - mp) - ln_gamma(dc.m1 + 1.0)
+        + math.lgamma(n1 + dc.m1 + 1.0)
+        + math.lgamma(n2 + dc.m2 + 1.0)
+        - math.lgamma(n1 + 1.0)
+        - math.lgamma(n2 + 1.0)
+        - math.lgamma(n - j)
+        - math.lgamma(j - mp + 1.0)
+        - math.lgamma(j + mm + dc.delta2 + 1.0)
+        + math.lgamma(j - mm + dc.delta1 + 1.0)
+        + math.lgamma(j + mp + delta + 1.0)
+        - math.lgamma(n + j + delta + 1.0)
+    ) + math.lgamma(n - mp) - math.lgamma(dc.m1 + 1.0)
 
     return hyp3f2_unit_scaled(
         -float(n1),
@@ -124,32 +123,35 @@ def expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
     )
 
 
+# the gamma-function arguments of the Racah form, in the order of ``args`` below
+_CG_GAMMA_ARGS = ("a+alpha+1", "c+gamma+1", "a-alpha+1", "c-gamma+1", "a+b+c+2", "a+b-c+1",
+                  "a-b+c+1", "b-a+c+1", "b-beta+1", "b+beta+1", "a+b-gamma+1", "b+c-alpha+1")
+
+
 def clebsch_gordan_continued(a: float, alpha: float, b: float, beta: float,
                              c: float, gamma: float) -> float:
     """SU(2) Clebsch-Gordan closed form continued to real arguments.
 
     Requires gamma = alpha + beta and a - alpha a nonnegative integer
-    (the terminating index of the 3F2 sum).  On genuine half-integer
-    SU(2) labels this reproduces the tabulated coefficients.
+    (the terminating index of the 3F2 sum), and every gamma-function
+    argument of the prefactor positive; a ValueError names the first
+    one that is not.  On genuine half-integer SU(2) labels this
+    reproduces the tabulated coefficients.
     """
     if abs(gamma - (alpha + beta)) > 1e-12:
         raise ValueError("selection rule gamma = alpha + beta violated")
     k = a - alpha
     if abs(k - round(k)) > 1e-9 or round(k) < 0:
         raise ValueError(f"a - alpha must be a nonnegative integer, got {k}")
-    log_pref = 0.5 * (
-        math.log(2.0 * c + 1.0)
-        + ln_gamma(a + alpha + 1.0)
-        + ln_gamma(c + gamma + 1.0)
-        - ln_gamma(a - alpha + 1.0)
-        - ln_gamma(c - gamma + 1.0)
-        - ln_gamma(a + b + c + 2.0)
-        - ln_gamma(a + b - c + 1.0)
-        - ln_gamma(a - b + c + 1.0)
-        - ln_gamma(b - a + c + 1.0)
-        - ln_gamma(b - beta + 1.0)
-        - ln_gamma(b + beta + 1.0)
-    ) + ln_gamma(a + b - gamma + 1.0) + ln_gamma(b + c - alpha + 1.0)
+    args = (a + alpha + 1.0, c + gamma + 1.0, a - alpha + 1.0, c - gamma + 1.0,
+            a + b + c + 2.0, a + b - c + 1.0, a - b + c + 1.0, b - a + c + 1.0,
+            b - beta + 1.0, b + beta + 1.0, a + b - gamma + 1.0, b + c - alpha + 1.0)
+    for label, x in zip(_CG_GAMMA_ARGS, args):
+        if not x > 0.0:
+            raise ValueError(f"gamma argument {label} = {x!r} is not positive")
+    lg = [math.lgamma(x) for x in args]
+    # square root of the first two over the next eight, times the last two
+    log_pref = 0.5 * (math.log(2.0 * c + 1.0) + lg[0] + lg[1] - sum(lg[2:10])) + lg[10] + lg[11]
     phase = -1.0 if round(k) % 2 else 1.0
     return phase * hyp3f2_unit_scaled(
         -(a + b + c + 1.0),
@@ -177,17 +179,6 @@ def expansion_coefficient_cg(params: SystemParams, two_n: int, two_j: int,
     gamma = 0.5 * (dc.m1 + dc.m2)
     phase = -1.0 if n1 % 2 else 1.0
     return phase * clebsch_gordan_continued(a, alpha, b, beta, c, gamma)
-
-
-def inverse_expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
-                                  n1: int, two_m: int) -> float:
-    """Coefficient of the parabolic state n1 in the spherical state (n, j, m).
-
-    The continued-CG labels of the inverse expansion reduce to exactly
-    the forward labels, so the inverse matrix is the transpose of the
-    forward one; both directions share one implementation.
-    """
-    return expansion_coefficient(params, two_n, two_j, n1, two_m)
 
 
 def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
@@ -319,21 +310,3 @@ def radial_overlap_closed_form(params: SystemParams, two_n: int, two_m: int,
     n_eff = n_effective(params, two_m, two_n)
     j = two_j / 2.0
     return 2.0 / (n_eff**3 * (2.0 * j + dc.delta_total + 1.0))
-
-
-def radial_overlap_integral(params: SystemParams, two_n: int, two_m: int,
-                            two_j: int, two_jp: int, rule_order: int = 128) -> float:
-    """Quadrature value of the unweighted radial overlap integral."""
-    from .bases import radial_r, spherical_state
-    from .verify import integrate_radial
-
-    s1 = spherical_state(params, two_n, two_j, two_m)
-    s2 = spherical_state(params, two_n, two_jp, two_m)
-    dc = derive_constants(params, two_m)
-    power = (two_j + two_jp) / 2.0 + dc.delta_total
-    return integrate_radial(
-        lambda r: radial_r(s1, r) * radial_r(s2, r),
-        2.0 * s1.eps,
-        rule_order=rule_order,
-        singular_power=power,
-    )

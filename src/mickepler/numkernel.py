@@ -1,10 +1,12 @@
-"""Real-valued special functions used throughout the package.
+"""Terminating hypergeometric sums that scipy does not provide.
 
-Everything here is terminating or elementary: log-gamma, Pochhammer
-symbols, Jacobi polynomials, terminating confluent hypergeometric sums,
-and terminating 3F2 sums at unit argument.  No asymptotic branches are
-needed because every series arising from the bound-state formulas
-terminates.
+Two term-by-term sums remain here: the confluent F(-n; c; x) and the
+3F2 at unit argument.  Both serve as oracles: the 3F2 sum evaluates the
+closed-form interbasis and Clebsch-Gordan coefficients and the Bailey
+transformation check, and the confluent sum backs the verify kernel
+self-check.  Everything else comes from the standard library and scipy:
+log-gamma from :func:`math.lgamma`, and Pochhammer symbols, Jacobi and
+Laguerre polynomials from :mod:`scipy.special`.
 """
 
 from __future__ import annotations
@@ -14,79 +16,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
-    "pochhammer",
-    "jacobi_p",
     "kummer_terminating",
-    "hyp3f2_unit_terminating",
     "hyp3f2_unit_scaled",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_2PI = 0.9189385332046727417803297364056176
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Relative error is below 1e-13 on (0, 200].  Raises ValueError for
-    x <= 0; the bound-state formulas never produce such arguments.
-    """
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(series)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer requires k >= 0")
-    result = 1.0
-    for i in range(k):
-        result *= a + i
-    return result
-
-
-def jacobi_p(k: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_k^{(alpha,beta)}(x) by the degree recurrence.
-
-    Accepts scalar or ndarray x; alpha, beta > -1.
-    """
-    if k < 0:
-        raise ValueError("jacobi_p requires degree k >= 0")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
-    for deg in range(2, k + 1):
-        c1 = 2.0 * deg * (deg + alpha + beta) * (2.0 * deg + alpha + beta - 2.0)
-        c2 = 2.0 * deg + alpha + beta - 1.0
-        c3 = (2.0 * deg + alpha + beta) * (2.0 * deg + alpha + beta - 2.0)
-        c4 = alpha * alpha - beta * beta
-        c5 = 2.0 * (deg + alpha - 1.0) * (deg + beta - 1.0) * (2.0 * deg + alpha + beta)
-        p_prev, p_cur = p_cur, ((c2 * (c3 * x + c4)) * p_cur - c5 * p_prev) / c1
-    return p_cur if p_cur.ndim else float(p_cur)
 
 
 def kummer_terminating(n: int, c: float, x):
@@ -122,7 +54,7 @@ def _terminating_index(a1: float, a2: float, a3: float) -> int:
             candidates.append(-int(r))
     if not candidates:
         raise ValueError(
-            "hyp3f2_unit_terminating requires a nonpositive-integer numerator "
+            "hyp3f2_unit_scaled requires a nonpositive-integer numerator "
             f"parameter, got {(a1, a2, a3)}"
         )
     return min(candidates)
@@ -132,9 +64,12 @@ def hyp3f2_unit_scaled(a1: float, a2: float, a3: float, b1: float, b2: float,
                        log_scale: float = 0.0) -> float:
     """exp(log_scale) * 3F2(a1,a2,a3; b1,b2; 1) for a terminating series.
 
-    Terms are tracked as sign plus log-magnitude so that large Pochhammer
-    products combine with an external log prefactor before
-    exponentiation; the linear-scale sum uses Kahan compensation.
+    One of a1, a2, a3 must be a nonpositive integer -N; the sum runs to
+    the smallest such N.  Raises ValueError if a denominator Pochhammer
+    vanishes before the series terminates.  Terms are tracked as sign
+    plus log-magnitude so that large Pochhammer products combine with an
+    external log prefactor before exponentiation; the linear-scale sum
+    uses Kahan compensation.
     """
     n_terms = _terminating_index(a1, a2, a3)
     total = 0.0
@@ -165,13 +100,3 @@ def hyp3f2_unit_scaled(a1: float, a2: float, a3: float, b1: float, b2: float,
         log_mag += math.log(abs(ratio))
     return total
 
-
-def hyp3f2_unit_terminating(a1: float, a2: float, a3: float,
-                            b1: float, b2: float) -> float:
-    """Terminating 3F2 at unit argument.
-
-    One of a1, a2, a3 must be a nonpositive integer -N; the sum runs to
-    the smallest such N.  Raises ValueError if a denominator Pochhammer
-    vanishes before the series terminates.
-    """
-    return hyp3f2_unit_scaled(a1, a2, a3, b1, b2, 0.0)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_legendre
+from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_legendre
 
 from .bases import (
     angular_profile,
@@ -39,15 +39,8 @@ from .interbasis import (
     expansion_coefficient_cg,
     expansion_matrix,
     radial_overlap_closed_form,
-    radial_overlap_integral,
 )
-from .numkernel import (
-    hyp3f2_unit_terminating,
-    jacobi_p,
-    kummer_terminating,
-    ln_gamma,
-    pochhammer,
-)
+from .numkernel import hyp3f2_unit_scaled, kummer_terminating
 from .qnum import (
     ParabolicQN,
     SystemParams,
@@ -76,6 +69,7 @@ __all__ = [
     "gauss_laguerre",
     "angular_nodes",
     "integrate_radial",
+    "radial_overlap_integral",
     "run_suite",
     "to_json_lines",
     "summary_table",
@@ -149,6 +143,19 @@ def integrate_radial(f, epsilon_scale: float, rule_order: int = DEFAULT_RADIAL_O
     return float(np.sum(scaled * f(t / epsilon_scale)) / epsilon_scale)
 
 
+def radial_overlap_integral(params: SystemParams, two_n: int, two_m: int,
+                            two_j: int, two_jp: int) -> float:
+    """Quadrature value of the unweighted radial overlap integral.
+
+    Its closed form is :func:`mickepler.interbasis.radial_overlap_closed_form`.
+    """
+    s1 = spherical_state(params, two_n, two_j, two_m)
+    s2 = spherical_state(params, two_n, two_jp, two_m)
+    power = (two_j + two_jp) / 2.0 + derive_constants(params, two_m).delta_total
+    return integrate_radial(lambda r: radial_r(s1, r) * radial_r(s2, r), 2.0 * s1.eps,
+                            singular_power=power)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Residual of one identity check against its tolerance."""
@@ -204,7 +211,7 @@ def _check_quadrature_selftest() -> list[CheckReport]:
         a = log_w + k * log_t
         top = a.max()
         approx = math.exp(top) * float(np.exp(a - top).sum())
-        exact = math.exp(ln_gamma(k + 1.0))
+        exact = math.exp(math.lgamma(k + 1.0))
         worst = max(worst, abs(approx - exact) / exact)
     reports.append(_report("quad.laguerre.monomials", "order=64 k<=127", worst,
                            TOL_QUADRATURE))
@@ -213,8 +220,8 @@ def _check_quadrature_selftest() -> list[CheckReport]:
 
 def _jacobi_weighted_norm(k: int, a: float, b: float) -> float:
     return (2.0**(a + b + 1.0) / (2.0 * k + a + b + 1.0)) * math.exp(
-        ln_gamma(k + a + 1.0) + ln_gamma(k + b + 1.0)
-        - ln_gamma(k + a + b + 1.0) - ln_gamma(k + 1.0)
+        math.lgamma(k + a + 1.0) + math.lgamma(k + b + 1.0)
+        - math.lgamma(k + a + b + 1.0) - math.lgamma(k + 1.0)
     )
 
 
@@ -222,7 +229,7 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports = []
 
     xs = rng.uniform(0.5, 100.0, size=1000)
-    worst = max(abs(ln_gamma(x + 1.0) - ln_gamma(x) - math.log(x)) for x in xs)
+    worst = max(abs(math.lgamma(x + 1.0) - math.lgamma(x) - math.log(x)) for x in xs)
     reports.append(_report("kernel.lngamma.recurrence", "1000 x in (0.5,100)",
                            worst, TOL_QUADRATURE))
 
@@ -231,7 +238,7 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     for a in (0.0, 0.37, 1.5):
         for b in (0.0, 0.37, 1.5):
             weight = w * (1.0 - x)**a * (1.0 + x)**b
-            polys = np.array([jacobi_p(k, a, b, x) for k in range(9)])
+            polys = eval_jacobi(np.arange(9)[:, None], a, b, x)
             gram = np.einsum("i,ki,li->kl", weight, polys, polys)
             target = np.diag([_jacobi_weighted_norm(k, a, b) for k in range(9)])
             scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
@@ -244,8 +251,8 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
         k = int(rng.integers(0, 11))
         a = rng.uniform(-0.9, 3.0)
         b = rng.uniform(-0.9, 3.0)
-        lhs = jacobi_p(k, a, b, 1.0)
-        rhs = pochhammer(a + 1.0, k) / math.exp(ln_gamma(k + 1.0))
+        lhs = eval_jacobi(k, a, b, 1.0)
+        rhs = poch(a + 1.0, k) / math.exp(math.lgamma(k + 1.0))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     reports.append(_report("kernel.jacobi.endpoint", "60 random (k,alpha,beta)",
                            worst, TOL_QUADRATURE))
@@ -267,9 +274,9 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
                for v in (t_, tp, 1.0 - big_n - t_, t_ + s_)):
             continue
         trials += 1
-        lhs = hyp3f2_unit_terminating(s_, sp, -float(big_n), tp, 1.0 - big_n - t_)
-        rhs = (pochhammer(t_ + s_, big_n) / pochhammer(t_, big_n)
-               * hyp3f2_unit_terminating(s_, tp - sp, -float(big_n), tp, t_ + s_))
+        lhs = hyp3f2_unit_scaled(s_, sp, -float(big_n), tp, 1.0 - big_n - t_)
+        rhs = (poch(t_ + s_, big_n) / poch(t_, big_n)
+               * hyp3f2_unit_scaled(s_, tp - sp, -float(big_n), tp, t_ + s_))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10))
     reports.append(_report("kernel.bailey", "200 random sets N<=6", worst, TOL_ALGEBRA))
     return reports

@@ -22,7 +22,6 @@ from mickepler.interbasis import (
     expansion_coefficient_cg,
     expansion_matrix,
     radial_overlap_closed_form,
-    radial_overlap_integral,
 )
 from mickepler.qnum import (
     ParabolicQN,
@@ -45,6 +44,7 @@ from mickepler.verify import (
     overlap_matrix_quadrature,
     parabolic_norm_residual,
     radial_gram_residual,
+    radial_overlap_integral,
 )
 
 GRID = grid_cases()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 from pytest import approx
 from scipy.integrate import quad
@@ -43,6 +44,42 @@ def hydrogen_radial(n, l, r):
     return norm * np.exp(-rho / 2.0) * rho**l * genlaguerre(n - l - 1, 2 * l + 1)(rho)
 
 
+def spherical_mpmath(params, two_n, two_j, two_m, eps, thetas, dps=50):
+    """Angular and radial norms and the angular profile at ``dps`` digits.
+
+    The constants are derived from the labels in mpmath; only eps, an
+    elementary function of the labels, is taken from the library.  The
+    Jacobi factor is evaluated at the double cos(theta) the library forms:
+    near x = 1 at degree 40 its rounding alone moves the profile by 1e-13
+    of its maximum, which is the conditioning of P(cos theta), not an
+    error of the special functions.  Also returns the sums of |log Gamma|
+    entering each log-norm, which set the rounding error of the norms.
+    """
+    with mpmath.workdps(dps):
+        am = mpmath.mpf(abs(two_m - params.two_s)) / 2
+        ap = mpmath.mpf(abs(two_m + params.two_s)) / 2
+        m1 = mpmath.sqrt(am * am + 4 * mpmath.mpf(params.c1))
+        m2 = mpmath.sqrt(ap * ap + 4 * mpmath.mpf(params.c2))
+        d1, d2 = m1 - am, m2 - ap
+        delta = d1 + d2
+        m_plus, m_minus = (ap + am) / 2, (ap - am) / 2
+        n, j = mpmath.mpf(two_n) / 2, mpmath.mpf(two_j) / 2
+        k = int(j - m_plus)
+        n_r = (two_n - two_j - 2) // 2
+        lg = mpmath.loggamma
+        ang = (lg(k + 1), lg(j + m_plus + delta + 1), lg(j - m_minus + d1 + 1),
+               lg(j + m_minus + d2 + 1))
+        rad = (lg(2 * j + delta + 2), lg(n + j + delta + 1), lg(n_r + 1))
+        norm_ang = mpmath.sqrt((2 * j + delta + 1) / (4 * mpmath.pi)
+                               * mpmath.exp(ang[0] + ang[1] - ang[2] - ang[3]))
+        norm_rad = 2 * mpmath.mpf(eps) ** 2 * mpmath.exp((rad[1] - rad[2]) / 2 - rad[0])
+        profile = [norm_ang * mpmath.cos(mpmath.mpf(t) / 2) ** m1
+                   * mpmath.sin(mpmath.mpf(t) / 2) ** m2 * mpmath.jacobi(k, m2, m1, mpmath.mpf(x))
+                   for t, x in zip(thetas, np.cos(thetas))]
+        return (float(norm_ang), float(norm_rad), np.array([float(v) for v in profile]),
+                float(sum(map(abs, ang))), float(sum(map(abs, rad))))
+
+
 class TestAngular:
     def test_isotropic_state(self):
         state = spherical_state(HYDROGEN, 2, 0, 0)
@@ -82,6 +119,27 @@ class TestAngular:
                 ours = angular_z(state, theta, phi)
                 ref = spherical_harmonic(m, l, phi, theta)
                 assert abs(ours) == approx(abs(ref), rel=1e-10, abs=1e-12)
+
+    def test_high_degree_vs_mpmath(self):
+        # Jacobi degree k = j - m_plus up to 40 with (alpha, beta) = (m2, m1) from
+        # (0, 0) to (40, 40); scipy's recurrence alone is 2e-13 off near theta = pi
+        thetas = np.linspace(0.0, math.pi, 63)[1:-1]
+        eps = np.finfo(float).eps
+        for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=40), 40),
+                              (SystemParams(two_s=40), -40), (HYDROGEN, 80),
+                              (SystemParams(two_s=1, c1=0.3, c2=0.7), 77)]:
+            dc = derive_constants(params, two_m)
+            for k in (0, 1, 20, 40):
+                two_j = dc.two_m_plus + 2 * k
+                for two_n in (two_j + 2, two_j + 12):
+                    st = spherical_state(params, two_n, two_j, two_m)
+                    norm_ang, norm_rad, ref, s_ang, s_rad = spherical_mpmath(
+                        params, two_n, two_j, two_m, st.eps, thetas)
+                    ours = angular_profile(st, thetas)
+                    assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
+                    # exp of a log-gamma sum: relative error up to a few eps per unit of log
+                    assert abs(st.norm_angular / norm_ang - 1.0) <= 4.0 * eps * (1.0 + s_ang)
+                    assert abs(st.norm_radial / norm_rad - 1.0) <= 4.0 * eps * (1.0 + s_rad)
 
     def test_orthonormality_quadrature(self):
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=1, c1=0.3, c2=0.7), 1),

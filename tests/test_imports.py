@@ -1,0 +1,43 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mickepler"
+
+
+def package_imports(path: Path) -> set[str]:
+    """Sibling modules a package module imports anywhere in its body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and (node.module or "").startswith("mickepler."):
+                module = node.module[len("mickepler."):]
+            else:
+                continue
+            if module is None:   # from . import a, b
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("mickepler."))
+    return names
+
+
+def test_intra_package_imports_are_acyclic():
+    modules = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    graph = {name: package_imports(path) & modules.keys() for name, path in modules.items()}
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        if name in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name in done:
+            return
+        for target in sorted(graph[name]):
+            visit(target, path + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])

@@ -14,10 +14,8 @@ from mickepler.interbasis import (
     expansion_coefficient,
     expansion_coefficient_cg,
     expansion_matrix,
-    inverse_expansion_coefficient,
     inverse_expansion_matrix,
     radial_overlap_closed_form,
-    radial_overlap_integral,
 )
 from mickepler.qnum import (
     ParabolicQN,
@@ -28,7 +26,7 @@ from mickepler.qnum import (
     parabolic_separation_constant,
 )
 from mickepler.spheroidal import runge_lenz_matrix_spherical
-from mickepler.verify import overlap_matrix_quadrature
+from mickepler.verify import overlap_matrix_quadrature, radial_overlap_integral
 
 HYDROGEN = SystemParams(two_s=0)
 
@@ -74,6 +72,14 @@ class TestContinuedCG:
     def test_requires_integer_terminating_index(self):
         with pytest.raises(ValueError):
             clebsch_gordan_continued(1.3, 0.5, 1.0, 0.3, 2.0, 0.8)
+
+    def test_nonpositive_gamma_argument_raises(self):
+        # a - b + c + 1 = -0.5: lgamma would return log|Gamma(-0.5)| silently
+        with pytest.raises(ValueError, match=r"a-b\+c\+1 = -0\.5 "):
+            clebsch_gordan_continued(1.0, 0.0, 3.0, 0.0, 0.5, 0.0)
+        # a + b - c + 1 = 0 sits on a pole
+        with pytest.raises(ValueError, match=r"a\+b-c\+1 = 0\.0 "):
+            clebsch_gordan_continued(1.0, 1.0, 1.0, 0.0, 3.0, 1.0)
 
 
 class TestExpansionCoefficient:
@@ -159,7 +165,7 @@ class TestCGForm:
 
 class TestInverseExpansion:
     def test_single_state_block(self):
-        assert inverse_expansion_coefficient(HYDROGEN, 2, 0, 0, 0) == approx(1.0)
+        assert expansion_coefficient(HYDROGEN, 2, 0, 0, 0) == approx(1.0)
 
     def test_transpose_relation(self):
         params = SystemParams(two_s=1, c1=0.4, c2=0.2)

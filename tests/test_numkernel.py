@@ -5,130 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
-from scipy.special import eval_jacobi
+from scipy.special import poch
 
-from mickepler.numkernel import (
-    hyp3f2_unit_scaled,
-    hyp3f2_unit_terminating,
-    jacobi_p,
-    kummer_terminating,
-    ln_gamma,
-    pochhammer,
-)
-from mickepler.verify import angular_nodes
-
-
-class TestLnGamma:
-    def test_gamma_one(self):
-        assert ln_gamma(1.0) == approx(0.0, abs=1e-15)
-
-    def test_gamma_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert ln_gamma(0.5) == approx(0.5723649429247001, abs=1e-14)
-
-    def test_recurrence_at_7_25(self):
-        assert ln_gamma(8.25) - ln_gamma(7.25) == approx(math.log(7.25), abs=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            ln_gamma(0.0)
-        with pytest.raises(ValueError):
-            ln_gamma(-3.2)
-
-    def test_against_stdlib(self):
-        # independent oracle: C library lgamma
-        xs = np.concatenate([
-            np.linspace(1e-3, 2.0, 400),
-            np.linspace(2.0, 200.0, 600),
-        ])
-        for x in xs:
-            ref = math.lgamma(x)
-            assert ln_gamma(float(x)) == approx(ref, rel=1e-13, abs=1e-13)
-
-    @given(st.floats(min_value=0.5, max_value=100.0))
-    def test_recurrence_property(self, x):
-        assert abs(ln_gamma(x + 1.0) - ln_gamma(x) - math.log(x)) <= 1e-12
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.0, 0) == 1.0
-
-    def test_hits_zero(self):
-        assert pochhammer(-2.0, 3) == 0.0
-
-    def test_direct_product(self):
-        assert pochhammer(0.5, 4) == approx(0.5 * 1.5 * 2.5 * 3.5, rel=1e-15)
-
-    def test_negative_k(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
-    @given(st.floats(min_value=-5, max_value=5), st.integers(min_value=0, max_value=12))
-    def test_recurrence(self, a, k):
-        assert pochhammer(a, k + 1) == approx(pochhammer(a, k) * (a + k), rel=1e-12, abs=1e-12)
-
-
-class TestJacobi:
-    def test_degree_zero(self):
-        for a, b, x in [(0.0, 0.0, 0.3), (1.7, -0.4, -1.0), (2.5, 0.1, 1.0)]:
-            assert jacobi_p(0, a, b, x) == 1.0
-
-    def test_endpoint_formula(self):
-        # P_k^{(a,b)}(1) = (a+1)_k / k!
-        for k in range(9):
-            for a, b in [(0.0, 0.0), (0.37, 1.5), (2.2, 0.9)]:
-                expected = pochhammer(a + 1.0, k) / math.factorial(k)
-                assert jacobi_p(k, a, b, 1.0) == approx(expected, rel=1e-13)
-
-    def test_legendre_oracle(self):
-        # alpha = beta = 0 reduces to Legendre: P2(x) = (3x^2 - 1)/2
-        x = 0.3
-        assert jacobi_p(2, 0.0, 0.0, x) == approx((3 * x * x - 1) / 2, abs=1e-15)
-        assert jacobi_p(2, 0.0, 0.0, x) == approx(-0.365, abs=1e-15)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            k = int(rng.integers(0, 12))
-            a = rng.uniform(-0.9, 3.0)
-            b = rng.uniform(-0.9, 3.0)
-            x = rng.uniform(-1.0, 1.0)
-            assert jacobi_p(k, a, b, x) == approx(eval_jacobi(k, a, b, x),
-                                                  rel=1e-11, abs=1e-11)
-
-    def test_weighted_orthogonality(self):
-        # Gauss-Legendre (sin-mapped) quadrature against the closed-form norm
-        x, w = angular_nodes(256)
-        for a in (0.0, 0.37, 1.5):
-            for b in (0.0, 0.37, 1.5):
-                weight = w * (1 - x) ** a * (1 + x) ** b
-                polys = np.array([jacobi_p(k, a, b, x) for k in range(9)])
-                gram = np.einsum("i,ki,li->kl", weight, polys, polys)
-                norms = [
-                    2.0 ** (a + b + 1) / (2 * k + a + b + 1)
-                    * math.exp(ln_gamma(k + a + 1) + ln_gamma(k + b + 1)
-                               - ln_gamma(k + a + b + 1) - ln_gamma(k + 1.0))
-                    for k in range(9)
-                ]
-                target = np.diag(norms)
-                scale = np.sqrt(np.outer(norms, norms))
-                assert np.abs((gram - target) / scale).max() <= 1e-10
-
-    @given(st.integers(min_value=0, max_value=10),
-           st.floats(min_value=-0.5, max_value=2.0),
-           st.floats(min_value=-0.5, max_value=2.0),
-           st.floats(min_value=-1.0, max_value=1.0))
-    def test_reflection_symmetry(self, k, a, b, x):
-        lhs = jacobi_p(k, a, b, -x)
-        rhs = (-1.0) ** k * jacobi_p(k, b, a, x)
-        assert lhs == approx(rhs, rel=1e-10, abs=1e-10)
-
-    def test_array_argument(self):
-        x = np.linspace(-1, 1, 7)
-        vals = jacobi_p(3, 0.5, 1.5, x)
-        assert vals.shape == x.shape
-        assert vals[0] == approx(jacobi_p(3, 0.5, 1.5, -1.0))
+from mickepler.numkernel import hyp3f2_unit_scaled, kummer_terminating
 
 
 class TestKummer:
@@ -158,14 +37,14 @@ class TestKummer:
 
 class TestHyp3F2:
     def test_zero_index(self):
-        assert hyp3f2_unit_terminating(0.0, 1.3, -2.7, 0.4, 5.0) == 1.0
+        assert hyp3f2_unit_scaled(0.0, 1.3, -2.7, 0.4, 5.0) == 1.0
 
     def test_single_step_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             a2, a3, b1, b2 = rng.uniform(0.3, 4.0, size=4)
             expected = 1.0 - a2 * a3 / (b1 * b2)
-            assert hyp3f2_unit_terminating(-1.0, a2, a3, b1, b2) == approx(
+            assert hyp3f2_unit_scaled(-1.0, a2, a3, b1, b2) == approx(
                 expected, rel=1e-13, abs=1e-13)
 
     def test_saalschuetz_balanced(self):
@@ -174,29 +53,29 @@ class TestHyp3F2:
         # sum and the Saalschuetz closed form (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n).
         n, a, b, c = 2, 1.5, 2.5, 2.0
         brute = sum(
-            pochhammer(-n, p) * pochhammer(a, p) * pochhammer(b, p)
-            / (pochhammer(c, p) * pochhammer(1 + a + b - c - n, p) * math.factorial(p))
+            poch(-n, p) * poch(a, p) * poch(b, p)
+            / (poch(c, p) * poch(1 + a + b - c - n, p) * math.factorial(p))
             for p in range(n + 1)
         )
-        closed = (pochhammer(c - a, n) * pochhammer(c - b, n)
-                  / (pochhammer(c, n) * pochhammer(c - a - b, n)))
+        closed = (poch(c - a, n) * poch(c - b, n)
+                  / (poch(c, n) * poch(c - a - b, n)))
         assert brute == approx(closed, rel=1e-14)
         assert brute == approx(-0.015625, rel=1e-13)
-        value = hyp3f2_unit_terminating(-2.0, 1.5, 2.5, 2.0, 1.0)
+        value = hyp3f2_unit_scaled(-2.0, 1.5, 2.5, 2.0, 1.0)
         assert value == approx(brute, rel=1e-12)
 
     def test_terminates_at_smallest_index(self):
         # second numerator -1 terminates before the -4
-        value = hyp3f2_unit_terminating(-4.0, -1.0, 2.0, 3.0, 5.0)
+        value = hyp3f2_unit_scaled(-4.0, -1.0, 2.0, 3.0, 5.0)
         assert value == approx(1.0 + (-4.0) * (-1.0) * 2.0 / (3.0 * 5.0), rel=1e-13)
 
     def test_denominator_pole_raises(self):
         with pytest.raises(ValueError):
-            hyp3f2_unit_terminating(-3.0, 5.0, 7.0, 1.0, -1.0)
+            hyp3f2_unit_scaled(-3.0, 5.0, 7.0, 1.0, -1.0)
 
     def test_requires_terminating_parameter(self):
         with pytest.raises(ValueError):
-            hyp3f2_unit_terminating(0.5, 1.3, 2.7, 0.4, 5.0)
+            hyp3f2_unit_scaled(0.5, 1.3, 2.7, 0.4, 5.0)
 
     def test_scaled_consistency(self):
         rng = np.random.default_rng(11)
@@ -204,7 +83,7 @@ class TestHyp3F2:
             a2, a3, b1, b2 = rng.uniform(0.5, 3.0, size=4)
             n = float(rng.integers(0, 5))
             scale = rng.uniform(-3.0, 3.0)
-            plain = hyp3f2_unit_terminating(-n, a2, a3, b1, b2)
+            plain = hyp3f2_unit_scaled(-n, a2, a3, b1, b2)
             scaled = hyp3f2_unit_scaled(-n, a2, a3, b1, b2, scale)
             assert scaled == approx(math.exp(scale) * plain, rel=1e-12)
 
@@ -220,8 +99,8 @@ class TestHyp3F2:
                    for v in (t, tp, 1.0 - big_n - t, t + s)):
                 continue
             checked += 1
-            lhs = hyp3f2_unit_terminating(s, sp, -float(big_n), tp, 1.0 - big_n - t)
-            rhs = (pochhammer(t + s, big_n) / pochhammer(t, big_n)
-                   * hyp3f2_unit_terminating(s, tp - sp, -float(big_n), tp, t + s))
+            lhs = hyp3f2_unit_scaled(s, sp, -float(big_n), tp, 1.0 - big_n - t)
+            rhs = (poch(t + s, big_n) / poch(t, big_n)
+                   * hyp3f2_unit_scaled(s, tp - sp, -float(big_n), tp, t + s))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10))
         assert worst <= 1e-10

@@ -10,6 +10,7 @@ from mickepler.verify import (
     gauss_laguerre,
     gauss_legendre,
     integrate_radial,
+    radial_overlap_integral,
     run_suite,
     summary_table,
     to_json_lines,
@@ -69,7 +70,6 @@ class TestIntegrateRadial:
 
     def test_biorthogonality_target_value(self):
         # hydrogen n=3, j=j'=1 unweighted radial overlap equals 2/81
-        from mickepler.interbasis import radial_overlap_integral
         assert radial_overlap_integral(HYDROGEN, 6, 0, 2, 2) == approx(
             2.0 / 81.0, rel=1e-11)
 
