@@ -4,10 +4,137 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import mpmath
 from pytest import approx
-from scipy.special import poch
+from scipy.special import eval_jacobi, poch
 
 from mickepler.numkernel import hyp3f2_unit_scaled, kummer_terminating
+from mickepler.verify import angular_nodes
+
+# The library takes log-gamma from math.lgamma and Pochhammer symbols and
+# Jacobi polynomials from scipy.special.  TestLnGamma, TestPochhammer and
+# TestJacobi hold those functions to the identities and accuracy that the
+# bases, interbasis and verify modules rely on.
+
+
+class TestLnGamma:
+    def test_gamma_one(self):
+        assert math.lgamma(1.0) == approx(0.0, abs=1e-15)
+
+    def test_gamma_half(self):
+        # Gamma(1/2) = sqrt(pi)
+        assert math.lgamma(0.5) == approx(0.5723649429247001, abs=1e-14)
+
+    def test_recurrence_at_7_25(self):
+        assert math.lgamma(8.25) - math.lgamma(7.25) == approx(math.log(7.25), abs=1e-13)
+
+    def test_domain_error(self):
+        # poles raise; negative non-integers return log|Gamma| instead, which
+        # is why clebsch_gordan_continued checks its arguments itself
+        with pytest.raises(ValueError):
+            math.lgamma(0.0)
+        with pytest.raises(ValueError):
+            math.lgamma(-3.0)
+
+    def test_against_stdlib(self):
+        # independent oracle: 30-digit mpmath log-gamma
+        xs = np.concatenate([
+            np.linspace(1e-3, 2.0, 400),
+            np.linspace(2.0, 200.0, 600),
+        ])
+        with mpmath.workdps(30):
+            for x in xs:
+                ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
+                assert math.lgamma(float(x)) == approx(ref, rel=1e-13, abs=1e-13)
+
+    @given(st.floats(min_value=0.5, max_value=100.0))
+    def test_recurrence_property(self, x):
+        assert abs(math.lgamma(x + 1.0) - math.lgamma(x) - math.log(x)) <= 1e-12
+
+
+class TestPochhammer:
+    def test_empty_product(self):
+        assert poch(3.0, 0) == 1.0
+
+    def test_hits_zero(self):
+        assert poch(-2.0, 3) == 0.0
+
+    def test_direct_product(self):
+        assert poch(0.5, 4) == approx(0.5 * 1.5 * 2.5 * 3.5, rel=1e-15)
+
+    def test_negative_k(self):
+        # (a)_{-k} = 1 / (a - k)_k, with a pole where a - k hits zero
+        assert poch(2.5, -2) == approx(1.0 / (0.5 * 1.5), rel=1e-15)
+        assert poch(1.0, -1) == math.inf
+
+    @given(st.floats(min_value=-5, max_value=5), st.integers(min_value=0, max_value=12))
+    def test_recurrence(self, a, k):
+        assert poch(a, k + 1) == approx(poch(a, k) * (a + k), rel=1e-12, abs=1e-12)
+
+
+class TestJacobi:
+    def test_degree_zero(self):
+        for a, b, x in [(0.0, 0.0, 0.3), (1.7, -0.4, -1.0), (2.5, 0.1, 1.0)]:
+            assert eval_jacobi(0, a, b, x) == 1.0
+
+    def test_endpoint_formula(self):
+        # P_k^{(a,b)}(1) = (a+1)_k / k!
+        for k in range(9):
+            for a, b in [(0.0, 0.0), (0.37, 1.5), (2.2, 0.9)]:
+                expected = poch(a + 1.0, k) / math.factorial(k)
+                assert eval_jacobi(k, a, b, 1.0) == approx(expected, rel=1e-13)
+
+    def test_legendre_oracle(self):
+        # alpha = beta = 0 reduces to Legendre: P2(x) = (3x^2 - 1)/2
+        x = 0.3
+        assert eval_jacobi(2, 0.0, 0.0, x) == approx((3 * x * x - 1) / 2, abs=1e-15)
+        assert eval_jacobi(2, 0.0, 0.0, x) == approx(-0.365, abs=1e-15)
+
+    def test_against_scipy(self):
+        # scipy's Jacobi polynomial against 30-digit mpmath
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(30):
+            for _ in range(100):
+                k = int(rng.integers(0, 12))
+                a = rng.uniform(-0.9, 3.0)
+                b = rng.uniform(-0.9, 3.0)
+                x = rng.uniform(-1.0, 1.0)
+                ref = float(mpmath.jacobi(k, a, b, x))
+                assert eval_jacobi(k, a, b, x) == approx(ref, rel=1e-11, abs=1e-11)
+
+    def test_weighted_orthogonality(self):
+        # Gauss-Legendre (sin-mapped) quadrature against the closed-form norm
+        x, w = angular_nodes(256)
+        for a in (0.0, 0.37, 1.5):
+            for b in (0.0, 0.37, 1.5):
+                weight = w * (1 - x) ** a * (1 + x) ** b
+                polys = np.array([eval_jacobi(k, a, b, x) for k in range(9)])
+                gram = np.einsum("i,ki,li->kl", weight, polys, polys)
+                norms = [
+                    2.0 ** (a + b + 1) / (2 * k + a + b + 1)
+                    * math.exp(math.lgamma(k + a + 1) + math.lgamma(k + b + 1)
+                               - math.lgamma(k + a + b + 1) - math.lgamma(k + 1.0))
+                    for k in range(9)
+                ]
+                target = np.diag(norms)
+                scale = np.sqrt(np.outer(norms, norms))
+                assert np.abs((gram - target) / scale).max() <= 1e-10
+
+    @given(st.integers(min_value=0, max_value=10),
+           st.floats(min_value=-0.5, max_value=2.0),
+           st.floats(min_value=-0.5, max_value=2.0),
+           st.floats(min_value=-1.0, max_value=1.0))
+    def test_reflection_symmetry(self, k, a, b, x):
+        # the identity bases.angular_profile uses to keep x in [0, 1]
+        lhs = eval_jacobi(k, a, b, -x)
+        rhs = (-1.0) ** k * eval_jacobi(k, b, a, x)
+        assert lhs == approx(rhs, rel=1e-10, abs=1e-10)
+
+    def test_array_argument(self):
+        x = np.linspace(-1, 1, 7)
+        vals = eval_jacobi(3, 0.5, 1.5, x)
+        assert vals.shape == x.shape
+        assert vals[0] == approx(eval_jacobi(3, 0.5, 1.5, -1.0))
 
 
 class TestKummer:
