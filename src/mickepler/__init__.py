@@ -30,7 +30,9 @@ from .bases import (
     spherical_state,
 )
 from .interbasis import (
+    Block,
     ExpansionMatrix,
+    block,
     clebsch_gordan_continued,
     expansion_coefficient,
     expansion_coefficient_cg,
@@ -41,6 +43,7 @@ from .spheroidal import SpheroidalSolution, limits, solve, sweep
 from .verify import CheckReport, run_suite
 
 __all__ = [
+    "Block",
     "CheckReport",
     "DerivedConstants",
     "ExpansionMatrix",
@@ -51,6 +54,7 @@ __all__ = [
     "SphericalState",
     "SpheroidalSolution",
     "SystemParams",
+    "block",
     "clebsch_gordan_continued",
     "derive_constants",
     "energy",

@@ -69,6 +69,12 @@ def _params(args) -> SystemParams:
     return SystemParams(two_s=parse_half_integer(args.s), c1=args.c1, c2=args.c2)
 
 
+def _n_max(args) -> float:
+    if not math.isfinite(args.n_max):
+        raise ValueError(f"--n-max must be finite, got {args.n_max}")
+    return args.n_max
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, steps = spec.split(":")
@@ -86,7 +92,7 @@ def cmd_spectrum(args) -> int:
     params = _params(args)
     parity = params.two_s % 2
     rows = []
-    for two_n in range(1, int(2 * args.n_max) + 1):
+    for two_n in range(1, int(2 * _n_max(args)) + 1):
         if two_n % 2 != parity:
             continue
         for two_m in enumerate_m_blocks(params, two_n):
@@ -162,7 +168,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     r_list = _parse_grid(args.R_grid) if args.R_grid else [0.1, 1.0, 10.0, 100.0]
-    reports = run_suite(params, n_max=args.n_max, r_list=r_list, seed=args.seed)
+    reports = run_suite(params, n_max=_n_max(args), r_list=r_list, seed=args.seed)
     if args.format == "json":
         _emit(to_json_lines(reports), args.out)
     else:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DegenerateGeometryError",
     "CartesianPoint",
@@ -87,11 +89,12 @@ def cartesian_to_spherical(p: CartesianPoint) -> SphericalPoint:
 
 
 def spherical_to_parabolic(p: SphericalPoint) -> ParabolicPoint:
+    """Parabolic coordinates of a point; r, theta and phi may be numpy arrays."""
     # half-angle forms keep full precision near the poles
     half = 0.5 * p.theta
     return ParabolicPoint(
-        xi=2.0 * p.r * math.cos(half) ** 2,
-        eta=2.0 * p.r * math.sin(half) ** 2,
+        xi=2.0 * p.r * np.cos(half) ** 2,
+        eta=2.0 * p.r * np.sin(half) ** 2,
         phi=p.phi,
     )
 

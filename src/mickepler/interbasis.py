@@ -18,10 +18,11 @@ The closed form of the radial bi-orthogonality integral (no r^2 weight)
 that underpins the derivation is exposed here; :mod:`mickepler.verify`
 holds its quadrature value.
 
-The R-independent bands of the spheroidal separation operator of a block
-(angular spectrum and X on the spherical side, the angular momentum
-square and the betas on the parabolic side) are derived here once per
-block and shared with :mod:`mickepler.spheroidal`.
+A :class:`Block` holds the R-independent bands of the spheroidal
+separation operator of one (n, m) level: the angular spectrum and X on
+the spherical side, the angular momentum square M and the betas on the
+parabolic side.  :func:`block` derives them once; the mixing matrix here
+and every spheroidal solve in :mod:`mickepler.spheroidal` read them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from .qnum import (
 )
 
 __all__ = [
+    "Block",
     "ExpansionMatrix",
+    "block",
     "clebsch_gordan_continued",
     "expansion_coefficient",
     "expansion_coefficient_cg",
@@ -200,13 +203,24 @@ def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
     return math.sqrt(num / den)
 
 
+def _check_r(R) -> None:
+    r = np.ravel(R)
+    finite = np.isfinite(r)
+    if not finite.all():
+        raise ValueError(f"R must be finite, got {r[~finite][0]}")
+    if (r < 0.0).any():
+        raise ValueError(f"R must be nonnegative, got {r[r < 0.0][0]}")
+
+
 @dataclass(frozen=True)
-class _Block:
+class Block:
     """R-independent bands of the separation operator of one (n, m) block.
 
     Spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
-    Runge-Lenz z-component.  Parabolic side: M + R diag(betas), with
-    M = (m_diag, m_off) the angular momentum square.
+    Runge-Lenz z-component in the spherical basis; its eigenvalues are
+    the betas.  Parabolic side: M + R diag(betas), with M = (m_diag,
+    m_off) the angular momentum square in the parabolic basis; its
+    eigenvalues are the angular spectrum.
     """
 
     dim: int
@@ -220,15 +234,23 @@ class _Block:
     betas: np.ndarray
 
     def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values.
+
+        Raises ValueError if any R is non-finite or negative.
+        """
+        _check_r(R)
         return self.angular + R * self.x_diag, R * self.x_off
 
     def parabolic_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal at R, a scalar or a column of grid values."""
+        """Diagonal and off-diagonal at R, a scalar or a column of grid values.
+
+        Raises ValueError if any R is non-finite or negative.
+        """
+        _check_r(R)
         return self.m_diag + R * self.betas, self.m_off
 
 
-def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
+def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     """Bands of the (n, m) block, derived once from the block constants."""
     dc = derive_constants(params, two_m)
     d = block_dimension(params, two_m, two_n)
@@ -240,7 +262,7 @@ def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
     base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
     js = [dc.m_plus + k for k in range(d)]
     pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
-    return _Block(
+    return Block(
         dim=d,
         spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
                                for k in range(d)),
@@ -265,7 +287,7 @@ def _block(params: SystemParams, two_n: int, two_m: int) -> _Block:
     )
 
 
-def _mixing_matrix(block: _Block) -> np.ndarray:
+def _mixing_matrix(blk: Block) -> np.ndarray:
     """Eigenvectors of the block's X as columns in ascending beta (ascending n1).
 
     Each column is signed so that its j = m_plus entry is positive.  That
@@ -273,19 +295,19 @@ def _mixing_matrix(block: _Block) -> np.ndarray:
     and an eigenvector of an unreduced tridiagonal matrix with a zero first
     component would vanish entirely.
     """
-    if block.dim == 1:
+    if blk.dim == 1:
         return np.ones((1, 1))
-    _, vectors = scipy.linalg.eigh_tridiagonal(block.x_diag, block.x_off)
+    _, vectors = scipy.linalg.eigh_tridiagonal(blk.x_diag, blk.x_off)
     vectors *= np.sign(vectors[0])
     return vectors
 
 
 def expansion_matrix(params: SystemParams, two_n: int, two_m: int) -> ExpansionMatrix:
     """Orthogonal d x d matrix; rows are spherical j, columns parabolic n1."""
-    block = _block(params, two_n, two_m)
-    return ExpansionMatrix(dim=block.dim, entries=_mixing_matrix(block),
-                           row_labels=block.spherical_labels,
-                           col_labels=block.parabolic_labels)
+    blk = block(params, two_n, two_m)
+    return ExpansionMatrix(dim=blk.dim, entries=_mixing_matrix(blk),
+                           row_labels=blk.spherical_labels,
+                           col_labels=blk.parabolic_labels)
 
 
 def inverse_expansion_matrix(params: SystemParams, two_n: int, two_m: int

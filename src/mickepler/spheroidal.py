@@ -15,54 +15,29 @@ enforced by the verification suite).
 
 Only R varies within a block: the spherical-side matrix is A + R X, with
 A the diagonal angular spectrum and X the Runge-Lenz matrix, and the
-parabolic-side matrix is M + R diag(beta).  The R-independent bands are
-derived once per block, so a sweep builds them once for its whole grid.
+parabolic-side matrix is M + R diag(beta).  Both are kept as bands of a
+:class:`mickepler.interbasis.Block`, derived once per block, so a sweep
+builds them once for its whole grid and no dense matrix is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .interbasis import ExpansionMatrix, _Block, _block, _coupling, _mixing_matrix
+from .interbasis import Block, ExpansionMatrix, _coupling, _mixing_matrix, block
 from .qnum import QuantumNumberError, SystemParams, derive_constants
 
 __all__ = [
-    "TridiagonalSystem",
     "SpheroidalSolution",
     "LimitReport",
     "angular_coupling",
-    "runge_lenz_matrix_spherical",
-    "angular_momentum_matrix_parabolic",
-    "spherical_system",
-    "parabolic_system",
     "solve",
     "limits",
     "sweep",
 ]
-
-
-def _dense(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    m = np.diag(diag)
-    if diag.size > 1:
-        m += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    return m
-
-
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Symmetric tridiagonal matrix of the separation operator."""
-
-    dim: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-    labels: tuple[str, ...]
-
-    def matrix(self) -> np.ndarray:
-        return _dense(self.diag, self.offdiag)
 
 
 @dataclass(frozen=True)
@@ -105,55 +80,6 @@ def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -
     return _coupling(dc, two_n, two_j)
 
 
-def runge_lenz_matrix_spherical(params: SystemParams, two_n: int, two_m: int
-                                ) -> np.ndarray:
-    """Generalized Runge-Lenz z-component in the spherical basis.
-
-    Symmetric tridiagonal d x d matrix; its eigenvalues are the parabolic
-    separation constants of the block.
-    """
-    block = _block(params, two_n, two_m)
-    return _dense(block.x_diag, block.x_off)
-
-
-def angular_momentum_matrix_parabolic(params: SystemParams, two_n: int, two_m: int
-                                      ) -> np.ndarray:
-    """Generalized angular momentum square in the parabolic basis.
-
-    Symmetric tridiagonal d x d matrix with eigenvalues
-    (j + delta/2)(j + delta/2 + 1), j = m_plus .. n-1.
-    """
-    block = _block(params, two_n, two_m)
-    return _dense(block.m_diag, block.m_off)
-
-
-def _check_r(R: float) -> None:
-    if not math.isfinite(R):
-        raise ValueError(f"R must be finite, got {R}")
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
-
-
-def spherical_system(params: SystemParams, two_n: int, two_m: int, R: float
-                     ) -> TridiagonalSystem:
-    """Separation-operator matrix in the spherical basis at interfocus R."""
-    _check_r(R)
-    block = _block(params, two_n, two_m)
-    diag, off = block.spherical_bands(R)
-    return TridiagonalSystem(dim=block.dim, diag=diag, offdiag=off,
-                             labels=block.spherical_labels)
-
-
-def parabolic_system(params: SystemParams, two_n: int, two_m: int, R: float
-                     ) -> TridiagonalSystem:
-    """Separation-operator matrix in the parabolic basis at interfocus R."""
-    _check_r(R)
-    block = _block(params, two_n, two_m)
-    diag, off = block.parabolic_bands(R)
-    return TridiagonalSystem(dim=block.dim, diag=diag, offdiag=off,
-                             labels=block.parabolic_labels)
-
-
 def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """One tridiagonal eigensolve per row of ``diags``.
@@ -194,29 +120,29 @@ def _continue_signs(vectors: np.ndarray) -> None:
         vectors[p][overlap < 0.0] *= -1.0
 
 
-def _eigensolve(block: _Block, r_values: list[float]
+def _eigensolve(blk: Block, r_values: list[float]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and sign-fixed U and V stacks (vectors as rows) at each R."""
     r = np.asarray(r_values, dtype=float)[:, None]
-    lambdas, u = _eigh_stack(*block.spherical_bands(r))
-    _, v = _eigh_stack(*block.parabolic_bands(r))
+    lambdas, u = _eigh_stack(*blk.spherical_bands(r))
+    _, v = _eigh_stack(*blk.parabolic_bands(r))
     return lambdas, _fix_signs(u), _fix_signs(v)
 
 
-def _solutions(block: _Block, r_values: list[float], lambdas: np.ndarray,
+def _solutions(blk: Block, r_values: list[float], lambdas: np.ndarray,
                u: np.ndarray, v: np.ndarray) -> list[SpheroidalSolution]:
     # entries are column-major views into the stacks: column q is vector q
-    q_labels = tuple(f"q={q}" for q in range(block.dim))
+    q_labels = tuple(f"q={q}" for q in range(blk.dim))
     return [
         SpheroidalSolution(
             R=R,
             lambdas=lambdas[p],
             spherical_coefficients=ExpansionMatrix(
-                dim=block.dim, entries=u[p].T,
-                row_labels=block.spherical_labels, col_labels=q_labels),
+                dim=blk.dim, entries=u[p].T,
+                row_labels=blk.spherical_labels, col_labels=q_labels),
             parabolic_coefficients=ExpansionMatrix(
-                dim=block.dim, entries=v[p].T,
-                row_labels=block.parabolic_labels, col_labels=q_labels),
+                dim=blk.dim, entries=v[p].T,
+                row_labels=blk.parabolic_labels, col_labels=q_labels),
         )
         for p, R in enumerate(r_values)
     ]
@@ -230,9 +156,8 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     the first nonzero component positive.  The two eigenvalue sets agree
     to solver accuracy since both matrices represent the same operator.
     """
-    _check_r(R)
-    block = _block(params, two_n, two_m)
-    return _solutions(block, [R], *_eigensolve(block, [R]))[0]
+    blk = block(params, two_n, two_m)
+    return _solutions(blk, [R], *_eigensolve(blk, [R]))[0]
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> float:
@@ -249,13 +174,11 @@ def limits(params: SystemParams, two_n: int, two_m: int,
     the parabolic-side ones the transposed mixing matrix; as R -> inf the
     roles swap.  Deviations fall off linearly in R (or 1/R).
     """
-    _check_r(r_small)
-    _check_r(r_large)
-    block = _block(params, two_n, two_m)
-    w = _mixing_matrix(block)
-    d = block.dim
+    blk = block(params, two_n, two_m)
+    w = _mixing_matrix(blk)
+    d = blk.dim
     r_values = [r_small, r_large]
-    small, large = _solutions(block, r_values, *_eigensolve(block, r_values))
+    small, large = _solutions(blk, r_values, *_eigensolve(blk, r_values))
     return LimitReport(
         r_small=r_small,
         r_large=r_large,
@@ -282,14 +205,10 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[Spheroid
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("R grid must contain at least one point")
-    bad = [r for r in r_grid if not math.isfinite(r)]
-    if bad:
-        raise ValueError(f"R grid values must be finite, got {bad[0]}")
     if any(b < a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("R grid must be ascending")
-    _check_r(r_grid[0])
-    block = _block(params, two_n, two_m)
-    lambdas, u, v = _eigensolve(block, r_grid)
+    blk = block(params, two_n, two_m)
+    lambdas, u, v = _eigensolve(blk, r_grid)
     _continue_signs(u)
     _continue_signs(v)
-    return _solutions(block, r_grid, lambdas, u, v)
+    return _solutions(blk, r_grid, lambdas, u, v)

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_legendre
 
 from .bases import (
@@ -36,6 +37,7 @@ from .bases import (
 )
 from .coords import SphericalPoint, spherical_to_parabolic
 from .interbasis import (
+    block,
     expansion_coefficient_cg,
     expansion_matrix,
     radial_overlap_closed_form,
@@ -52,15 +54,7 @@ from .qnum import (
     n_effective,
     parabolic_separation_constant,
 )
-from .spheroidal import (
-    _aligned_deviation,
-    angular_momentum_matrix_parabolic,
-    limits,
-    parabolic_system,
-    runge_lenz_matrix_spherical,
-    solve,
-    spherical_system,
-)
+from .spheroidal import _aligned_deviation, limits, solve
 
 __all__ = [
     "QuadratureRule",
@@ -397,20 +391,13 @@ def completeness_residual(params: SystemParams, two_n: int, two_m: int,
     sph = [spherical_state(params, q.two_n, q.two_j, q.two_m) for q in sph_qns]
     par = [parabolic_state(params, q.n1, q.n2, q.two_m) for q in par_qns]
     scale = n_effective(params, two_m, two_n) ** 2
-    worst = 0.0
-    for _ in range(npoints):
-        point = SphericalPoint(
-            r=scale * rng.uniform(0.05, 3.0),
-            theta=math.acos(rng.uniform(-1.0, 1.0)),
-            phi=rng.uniform(0.0, 2.0 * math.pi),
-        )
-        ppoint = spherical_to_parabolic(point)
-        sph_values = np.array([psi_spherical(st, point) for st in sph])
-        for n1, st in enumerate(par):
-            direct = psi_parabolic(st, ppoint)
-            mixed = np.dot(w[:, n1], sph_values)
-            worst = max(worst, abs(direct - mixed))
-    return worst
+    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(npoints, 3))
+    point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
+                           phi=draws[:, 2])
+    ppoint = spherical_to_parabolic(point)
+    sph_values = np.array([psi_spherical(st, point) for st in sph])   # (d, npoints)
+    direct = np.array([psi_parabolic(st, ppoint) for st in par])      # (d, npoints)
+    return float(np.abs(direct - w.T @ sph_values).max())
 
 
 def _limit_ratio(inner, outer) -> float:
@@ -473,7 +460,8 @@ def run_suite(params: SystemParams, n_max: float, r_list,
 
     for two_n, two_m in blocks:
         ctx = _context(params, two_m=two_m, two_n=two_n)
-        d = block_dimension(params, two_m, two_n)
+        blk = block(params, two_n, two_m)
+        d = blk.dim
         dc = derive_constants(params, two_m)
 
         reports.append(_report("bases.parabolic.normalization", ctx,
@@ -513,7 +501,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             "interbasis.completeness", ctx,
             completeness_residual(params, two_n, two_m, rng), TOL_QUAD_VS_CLOSED))
 
-        x_eigs = np.sort(np.linalg.eigvalsh(runge_lenz_matrix_spherical(params, two_n, two_m)))
+        x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
         betas = np.sort([
             parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
             for n1 in range(d)
@@ -521,8 +509,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
                                float(np.abs(x_eigs - betas).max()), TOL_ALGEBRA))
 
-        m_eigs = np.sort(np.linalg.eigvalsh(
-            angular_momentum_matrix_parabolic(params, two_n, two_m)))
+        m_eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
         half_delta = 0.5 * dc.delta_total
         m_expected = np.sort([
             (dc.m_plus + k + half_delta) * (dc.m_plus + k + half_delta + 1.0)
@@ -531,13 +518,14 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("spheroidal.angular_spectrum", ctx,
                                float(np.abs(m_eigs - m_expected).max()), TOL_ALGEBRA))
 
-        x_mat = runge_lenz_matrix_spherical(params, two_n, two_m)
-        base = spherical_system(params, two_n, two_m, 0.0)
+        base_diag, base_off = blk.spherical_bands(0.0)
         worst = 0.0
         for r_probe in (0.5, 2.0, 7.0):
-            sys_r = spherical_system(params, two_n, two_m, r_probe)
-            worst = max(worst, float(np.abs(
-                sys_r.matrix() - (base.matrix() + r_probe * x_mat)).max()))
+            diag, off = blk.spherical_bands(r_probe)
+            worst = max(worst, float(np.abs(np.concatenate([
+                diag - (base_diag + r_probe * blk.x_diag),
+                off - (base_off + r_probe * blk.x_off),
+            ])).max()))
         reports.append(_report("spheroidal.r_linearity", ctx, worst, 0.0))
 
         for R in r_list:
@@ -545,8 +533,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             sol = solve(params, two_n, two_m, R)
             u = sol.spherical_coefficients.entries
             v = sol.parabolic_coefficients.entries
-            lam_par = np.sort(np.linalg.eigvalsh(
-                parabolic_system(params, two_n, two_m, R).matrix()))
+            lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
             reports.append(_report(
                 "spheroidal.spectrum_equality", ctx_r,
                 float(np.abs(np.sort(sol.lambdas) - lam_par).max()), TOL_ALGEBRA))

@@ -12,12 +12,14 @@ import sys
 import time
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
 from conftest import blocks_by_dimension, blocks_up_to, grid_cases
 
 from mickepler.interbasis import (
+    block,
     expansion_coefficient,
     expansion_coefficient_cg,
     expansion_matrix,
@@ -31,14 +33,7 @@ from mickepler.qnum import (
     energy,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import (
-    angular_coupling,
-    angular_momentum_matrix_parabolic,
-    limits,
-    parabolic_system,
-    runge_lenz_matrix_spherical,
-    solve,
-)
+from mickepler.spheroidal import angular_coupling, limits, solve
 from mickepler.verify import (
     angular_gram_residual,
     overlap_matrix_quadrature,
@@ -158,14 +153,13 @@ def test_criterion_4_operator_spectrum_identities():
         for two_n, two_m in blocks_by_dimension(params, range(1, 11), two_m_values):
             dc = derive_constants(params, two_m)
             d = block_dimension(params, two_m, two_n)
-            x_eigs = np.sort(np.linalg.eigvalsh(
-                runge_lenz_matrix_spherical(params, two_n, two_m)))
+            blk = block(params, two_n, two_m)
+            x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
             betas = np.sort([
                 parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
                 for n1 in range(d)])
             worst = max(worst, float(np.abs(x_eigs - betas).max()))
-            m_eigs = np.sort(np.linalg.eigvalsh(
-                angular_momentum_matrix_parabolic(params, two_n, two_m)))
+            m_eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
             half = 0.5 * dc.delta_total
             expected = np.sort([(dc.m_plus + k + half) * (dc.m_plus + k + half + 1)
                                 for k in range(d)])
@@ -183,10 +177,10 @@ def test_criterion_5_cross_basis_spectrum_equality():
         two_m_values = range(params.two_s - 4, params.two_s + 5, 2)
         for two_n, two_m in blocks_by_dimension(params, range(1, 9), two_m_values):
             w = expansion_matrix(params, two_n, two_m).entries
+            blk = block(params, two_n, two_m)
             for R in (0.1, 1.0, 10.0, 100.0):
                 sol = solve(params, two_n, two_m, R)
-                lam_par = np.sort(np.linalg.eigvalsh(
-                    parabolic_system(params, two_n, two_m, R).matrix()))
+                lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
                 worst_lam = max(worst_lam, float(
                     np.abs(np.sort(sol.lambdas) - lam_par).max()))
                 worst_uv = max(worst_uv, _aligned_dev(

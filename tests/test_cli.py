@@ -302,6 +302,15 @@ class TestVerify:
         assert captured.out == ""
         assert "finite" in captured.err and named in captured.err
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_n_max_is_usage_error(self, capsys, command, value):
+        code = main([command, "--n-max", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--n-max must be finite, got {value}" in captured.err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--bogus"])

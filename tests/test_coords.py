@@ -36,6 +36,16 @@ class TestSphericalParabolic:
         assert p.xi == approx(3.0, rel=1e-15)
         assert p.eta == approx(1.0, rel=1e-15)
 
+    def test_arrays_match_scalar_points(self):
+        r = np.array([0.5, 1.0, 7.25])
+        theta = np.array([0.0, 1.1, 3.0])
+        phi = np.array([0.1, 2.0, 6.0])
+        p = spherical_to_parabolic(SphericalPoint(r, theta, phi))
+        for k in range(3):
+            q = spherical_to_parabolic(SphericalPoint(float(r[k]), float(theta[k]),
+                                                      float(phi[k])))
+            assert (p.xi[k], p.eta[k], p.phi[k]) == approx((q.xi, q.eta, q.phi), rel=1e-15)
+
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=1e-6, max_value=math.pi - 1e-6),
            st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9))

@@ -1,5 +1,8 @@
 import ast
+import importlib
 from pathlib import Path
+
+import mickepler
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mickepler"
 
@@ -41,3 +44,15 @@ def test_intra_package_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_every_exported_name_resolves():
+    missing = [f"mickepler.{name}" for name in mickepler.__all__
+               if not hasattr(mickepler, name)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"mickepler.{path.stem}")
+        missing += [f"mickepler.{path.stem}.{name}"
+                    for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

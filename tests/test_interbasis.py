@@ -10,6 +10,7 @@ from sympy.physics.quantum.cg import CG
 from conftest import blocks_by_dimension, grid_cases
 
 from mickepler.interbasis import (
+    block,
     clebsch_gordan_continued,
     expansion_coefficient,
     expansion_coefficient_cg,
@@ -25,7 +26,6 @@ from mickepler.qnum import (
     derive_constants,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import runge_lenz_matrix_spherical
 from mickepler.verify import overlap_matrix_quadrature, radial_overlap_integral
 
 HYDROGEN = SystemParams(two_s=0)
@@ -295,7 +295,8 @@ class TestEigenvectorMatrix:
         ]:
             d = block_dimension(params, two_m, two_n)
             w = expansion_matrix(params, two_n, two_m).entries
-            x = runge_lenz_matrix_spherical(params, two_n, two_m)
+            blk = block(params, two_n, two_m)
+            x = np.diag(blk.x_diag) + np.diag(blk.x_off, 1) + np.diag(blk.x_off, -1)
             betas = [parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
                      for n1 in range(d)]
             assert np.abs(w.T @ x @ w - np.diag(betas)).max() <= 1e-12

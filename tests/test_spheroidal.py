@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from pytest import approx
+from scipy.linalg import eigvalsh_tridiagonal
 
-from mickepler.interbasis import expansion_matrix
+from mickepler.interbasis import block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
     QuantumNumberError,
@@ -15,12 +16,8 @@ from mickepler.qnum import (
 from mickepler.spheroidal import (
     _aligned_deviation,
     angular_coupling,
-    angular_momentum_matrix_parabolic,
     limits,
-    parabolic_system,
-    runge_lenz_matrix_spherical,
     solve,
-    spherical_system,
     sweep,
 )
 
@@ -58,23 +55,24 @@ class TestRungeLenzMatrix:
     def test_d1_equals_separation_constant(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.8)
         dc = derive_constants(params, 1)
-        mat = runge_lenz_matrix_spherical(params, dc.two_m_plus + 2, 1)
+        blk = block(params, dc.two_m_plus + 2, 1)
         beta = parabolic_separation_constant(params, ParabolicQN(0, 0, 1))
-        assert mat.shape == (1, 1)
-        assert mat[0, 0] == approx(beta, rel=1e-13)
+        assert (blk.x_diag.shape, blk.x_off.shape) == ((1,), (0,))
+        assert blk.x_diag[0] == approx(beta, rel=1e-13)
 
     def test_hydrogen_n2_by_hand(self):
-        mat = runge_lenz_matrix_spherical(HYDROGEN, 4, 0)
-        assert mat == approx(np.array([[0.0, -0.5], [-0.5, 0.0]]), abs=1e-15)
-        assert np.sort(np.linalg.eigvalsh(mat)) == approx([-0.5, 0.5], rel=1e-14)
+        blk = block(HYDROGEN, 4, 0)
+        assert blk.x_diag == approx(np.array([0.0, 0.0]), abs=1e-15)
+        assert blk.x_off == approx(np.array([-0.5]), abs=1e-15)
+        assert eigvalsh_tridiagonal(blk.x_diag, blk.x_off) == approx([-0.5, 0.5], rel=1e-14)
 
     def test_eigenvalues_are_separation_constants(self):
         params = SystemParams(two_s=1, c1=0.3)
         d = 3
         dc = derive_constants(params, 1)
         two_n = dc.two_m_plus + 2 * d    # n = 7/2
-        mat = runge_lenz_matrix_spherical(params, two_n, 1)
-        eigs = np.sort(np.linalg.eigvalsh(mat))
+        blk = block(params, two_n, 1)
+        eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
         betas = np.sort([parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, 1))
                          for n1 in range(d)])
         assert np.abs(eigs - betas).max() <= 1e-10
@@ -84,21 +82,21 @@ class TestAngularMomentumMatrix:
     def test_d1_value(self):
         params = SystemParams(two_s=0, c1=0.4, c2=0.9)
         dc = derive_constants(params, 2)
-        mat = angular_momentum_matrix_parabolic(params, dc.two_m_plus + 2, 2)
+        blk = block(params, dc.two_m_plus + 2, 2)
         expected = (dc.m_plus + dc.delta_total / 2) * (dc.m_plus + dc.delta_total / 2 + 1)
-        assert mat[0, 0] == approx(expected, rel=1e-13)
+        assert blk.m_diag[0] == approx(expected, rel=1e-13)
 
     def test_hydrogen_n2_spectrum(self):
-        mat = angular_momentum_matrix_parabolic(HYDROGEN, 4, 0)
-        assert np.sort(np.linalg.eigvalsh(mat)) == approx([0.0, 2.0], abs=1e-14)
+        blk = block(HYDROGEN, 4, 0)
+        assert eigvalsh_tridiagonal(blk.m_diag, blk.m_off) == approx([0.0, 2.0], abs=1e-14)
 
     def test_perturbed_spectrum_identity(self):
         params = SystemParams(two_s=1, c1=0.55, c2=1.3)
         dc = derive_constants(params, -1)
         d = 4
         two_n = dc.two_m_plus + 2 * d
-        mat = angular_momentum_matrix_parabolic(params, two_n, -1)
-        eigs = np.sort(np.linalg.eigvalsh(mat))
+        blk = block(params, two_n, -1)
+        eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
         half = dc.delta_total / 2
         expected = np.sort([(dc.m_plus + k + half) * (dc.m_plus + k + half + 1)
                             for k in range(d)])
@@ -142,10 +140,9 @@ class TestSolve:
             d = int(rng.integers(1, 8))
             two_n = dc.two_m_plus + 2 * d
             R = float(rng.uniform(0, 50))
-            lam_s = np.sort(np.linalg.eigvalsh(
-                spherical_system(params, two_n, two_m, R).matrix()))
-            lam_p = np.sort(np.linalg.eigvalsh(
-                parabolic_system(params, two_n, two_m, R).matrix()))
+            blk = block(params, two_n, two_m)
+            lam_s = eigvalsh_tridiagonal(*blk.spherical_bands(R))
+            lam_p = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
             assert np.abs(lam_s - lam_p).max() <= 1e-10
 
     def test_basis_change_u_equals_wv(self):
@@ -171,11 +168,23 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(HYDROGEN, 4, 0, -1.0)
 
+    @pytest.mark.parametrize("R", [-1.0, np.array([[0.0], [2.0], [-1e-300]])])
+    def test_negative_r_rejected_by_bands(self, R):
+        blk = block(HYDROGEN, 6, 0)
+        for bands in (blk.spherical_bands, blk.parabolic_bands):
+            with pytest.raises(ValueError, match="nonnegative"):
+                bands(R)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_rejected(self, bad):
-        for build in (spherical_system, parabolic_system, solve):
+        blk = block(HYDROGEN, 6, 0)
+        for bands in (blk.spherical_bands, blk.parabolic_bands):
             with pytest.raises(ValueError, match="finite"):
-                build(HYDROGEN, 6, 0, bad)
+                bands(bad)
+            with pytest.raises(ValueError, match="finite"):
+                bands(np.array([[0.0], [1.0], [bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            solve(HYDROGEN, 6, 0, bad)
         with pytest.raises(ValueError, match="finite"):
             limits(HYDROGEN, 6, 0, 1e-6, bad)
         with pytest.raises(ValueError, match="finite"):

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 from pytest import approx
 
-from mickepler.qnum import SystemParams
+from mickepler.bases import parabolic_state, psi_parabolic, psi_spherical, spherical_state
+from mickepler.coords import SphericalPoint, spherical_to_parabolic
+from mickepler.qnum import SystemParams, enumerate_basis, n_effective
 import mickepler.verify as verify
 from mickepler.verify import (
     CheckReport,
+    completeness_residual,
     gauss_laguerre,
     gauss_legendre,
     integrate_radial,
@@ -79,6 +83,47 @@ class TestIntegrateRadial:
                                  singular_power=power)
         exact = math.exp(math.lgamma(power + 1.0)) / 1.3 ** (power + 1.0)
         assert value == approx(exact, rel=1e-13)
+
+
+def completeness_point_loop(params, two_n, two_m, rng, w, npoints=20):
+    """Reference: one scalar draw triple and one psi call per state and point."""
+    sph_qns, par_qns = enumerate_basis(params, two_m, two_n)
+    sph = [spherical_state(params, q.two_n, q.two_j, q.two_m) for q in sph_qns]
+    par = [parabolic_state(params, q.n1, q.n2, q.two_m) for q in par_qns]
+    scale = n_effective(params, two_m, two_n) ** 2
+    worst = 0.0
+    for _ in range(npoints):
+        point = SphericalPoint(r=scale * rng.uniform(0.05, 3.0),
+                               theta=math.acos(rng.uniform(-1.0, 1.0)),
+                               phi=rng.uniform(0.0, 2.0 * math.pi))
+        ppoint = spherical_to_parabolic(point)
+        sph_values = np.array([psi_spherical(st, point) for st in sph])
+        for n1, st in enumerate(par):
+            worst = max(worst, abs(psi_parabolic(st, ppoint) - np.dot(w[:, n1], sph_values)))
+    return worst
+
+
+def test_completeness_residual_matches_point_loop(monkeypatch):
+    # with W's columns rolled the residual is O(1) and depends on every drawn
+    # r and theta (phi enters only through the block's common phase), so
+    # agreement shows the same points and the same maximum; the generator
+    # state shows the same number of draws
+    params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+    two_n, two_m = 9, 1
+    real = verify.expansion_matrix
+
+    def rolled(params, two_n, two_m):
+        mat = real(params, two_n, two_m)
+        return dataclasses.replace(mat, entries=np.roll(mat.entries, 1, axis=1))
+
+    monkeypatch.setattr(verify, "expansion_matrix", rolled)
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = completeness_residual(params, two_n, two_m, rng_new)
+    expected = completeness_point_loop(params, two_n, two_m, rng_ref,
+                                       rolled(params, two_n, two_m).entries)
+    assert expected > 1e-3
+    assert got == approx(expected, rel=1e-12)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestCheckReport:
