@@ -17,7 +17,7 @@ from .qnum import (
     SystemParams,
     derive_constants,
     energy,
-    enumerate_m_blocks,
+    enumerate_blocks,
     parse_half_integer,
 )
 from .spheroidal import solve, sweep
@@ -90,15 +90,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    parity = params.two_s % 2
     rows = []
-    for two_n in range(1, int(2 * _n_max(args)) + 1):
-        if two_n % 2 != parity:
-            continue
-        for two_m in enumerate_m_blocks(params, two_n):
-            dc = derive_constants(params, two_m)
-            rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2,
-                         energy(params, two_m, two_n)])
+    for two_n, two_m in enumerate_blocks(params, _n_max(args)):
+        dc = derive_constants(params, two_m)
+        rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2,
+                     energy(params, two_m, two_n)])
     _emit(_table(args, ["n", "m", "delta1", "delta2", "energy"], rows), args.out)
     return 0
 

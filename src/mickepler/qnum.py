@@ -29,6 +29,7 @@ __all__ = [
     "parabolic_separation_constant",
     "enumerate_basis",
     "enumerate_m_blocks",
+    "enumerate_blocks",
     "parse_half_integer",
     "format_half_integer",
 ]
@@ -251,6 +252,23 @@ def enumerate_m_blocks(params: SystemParams, two_n: int) -> list[int]:
         if gap >= 2 and gap % 2 == 0:
             out.append(two_m)
     return out
+
+
+def enumerate_blocks(params: SystemParams, n_max: float) -> list[tuple[int, int]]:
+    """Every nonempty (two_n, two_m) block with n <= n_max, by n, then m.
+
+    Raises QuantumNumberError when there is none, so that a table or a
+    verification over no block cannot report success on nothing.
+    """
+    blocks = [(two_n, two_m)
+              for two_n in range(params.two_s % 2 or 2, int(2 * n_max) + 1, 2)
+              for two_m in enumerate_m_blocks(params, two_n)]
+    if not blocks:
+        raise QuantumNumberError(
+            f"no (n, m) block has n <= n_max={n_max:g} "
+            f"at s={format_half_integer(params.two_s)}"
+        )
+    return blocks
 
 
 def parse_half_integer(text: str) -> int:

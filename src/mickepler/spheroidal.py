@@ -175,7 +175,11 @@ def limits(params: SystemParams, two_n: int, two_m: int,
     roles swap.  Deviations fall off linearly in R (or 1/R).
     """
     blk = block(params, two_n, two_m)
-    w = _mixing_matrix(blk)
+    return _limits(blk, _mixing_matrix(blk), r_small, r_large)
+
+
+def _limits(blk: Block, w: np.ndarray, r_small: float, r_large: float) -> LimitReport:
+    """:func:`limits` for a block already derived and its mixing matrix ``w``."""
     d = blk.dim
     r_values = [r_small, r_large]
     small, large = _solutions(blk, r_values, *_eigensolve(blk, r_values))

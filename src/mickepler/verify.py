@@ -12,6 +12,13 @@ exact fractional power of the integrand as weight exponent, which makes
 the bound-state integrand class exact up to rounding.  Angular integrals
 use Gauss-Legendre after the smooth substitution x = sin(pi u / 2),
 which removes the endpoint power singularities.
+
+:func:`run_suite` builds each (n, m) block, its mixing matrix W and its
+spherical and parabolic states once, with the radial values of the
+states on one Gauss-Laguerre rule, and hands them to every check of the
+block; every state is built once per run.  The public residual
+functions take (params, n, m) labels and build the same objects for a
+single call.
 """
 
 from __future__ import annotations
@@ -19,13 +26,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_legendre
 
 from .bases import (
+    ParabolicState,
+    SphericalState,
     angular_profile,
     parabolic_factor,
     parabolic_profile,
@@ -44,17 +53,17 @@ from .interbasis import (
 )
 from .numkernel import hyp3f2_unit_scaled, kummer_terminating
 from .qnum import (
+    DerivedConstants,
     ParabolicQN,
     SystemParams,
     block_dimension,
     derive_constants,
-    enumerate_basis,
-    enumerate_m_blocks,
+    enumerate_blocks,
     format_half_integer,
     n_effective,
     parabolic_separation_constant,
 )
-from .spheroidal import _aligned_deviation, limits, solve
+from .spheroidal import _aligned_deviation, _eigensolve, _limits
 
 __all__ = [
     "QuadratureRule",
@@ -299,105 +308,163 @@ def _angular_order(dc) -> int:
     return DEFAULT_ANGULAR_ORDER * (2 if dc.delta_total > 0.0 else 1)
 
 
-def angular_gram_residual(params: SystemParams, two_m: int, channels: int = 5) -> float:
-    """Deviation of the angular Gram matrix from identity, j = m+ .. m+ + channels-1."""
-    dc = derive_constants(params, two_m)
-    states = [
-        spherical_state(params, dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, two_m)
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """The states of one (n, m) block and their radial values on one rule.
+
+    ``w_r`` are the weights of the Gauss-Laguerre rule with weight exponent
+    2 m_plus + delta, rescaled so that ``sum(w_r * f(r))`` approximates the
+    integral of f over (0, inf); it is exact to rounding for the block's
+    radial overlaps and for its parabolic-spherical overlaps.
+    """
+
+    n_eff: float
+    dc: DerivedConstants
+    sph: list[SphericalState]   # j = m_plus .. n-1
+    par: list[ParabolicState]   # n1 = 0 .. d-1
+    r: np.ndarray               # radial nodes
+    w_r: np.ndarray
+    rad: np.ndarray             # (d, nodes) radial values of sph
+
+
+class _States:
+    """The spherical and parabolic states of one parameter point, each built once.
+
+    The suite hands one of these to every check, so a state shared by
+    several checks (a level's states serve its block and the radial and
+    angular Gram matrices of its m) is derived a single time.
+    """
+
+    def __init__(self, params: SystemParams):
+        self.params = params
+        self.spherical = lru_cache(maxsize=None)(partial(spherical_state, params))
+        self.parabolic = lru_cache(maxsize=None)(partial(parabolic_state, params))
+
+    def level(self, two_n: int, two_m: int) -> _Level:
+        dc = derive_constants(self.params, two_m)
+        d = block_dimension(self.params, two_m, two_n)
+        sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
+        par = [self.parabolic(n1, d - 1 - n1, two_m) for n1 in range(d)]
+        # a product of two of the block's radial functions, or of one and a
+        # parabolic profile, is r^(2 m_plus + delta) e^(-2 eps r) times a polynomial
+        power = float(dc.two_m_plus) + dc.delta_total
+        rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
+        t = rule.nodes
+        scale = 2.0 * sph[0].eps
+        r = t / scale
+        w_r = np.exp(np.log(rule.weights) + t - power * np.log(t)) / scale
+        return _Level(n_eff=n_effective(self.params, two_m, two_n), dc=dc, sph=sph,
+                      par=par, r=r, w_r=w_r, rad=np.array([radial_r(st, r) for st in sph]))
+
+
+def _angular_gram_residual(states: _States, two_m: int, channels: int) -> float:
+    dc = derive_constants(states.params, two_m)
+    channel_states = [
+        states.spherical(dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, two_m)
         for k in range(channels)
     ]
     x, w = angular_nodes(_angular_order(dc))
     theta = np.arccos(x)
-    profiles = np.array([angular_profile(st, theta) for st in states])
+    profiles = np.array([angular_profile(st, theta) for st in channel_states])
     gram = 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
     return float(np.abs(gram - np.eye(channels)).max())
+
+
+def angular_gram_residual(params: SystemParams, two_m: int, channels: int = 5) -> float:
+    """Deviation of the angular Gram matrix from identity, j = m+ .. m+ + channels-1."""
+    return _angular_gram_residual(_States(params), two_m, channels)
+
+
+def _radial_gram_residual(states: _States, two_m: int, two_j: int, two_n_list) -> float:
+    dc = derive_constants(states.params, two_m)
+    chain = [states.spherical(tn, two_j, two_m) for tn in two_n_list]
+    power = float(two_j) + dc.delta_total + 2.0
+    rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
+    t = rule.nodes
+    scaled = np.exp(np.log(rule.weights) + t - power * np.log(t))
+    eps = np.array([st.eps for st in chain])
+    pair_eps = eps[:, None] + eps[None, :]
+    # the pair (a, b) has its own nodes r[a, b]; one radial_r call per state
+    # evaluates it on the nodes of all its pairs, values[a, b] = R_a(r[a, b])
+    r = t / pair_eps[:, :, None]
+    values = np.array([radial_r(st, r[a]) for a, st in enumerate(chain)])
+    integrand = values * values.transpose(1, 0, 2) * r * r
+    gram = np.sum(scaled * integrand, axis=-1) / pair_eps
+    return float(np.abs(gram - np.eye(len(chain))).max())
 
 
 def radial_gram_residual(params: SystemParams, two_m: int, two_j: int,
                          two_n_list) -> float:
     """Deviation of the r^2-weighted radial Gram matrix from identity."""
-    dc = derive_constants(params, two_m)
-    states = [spherical_state(params, tn, two_j, two_m) for tn in two_n_list]
-    power = float(two_j) + dc.delta_total + 2.0
-    size = len(states)
-    gram = np.empty((size, size))
-    for a in range(size):
-        for b in range(a, size):
-            value = integrate_radial(
-                lambda r: radial_r(states[a], r) * radial_r(states[b], r) * r * r,
-                states[a].eps + states[b].eps,
-                singular_power=power,
-            )
-            gram[a, b] = gram[b, a] = value
-    return float(np.abs(gram - np.eye(size)).max())
+    return _radial_gram_residual(_States(params), two_m, two_j, two_n_list)
+
+
+def _parabolic_norm_residual(lv: _Level) -> float:
+    eps = lv.par[0].eps
+    moments = []
+    for axis, mi in ((0, lv.dc.m1), (1, lv.dc.m2)):
+        rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, mi)
+        t = rule.nodes
+        scaled = np.exp(np.log(rule.weights) + t - mi * np.log(t))
+        x = t / eps
+        f2 = np.array([parabolic_factor(st, axis, x) for st in lv.par]) ** 2
+        moments.append((np.sum(scaled * f2, axis=1) / eps,
+                        np.sum(scaled * (f2 * x), axis=1) / eps))
+    total = 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
+    return float(np.abs(total - 1.0).max())
 
 
 def parabolic_norm_residual(params: SystemParams, two_n: int, two_m: int) -> float:
     """Deviation of the parabolic volume-element norms from one."""
-    dc = derive_constants(params, two_m)
-    _, par = enumerate_basis(params, two_m, two_n)
-    worst = 0.0
-    for qn in par:
-        st = parabolic_state(params, qn.n1, qn.n2, two_m)
-        moments = []
-        for axis, mi in ((0, dc.m1), (1, dc.m2)):
-            f2 = lambda xv, ax=axis: parabolic_factor(st, ax, xv) ** 2
-            plain = integrate_radial(f2, st.eps, singular_power=mi)
-            weighted = integrate_radial(lambda xv, g=f2: g(xv) * xv, st.eps,
-                                        singular_power=mi)
-            moments.append((plain, weighted))
-        total = 0.5 * st.eps**4 * (moments[0][1] * moments[1][0]
-                                   + moments[0][0] * moments[1][1])
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    return _parabolic_norm_residual(_States(params).level(two_n, two_m))
+
+
+def _biorthogonality(lv: _Level) -> np.ndarray:
+    """Unweighted radial overlaps of the block's spherical states, rows and columns j."""
+    return (lv.rad * lv.w_r) @ lv.rad.T
+
+
+def _overlap_matrix(lv: _Level) -> np.ndarray:
+    x, w_x = angular_nodes(_angular_order(lv.dc))
+    theta = np.arccos(x)
+    xi = lv.r[:, None] * (1.0 + x)[None, :]
+    eta = lv.r[:, None] * (1.0 - x)[None, :]
+    ang = np.array([angular_profile(st, theta) for st in lv.sph])       # (d, nx)
+    pab = np.array([parabolic_profile(st, xi, eta) for st in lv.par])  # (d, nt, nx)
+    d, nt, nx = pab.shape
+    # the angular sum as one matrix product over the stacked (n1, node) rows,
+    # then the radial sum
+    angular = (pab.reshape(d * nt, nx) @ (ang * w_x).T).reshape(d, nt, d)  # [l, i, j]
+    return math.sqrt(2.0 * math.pi) * np.einsum(
+        "lij,ji->jl", angular, lv.rad * (lv.w_r * lv.r * lv.r))
 
 
 def overlap_matrix_quadrature(params: SystemParams, two_n: int, two_m: int
                               ) -> np.ndarray:
-    """Brute-force overlap matrix <parabolic n1 | spherical j> by 2D quadrature."""
-    dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
-    sph_qns, par_qns = enumerate_basis(params, two_m, two_n)
-    sph = [spherical_state(params, q.two_n, q.two_j, q.two_m) for q in sph_qns]
-    par = [parabolic_state(params, q.n1, q.n2, q.two_m) for q in par_qns]
-    eps = sph[0].eps
+    """Brute-force overlap matrix <parabolic n1 | spherical j> by 2D quadrature.
 
-    power = float(dc.two_m_plus) + dc.delta_total + 2.0
-    rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
-    t = rule.nodes
-    r = t / (2.0 * eps)
-    w_r = np.exp(np.log(rule.weights) + t - power * np.log(t)) / (2.0 * eps)
+    Rows j, columns n1.
+    """
+    return _overlap_matrix(_States(params).level(two_n, two_m))
 
-    x, w_x = angular_nodes(_angular_order(dc))
-    theta = np.arccos(x)
-    xi = r[:, None] * (1.0 + x)[None, :]
-    eta = r[:, None] * (1.0 - x)[None, :]
 
-    rad = np.array([radial_r(st, r) for st in sph])          # (d, nt)
-    ang = np.array([angular_profile(st, theta) for st in sph])  # (d, nx)
-    pab = np.array([parabolic_profile(st, xi, eta) for st in par])  # (d, nt, nx)
-
-    row = w_r * r * r
-    overlap = math.sqrt(2.0 * math.pi) * np.einsum(
-        "i,ji,k,jk,lik->jl", row, rad, w_x, ang, pab)
-    return overlap  # rows j, columns n1
+def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator,
+                           npoints: int = 20) -> float:
+    scale = lv.n_eff ** 2
+    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(npoints, 3))
+    point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
+                           phi=draws[:, 2])
+    ppoint = spherical_to_parabolic(point)
+    sph_values = np.array([psi_spherical(st, point) for st in lv.sph])   # (d, npoints)
+    direct = np.array([psi_parabolic(st, ppoint) for st in lv.par])      # (d, npoints)
+    return float(np.abs(direct - w.T @ sph_values).max())
 
 
 def completeness_residual(params: SystemParams, two_n: int, two_m: int,
                           rng: np.random.Generator, npoints: int = 20) -> float:
     """Pointwise reconstruction of parabolic states from the spherical mixture."""
     w = expansion_matrix(params, two_n, two_m).entries
-    sph_qns, par_qns = enumerate_basis(params, two_m, two_n)
-    sph = [spherical_state(params, q.two_n, q.two_j, q.two_m) for q in sph_qns]
-    par = [parabolic_state(params, q.n1, q.n2, q.two_m) for q in par_qns]
-    scale = n_effective(params, two_m, two_n) ** 2
-    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(npoints, 3))
-    point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
-                           phi=draws[:, 2])
-    ppoint = spherical_to_parabolic(point)
-    sph_values = np.array([psi_spherical(st, point) for st in sph])   # (d, npoints)
-    direct = np.array([psi_parabolic(st, ppoint) for st in par])      # (d, npoints)
-    return float(np.abs(direct - w.T @ sph_values).max())
+    return _completeness_residual(_States(params).level(two_n, two_m), w, rng, npoints)
 
 
 def _limit_ratio(inner, outer) -> float:
@@ -423,30 +490,23 @@ def run_suite(params: SystemParams, n_max: float, r_list,
               seed: int = 0, overlap_d_max: int = 4) -> list[CheckReport]:
     """Run every identity check over all blocks with n <= n_max.
 
-    Failures are reported, never raised.  The report is exhaustive and,
-    for fixed inputs and seed, byte-identical across runs.
+    Each block, its mixing matrix W (one :func:`expansion_matrix` call),
+    its states and their radial values are built once and read by every
+    check of the block.  Failures are reported, never raised; a range
+    holding no block raises QuantumNumberError.  The report is
+    exhaustive and, for fixed inputs and seed, byte-identical across runs.
     """
+    blocks = enumerate_blocks(params, n_max)
     rng = np.random.default_rng(seed)
     r_list = [float(r) for r in r_list]
     reports = _check_quadrature_selftest()
     reports += _check_kernel(rng)
+    states = _States(params)
 
-    parity = params.two_s % 2
-    two_n_values = [tn for tn in range(1, int(2 * n_max) + 1)
-                    if tn % 2 == parity and tn >= 2 - parity]
-
-    blocks: list[tuple[int, int]] = []
-    m_values: list[int] = []
-    for two_n in two_n_values:
-        for two_m in enumerate_m_blocks(params, two_n):
-            blocks.append((two_n, two_m))
-            if two_m not in m_values:
-                m_values.append(two_m)
-
-    for two_m in m_values:
+    for two_m in dict.fromkeys(two_m for _, two_m in blocks):
         reports.append(_report(
             "bases.angular.orthonormality", _context(params, two_m=two_m),
-            angular_gram_residual(params, two_m), TOL_QUAD_VS_CLOSED))
+            _angular_gram_residual(states, two_m, 5), TOL_QUAD_VS_CLOSED))
         dc = derive_constants(params, two_m)
         j_values = sorted({two_j for two_n, tm in blocks if tm == two_m
                            for two_j in range(dc.two_m_plus, two_n - 1, 2)})
@@ -455,31 +515,31 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             reports.append(_report(
                 "bases.radial.orthonormality",
                 _context(params, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
-                radial_gram_residual(params, two_m, two_j, n_list),
+                _radial_gram_residual(states, two_m, two_j, n_list),
                 TOL_QUAD_VS_CLOSED))
 
     for two_n, two_m in blocks:
         ctx = _context(params, two_m=two_m, two_n=two_n)
         blk = block(params, two_n, two_m)
         d = blk.dim
-        dc = derive_constants(params, two_m)
+        lv = states.level(two_n, two_m)
+        dc = lv.dc
+        w = expansion_matrix(params, two_n, two_m).entries
 
         reports.append(_report("bases.parabolic.normalization", ctx,
-                               parabolic_norm_residual(params, two_n, two_m),
-                               TOL_QUAD_VS_CLOSED))
+                               _parabolic_norm_residual(lv), TOL_QUAD_VS_CLOSED))
 
+        quad = _biorthogonality(lv)
         worst = 0.0
         for ka in range(d):
             for kb in range(d):
-                two_j = dc.two_m_plus + 2 * ka
-                two_jp = dc.two_m_plus + 2 * kb
-                quad = radial_overlap_integral(params, two_n, two_m, two_j, two_jp)
-                closed = radial_overlap_closed_form(params, two_n, two_m, two_j, two_jp)
-                worst = max(worst, abs(quad - closed))
+                closed = radial_overlap_closed_form(params, two_n, two_m,
+                                                    dc.two_m_plus + 2 * ka,
+                                                    dc.two_m_plus + 2 * kb)
+                worst = max(worst, abs(quad[ka, kb] - closed))
         reports.append(_report("interbasis.biorthogonality", ctx, worst,
                                TOL_QUAD_VS_CLOSED))
 
-        w = expansion_matrix(params, two_n, two_m).entries
         reports.append(_report(
             "interbasis.orthogonality", ctx,
             float(np.abs(w.T @ w - np.eye(d)).max()), TOL_ALGEBRA))
@@ -493,13 +553,13 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("interbasis.cg_equivalence", ctx, worst, TOL_ALGEBRA))
 
         if d <= overlap_d_max:
-            quad = overlap_matrix_quadrature(params, two_n, two_m)
             reports.append(_report("interbasis.overlap", ctx,
-                                   float(np.abs(quad - w).max()), TOL_OVERLAP))
+                                   float(np.abs(_overlap_matrix(lv) - w).max()),
+                                   TOL_OVERLAP))
 
         reports.append(_report(
             "interbasis.completeness", ctx,
-            completeness_residual(params, two_n, two_m, rng), TOL_QUAD_VS_CLOSED))
+            _completeness_residual(lv, w, rng), TOL_QUAD_VS_CLOSED))
 
         x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
         betas = np.sort([
@@ -528,15 +588,15 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             ])).max()))
         reports.append(_report("spheroidal.r_linearity", ctx, worst, 0.0))
 
-        for R in r_list:
+        # one stacked eigensolve for every R, bit-identical to a solve per R
+        lambdas, u_rows, v_rows = _eigensolve(blk, r_list)
+        for R, lam, u_t, v_t in zip(r_list, lambdas, u_rows, v_rows):
             ctx_r = _context(params, two_m=two_m, two_n=two_n, R=R)
-            sol = solve(params, two_n, two_m, R)
-            u = sol.spherical_coefficients.entries
-            v = sol.parabolic_coefficients.entries
+            u, v = u_t.T, v_t.T
             lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
             reports.append(_report(
                 "spheroidal.spectrum_equality", ctx_r,
-                float(np.abs(np.sort(sol.lambdas) - lam_par).max()), TOL_ALGEBRA))
+                float(np.abs(np.sort(lam) - lam_par).max()), TOL_ALGEBRA))
             reports.append(_report("spheroidal.basis_change", ctx_r,
                                    _aligned_deviation(w @ v, u), TOL_BASIS_CHANGE))
             norm_dev = max(
@@ -547,8 +607,8 @@ def run_suite(params: SystemParams, n_max: float, r_list,
                                    TOL_ALGEBRA))
 
         if d >= 2:
-            inner = limits(params, two_n, two_m, 1e-6, 1e6)
-            outer = limits(params, two_n, two_m, 1e-7, 1e7)
+            inner = _limits(blk, w, 1e-6, 1e6)
+            outer = _limits(blk, w, 1e-7, 1e7)
             if d == 2:
                 reports.append(_report("spheroidal.limits", ctx,
                                        inner.max_deviation(), TOL_LIMITS))

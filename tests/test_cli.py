@@ -311,6 +311,18 @@ class TestVerify:
         assert captured.out == ""
         assert f"--n-max must be finite, got {value}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n-max", "0"),
+        ("spectrum", "--n-max", "-3"),
+        ("verify", "--s", "1/2", "--n-max", "1"),   # the lowest s=1/2 level is n=3/2
+    ])
+    def test_n_max_without_blocks_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no (n, m) block has n <= n_max" in captured.err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--bogus"])

@@ -1,12 +1,25 @@
+import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 from pytest import approx
 
-from mickepler.bases import parabolic_state, psi_parabolic, psi_spherical, spherical_state
+import mickepler.bases as bases
+import mickepler.interbasis as interbasis
+from mickepler.bases import (
+    angular_profile,
+    parabolic_profile,
+    parabolic_state,
+    psi_parabolic,
+    psi_spherical,
+    spherical_state,
+)
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
-from mickepler.qnum import SystemParams, enumerate_basis, n_effective
+from mickepler.interbasis import block, expansion_matrix
+from mickepler.qnum import SystemParams, enumerate_basis, enumerate_blocks, n_effective
+from mickepler.spheroidal import _eigensolve, _limits, limits, solve
 import mickepler.verify as verify
 from mickepler.verify import (
     CheckReport,
@@ -21,6 +34,8 @@ from mickepler.verify import (
 )
 
 HYDROGEN = SystemParams(two_s=0)
+RING_HALF = SystemParams(two_s=1, c1=0.3, c2=0.7)
+R_LIST = [0.1, 1.0, 10.0, 100.0]
 
 
 class TestQuadratureRules:
@@ -200,6 +215,8 @@ class TestRunSuite:
         reports = run_suite(HYDROGEN, n_max=2, r_list=[1.0])
         failed = {r.check_id for r in reports if not r.passed}
         assert "interbasis.orthogonality" in failed
+        # the suite's one W is also the one the quadrature checks compare against
+        assert {"interbasis.overlap", "interbasis.completeness"} <= failed
 
     def test_json_lines_round_trip(self):
         import json
@@ -217,3 +234,96 @@ class TestRunSuite:
         lines = table.splitlines()
         assert len(lines) == len(reports) + 1
         assert lines[-1] == f"checks: {len(reports)}  passed: {len(reports)}  failed: 0"
+
+
+class TestBlockCores:
+    """The suite's block-taking cores against the per-call forms they replace."""
+
+    CASES = [(params, two_n, two_m) for params in (HYDROGEN, RING_HALF)
+             for two_n, two_m in enumerate_blocks(params, 5)]
+
+    def test_biorthogonality_table_matches_scalar_integral(self):
+        for params, two_n, two_m in self.CASES:
+            level = verify._States(params).level(two_n, two_m)
+            table = verify._biorthogonality(level)
+            for ka, sa in enumerate(level.sph):
+                for kb, sb in enumerate(level.sph):
+                    scalar = radial_overlap_integral(params, two_n, two_m,
+                                                     sa.qn.two_j, sb.qn.two_j)
+                    assert abs(table[ka, kb] - scalar) <= 1e-14
+
+    def test_stacked_eigensolve_is_bit_equal_to_solve(self):
+        for params, two_n, two_m in self.CASES:
+            lambdas, u, v = _eigensolve(block(params, two_n, two_m), R_LIST)
+            for p, R in enumerate(R_LIST):
+                sol = solve(params, two_n, two_m, R)
+                assert np.array_equal(lambdas[p], sol.lambdas)
+                assert np.array_equal(u[p].T, sol.spherical_coefficients.entries)
+                assert np.array_equal(v[p].T, sol.parabolic_coefficients.entries)
+
+    def test_block_limits_are_bit_equal_to_limits(self):
+        for params, two_n, two_m in self.CASES:
+            blk = block(params, two_n, two_m)
+            w = expansion_matrix(params, two_n, two_m).entries
+            for r_small, r_large in ((1e-6, 1e6), (1e-7, 1e7)):
+                assert _limits(blk, w, r_small, r_large) == limits(
+                    params, two_n, two_m, r_small, r_large)
+
+    def test_staged_overlap_matches_five_operand_einsum(self):
+        for params, two_n, two_m in self.CASES:
+            level = verify._States(params).level(two_n, two_m)
+            if len(level.sph) > 4:
+                continue
+            x, w_x = verify.angular_nodes(verify._angular_order(level.dc))
+            theta = np.arccos(x)
+            r = level.r[:, None]
+            ang = np.array([angular_profile(st, theta) for st in level.sph])
+            pab = np.array([parabolic_profile(st, r * (1.0 + x), r * (1.0 - x))
+                            for st in level.par])
+            reference = math.sqrt(2.0 * math.pi) * np.einsum(
+                "i,ji,k,jk,lik->jl", level.w_r * level.r * level.r, level.rad,
+                w_x, ang, pab)
+            staged = verify.overlap_matrix_quadrature(params, two_n, two_m)
+            assert np.abs(staged - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    def test_radial_gram_matches_pairwise_integrals(self):
+        # reference: one integrate_radial per pair, each on its own nodes
+        for params, two_m, two_j in ((HYDROGEN, 0, 0), (HYDROGEN, 2, 2),
+                                     (RING_HALF, 1, 1), (RING_HALF, -3, 3)):
+            dc = verify.derive_constants(params, two_m)
+            n_list = list(range(two_j + 2, 14, 2))
+            states = [spherical_state(params, tn, two_j, two_m) for tn in n_list]
+            gram = np.array([[integrate_radial(
+                lambda r, a=a, b=b: bases.radial_r(a, r) * bases.radial_r(b, r) * r * r,
+                a.eps + b.eps, singular_power=two_j + dc.delta_total + 2.0)
+                for b in states] for a in states])
+            expected = float(np.abs(gram - np.eye(len(states))).max())
+            got = verify.radial_gram_residual(params, two_m, two_j, n_list)
+            assert got == approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_suite_builds_each_block_and_state_once(monkeypatch):
+    counts = {name: collections.Counter()
+              for name in ("block", "spherical_state", "parabolic_state")}
+    reals = {"block": interbasis.block, "spherical_state": bases.spherical_state,
+             "parabolic_state": bases.parabolic_state}
+
+    def counting(name, real):
+        def wrapper(params, *labels):
+            counts[name][labels] += 1
+            return real(params, *labels)
+        return wrapper
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] != "mickepler":
+            continue
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+
+    reports = run_suite(RING_HALF, n_max=4, r_list=R_LIST)
+    assert len(reports) == 287
+    assert set(counts["block"]) == set(enumerate_blocks(RING_HALF, 4))
+    assert max(counts["block"].values()) <= 2
+    for name in ("spherical_state", "parabolic_state"):
+        assert counts[name] and max(counts[name].values()) == 1, name
