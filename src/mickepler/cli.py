@@ -20,7 +20,7 @@ from .qnum import (
     enumerate_blocks,
     parse_half_integer,
 )
-from .spheroidal import solve, sweep
+from .spheroidal import _sweep_lambdas, solve, sweep
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
 
@@ -132,6 +132,26 @@ def cmd_coefficients(args) -> int:
     return 0
 
 
+def _sweep_table(args, header: list[str], grid: list[float], cells: np.ndarray) -> str:
+    """One row per (R, q): R, q, then ``cells[p, q]`` for grid point p.
+
+    The CSV holds the bytes :func:`_csv_table` would write for those rows,
+    with each R cell formatted once per grid point and each q cell once
+    per q instead of once per row.
+    """
+    q_values = [float(q) for q in range(cells.shape[1])]
+    cells = cells.tolist()
+    if args.format == "json":
+        return _json_table(header, [[R, q, *row] for R, rows in zip(grid, cells)
+                                    for q, row in zip(q_values, rows)])
+    template = "%s,%s" + ",%.17g" * (len(header) - 2)
+    r_cells = ["%.17g" % R for R in grid]
+    q_cells = ["%.17g" % q for q in q_values]
+    return "\n".join([",".join(header)] + [
+        template % (R, q, *row) for R, rows in zip(r_cells, cells)
+        for q, row in zip(q_cells, rows)])
+
+
 def cmd_sweep(args) -> int:
     params = _params(args)
     two_n = parse_half_integer(args.n)
@@ -139,25 +159,22 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.R_grid) if args.R_grid else [args.R]
     if grid == [None]:
         raise ValueError("sweep needs --R or --R-grid")
-    solutions = sweep(params, two_n, two_m, grid)
-    first = solutions[0]
-    d = first.spherical_coefficients.dim
-    # one row per (R, q): stack the grid points, vector q of each as a row
     header = ["R", "q", "lambda"]
-    columns = [
-        np.repeat([sol.R for sol in solutions], d)[:, None],
-        np.tile(np.arange(d, dtype=float), len(solutions))[:, None],
-        np.concatenate([sol.lambdas for sol in solutions])[:, None],
-    ]
     if args.vectors:
+        solutions = sweep(params, two_n, two_m, grid)
+        first = solutions[0]
         header += [f"u[{lab}]" for lab in first.spherical_coefficients.row_labels]
         header += [f"v[{lab}]" for lab in first.parabolic_coefficients.row_labels]
-        columns += [
-            np.concatenate([sol.spherical_coefficients.entries.T for sol in solutions]),
-            np.concatenate([sol.parabolic_coefficients.entries.T for sol in solutions]),
-        ]
-    rows = np.hstack(columns).tolist()
-    _emit(_table(args, header, rows), args.out)
+        # row q of point p: lambda_q, then column q of U and of V
+        cells = np.concatenate([
+            np.array([sol.lambdas for sol in solutions])[:, :, None],
+            np.array([sol.spherical_coefficients.entries.T for sol in solutions]),
+            np.array([sol.parabolic_coefficients.entries.T for sol in solutions]),
+        ], axis=2)
+    else:
+        # lambdas alone need neither eigenvectors' signs nor the parabolic solve
+        cells = _sweep_lambdas(params, two_n, two_m, grid)[:, :, None]
+    _emit(_sweep_table(args, header, grid, cells), args.out)
     return 0
 
 

@@ -22,7 +22,8 @@ A :class:`Block` holds the R-independent bands of the spheroidal
 separation operator of one (n, m) level: the angular spectrum and X on
 the spherical side, the angular momentum square M and the betas on the
 parabolic side.  :func:`block` derives them once; the mixing matrix here
-and every spheroidal solve in :mod:`mickepler.spheroidal` read them.
+and every spheroidal solve in :mod:`mickepler.spheroidal` read them, and
+both diagonalize them through one stacked tridiagonal eigensolver.
 """
 
 from __future__ import annotations
@@ -287,6 +288,40 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     )
 
 
+# the LAPACK driver scipy.linalg.eigh_tridiagonal selects for a full spectrum
+_STEVD, = scipy.linalg.get_lapack_funcs(("stevd",), dtype=np.float64)
+
+
+def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One symmetric tridiagonal eigensolve per row of ``diags``.
+
+    ``offdiags`` holds one row per point or a single row shared by all.
+    Returns ascending eigenvalues (P, d) and eigenvectors stored one per
+    row, ``vectors[p, q]`` being eigenvector q at point p.  Each point is
+    one direct ``dstevd`` call, the same doubles ``eigh_tridiagonal``
+    returns without its per-call validation.  Raises ValueError for a
+    non-finite band and RuntimeError if LAPACK does not converge.
+    """
+    points, d = diags.shape
+    if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
+        raise ValueError("array must not contain infs or NaNs")  # scipy's wording
+    if d == 1:
+        return diags.copy(), np.ones((points, 1, 1))
+    offdiags = np.broadcast_to(offdiags, (points, d - 1))
+    lambdas = np.empty((points, d))
+    vectors = np.empty((points, d, d))
+    for p in range(points):
+        lambdas[p], v, info = _STEVD(diags[p], offdiags[p])
+        if info > 0:
+            raise RuntimeError(
+                f"tridiagonal eigensolver failed to converge for a system of dimension {d}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal stevd")
+        vectors[p] = v.T
+    return lambdas, vectors
+
+
 def _mixing_matrix(blk: Block) -> np.ndarray:
     """Eigenvectors of the block's X as columns in ascending beta (ascending n1).
 
@@ -295,9 +330,7 @@ def _mixing_matrix(blk: Block) -> np.ndarray:
     and an eigenvector of an unreduced tridiagonal matrix with a zero first
     component would vanish entirely.
     """
-    if blk.dim == 1:
-        return np.ones((1, 1))
-    _, vectors = scipy.linalg.eigh_tridiagonal(blk.x_diag, blk.x_off)
+    vectors = _eigh_stack(blk.x_diag[None], blk.x_off)[1][0].T
     vectors *= np.sign(vectors[0])
     return vectors
 

@@ -25,9 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .interbasis import Block, ExpansionMatrix, _coupling, _mixing_matrix, block
+from .interbasis import (
+    Block,
+    ExpansionMatrix,
+    _coupling,
+    _eigh_stack,
+    _mixing_matrix,
+    block,
+)
 from .qnum import QuantumNumberError, SystemParams, derive_constants
 
 __all__ = [
@@ -80,30 +86,6 @@ def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -
     return _coupling(dc, two_n, two_j)
 
 
-def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One tridiagonal eigensolve per row of ``diags``.
-
-    Returns eigenvalues (P, d) and eigenvectors stored one per row,
-    ``vectors[p, q]`` being eigenvector q at point p.
-    """
-    points, d = diags.shape
-    if d == 1:
-        return diags.copy(), np.ones((points, 1, 1))
-    offdiags = np.broadcast_to(offdiags, (points, d - 1))
-    lambdas = np.empty((points, d))
-    vectors = np.empty((points, d, d))
-    try:
-        for p in range(points):
-            lambdas[p], v = scipy.linalg.eigh_tridiagonal(diags[p], offdiags[p])
-            vectors[p] = v.T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - library failure
-        raise RuntimeError(
-            f"tridiagonal eigensolver failed to converge for a system of dimension {d}"
-        ) from exc
-    return lambdas, vectors
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # first nonzero component of each eigenvector (last axis) made positive
     first = np.argmax(vectors != 0.0, axis=-1)[..., None]
@@ -113,11 +95,19 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _continue_signs(vectors: np.ndarray) -> None:
-    # flip an eigenvector when its overlap with the same one at the previous,
-    # already continued grid point is negative; an overlap of 0 never flips
-    for p in range(1, len(vectors)):
-        overlap = np.einsum("qk,qk->q", vectors[p - 1], vectors[p])
-        vectors[p][overlap < 0.0] *= -1.0
+    """Flip an eigenvector when its overlap with the same one at the previous,
+    already continued grid point is negative; an overlap of 0 never flips.
+
+    Flipping is exact, so that overlap is the raw one times the running
+    sign of the previous point: the sign is the product of the raw overlap
+    signs since the last exactly 0 overlap, where it restarts at +1.
+    """
+    overlap = np.einsum("pqk,pqk->pq", vectors[:-1], vectors[1:])
+    negative = np.cumsum(overlap < 0.0, axis=0)
+    # the count is nondecreasing, so its running max over the 0 overlaps is
+    # its value at the last one
+    negative -= np.maximum.accumulate(np.where(overlap == 0.0, negative, 0), axis=0)
+    vectors[1:][negative % 2 == 1] *= -1.0
 
 
 def _eigensolve(blk: Block, r_values: list[float]
@@ -197,6 +187,22 @@ def _limits(blk: Block, w: np.ndarray, r_small: float, r_large: float) -> LimitR
     )
 
 
+def _ascending(r_grid) -> list[float]:
+    """The grid as floats; raises ValueError if it is empty or descends."""
+    r_grid = [float(r) for r in r_grid]
+    if not r_grid:
+        raise ValueError("R grid must contain at least one point")
+    if any(b < a for a, b in zip(r_grid, r_grid[1:])):
+        raise ValueError("R grid must be ascending")
+    return r_grid
+
+
+def _sweep_lambdas(params: SystemParams, two_n: int, two_m: int, r_grid) -> np.ndarray:
+    """The eigenvalues of :func:`sweep`, (P, d), from the spherical solve alone."""
+    r = np.asarray(_ascending(r_grid))[:, None]
+    return _eigh_stack(*block(params, two_n, two_m).spherical_bands(r))[0]
+
+
 def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[SpheroidalSolution]:
     """Solutions along an ascending R grid with sign-continued eigenvectors.
 
@@ -206,11 +212,7 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[Spheroid
     once for the whole grid; the returned coefficient matrices are views
     into shared per-grid stacks.
     """
-    r_grid = [float(r) for r in r_grid]
-    if not r_grid:
-        raise ValueError("R grid must contain at least one point")
-    if any(b < a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("R grid must be ascending")
+    r_grid = _ascending(r_grid)
     blk = block(params, two_n, two_m)
     lambdas, u, v = _eigensolve(blk, r_grid)
     _continue_signs(u)

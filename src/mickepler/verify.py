@@ -378,7 +378,9 @@ def angular_gram_residual(params: SystemParams, two_m: int, channels: int = 5) -
 def _radial_gram_residual(states: _States, two_m: int, two_j: int, two_n_list) -> float:
     dc = derive_constants(states.params, two_m)
     chain = [states.spherical(tn, two_j, two_m) for tn in two_n_list]
-    power = float(two_j) + dc.delta_total + 2.0
+    # the per-m rule of the level tables: the integrand is r^(2 m_plus + delta)
+    # e^(-t) times a polynomial, which also carries r^(2 (j - m_plus) + 2)
+    power = float(dc.two_m_plus) + dc.delta_total
     rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
     t = rule.nodes
     scaled = np.exp(np.log(rule.weights) + t - power * np.log(t))

@@ -237,6 +237,39 @@ class TestSweep:
         header, rows = reference_sweep_table(solutions, vectors=bool(vectors))
         assert out == json.dumps({"columns": header, "rows": rows}) + "\n"
 
+    RING_HALF_ARGS = ("--s", "1/2", "--c1", "0.3", "--c2", "0.7")
+
+    def expected_sweep(self, two_n, two_m, grid, vectors, fmt):
+        solutions = sweep(SystemParams(two_s=1, c1=0.3, c2=0.7), two_n, two_m, grid)
+        header, rows = reference_sweep_table(solutions, vectors)
+        if fmt == "json":
+            return json.dumps({"columns": header, "rows": rows}) + "\n"
+        return reference_csv(header, rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("n, m, two_n, two_m, grid, points", [
+        ("9/2", "1/2", 9, 1, "0:20:15", np.linspace(0.0, 20.0, 15)),   # d = 4
+        ("3/2", "1/2", 3, 1, "0:20:15", np.linspace(0.0, 20.0, 15)),   # d = 1
+        ("7/2", "-3/2", 7, -3, "2.5:2.5:4", [2.5] * 4),                # repeated R
+    ])
+    def test_table_equals_reference_from_sweep(self, capsys, fmt, vectors, n, m,
+                                               two_n, two_m, grid, points):
+        code, out = run_cli(capsys, "sweep", *self.RING_HALF_ARGS, "--n", n, f"--m={m}",
+                            "--R-grid", grid, "--format", fmt,
+                            *(("--vectors",) if vectors else ()))
+        assert code == 0
+        assert out == self.expected_sweep(two_n, two_m, points, vectors, fmt)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_out_file_equals_reference_from_sweep(self, capsys, tmp_path, vectors):
+        path = tmp_path / "sweep.csv"
+        code, out = run_cli(capsys, "sweep", *self.RING_HALF_ARGS, "--n", "11/2",
+                            "--m", "1/2", "--R", "3.25", "--out", str(path),
+                            *(("--vectors",) if vectors else ()))
+        assert code == 0 and out == ""
+        assert path.read_text() == self.expected_sweep(11, 1, [3.25], vectors, "csv")
+
     def test_empty_grid_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--n", "2", "--m", "0",
                           "--R-grid", "0:1:0")

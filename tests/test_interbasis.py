@@ -3,13 +3,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from pytest import approx
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
 from conftest import blocks_by_dimension, grid_cases
 
+import mickepler.interbasis as interbasis
 from mickepler.interbasis import (
+    _eigh_stack,
     block,
     clebsch_gordan_continued,
     expansion_coefficient,
@@ -326,3 +329,46 @@ class TestEigenvectorMatrix:
                         params, two_n, two_j, n1, two_m)) <= 1e-10
                     assert abs(w[k, n1] - expansion_coefficient_cg(
                         params, two_n, two_j, n1, two_m)) <= cg_tol
+
+
+class TestEigenStack:
+    """The direct ``dstevd`` stack against scipy's wrapper around the same routine."""
+
+    @pytest.mark.parametrize("d", range(1, 41))
+    def test_bit_equal_to_eigh_tridiagonal(self, d):
+        rng = np.random.default_rng(d)
+        diags = rng.standard_normal((3, d)) * 10.0 ** rng.integers(-3, 4, (3, 1))
+        for offdiags in (rng.standard_normal(d - 1), rng.standard_normal((3, d - 1))):
+            lambdas, vectors = _eigh_stack(diags, offdiags)
+            for p in range(3):
+                off = offdiags if offdiags.ndim == 1 else offdiags[p]
+                w, v = scipy.linalg.eigh_tridiagonal(diags[p], off, lapack_driver="stevd")
+                assert np.array_equal(lambdas[p], w)
+                assert np.array_equal(vectors[p], v.T)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_band_raises(self, d, bad):
+        diags, offdiags = np.ones((2, d)), np.full(d - 1, 0.5)
+        diags[1, -1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _eigh_stack(diags, offdiags)
+        if d > 1:
+            diags[1, -1] = 1.0
+            offdiags[0] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _eigh_stack(diags, offdiags)
+
+    @pytest.mark.parametrize("info, error", [(3, RuntimeError), (-2, ValueError)])
+    def test_lapack_info_raises(self, monkeypatch, info, error):
+        real = interbasis._STEVD
+
+        def failing(d, e):
+            w, v, _ = real(d, e)
+            return w, v, info
+
+        monkeypatch.setattr(interbasis, "_STEVD", failing)
+        with pytest.raises(error, match="failed to converge" if info > 0 else "argument 2"):
+            _eigh_stack(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(error):
+            expansion_matrix(HYDROGEN, 6, 0)

@@ -15,6 +15,8 @@ from mickepler.qnum import (
 )
 from mickepler.spheroidal import (
     _aligned_deviation,
+    _continue_signs,
+    _eigensolve,
     angular_coupling,
     limits,
     solve,
@@ -293,6 +295,48 @@ class TestSweep:
             sweep(HYDROGEN, 4, 0, [1.0, 0.5])
         with pytest.raises(ValueError):
             sweep(HYDROGEN, 4, 0, [])
+
+
+def continue_signs_loop(vectors):
+    """Per-point reference: flip a vector whose overlap with the previous,
+    already continued one is negative."""
+    for p in range(1, len(vectors)):
+        overlap = np.einsum("qk,qk->q", vectors[p - 1], vectors[p])
+        vectors[p][overlap < 0.0] *= -1.0
+
+
+class TestContinueSigns:
+    def check(self, raw):
+        expected = raw.copy()
+        continue_signs_loop(expected)
+        got = raw.copy()
+        _continue_signs(got)
+        assert np.array_equal(got, expected)
+        return got
+
+    @pytest.mark.parametrize("points, d", [(1, 3), (2, 1), (40, 2), (300, 7)])
+    def test_random_stacks_match_point_loop(self, points, d):
+        rng = np.random.default_rng(points + d)
+        # slowly drifting vectors with random signs: long runs of flips
+        raw = np.cumsum(rng.standard_normal((points, d, d)) * 0.2, axis=0)
+        raw *= rng.choice([-1.0, 1.0], size=(points, d, 1))
+        self.check(raw)
+
+    def test_solver_stack_matches_point_loop(self):
+        blk = block(SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1)
+        _, u, v = _eigensolve(blk, list(np.linspace(0.0, 60.0, 500)))
+        self.check(u)
+        self.check(v)
+
+    def test_negative_and_zero_overlaps(self):
+        e0, e1 = np.eye(2)
+        # vector 0: a negative overlap flips, the flip carries on, an exact
+        # 0 overlap restarts the sign at +1, and the next negative one flips
+        column = [e0, -e0, -e0, e1, -e1, -e1]
+        raw = np.array([[c, e1] for c in column])
+        got = self.check(raw)
+        assert np.array_equal(got[:, 0], np.array([e0, e0, e0, e1, e1, e1]))
+        assert np.array_equal(got[:, 1], raw[:, 1])
 
 
 def test_aligned_deviation_matches_column_loop():

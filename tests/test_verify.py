@@ -287,7 +287,8 @@ class TestBlockCores:
             assert np.abs(staged - reference).max() <= 1e-14 * np.abs(reference).max()
 
     def test_radial_gram_matches_pairwise_integrals(self):
-        # reference: one integrate_radial per pair, each on its own nodes
+        # reference: one integrate_radial per pair, each on its own nodes, with
+        # the weight exponent 2 m_plus + delta of the block's level tables
         for params, two_m, two_j in ((HYDROGEN, 0, 0), (HYDROGEN, 2, 2),
                                      (RING_HALF, 1, 1), (RING_HALF, -3, 3)):
             dc = verify.derive_constants(params, two_m)
@@ -295,11 +296,24 @@ class TestBlockCores:
             states = [spherical_state(params, tn, two_j, two_m) for tn in n_list]
             gram = np.array([[integrate_radial(
                 lambda r, a=a, b=b: bases.radial_r(a, r) * bases.radial_r(b, r) * r * r,
-                a.eps + b.eps, singular_power=two_j + dc.delta_total + 2.0)
+                a.eps + b.eps, singular_power=dc.two_m_plus + dc.delta_total)
                 for b in states] for a in states])
             expected = float(np.abs(gram - np.eye(len(states))).max())
             got = verify.radial_gram_residual(params, two_m, two_j, n_list)
             assert got == approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_suite_builds_one_laguerre_rule_per_exponent():
+    # the radial Gram matrices reuse the per-m rule of the level tables, so
+    # every weight exponent comes from a level table or a parabolic norm
+    exponents = set()
+    for two_m in {two_m for _, two_m in enumerate_blocks(RING_HALF, 8)}:
+        dc = verify.derive_constants(RING_HALF, two_m)
+        exponents |= {dc.two_m_plus + dc.delta_total, dc.m1, dc.m2}
+    gauss_laguerre.cache_clear()
+    run_suite(RING_HALF, n_max=8, r_list=R_LIST)
+    # one more rule: the order-64 self-test
+    assert gauss_laguerre.cache_info().misses <= len(exponents) + 1
 
 
 def test_suite_builds_each_block_and_state_once(monkeypatch):
