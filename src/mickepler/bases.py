@@ -23,12 +23,12 @@ from .qnum import (
     ParabolicQN,
     SphericalQN,
     SystemParams,
+    _n_effective,
+    _principal_two_n,
+    _spherical_qn,
     derive_constants,
     epsilon,
-    n_effective,
     parabolic_qn,
-    principal_two_n,
-    spherical_qn,
 )
 
 __all__ = [
@@ -70,9 +70,9 @@ class ParabolicState:
 
 def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
                     ) -> SphericalState:
-    qn = spherical_qn(params, two_n, two_j, two_m)
     dc = derive_constants(params, two_m)
-    eps = epsilon(n_effective(params, two_m, two_n))
+    qn = _spherical_qn(dc, two_n, two_j)
+    eps = epsilon(_n_effective(dc, two_n))
     j = two_j / 2.0
     n = two_n / 2.0
     delta = dc.delta_total
@@ -107,8 +107,7 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
                     ) -> ParabolicState:
     qn = parabolic_qn(params, n1, n2, two_m)
     dc = derive_constants(params, two_m)
-    two_n = principal_two_n(params, qn)
-    eps = epsilon(n_effective(params, two_m, two_n))
+    eps = epsilon(_n_effective(dc, _principal_two_n(dc, qn)))
     norms = tuple(
         math.exp(0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0))
                  - math.lgamma(mi + 1.0))

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from .qnum import (
     enumerate_blocks,
     parse_half_integer,
 )
-from .spheroidal import _sweep_lambdas, solve, sweep
+from .spheroidal import _sweep_lambdas, _sweep_stacks, solve
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
 
@@ -161,16 +162,11 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs --R or --R-grid")
     header = ["R", "q", "lambda"]
     if args.vectors:
-        solutions = sweep(params, two_n, two_m, grid)
-        first = solutions[0]
-        header += [f"u[{lab}]" for lab in first.spherical_coefficients.row_labels]
-        header += [f"v[{lab}]" for lab in first.parabolic_coefficients.row_labels]
-        # row q of point p: lambda_q, then column q of U and of V
-        cells = np.concatenate([
-            np.array([sol.lambdas for sol in solutions])[:, :, None],
-            np.array([sol.spherical_coefficients.entries.T for sol in solutions]),
-            np.array([sol.parabolic_coefficients.entries.T for sol in solutions]),
-        ], axis=2)
+        blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, grid)
+        header += [f"u[{lab}]" for lab in blk.spherical_labels]
+        header += [f"v[{lab}]" for lab in blk.parabolic_labels]
+        # row q of point p: lambda_q, then eigenvector q of U and of V
+        cells = np.concatenate([lambdas[:, :, None], u, v], axis=2)
     else:
         # lambdas alone need neither eigenvectors' signs nor the parabolic solve
         cells = _sweep_lambdas(params, two_n, two_m, grid)[:, :, None]
@@ -209,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="energy table for all blocks up to n-max")
     common(p)
     p.add_argument("--n-max", type=float, default=4.0, dest="n_max")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("coefficients", help="interbasis coefficient matrices")
     common(p)
@@ -217,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="principal quantum number (half-integers ok)")
     p.add_argument("--m", required=True, help="azimuthal quantum number")
     p.add_argument("--R", type=float, default=None, help="interfocus distance")
-    p.set_defaults(func=cmd_coefficients)
 
     p = sub.add_parser("sweep", help="separation constants along an R grid")
     common(p)
@@ -228,21 +222,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:steps (linear grid)")
     p.add_argument("--vectors", action="store_true",
                    help="include eigenvector columns")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     common(p)
     p.add_argument("--n-max", type=float, default=4.0, dest="n_max")
     p.add_argument("--R-grid", default=None, dest="R_grid",
                    help="start:stop:steps (default 0.1,1,10,100)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; may be called any number of times in one process.
+
+    The parser is built once per process.  The command function is looked
+    up when the command runs, so a replaced ``cmd_*`` is the one called.
+    """
+    args = _parser().parse_args(argv)
+    command = {"spectrum": cmd_spectrum, "coefficients": cmd_coefficients,
+               "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

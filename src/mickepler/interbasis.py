@@ -39,12 +39,12 @@ from .qnum import (
     DerivedConstants,
     QuantumNumberError,
     SystemParams,
+    _block_dimension,
+    _n_effective,
     _separation_constant,
-    block_dimension,
     derive_constants,
     epsilon,
     format_half_integer,
-    n_effective,
 )
 
 __all__ = [
@@ -76,7 +76,7 @@ class ExpansionMatrix:
 
 def _check_labels(params: SystemParams, two_n: int, two_j: int, n1: int, two_m: int):
     dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
+    d = _block_dimension(dc, two_n)
     jj = (two_j - dc.two_m_plus) // 2
     if (two_j - dc.two_m_plus) % 2 != 0 or not 0 <= jj <= d - 1:
         raise QuantumNumberError(
@@ -254,11 +254,11 @@ class Block:
 def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     """Bands of the (n, m) block, derived once from the block constants."""
     dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
+    d = _block_dimension(dc, two_n)
     delta = dc.delta_total
     half_delta = 0.5 * delta
     n = two_n / 2.0
-    eps = epsilon(n_effective(params, two_m, two_n))
+    eps = epsilon(_n_effective(dc, two_n))
     num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
     base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
     js = [dc.m_plus + k for k in range(d)]
@@ -362,6 +362,6 @@ def radial_overlap_closed_form(params: SystemParams, two_n: int, two_m: int,
     if two_j != two_jp:
         return 0.0
     dc = derive_constants(params, two_m)
-    n_eff = n_effective(params, two_m, two_n)
+    n_eff = _n_effective(dc, two_n)
     j = two_j / 2.0
     return 2.0 / (n_eff**3 * (2.0 * j + dc.delta_total + 1.0))

@@ -150,11 +150,15 @@ def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
 
 def block_dimension(params: SystemParams, two_m: int, two_n: int) -> int:
     """Degeneracy d = n - m_plus of the (n, m) level; validates the labels."""
-    dc = derive_constants(params, two_m)
+    return _block_dimension(derive_constants(params, two_m), two_n)
+
+
+def _block_dimension(dc: DerivedConstants, two_n: int) -> int:
+    """:func:`block_dimension` for block constants already derived."""
     gap = two_n - dc.two_m_plus
     if gap < 2 or gap % 2 != 0:
         raise QuantumNumberError(
-            f"no bound states with two_n={two_n} in the two_m={two_m} block "
+            f"no bound states with two_n={two_n} in the two_m={dc.two_m} block "
             f"(need n - m_plus a positive integer, m_plus={dc.m_plus})"
         )
     return gap // 2
@@ -162,7 +166,12 @@ def block_dimension(params: SystemParams, two_m: int, two_n: int) -> int:
 
 def spherical_qn(params: SystemParams, two_n: int, two_j: int, two_m: int) -> SphericalQN:
     """Validated spherical labels: j >= m_plus, integer steps, n > j."""
-    dc = derive_constants(params, two_m)
+    return _spherical_qn(derive_constants(params, two_m), two_n, two_j)
+
+
+def _spherical_qn(dc: DerivedConstants, two_n: int, two_j: int) -> SphericalQN:
+    """:func:`spherical_qn` for block constants already derived."""
+    two_m = dc.two_m
     if two_j < dc.two_m_plus or (two_j - dc.two_m_plus) % 2 != 0:
         raise QuantumNumberError(
             f"two_j={two_j} must exceed two_m_plus={dc.two_m_plus} by an even amount"
@@ -187,14 +196,22 @@ def parabolic_qn(params: SystemParams, n1: int, n2: int, two_m: int) -> Paraboli
 
 def principal_two_n(params: SystemParams, pq: ParabolicQN) -> int:
     """Doubled principal quantum number n = n1 + n2 + m_plus + 1."""
-    dc = derive_constants(params, pq.two_m)
+    return _principal_two_n(derive_constants(params, pq.two_m), pq)
+
+
+def _principal_two_n(dc: DerivedConstants, pq: ParabolicQN) -> int:
+    """:func:`principal_two_n` for block constants already derived."""
     return 2 * (pq.n1 + pq.n2 + 1) + dc.two_m_plus
 
 
 def n_effective(params: SystemParams, two_m: int, two_n: int) -> float:
     """Effective principal number n + (delta1 + delta2)/2."""
-    dc = derive_constants(params, two_m)
-    block_dimension(params, two_m, two_n)
+    return _n_effective(derive_constants(params, two_m), two_n)
+
+
+def _n_effective(dc: DerivedConstants, two_n: int) -> float:
+    """:func:`n_effective` for block constants already derived."""
+    _block_dimension(dc, two_n)
     return two_n / 2.0 + dc.delta_total / 2.0
 
 
@@ -216,8 +233,7 @@ def energy(params: SystemParams, two_m: int, two_n: int) -> float:
 def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> float:
     """Eigenvalue beta = epsilon (n1 - n2 + (m1 - m2)/2) of the axial integral."""
     dc = derive_constants(params, pq.two_m)
-    two_n = principal_two_n(params, pq)
-    eps = epsilon(n_effective(params, pq.two_m, two_n))
+    eps = epsilon(_n_effective(dc, _principal_two_n(dc, pq)))
     return _separation_constant(dc, eps, pq.n1, pq.n2)
 
 
@@ -230,7 +246,7 @@ def enumerate_basis(params: SystemParams, two_m: int, two_n: int
                     ) -> tuple[list[SphericalQN], list[ParabolicQN]]:
     """The d spherical labels j = m_plus..n-1 and d parabolic labels n1 = 0..d-1."""
     dc = derive_constants(params, two_m)
-    d = block_dimension(params, two_m, two_n)
+    d = _block_dimension(dc, two_n)
     spherical = [
         SphericalQN(two_n=two_n, two_j=dc.two_m_plus + 2 * k, two_m=two_m)
         for k in range(d)
@@ -272,9 +288,17 @@ def enumerate_blocks(params: SystemParams, n_max: float) -> list[tuple[int, int]
 
 
 def parse_half_integer(text: str) -> int:
-    """Parse '3/2', '-1/2', '2', '0.5' etc. into a doubled integer."""
-    frac = Fraction(text.strip())
-    doubled = frac * 2
+    """Parse '3/2', '-1/2', '2', '0.5' etc. into a doubled integer.
+
+    Raises ValueError for any other text, including a zero denominator
+    and a value beyond the float range, where every formula of a label
+    would overflow.
+    """
+    try:
+        doubled = Fraction(text.strip()) * 2
+        float(doubled)  # OverflowError beyond the float range
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{text!r} is not a finite number") from exc
     if doubled.denominator != 1:
         raise ValueError(f"{text!r} is not an integer or half-integer")
     return int(doubled)

@@ -203,6 +203,18 @@ def _sweep_lambdas(params: SystemParams, two_n: int, two_m: int, r_grid) -> np.n
     return _eigh_stack(*block(params, two_n, two_m).spherical_bands(r))[0]
 
 
+def _sweep_stacks(params: SystemParams, two_n: int, two_m: int, r_grid
+                  ) -> tuple[Block, np.ndarray, np.ndarray, np.ndarray]:
+    """The block and the stacks of :func:`sweep`: lambdas (P, d), and U and V
+    (P, d, d) with sign-continued eigenvector q of point p in ``[p, q]``."""
+    r_grid = _ascending(r_grid)
+    blk = block(params, two_n, two_m)
+    lambdas, u, v = _eigensolve(blk, r_grid)
+    _continue_signs(u)
+    _continue_signs(v)
+    return blk, lambdas, u, v
+
+
 def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[SpheroidalSolution]:
     """Solutions along an ascending R grid with sign-continued eigenvectors.
 
@@ -213,8 +225,5 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[Spheroid
     into shared per-grid stacks.
     """
     r_grid = _ascending(r_grid)
-    blk = block(params, two_n, two_m)
-    lambdas, u, v = _eigensolve(blk, r_grid)
-    _continue_signs(u)
-    _continue_signs(v)
+    blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, r_grid)
     return _solutions(blk, r_grid, lambdas, u, v)

@@ -56,11 +56,11 @@ from .qnum import (
     DerivedConstants,
     ParabolicQN,
     SystemParams,
-    block_dimension,
+    _block_dimension,
+    _n_effective,
     derive_constants,
     enumerate_blocks,
     format_half_integer,
-    n_effective,
     parabolic_separation_constant,
 )
 from .spheroidal import _aligned_deviation, _eigensolve, _limits
@@ -342,7 +342,7 @@ class _States:
 
     def level(self, two_n: int, two_m: int) -> _Level:
         dc = derive_constants(self.params, two_m)
-        d = block_dimension(self.params, two_m, two_n)
+        d = _block_dimension(dc, two_n)
         sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
         par = [self.parabolic(n1, d - 1 - n1, two_m) for n1 in range(d)]
         # a product of two of the block's radial functions, or of one and a
@@ -353,7 +353,7 @@ class _States:
         scale = 2.0 * sph[0].eps
         r = t / scale
         w_r = np.exp(np.log(rule.weights) + t - power * np.log(t)) / scale
-        return _Level(n_eff=n_effective(self.params, two_m, two_n), dc=dc, sph=sph,
+        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph,
                       par=par, r=r, w_r=w_r, rad=np.array([radial_r(st, r) for st in sph]))
 
 

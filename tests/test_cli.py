@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import mickepler.cli as cli
 import mickepler.verify as verify
 from mickepler.cli import main
 from mickepler.qnum import SystemParams
@@ -356,6 +357,16 @@ class TestVerify:
         assert captured.out == ""
         assert "no (n, m) block has n <= n_max" in captured.err
 
+    @pytest.mark.parametrize("option", ["--n", "--m", "--s"])
+    @pytest.mark.parametrize("text", ["1/0", "1e400"])
+    def test_label_that_is_no_finite_number_is_usage_error(self, capsys, option, text):
+        argv = {"--n": "3", "--m": "0", "--s": "0", option: text}
+        code = main(["coefficients", *(x for kv in argv.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{text!r} is not a finite number" in captured.err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--bogus"])
@@ -378,3 +389,59 @@ class TestOutput:
         # 17 significant digits round-trip to the exact double
         assert float(value) == -1.0 / 18.0
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+class TestRepeatedMain:
+    """``main`` called many times in one process, as a library caller does."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for n in range(1, 6):
+                assert run_cli(capsys, "spectrum", "--n-max", str(n))[0] == 0
+            assert run_cli(capsys, "coefficients", "--n", "3", "--m", "0")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        target = tmp_path / "u.json"
+        spheroidal = ["coefficients", "--kind", "spheroidal-in-spherical", "--n", "3", "--m", "0"]
+        code, out = run_cli(capsys, *spheroidal, "--R", "2.5", "--out", str(target),
+                            "--format", "json")
+        assert code == 0 and out == ""
+        written = target.read_text()
+        assert json.loads(written)["kind"] == "spheroidal-in-spherical"
+
+        code = main(spheroidal)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--R is required" in captured.err
+        assert target.read_text() == written
+
+        code, out = run_cli(capsys, "coefficients", "--n", "3", "--m", "0")
+        assert code == 0
+        header, rows = parse_csv(out)   # CSV on stdout, not JSON into the file
+        assert header == ["row", "n1=0", "n1=1", "n1=2"] and len(rows) == 3
+        assert target.read_text() == written
+
+    def test_replaced_command_function_runs(self, capsys, monkeypatch):
+        assert run_cli(capsys, "spectrum", "--n-max", "2")[0] == 0   # parser built
+        seen = []
+
+        def fake_spectrum(args):
+            seen.append(args.n_max)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_spectrum", fake_spectrum)
+        assert main(["spectrum", "--n-max", "3"]) == 7
+        assert seen == [3.0]

@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
+import mickepler.bases as bases
+import mickepler.interbasis as interbasis
+import mickepler.qnum as qnum
 from mickepler.qnum import (
     ParabolicQN,
     QuantumNumberError,
@@ -216,6 +219,72 @@ class TestHalfIntegerParsing:
         with pytest.raises(ValueError):
             parse_half_integer("0.3")
 
+    @pytest.mark.parametrize("text", ["1/0", "1e400"])
+    def test_reject_text_that_is_no_finite_number(self, text):
+        with pytest.raises(ValueError, match=f"^{text!r} is not a finite number$"):
+            parse_half_integer(text)
+
     @given(st.integers(min_value=-20, max_value=20))
     def test_round_trip(self, two_x):
         assert parse_half_integer(format_half_integer(two_x)) == two_x
+
+
+class TestBlockConstantsDerivedOnce:
+    """States and blocks derive their constants once and keep every label error."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+
+        def counting_derive_constants(params, two_m):
+            calls.append(two_m)
+            return derive_constants(params, two_m)
+
+        # every name the builders could reach it through, qnum's own included
+        for module in (qnum, bases, interbasis):
+            monkeypatch.setattr(module, "derive_constants", counting_derive_constants)
+        return calls
+
+    RING = SystemParams(two_s=1, c1=0.3, c2=0.7)
+
+    def test_spherical_state(self, derivations):
+        bases.spherical_state(self.RING, 9, 3, 1)
+        assert derivations == [1]
+
+    def test_parabolic_state(self, derivations):
+        bases.parabolic_state(self.RING, 1, 2, -1)
+        assert derivations == [-1]
+
+    def test_block(self, derivations):
+        interbasis.block(self.RING, 9, 1)
+        assert derivations == [1]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: bases.spherical_state(SystemParams(two_s=1), 4, 2, 0),
+         "m and s must share half-integrality: two_m=0, two_s=1"),
+        (lambda: bases.parabolic_state(SystemParams(two_s=1), 0, 1, 0),
+         "m and s must share half-integrality: two_m=0, two_s=1"),
+        (lambda: interbasis.block(SystemParams(two_s=1), 3, 0),
+         "m and s must share half-integrality: two_m=0, two_s=1"),
+        (lambda: bases.spherical_state(HYDROGEN, 6, 0, 2),
+         "two_j=0 must exceed two_m_plus=2 by an even amount"),
+        (lambda: spherical_qn(HYDROGEN, 6, 0, 2),
+         "two_j=0 must exceed two_m_plus=2 by an even amount"),
+        (lambda: bases.spherical_state(HYDROGEN, 4, 4, 0),
+         "radial quantum number n - j - 1 must be a nonnegative integer: two_n=4, two_j=4"),
+        (lambda: bases.parabolic_state(HYDROGEN, -1, 2, 0),
+         "n1, n2 must be nonnegative, got (-1, 2)"),
+        (lambda: interbasis.block(HYDROGEN, 2, 2),
+         "no bound states with two_n=2 in the two_m=2 block "
+         "(need n - m_plus a positive integer, m_plus=1.0)"),
+        (lambda: block_dimension(HYDROGEN, 2, 2),
+         "no bound states with two_n=2 in the two_m=2 block "
+         "(need n - m_plus a positive integer, m_plus=1.0)"),
+        (lambda: n_effective(HYDROGEN, 2, 2),
+         "no bound states with two_n=2 in the two_m=2 block "
+         "(need n - m_plus a positive integer, m_plus=1.0)"),
+    ])
+    def test_label_errors_keep_their_messages(self, build, message):
+        with pytest.raises(QuantumNumberError) as exc:
+            build()
+        assert str(exc.value) == message
