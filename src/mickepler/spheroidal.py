@@ -111,12 +111,13 @@ def _continue_signs(vectors: np.ndarray) -> None:
 
 
 def _eigensolve(blk: Block, r_values: list[float]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues and sign-fixed U and V stacks (vectors as rows) at each R."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of the spherical and of the parabolic side, and
+    the sign-fixed U and V stacks (vectors as rows), at each R."""
     r = np.asarray(r_values, dtype=float)[:, None]
     lambdas, u = _eigh_stack(*blk.spherical_bands(r))
-    _, v = _eigh_stack(*blk.parabolic_bands(r))
-    return lambdas, _fix_signs(u), _fix_signs(v)
+    lambdas_par, v = _eigh_stack(*blk.parabolic_bands(r))
+    return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
 
 
 def _solutions(blk: Block, r_values: list[float], lambdas: np.ndarray,
@@ -147,7 +148,8 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     to solver accuracy since both matrices represent the same operator.
     """
     blk = block(params, two_n, two_m)
-    return _solutions(blk, [R], *_eigensolve(blk, [R]))[0]
+    lambdas, _, u, v = _eigensolve(blk, [R])
+    return _solutions(blk, [R], lambdas, u, v)[0]
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> float:
@@ -172,7 +174,8 @@ def _limits(blk: Block, w: np.ndarray, r_small: float, r_large: float) -> LimitR
     """:func:`limits` for a block already derived and its mixing matrix ``w``."""
     d = blk.dim
     r_values = [r_small, r_large]
-    small, large = _solutions(blk, r_values, *_eigensolve(blk, r_values))
+    lambdas, _, u, v = _eigensolve(blk, r_values)
+    small, large = _solutions(blk, r_values, lambdas, u, v)
     return LimitReport(
         r_small=r_small,
         r_large=r_large,
@@ -209,7 +212,7 @@ def _sweep_stacks(params: SystemParams, two_n: int, two_m: int, r_grid
     (P, d, d) with sign-continued eigenvector q of point p in ``[p, q]``."""
     r_grid = _ascending(r_grid)
     blk = block(params, two_n, two_m)
-    lambdas, u, v = _eigensolve(blk, r_grid)
+    lambdas, _, u, v = _eigensolve(blk, r_grid)
     _continue_signs(u)
     _continue_signs(v)
     return blk, lambdas, u, v

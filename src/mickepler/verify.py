@@ -7,11 +7,12 @@ normalizations, the radial bi-orthogonality, interbasis overlaps, and
 the spheroidal operator identities.  Checks never raise on failure; they
 report.
 
-Radial-type integrals use Gauss-Laguerre rules generalized with the
-exact fractional power of the integrand as weight exponent, which makes
-the bound-state integrand class exact up to rounding.  Angular integrals
-use Gauss-Legendre after the smooth substitution x = sin(pi u / 2),
-which removes the endpoint power singularities.
+Each integrand of a check is a known weight times a polynomial: radial
+ones t^alpha e^-t, alpha the exact fractional power, angular ones
+(1 - x)^m2 (1 + x)^m1 from the half-angle factors.  Each gets the
+Gauss-Laguerre or Gauss-Jacobi rule of its weight with the fewest nodes
+N exact to its degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp.
+23, 221 (1969)), derived next to the rule and capped at DEFAULT_RADIAL_ORDER.
 
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
@@ -30,7 +31,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_legendre
+from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from .bases import (
     ParabolicState,
@@ -54,7 +55,6 @@ from .interbasis import (
 from .numkernel import hyp3f2_unit_scaled, kummer_terminating
 from .qnum import (
     DerivedConstants,
-    ParabolicQN,
     SystemParams,
     _block_dimension,
     _n_effective,
@@ -78,8 +78,7 @@ __all__ = [
     "summary_table",
 ]
 
-DEFAULT_RADIAL_ORDER = 128
-DEFAULT_ANGULAR_ORDER = 128
+DEFAULT_RADIAL_ORDER = 128   # also the largest order a check's rule gets
 
 TOL_QUADRATURE = 1e-12
 TOL_ALGEBRA = 1e-10
@@ -131,19 +130,38 @@ def angular_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _gauss_order(degree: int) -> int:
+    """Fewest Gauss nodes N exact to a polynomial degree, 2N - 1 >= degree, capped."""
+    return min(degree // 2 + 1, DEFAULT_RADIAL_ORDER)
+
+
+@lru_cache(maxsize=None)
+def _laguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes t of weight t^alpha e^-t, and weights rescaled
+    (in log space) so that sum(w * f(t)) approximates the integral of f."""
+    rule = gauss_laguerre(order, alpha)
+    t = rule.nodes
+    return t, np.exp(np.log(rule.weights) + t - alpha * np.log(t))
+
+
+@lru_cache(maxsize=None)
+def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes x of weight (1 - x)^alpha (1 + x)^beta, and weights
+    divided by that weight, so that sum(w * f(x)) approximates the integral of f."""
+    x, w = roots_jacobi(order, alpha, beta)
+    return x, np.exp(np.log(w) - alpha * np.log1p(-x) - beta * np.log1p(x))
+
+
 def integrate_radial(f, epsilon_scale: float, rule_order: int = DEFAULT_RADIAL_ORDER,
                      singular_power: float = 0.0) -> float:
     """Integral of f over (0, inf) for f ~ r^singular_power e^{-epsilon_scale r} q(r).
 
     Gauss-Laguerre after the substitution t = epsilon_scale * r, with the
     declared power folded into the rule weight; exact (to rounding) when
-    q is a polynomial within the rule degree.
+    q is a polynomial of degree at most 2 rule_order - 1.
     """
-    rule = gauss_laguerre(rule_order, singular_power)
-    t = rule.nodes
-    # e^{+t} t^{-alpha} rescaling of the weights, assembled in log space
-    scaled = np.exp(np.log(rule.weights) + t - singular_power * np.log(t))
-    return float(np.sum(scaled * f(t / epsilon_scale)) / epsilon_scale)
+    t, w = _laguerre(rule_order, singular_power)
+    return float(np.sum(w * f(t / epsilon_scale)) / epsilon_scale)
 
 
 def radial_overlap_integral(params: SystemParams, two_n: int, two_m: int,
@@ -154,9 +172,12 @@ def radial_overlap_integral(params: SystemParams, two_n: int, two_m: int,
     """
     s1 = spherical_state(params, two_n, two_j, two_m)
     s2 = spherical_state(params, two_n, two_jp, two_m)
+    # R_j R_j' is r^(j + j' + delta) e^(-2 eps r) times two Laguerre
+    # polynomials, of degrees n - j - 1 and n - j' - 1
     power = (two_j + two_jp) / 2.0 + derive_constants(params, two_m).delta_total
+    degree = two_n - 2 - (two_j + two_jp) // 2
     return integrate_radial(lambda r: radial_r(s1, r) * radial_r(s2, r), 2.0 * s1.eps,
-                            singular_power=power)
+                            rule_order=_gauss_order(degree), singular_power=power)
 
 
 @dataclass(frozen=True)
@@ -303,11 +324,6 @@ def _context(params: SystemParams, two_m=None, two_n=None, R=None, extra="") -> 
     return " ".join(parts)
 
 
-def _angular_order(dc) -> int:
-    # doubled when the weight carries non-integer powers
-    return DEFAULT_ANGULAR_ORDER * (2 if dc.delta_total > 0.0 else 1)
-
-
 @dataclass(frozen=True, eq=False)
 class _Level:
     """The states of one (n, m) block and their radial values on one rule.
@@ -315,7 +331,7 @@ class _Level:
     ``w_r`` are the weights of the Gauss-Laguerre rule with weight exponent
     2 m_plus + delta, rescaled so that ``sum(w_r * f(r))`` approximates the
     integral of f over (0, inf); it is exact to rounding for the block's
-    radial overlaps and for its parabolic-spherical overlaps.
+    radial overlaps and the radial axis of its parabolic-spherical overlaps.
     """
 
     n_eff: float
@@ -345,45 +361,49 @@ class _States:
         d = _block_dimension(dc, two_n)
         sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
         par = [self.parabolic(n1, d - 1 - n1, two_m) for n1 in range(d)]
-        # a product of two of the block's radial functions, or of one and a
-        # parabolic profile, is r^(2 m_plus + delta) e^(-2 eps r) times a polynomial
+        # each radial function, and each parabolic profile at fixed x, is
+        # r^(m_plus + delta/2) e^(-eps r) times a polynomial of degree d - 1 in r;
+        # a product of two, times the r^2 of the overlap, has degree 2d
         power = float(dc.two_m_plus) + dc.delta_total
-        rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
-        t = rule.nodes
+        t, w = _laguerre(_gauss_order(2 * d), power)
         scale = 2.0 * sph[0].eps
         r = t / scale
-        w_r = np.exp(np.log(rule.weights) + t - power * np.log(t)) / scale
-        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph,
-                      par=par, r=r, w_r=w_r, rad=np.array([radial_r(st, r) for st in sph]))
+        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph, par=par, r=r,
+                      w_r=w / scale, rad=np.array([radial_r(st, r) for st in sph]))
 
 
-def _angular_gram_residual(states: _States, two_m: int, channels: int) -> float:
+def _identity_deviation(gram: np.ndarray) -> float:
+    return float(np.abs(gram - np.eye(len(gram))).max())
+
+
+def _angular_gram(states: _States, two_m: int, channels: int) -> np.ndarray:
     dc = derive_constants(states.params, two_m)
     channel_states = [
         states.spherical(dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, two_m)
         for k in range(channels)
     ]
-    x, w = angular_nodes(_angular_order(dc))
+    # each profile is (1 - x)^(m2/2) (1 + x)^(m1/2) times a Jacobi polynomial
+    # of degree < channels, a product the Jacobi weight times degree 2 channels - 2
+    x, w = _jacobi(_gauss_order(2 * channels - 2), dc.m2, dc.m1)
     theta = np.arccos(x)
     profiles = np.array([angular_profile(st, theta) for st in channel_states])
-    gram = 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
-    return float(np.abs(gram - np.eye(channels)).max())
+    return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
 
 
 def angular_gram_residual(params: SystemParams, two_m: int, channels: int = 5) -> float:
     """Deviation of the angular Gram matrix from identity, j = m+ .. m+ + channels-1."""
-    return _angular_gram_residual(_States(params), two_m, channels)
+    return _identity_deviation(_angular_gram(_States(params), two_m, channels))
 
 
-def _radial_gram_residual(states: _States, two_m: int, two_j: int, two_n_list) -> float:
+def _radial_gram(states: _States, two_m: int, two_j: int, two_n_list) -> np.ndarray:
     dc = derive_constants(states.params, two_m)
     chain = [states.spherical(tn, two_j, two_m) for tn in two_n_list]
-    # the per-m rule of the level tables: the integrand is r^(2 m_plus + delta)
-    # e^(-t) times a polynomial, which also carries r^(2 (j - m_plus) + 2)
+    # the pair (a, b) integrand is r^(2 m_plus + delta) e^(-t) times r^(2k + 2),
+    # k = j - m_plus, times two Laguerre polynomials of degree <= n_r,max
     power = float(dc.two_m_plus) + dc.delta_total
-    rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, power)
-    t = rule.nodes
-    scaled = np.exp(np.log(rule.weights) + t - power * np.log(t))
+    two_k = two_j - dc.two_m_plus
+    two_n_r_max = max(two_n_list) - two_j - 2
+    t, w = _laguerre(_gauss_order(two_k + 2 + two_n_r_max), power)
     eps = np.array([st.eps for st in chain])
     pair_eps = eps[:, None] + eps[None, :]
     # the pair (a, b) has its own nodes r[a, b]; one radial_r call per state
@@ -391,34 +411,32 @@ def _radial_gram_residual(states: _States, two_m: int, two_j: int, two_n_list) -
     r = t / pair_eps[:, :, None]
     values = np.array([radial_r(st, r[a]) for a, st in enumerate(chain)])
     integrand = values * values.transpose(1, 0, 2) * r * r
-    gram = np.sum(scaled * integrand, axis=-1) / pair_eps
-    return float(np.abs(gram - np.eye(len(chain))).max())
+    return np.sum(w * integrand, axis=-1) / pair_eps
 
 
 def radial_gram_residual(params: SystemParams, two_m: int, two_j: int,
                          two_n_list) -> float:
     """Deviation of the r^2-weighted radial Gram matrix from identity."""
-    return _radial_gram_residual(_States(params), two_m, two_j, two_n_list)
+    return _identity_deviation(_radial_gram(_States(params), two_m, two_j, two_n_list))
 
 
-def _parabolic_norm_residual(lv: _Level) -> float:
+def _parabolic_norms(lv: _Level) -> np.ndarray:
     eps = lv.par[0].eps
+    # Phi_i^2 is x^m_i e^(-eps x) times a polynomial of degree 2 n_i <= 2d - 2,
+    # and the volume element's xi + eta adds one
     moments = []
     for axis, mi in ((0, lv.dc.m1), (1, lv.dc.m2)):
-        rule = gauss_laguerre(DEFAULT_RADIAL_ORDER, mi)
-        t = rule.nodes
-        scaled = np.exp(np.log(rule.weights) + t - mi * np.log(t))
+        t, w = _laguerre(_gauss_order(2 * len(lv.par) - 1), mi)
         x = t / eps
         f2 = np.array([parabolic_factor(st, axis, x) for st in lv.par]) ** 2
-        moments.append((np.sum(scaled * f2, axis=1) / eps,
-                        np.sum(scaled * (f2 * x), axis=1) / eps))
-    total = 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
-    return float(np.abs(total - 1.0).max())
+        moments.append((np.sum(w * f2, axis=1) / eps, np.sum(w * (f2 * x), axis=1) / eps))
+    return 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
 
 
 def parabolic_norm_residual(params: SystemParams, two_n: int, two_m: int) -> float:
     """Deviation of the parabolic volume-element norms from one."""
-    return _parabolic_norm_residual(_States(params).level(two_n, two_m))
+    norms = _parabolic_norms(_States(params).level(two_n, two_m))
+    return float(np.abs(norms - 1.0).max())
 
 
 def _biorthogonality(lv: _Level) -> np.ndarray:
@@ -427,7 +445,9 @@ def _biorthogonality(lv: _Level) -> np.ndarray:
 
 
 def _overlap_matrix(lv: _Level) -> np.ndarray:
-    x, w_x = angular_nodes(_angular_order(lv.dc))
+    # at fixed r, the angular profiles and the parabolic profiles are each
+    # (1 - x)^(m2/2) (1 + x)^(m1/2) times a polynomial of degree <= d - 1 in x
+    x, w_x = _jacobi(_gauss_order(2 * len(lv.sph) - 2), lv.dc.m2, lv.dc.m1)
     theta = np.arccos(x)
     xi = lv.r[:, None] * (1.0 + x)[None, :]
     eta = lv.r[:, None] * (1.0 - x)[None, :]
@@ -471,17 +491,9 @@ def completeness_residual(params: SystemParams, two_n: int, two_m: int,
 
 def _limit_ratio(inner, outer) -> float:
     """Largest outer/inner deviation ratio over the four limit relations."""
-    pairs = [
-        (inner.u_identity_dev, outer.u_identity_dev),
-        (inner.u_mixing_dev, outer.u_mixing_dev),
-        (inner.v_identity_dev, outer.v_identity_dev),
-        (inner.v_mixing_dev, outer.v_mixing_dev),
-    ]
-    worst = 0.0
-    for dev_in, dev_out in pairs:
-        if dev_in > 0.0:
-            worst = max(worst, dev_out / dev_in)
-    return worst
+    names = ("u_identity_dev", "u_mixing_dev", "v_identity_dev", "v_mixing_dev")
+    return max((getattr(outer, name) / getattr(inner, name) for name in names
+                if getattr(inner, name) > 0.0), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +520,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
     for two_m in dict.fromkeys(two_m for _, two_m in blocks):
         reports.append(_report(
             "bases.angular.orthonormality", _context(params, two_m=two_m),
-            _angular_gram_residual(states, two_m, 5), TOL_QUAD_VS_CLOSED))
+            _identity_deviation(_angular_gram(states, two_m, 5)), TOL_QUAD_VS_CLOSED))
         dc = derive_constants(params, two_m)
         j_values = sorted({two_j for two_n, tm in blocks if tm == two_m
                            for two_j in range(dc.two_m_plus, two_n - 1, 2)})
@@ -517,7 +529,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             reports.append(_report(
                 "bases.radial.orthonormality",
                 _context(params, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
-                _radial_gram_residual(states, two_m, two_j, n_list),
+                _identity_deviation(_radial_gram(states, two_m, two_j, n_list)),
                 TOL_QUAD_VS_CLOSED))
 
     for two_n, two_m in blocks:
@@ -529,56 +541,41 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         w = expansion_matrix(params, two_n, two_m).entries
 
         reports.append(_report("bases.parabolic.normalization", ctx,
-                               _parabolic_norm_residual(lv), TOL_QUAD_VS_CLOSED))
+                               np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
 
-        quad = _biorthogonality(lv)
-        worst = 0.0
-        for ka in range(d):
-            for kb in range(d):
-                closed = radial_overlap_closed_form(params, two_n, two_m,
-                                                    dc.two_m_plus + 2 * ka,
-                                                    dc.two_m_plus + 2 * kb)
-                worst = max(worst, abs(quad[ka, kb] - closed))
-        reports.append(_report("interbasis.biorthogonality", ctx, worst,
+        two_js = [st.qn.two_j for st in lv.sph]
+        closed = np.array([[radial_overlap_closed_form(params, two_n, two_m, two_j, two_jp)
+                            for two_jp in two_js] for two_j in two_js])
+        reports.append(_report("interbasis.biorthogonality", ctx,
+                               np.abs(_biorthogonality(lv) - closed).max(),
                                TOL_QUAD_VS_CLOSED))
 
-        reports.append(_report(
-            "interbasis.orthogonality", ctx,
-            float(np.abs(w.T @ w - np.eye(d)).max()), TOL_ALGEBRA))
+        reports.append(_report("interbasis.orthogonality", ctx,
+                               _identity_deviation(w.T @ w), TOL_ALGEBRA))
 
-        worst = 0.0
-        for ka in range(d):
-            two_j = dc.two_m_plus + 2 * ka
-            for n1 in range(d):
-                worst = max(worst, abs(
-                    w[ka, n1] - expansion_coefficient_cg(params, two_n, two_j, n1, two_m)))
-        reports.append(_report("interbasis.cg_equivalence", ctx, worst, TOL_ALGEBRA))
+        cg = np.array([[expansion_coefficient_cg(params, two_n, two_j, n1, two_m)
+                        for n1 in range(d)] for two_j in two_js])
+        reports.append(_report("interbasis.cg_equivalence", ctx, np.abs(w - cg).max(),
+                               TOL_ALGEBRA))
 
         if d <= overlap_d_max:
             reports.append(_report("interbasis.overlap", ctx,
-                                   float(np.abs(_overlap_matrix(lv) - w).max()),
-                                   TOL_OVERLAP))
+                                   np.abs(_overlap_matrix(lv) - w).max(), TOL_OVERLAP))
 
         reports.append(_report(
             "interbasis.completeness", ctx,
             _completeness_residual(lv, w, rng), TOL_QUAD_VS_CLOSED))
 
         x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
-        betas = np.sort([
-            parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
-            for n1 in range(d)
-        ])
+        betas = np.sort([parabolic_separation_constant(params, st.qn) for st in lv.par])
         reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
-                               float(np.abs(x_eigs - betas).max()), TOL_ALGEBRA))
+                               np.abs(x_eigs - betas).max(), TOL_ALGEBRA))
 
         m_eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
-        half_delta = 0.5 * dc.delta_total
-        m_expected = np.sort([
-            (dc.m_plus + k + half_delta) * (dc.m_plus + k + half_delta + 1.0)
-            for k in range(d)
-        ])
+        ell = [dc.m_plus + k + 0.5 * dc.delta_total for k in range(d)]
+        m_expected = np.sort([l * (l + 1.0) for l in ell])
         reports.append(_report("spheroidal.angular_spectrum", ctx,
-                               float(np.abs(m_eigs - m_expected).max()), TOL_ALGEBRA))
+                               np.abs(m_eigs - m_expected).max(), TOL_ALGEBRA))
 
         base_diag, base_off = blk.spherical_bands(0.0)
         worst = 0.0
@@ -591,22 +588,17 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("spheroidal.r_linearity", ctx, worst, 0.0))
 
         # one stacked eigensolve for every R, bit-identical to a solve per R
-        lambdas, u_rows, v_rows = _eigensolve(blk, r_list)
-        for R, lam, u_t, v_t in zip(r_list, lambdas, u_rows, v_rows):
+        lambdas, lambdas_par, u_rows, v_rows = _eigensolve(blk, r_list)
+        for R, lam, lam_par, u_t, v_t in zip(r_list, lambdas, lambdas_par, u_rows, v_rows):
             ctx_r = _context(params, two_m=two_m, two_n=two_n, R=R)
             u, v = u_t.T, v_t.T
-            lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
-            reports.append(_report(
-                "spheroidal.spectrum_equality", ctx_r,
-                float(np.abs(np.sort(lam) - lam_par).max()), TOL_ALGEBRA))
+            reports.append(_report("spheroidal.spectrum_equality", ctx_r,
+                                   np.abs(lam - lam_par).max(), TOL_ALGEBRA))
             reports.append(_report("spheroidal.basis_change", ctx_r,
                                    _aligned_deviation(w @ v, u), TOL_BASIS_CHANGE))
-            norm_dev = max(
-                float(np.abs(np.linalg.norm(u, axis=0) - 1.0).max()),
-                float(np.abs(np.linalg.norm(v, axis=0) - 1.0).max()),
-            )
-            reports.append(_report("spheroidal.normalization", ctx_r, norm_dev,
-                                   TOL_ALGEBRA))
+            norm_dev = max(np.abs(np.linalg.norm(u, axis=0) - 1.0).max(),
+                           np.abs(np.linalg.norm(v, axis=0) - 1.0).max())
+            reports.append(_report("spheroidal.normalization", ctx_r, norm_dev, TOL_ALGEBRA))
 
         if d >= 2:
             inner = _limits(blk, w, 1e-6, 1e6)

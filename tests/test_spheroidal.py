@@ -324,7 +324,7 @@ class TestContinueSigns:
 
     def test_solver_stack_matches_point_loop(self):
         blk = block(SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1)
-        _, u, v = _eigensolve(blk, list(np.linspace(0.0, 60.0, 500)))
+        _, _, u, v = _eigensolve(blk, list(np.linspace(0.0, 60.0, 500)))
         self.check(u)
         self.check(v)
 

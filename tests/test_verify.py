@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 from pytest import approx
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_jacobi
 
 import mickepler.bases as bases
+import mickepler.cli as cli
 import mickepler.interbasis as interbasis
 from mickepler.bases import (
     angular_profile,
@@ -254,12 +257,17 @@ class TestBlockCores:
 
     def test_stacked_eigensolve_is_bit_equal_to_solve(self):
         for params, two_n, two_m in self.CASES:
-            lambdas, u, v = _eigensolve(block(params, two_n, two_m), R_LIST)
+            blk = block(params, two_n, two_m)
+            lambdas, lambdas_par, u, v = _eigensolve(blk, R_LIST)
             for p, R in enumerate(R_LIST):
                 sol = solve(params, two_n, two_m, R)
                 assert np.array_equal(lambdas[p], sol.lambdas)
                 assert np.array_equal(u[p].T, sol.spherical_coefficients.entries)
                 assert np.array_equal(v[p].T, sol.parabolic_coefficients.entries)
+                # the parabolic spectrum is the one scipy returns for that side alone
+                par_diag, par_off = blk.parabolic_bands(R)
+                assert np.array_equal(lambdas_par[p],
+                                      eigh_tridiagonal(par_diag, par_off)[0])
 
     def test_block_limits_are_bit_equal_to_limits(self):
         for params, two_n, two_m in self.CASES:
@@ -274,7 +282,11 @@ class TestBlockCores:
             level = verify._States(params).level(two_n, two_m)
             if len(level.sph) > 4:
                 continue
-            x, w_x = verify.angular_nodes(verify._angular_order(level.dc))
+            # the block's own Gauss-Jacobi rule: d nodes, weight (1-x)^m2 (1+x)^m1
+            # divided out of the weights
+            m1, m2 = level.dc.m1, level.dc.m2
+            x, w_jacobi = roots_jacobi(len(level.sph), m2, m1)
+            w_x = w_jacobi / ((1.0 - x) ** m2 * (1.0 + x) ** m1)
             theta = np.arccos(x)
             r = level.r[:, None]
             ang = np.array([angular_profile(st, theta) for st in level.sph])
@@ -288,15 +300,20 @@ class TestBlockCores:
 
     def test_radial_gram_matches_pairwise_integrals(self):
         # reference: one integrate_radial per pair, each on its own nodes, with
-        # the weight exponent 2 m_plus + delta of the block's level tables
+        # the weight exponent 2 m_plus + delta of the block's level tables and
+        # the chain's order (2k + 2 + 2 n_r,max) // 2 + 1, k = j - m_plus
         for params, two_m, two_j in ((HYDROGEN, 0, 0), (HYDROGEN, 2, 2),
                                      (RING_HALF, 1, 1), (RING_HALF, -3, 3)):
             dc = verify.derive_constants(params, two_m)
             n_list = list(range(two_j + 2, 14, 2))
             states = [spherical_state(params, tn, two_j, two_m) for tn in n_list]
+            k = (two_j - dc.two_m_plus) // 2
+            n_r_max = (n_list[-1] - two_j - 2) // 2
+            order = (2 * k + 2 + 2 * n_r_max) // 2 + 1
             gram = np.array([[integrate_radial(
                 lambda r, a=a, b=b: bases.radial_r(a, r) * bases.radial_r(b, r) * r * r,
-                a.eps + b.eps, singular_power=dc.two_m_plus + dc.delta_total)
+                a.eps + b.eps, rule_order=order,
+                singular_power=dc.two_m_plus + dc.delta_total)
                 for b in states] for a in states])
             expected = float(np.abs(gram - np.eye(len(states))).max())
             got = verify.radial_gram_residual(params, two_m, two_j, n_list)
@@ -304,16 +321,27 @@ class TestBlockCores:
 
 
 def test_suite_builds_one_laguerre_rule_per_exponent():
-    # the radial Gram matrices reuse the per-m rule of the level tables, so
-    # every weight exponent comes from a level table or a parabolic norm
-    exponents = set()
-    for two_m in {two_m for _, two_m in enumerate_blocks(RING_HALF, 8)}:
+    # one rule per distinct (order, exponent) the suite asks for: per block
+    # the level rule (d + 1 nodes, exponent 2 m_plus + delta) and the
+    # parabolic-norm rules (d, m1) and (d, m2); per chain j of an m the
+    # radial Gram rule of the level exponent with k + 2 + n_r,max nodes,
+    # k = j - m_plus
+    blocks = enumerate_blocks(RING_HALF, 8)
+    rules = set()
+    for two_n, two_m in blocks:
         dc = verify.derive_constants(RING_HALF, two_m)
-        exponents |= {dc.two_m_plus + dc.delta_total, dc.m1, dc.m2}
+        d = (two_n - dc.two_m_plus) // 2
+        power = dc.two_m_plus + dc.delta_total
+        rules |= {(d + 1, power), (d, dc.m1), (d, dc.m2)}
+        two_n_max = max(tn for tn, tm in blocks if tm == two_m)
+        for two_j in range(dc.two_m_plus, two_n - 1, 2):
+            k = (two_j - dc.two_m_plus) // 2
+            rules.add((k + 2 + (two_n_max - two_j - 2) // 2, power))
     gauss_laguerre.cache_clear()
+    verify._laguerre.cache_clear()
     run_suite(RING_HALF, n_max=8, r_list=R_LIST)
     # one more rule: the order-64 self-test
-    assert gauss_laguerre.cache_info().misses <= len(exponents) + 1
+    assert gauss_laguerre.cache_info().misses <= len(rules) + 1
 
 
 def test_suite_builds_each_block_and_state_once(monkeypatch):
@@ -341,3 +369,91 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
     assert max(counts["block"].values()) <= 2
     for name in ("spherical_state", "parabolic_state"):
         assert counts[name] and max(counts[name].values()) == 1, name
+
+
+# the points of the derived-order checks: (s, c1, c2) = (1/2, .3, .7),
+# (0, .3, .7) and (1, 0, .5)
+ORDER_POINTS = [SystemParams(two_s=1, c1=0.3, c2=0.7), SystemParams(two_s=0, c1=0.3, c2=0.7),
+                SystemParams(two_s=2, c1=0.0, c2=0.5)]
+
+
+def quadrature_matrices(params, n_max=8):
+    """Every quadrature matrix behind the suite's checks at n <= n_max, by key."""
+    states = verify._States(params)
+    blocks = enumerate_blocks(params, n_max)
+    matrices = {}
+    for two_n, two_m in blocks:
+        level = states.level(two_n, two_m)
+        matrices["biorthogonality", two_n, two_m] = verify._biorthogonality(level)
+        matrices["overlap", two_n, two_m] = verify._overlap_matrix(level)
+        matrices["parabolic_norms", two_n, two_m] = verify._parabolic_norms(level)
+    for two_m in sorted({two_m for _, two_m in blocks}):
+        matrices["angular_gram", two_m] = verify._angular_gram(states, two_m, 5)
+        dc = verify.derive_constants(params, two_m)
+        n_list = [two_n for two_n, tm in blocks if tm == two_m]
+        for two_j in range(dc.two_m_plus, max(n_list) - 1, 2):
+            chain = [two_n for two_n in n_list if two_n >= two_j + 2]
+            matrices["radial_gram", two_m, two_j] = verify._radial_gram(
+                states, two_m, two_j, chain)
+    return matrices
+
+
+class TestDerivedOrders:
+    def test_eight_more_nodes_move_no_matrix(self, monkeypatch):
+        # each rule is exact for its integrand, so more nodes change only rounding
+        real = verify._gauss_order
+        for params in ORDER_POINTS:
+            derived = quadrature_matrices(params)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_gauss_order", lambda degree: real(degree) + 8)
+                richer = quadrature_matrices(params)
+            assert derived.keys() == richer.keys()
+            for key, matrix in derived.items():
+                assert matrix.shape == richer[key].shape, key
+                assert np.abs(matrix - richer[key]).max() <= 1e-13, key
+
+    def test_orders_follow_the_integrand_degree(self):
+        level = verify._States(RING_HALF).level(9, 1)   # n = 9/2, d = 4
+        assert level.r.shape == (5,)
+        assert verify._gauss_order(0) == 1
+        assert verify._gauss_order(7) == 4
+        assert verify._gauss_order(8) == 5
+        assert verify._gauss_order(10**6) == verify.DEFAULT_RADIAL_ORDER
+
+    def test_perturbed_radial_polynomial_fails_the_quadrature_checks(self, monkeypatch):
+        real = bases._kummer
+        monkeypatch.setattr(bases, "_kummer",
+                            lambda n, c, t: real(n, c, t) * (1.0 + 1e-6 * t))
+        failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
+                  if not r.passed}
+        assert {"interbasis.biorthogonality", "interbasis.overlap",
+                "bases.radial.orthonormality", "bases.parabolic.normalization"} <= failed
+
+    def test_perturbed_angular_profile_fails_angular_orthonormality(self, monkeypatch):
+        real = verify.angular_profile
+        monkeypatch.setattr(verify, "angular_profile",
+                            lambda state, theta: real(state, theta) * (1.0 + 1e-6 * theta))
+        failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
+                  if not r.passed}
+        assert "bases.angular.orthonormality" in failed
+
+
+def test_verify_report_at_benchmark_points(capsys):
+    # verify --n-max 8 at both benchmark points: 2771 checks, and the only
+    # FAILs are spheroidal.limits in three blocks (both signs of m) per point
+    known = {f"s={s} c1={c1} c2={c2} n={n} m={sign}{m}"
+             for s, c1, c2, blocks in (
+                 ("1/2", "0.3", "0.7", (("11/2", "7/2"), ("13/2", "9/2"), ("15/2", "11/2"))),
+                 ("0", "0", "0", (("6", "4"), ("7", "5"), ("8", "6"))))
+             for n, m in blocks for sign in ("-", "")}
+    checks, fails = 0, []
+    for s, c1, c2 in (("1/2", "0.3", "0.7"), ("0", "0", "0")):
+        code = cli.main(["verify", "--s", s, "--c1", c1, "--c2", c2,
+                         "--n-max", "8", "--seed", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        checks += len(lines) - 1
+        fails += [line for line in lines if line.startswith("FAIL")]
+    assert checks == 2771
+    assert sorted(line.split()[1] for line in fails) == ["spheroidal.limits"] * 12
+    assert {" ".join(line.split()[2:-2]) for line in fails} == known
