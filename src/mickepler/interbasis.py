@@ -171,6 +171,12 @@ def expansion_coefficient_cg(params: SystemParams, two_n: int, two_j: int,
                              n1: int, two_m: int) -> float:
     """Same coefficient through the continued Clebsch-Gordan closed form."""
     dc, d, _ = _check_labels(params, two_n, two_j, n1, two_m)
+    return _expansion_coefficient_cg(dc, d, two_n, two_j, n1)
+
+
+def _expansion_coefficient_cg(dc: DerivedConstants, d: int, two_n: int, two_j: int,
+                              n1: int) -> float:
+    """Unvalidated :func:`expansion_coefficient_cg` for block constants already derived."""
     n = two_n / 2.0
     j = two_j / 2.0
     n2 = d - 1 - n1
@@ -322,23 +328,25 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
     return lambdas, vectors
 
 
-def _mixing_matrix(blk: Block) -> np.ndarray:
-    """Eigenvectors of the block's X as columns in ascending beta (ascending n1).
+def _mixing_matrix(blk: Block) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of the block's X as columns in ascending beta (ascending n1),
+    and those ascending eigenvalues, from one eigensolve.
 
     Each column is signed so that its j = m_plus entry is positive.  That
     entry never vanishes: the off-diagonal of X has no zero inside a block,
     and an eigenvector of an unreduced tridiagonal matrix with a zero first
     component would vanish entirely.
     """
-    vectors = _eigh_stack(blk.x_diag[None], blk.x_off)[1][0].T
+    eigenvalues, vectors = _eigh_stack(blk.x_diag[None], blk.x_off)
+    vectors = vectors[0].T
     vectors *= np.sign(vectors[0])
-    return vectors
+    return vectors, eigenvalues[0]
 
 
 def expansion_matrix(params: SystemParams, two_n: int, two_m: int) -> ExpansionMatrix:
     """Orthogonal d x d matrix; rows are spherical j, columns parabolic n1."""
     blk = block(params, two_n, two_m)
-    return ExpansionMatrix(dim=blk.dim, entries=_mixing_matrix(blk),
+    return ExpansionMatrix(dim=blk.dim, entries=_mixing_matrix(blk)[0],
                            row_labels=blk.spherical_labels,
                            col_labels=blk.parabolic_labels)
 

@@ -152,10 +152,11 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     return _solutions(blk, [R], lambdas, u, v)[0]
 
 
-def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> float:
-    """Max entry deviation after flipping each column to best match the target."""
-    flip = np.einsum("kq,kq->q", actual, target) < 0.0
-    return float(np.abs(np.where(flip, -actual, actual) - target).max())
+def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Max entry deviation of each (..., d, d) matrix after flipping each column
+    to best match the target's."""
+    flip = np.einsum("...kq,...kq->...q", actual, target) < 0.0
+    return np.abs(np.where(flip[..., None, :], -actual, actual) - target).max(axis=(-2, -1))
 
 
 def limits(params: SystemParams, two_n: int, two_m: int,
@@ -167,27 +168,20 @@ def limits(params: SystemParams, two_n: int, two_m: int,
     roles swap.  Deviations fall off linearly in R (or 1/R).
     """
     blk = block(params, two_n, two_m)
-    return _limits(blk, _mixing_matrix(blk), r_small, r_large)
+    _, _, u, v = _eigensolve(blk, [r_small, r_large])
+    deviations = _limits(_mixing_matrix(blk)[0], u[None], v[None])[0]
+    return LimitReport(r_small, r_large, *deviations.tolist())
 
 
-def _limits(blk: Block, w: np.ndarray, r_small: float, r_large: float) -> LimitReport:
-    """:func:`limits` for a block already derived and its mixing matrix ``w``."""
-    d = blk.dim
-    r_values = [r_small, r_large]
-    lambdas, _, u, v = _eigensolve(blk, r_values)
-    small, large = _solutions(blk, r_values, lambdas, u, v)
-    return LimitReport(
-        r_small=r_small,
-        r_large=r_large,
-        u_identity_dev=_aligned_deviation(
-            small.spherical_coefficients.entries, np.eye(d)),
-        u_mixing_dev=_aligned_deviation(
-            large.spherical_coefficients.entries, w),
-        v_identity_dev=_aligned_deviation(
-            large.parabolic_coefficients.entries, np.eye(d)),
-        v_mixing_dev=_aligned_deviation(
-            small.parabolic_coefficients.entries, w.T),
-    )
+def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The four deviations of :class:`LimitReport`, in its order, one row per
+    probe pair, from the block's mixing matrix ``w`` and the U and V stacks
+    (pairs, 2, d, d) of :func:`_eigensolve` at each (r_small, r_large)."""
+    eye = np.eye(len(w))
+    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)   # eigenvectors as columns
+    return np.stack([_aligned_deviation(u[:, 0], eye), _aligned_deviation(u[:, 1], w),
+                     _aligned_deviation(v[:, 1], eye), _aligned_deviation(v[:, 0], w.T)],
+                    axis=-1)
 
 
 def _ascending(r_grid) -> list[float]:

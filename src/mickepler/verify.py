@@ -12,14 +12,19 @@ ones t^alpha e^-t, alpha the exact fractional power, angular ones
 (1 - x)^m2 (1 + x)^m1 from the half-angle factors.  Each gets the
 Gauss-Laguerre or Gauss-Jacobi rule of its weight with the fewest nodes
 N exact to its degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp.
-23, 221 (1969)), derived next to the rule and capped at DEFAULT_RADIAL_ORDER.
+23, 221 (1969)), derived next to the rule.  A rule past DEFAULT_RADIAL_ORDER
+nodes is refused with ValueError, so blocks up to d = 127 are checked.
 
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
 states on one Gauss-Laguerre rule, and hands them to every check of the
-block; every state is built once per run.  The public residual
-functions take (params, n, m) labels and build the same objects for a
-single call.
+block; every state is built once per run.  Each block is diagonalized
+once per side: W and the spectrum of X come from one eigensolve, and one
+stacked eigensolve of the spheroidal bands covers every R of the list,
+R = 0 (whose parabolic side is the angular-momentum matrix M alone) and
+the limit probes.  The per-R checks and the limit deviations are array
+operations over that stack.  The public residual functions take
+(params, n, m) labels and build the same objects for a single call.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi, roots_legendre
 
 from .bases import (
@@ -47,8 +51,9 @@ from .bases import (
 )
 from .coords import SphericalPoint, spherical_to_parabolic
 from .interbasis import (
+    _expansion_coefficient_cg,
+    _mixing_matrix,
     block,
-    expansion_coefficient_cg,
     expansion_matrix,
     radial_overlap_closed_form,
 )
@@ -78,7 +83,7 @@ __all__ = [
     "summary_table",
 ]
 
-DEFAULT_RADIAL_ORDER = 128   # also the largest order a check's rule gets
+DEFAULT_RADIAL_ORDER = 128   # also the largest order a check's rule may have
 
 TOL_QUADRATURE = 1e-12
 TOL_ALGEBRA = 1e-10
@@ -87,6 +92,8 @@ TOL_OVERLAP = 1e-7
 TOL_BASIS_CHANGE = 1e-9
 TOL_LIMITS = 1e-5
 TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
+# (r_small, r_large) of the inner, then of the outer decade of the limit checks
+_LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +138,17 @@ def angular_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_order(degree: int) -> int:
-    """Fewest Gauss nodes N exact to a polynomial degree, 2N - 1 >= degree, capped."""
-    return min(degree // 2 + 1, DEFAULT_RADIAL_ORDER)
+    """Fewest Gauss nodes N exact to a polynomial degree, 2N - 1 >= degree.
+
+    Raises ValueError past DEFAULT_RADIAL_ORDER nodes: a smaller rule would
+    report its own quadrature error as a residual of the check.
+    """
+    order = degree // 2 + 1
+    if order > DEFAULT_RADIAL_ORDER:
+        raise ValueError(
+            f"an integrand of polynomial degree {degree} needs {order} Gauss nodes, "
+            f"more than DEFAULT_RADIAL_ORDER = {DEFAULT_RADIAL_ORDER}")
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -489,13 +505,6 @@ def completeness_residual(params: SystemParams, two_n: int, two_m: int,
     return _completeness_residual(_States(params).level(two_n, two_m), w, rng, npoints)
 
 
-def _limit_ratio(inner, outer) -> float:
-    """Largest outer/inner deviation ratio over the four limit relations."""
-    names = ("u_identity_dev", "u_mixing_dev", "v_identity_dev", "v_mixing_dev")
-    return max((getattr(outer, name) / getattr(inner, name) for name in names
-                if getattr(inner, name) > 0.0), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
@@ -504,24 +513,32 @@ def run_suite(params: SystemParams, n_max: float, r_list,
               seed: int = 0, overlap_d_max: int = 4) -> list[CheckReport]:
     """Run every identity check over all blocks with n <= n_max.
 
-    Each block, its mixing matrix W (one :func:`expansion_matrix` call),
-    its states and their radial values are built once and read by every
-    check of the block.  Failures are reported, never raised; a range
-    holding no block raises QuantumNumberError.  The report is
-    exhaustive and, for fixed inputs and seed, byte-identical across runs.
+    Each block, its mixing matrix W with the spectrum of X (one
+    eigensolve), its states and their radial values are built once, and
+    one stacked eigensolve per block serves every R of ``r_list``, R = 0
+    and the limit probes; every check of the block reads them.  Failures
+    are reported, never raised; a range holding no block raises
+    QuantumNumberError, and one whose largest block needs a quadrature
+    rule past DEFAULT_RADIAL_ORDER nodes raises ValueError before any
+    check runs.  The report is exhaustive and, for fixed inputs and seed,
+    byte-identical across runs.
     """
     blocks = enumerate_blocks(params, n_max)
+    m_constants = {two_m: derive_constants(params, two_m)
+                   for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
+    # a block's largest integrand, of degree 2d, sets the largest rule of the run
+    _gauss_order(2 * max(_block_dimension(m_constants[two_m], two_n)
+                         for two_n, two_m in blocks))
     rng = np.random.default_rng(seed)
     r_list = [float(r) for r in r_list]
     reports = _check_quadrature_selftest()
     reports += _check_kernel(rng)
     states = _States(params)
 
-    for two_m in dict.fromkeys(two_m for _, two_m in blocks):
+    for two_m, dc in m_constants.items():
         reports.append(_report(
             "bases.angular.orthonormality", _context(params, two_m=two_m),
             _identity_deviation(_angular_gram(states, two_m, 5)), TOL_QUAD_VS_CLOSED))
-        dc = derive_constants(params, two_m)
         j_values = sorted({two_j for two_n, tm in blocks if tm == two_m
                            for two_j in range(dc.two_m_plus, two_n - 1, 2)})
         for two_j in j_values:
@@ -532,13 +549,14 @@ def run_suite(params: SystemParams, n_max: float, r_list,
                 _identity_deviation(_radial_gram(states, two_m, two_j, n_list)),
                 TOL_QUAD_VS_CLOSED))
 
+    n_r = len(r_list)
     for two_n, two_m in blocks:
         ctx = _context(params, two_m=two_m, two_n=two_n)
         blk = block(params, two_n, two_m)
         d = blk.dim
         lv = states.level(two_n, two_m)
         dc = lv.dc
-        w = expansion_matrix(params, two_n, two_m).entries
+        w, x_eigs = _mixing_matrix(blk)
 
         reports.append(_report("bases.parabolic.normalization", ctx,
                                np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
@@ -553,7 +571,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("interbasis.orthogonality", ctx,
                                _identity_deviation(w.T @ w), TOL_ALGEBRA))
 
-        cg = np.array([[expansion_coefficient_cg(params, two_n, two_j, n1, two_m)
+        cg = np.array([[_expansion_coefficient_cg(dc, d, two_n, two_j, n1)
                         for n1 in range(d)] for two_j in two_js])
         reports.append(_report("interbasis.cg_equivalence", ctx, np.abs(w - cg).max(),
                                TOL_ALGEBRA))
@@ -566,16 +584,20 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             "interbasis.completeness", ctx,
             _completeness_residual(lv, w, rng), TOL_QUAD_VS_CLOSED))
 
-        x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
         betas = np.sort([parabolic_separation_constant(params, st.qn) for st in lv.par])
         reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
                                np.abs(x_eigs - betas).max(), TOL_ALGEBRA))
 
-        m_eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
+        # one stacked eigensolve: the R list, R = 0, where the parabolic side is
+        # M alone, and the limit probes; each point is its own LAPACK call, so
+        # every row is bit-identical to a solve at that R alone
+        lambdas, lambdas_par, u, v = _eigensolve(
+            blk, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
+
         ell = [dc.m_plus + k + 0.5 * dc.delta_total for k in range(d)]
         m_expected = np.sort([l * (l + 1.0) for l in ell])
         reports.append(_report("spheroidal.angular_spectrum", ctx,
-                               np.abs(m_eigs - m_expected).max(), TOL_ALGEBRA))
+                               np.abs(lambdas_par[n_r] - m_expected).max(), TOL_ALGEBRA))
 
         base_diag, base_off = blk.spherical_bands(0.0)
         worst = 0.0
@@ -587,27 +609,28 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             ])).max()))
         reports.append(_report("spheroidal.r_linearity", ctx, worst, 0.0))
 
-        # one stacked eigensolve for every R, bit-identical to a solve per R
-        lambdas, lambdas_par, u_rows, v_rows = _eigensolve(blk, r_list)
-        for R, lam, lam_par, u_t, v_t in zip(r_list, lambdas, lambdas_par, u_rows, v_rows):
+        u_r, v_r = u[:n_r].swapaxes(1, 2), v[:n_r].swapaxes(1, 2)   # vectors as columns
+        spectrum_dev = np.abs(lambdas[:n_r] - lambdas_par[:n_r]).max(axis=1)
+        basis_dev = _aligned_deviation(w @ v_r, u_r)
+        norm_dev = np.maximum(np.abs(np.linalg.norm(u_r, axis=1) - 1.0).max(axis=1),
+                              np.abs(np.linalg.norm(v_r, axis=1) - 1.0).max(axis=1))
+        for R, spectrum, basis, norm in zip(r_list, spectrum_dev, basis_dev, norm_dev):
             ctx_r = _context(params, two_m=two_m, two_n=two_n, R=R)
-            u, v = u_t.T, v_t.T
-            reports.append(_report("spheroidal.spectrum_equality", ctx_r,
-                                   np.abs(lam - lam_par).max(), TOL_ALGEBRA))
-            reports.append(_report("spheroidal.basis_change", ctx_r,
-                                   _aligned_deviation(w @ v, u), TOL_BASIS_CHANGE))
-            norm_dev = max(np.abs(np.linalg.norm(u, axis=0) - 1.0).max(),
-                           np.abs(np.linalg.norm(v, axis=0) - 1.0).max())
-            reports.append(_report("spheroidal.normalization", ctx_r, norm_dev, TOL_ALGEBRA))
+            reports.append(_report("spheroidal.spectrum_equality", ctx_r, spectrum,
+                                   TOL_ALGEBRA))
+            reports.append(_report("spheroidal.basis_change", ctx_r, basis, TOL_BASIS_CHANGE))
+            reports.append(_report("spheroidal.normalization", ctx_r, norm, TOL_ALGEBRA))
 
         if d >= 2:
-            inner = _limits(blk, w, 1e-6, 1e6)
-            outer = _limits(blk, w, 1e-7, 1e7)
+            inner, outer = _limits(w, u[n_r + 1:].reshape(2, 2, d, d),
+                                   v[n_r + 1:].reshape(2, 2, d, d))
             if d == 2:
-                reports.append(_report("spheroidal.limits", ctx,
-                                       inner.max_deviation(), TOL_LIMITS))
+                reports.append(_report("spheroidal.limits", ctx, inner.max(), TOL_LIMITS))
+            # the largest outer/inner ratio over the four relations
+            shrink = inner > 0.0
             reports.append(_report("spheroidal.limit_scaling", ctx,
-                                   _limit_ratio(inner, outer), TOL_LIMIT_SHRINK))
+                                   np.max(outer[shrink] / inner[shrink], initial=0.0),
+                                   TOL_LIMIT_SHRINK))
 
     reports.sort(key=lambda r: (r.check_id, r.context))
     return reports

@@ -292,20 +292,26 @@ class TestVerify:
         assert len(stream) == announced
 
     def test_corrupted_build_exits_one(self, capsys, monkeypatch):
-        import mickepler.interbasis as interbasis
-        real = interbasis.expansion_matrix
+        # the suite reads W from the one eigensolve that also gives eig(X)
+        real = verify._mixing_matrix
 
-        def corrupted(params, two_n, two_m):
-            mat = real(params, two_n, two_m)
-            bad = mat.entries.copy()
-            bad[0, 0] += 1e-3
-            return type(mat)(dim=mat.dim, entries=bad,
-                             row_labels=mat.row_labels, col_labels=mat.col_labels)
+        def corrupted(blk):
+            w, x_eigs = real(blk)
+            w[0, 0] += 1e-3
+            return w, x_eigs
 
-        monkeypatch.setattr(verify, "expansion_matrix", corrupted)
+        monkeypatch.setattr(verify, "_mixing_matrix", corrupted)
         code, out = run_cli(capsys, "verify", "--n-max", "2")
         assert code == 1
         assert "FAIL" in out
+
+    def test_block_past_the_quadrature_cap_is_usage_error(self, capsys):
+        # hydrogen n = 129 has a d = 129 block: refused before any check runs
+        code = main(["verify", "--n-max", "129"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "DEFAULT_RADIAL_ORDER" in captured.err
 
     def test_json_report_stream(self, capsys):
         code, out = run_cli(capsys, "verify", "--n-max", "1", "--format", "json")

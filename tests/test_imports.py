@@ -2,6 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import mickepler
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mickepler"
@@ -56,3 +58,15 @@ def test_every_exported_name_resolves():
         missing += [f"mickepler.{path.stem}.{name}"
                     for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_sources_parse_as_python_3_10():
+    # the oldest Python the project supports; no 3.11-only syntax such as except*
+    root = PACKAGE.parents[1]
+    paths = [path for folder in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -351,6 +351,11 @@ def test_aligned_deviation_matches_column_loop():
                 col = -col
             expected = max(expected, float(np.abs(col - target[:, q]).max()))
         assert _aligned_deviation(actual, target) == expected
+        # a stack gives the deviation of each matrix, with one target or a stack
+        stack = actual * rng.choice([-1.0, 1.0], (3, 1, d))
+        each = [_aligned_deviation(a, target) for a in stack]
+        assert np.array_equal(_aligned_deviation(stack, target), each)
+        assert np.array_equal(_aligned_deviation(stack, np.stack([target] * 3)), each)
 
 
 class TestHydrogenReduction:

@@ -1,9 +1,12 @@
 import collections
 import dataclasses
+import hashlib
 import math
+import re
 import sys
 
 import numpy as np
+import pytest
 from pytest import approx
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
@@ -20,9 +23,9 @@ from mickepler.bases import (
     spherical_state,
 )
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
-from mickepler.interbasis import block, expansion_matrix
+from mickepler.interbasis import block
 from mickepler.qnum import SystemParams, enumerate_basis, enumerate_blocks, n_effective
-from mickepler.spheroidal import _eigensolve, _limits, limits, solve
+from mickepler.spheroidal import _eigensolve, limits, solve
 import mickepler.verify as verify
 from mickepler.verify import (
     CheckReport,
@@ -30,6 +33,7 @@ from mickepler.verify import (
     gauss_laguerre,
     gauss_legendre,
     integrate_radial,
+    parabolic_norm_residual,
     radial_overlap_integral,
     run_suite,
     summary_table,
@@ -204,22 +208,65 @@ class TestRunSuite:
         assert count == 4 * 2
 
     def test_negative_control_corrupted_mixing_matrix(self, monkeypatch):
-        import mickepler.interbasis as interbasis
-        real = interbasis.expansion_matrix
+        # the suite reads W from the one eigensolve that also gives eig(X)
+        real = verify._mixing_matrix
 
-        def corrupted(params, two_n, two_m):
-            mat = real(params, two_n, two_m)
-            bad = mat.entries.copy()
-            bad[0, 0] += 1e-3
-            return type(mat)(dim=mat.dim, entries=bad,
-                             row_labels=mat.row_labels, col_labels=mat.col_labels)
+        def corrupted(blk):
+            w, x_eigs = real(blk)
+            w[0, 0] += 1e-3
+            return w, x_eigs
 
-        monkeypatch.setattr(verify, "expansion_matrix", corrupted)
+        monkeypatch.setattr(verify, "_mixing_matrix", corrupted)
         reports = run_suite(HYDROGEN, n_max=2, r_list=[1.0])
         failed = {r.check_id for r in reports if not r.passed}
         assert "interbasis.orthogonality" in failed
         # the suite's one W is also the one the quadrature checks compare against
         assert {"interbasis.overlap", "interbasis.completeness"} <= failed
+
+    def test_negative_control_shifted_runge_lenz_spectrum(self, monkeypatch):
+        real = verify._mixing_matrix
+
+        def shifted(blk):
+            w, x_eigs = real(blk)
+            return w, x_eigs + 1e-8
+
+        monkeypatch.setattr(verify, "_mixing_matrix", shifted)
+        failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
+                  if not r.passed}
+        assert failed == {"spheroidal.runge_lenz_spectrum"}
+
+    @staticmethod
+    def _corrupt_stack_at(monkeypatch, r_values, corrupt):
+        """Make the suite's stacked eigensolve pass its rows at the given R
+        values through ``corrupt(lambdas_par, u, p)``."""
+        real = verify._eigensolve
+
+        def corrupted(blk, r_stack):
+            lambdas, lambdas_par, u, v = real(blk, r_stack)
+            for p, R in enumerate(r_stack):
+                if R in r_values:
+                    corrupt(lambdas_par, u, p)
+            return lambdas, lambdas_par, u, v
+
+        monkeypatch.setattr(verify, "_eigensolve", corrupted)
+
+    def test_negative_control_shifted_r0_parabolic_spectrum(self, monkeypatch):
+        def shift(lambdas_par, u, p):
+            lambdas_par[p] += 1e-8
+
+        self._corrupt_stack_at(monkeypatch, {0.0}, shift)
+        failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
+                  if not r.passed}
+        assert failed == {"spheroidal.angular_spectrum"}
+
+    def test_negative_control_moved_limit_probe_vector(self, monkeypatch):
+        def move(lambdas_par, u, p):
+            u[p, 0, 0] += 1e-3
+
+        self._corrupt_stack_at(monkeypatch, {1e-7}, move)
+        failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
+                  if not r.passed}
+        assert failed == {"spheroidal.limit_scaling"}
 
     def test_json_lines_round_trip(self):
         import json
@@ -270,12 +317,22 @@ class TestBlockCores:
                                       eigh_tridiagonal(par_diag, par_off)[0])
 
     def test_block_limits_are_bit_equal_to_limits(self):
-        for params, two_n, two_m in self.CASES:
-            blk = block(params, two_n, two_m)
-            w = expansion_matrix(params, two_n, two_m).entries
-            for r_small, r_large in ((1e-6, 1e6), (1e-7, 1e7)):
-                assert _limits(blk, w, r_small, r_large) == limits(
-                    params, two_n, two_m, r_small, r_large)
+        names = ("u_identity_dev", "u_mixing_dev", "v_identity_dev", "v_mixing_dev")
+        for params in (HYDROGEN, RING_HALF):
+            residuals = {(r.check_id, r.context): r.residual
+                         for r in run_suite(params, n_max=5, r_list=R_LIST)}
+            for two_n, two_m in enumerate_blocks(params, 5):
+                d = block(params, two_n, two_m).dim
+                if d < 2:
+                    continue
+                ctx = verify._context(params, two_m=two_m, two_n=two_n)
+                inner = limits(params, two_n, two_m, 1e-6, 1e6)
+                outer = limits(params, two_n, two_m, 1e-7, 1e7)
+                ratio = max((getattr(outer, name) / getattr(inner, name)
+                             for name in names if getattr(inner, name) > 0.0), default=0.0)
+                assert residuals["spheroidal.limit_scaling", ctx] == ratio
+                if d == 2:
+                    assert residuals["spheroidal.limits", ctx] == inner.max_deviation()
 
     def test_staged_overlap_matches_five_operand_einsum(self):
         for params, two_n, two_m in self.CASES:
@@ -363,10 +420,24 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
 
+    # one eigensolve for W and eig(X), and one per side over the stacked R axis
+    eigensolves = collections.Counter()
+    real_eigh_stack = interbasis._eigh_stack
+
+    def counting_eigh_stack(diags, offdiags):
+        eigensolves["calls"] += 1
+        return real_eigh_stack(diags, offdiags)
+
+    for module in (interbasis, verify, sys.modules["mickepler.spheroidal"]):
+        if getattr(module, "_eigh_stack", None) is real_eigh_stack:
+            monkeypatch.setattr(module, "_eigh_stack", counting_eigh_stack)
+
     reports = run_suite(RING_HALF, n_max=4, r_list=R_LIST)
+    blocks = enumerate_blocks(RING_HALF, 4)
     assert len(reports) == 287
-    assert set(counts["block"]) == set(enumerate_blocks(RING_HALF, 4))
-    assert max(counts["block"].values()) <= 2
+    assert counts["block"] == collections.Counter(dict.fromkeys(blocks, 1))
+    assert eigensolves["calls"] == 3 * len(blocks)
+    assert not hasattr(verify, "eigvalsh_tridiagonal")
     for name in ("spherical_state", "parabolic_state"):
         assert counts[name] and max(counts[name].values()) == 1, name
 
@@ -418,7 +489,18 @@ class TestDerivedOrders:
         assert verify._gauss_order(0) == 1
         assert verify._gauss_order(7) == 4
         assert verify._gauss_order(8) == 5
-        assert verify._gauss_order(10**6) == verify.DEFAULT_RADIAL_ORDER
+        assert verify._gauss_order(254) == verify.DEFAULT_RADIAL_ORDER
+        for degree in (256, 10**6):
+            with pytest.raises(ValueError, match=f"degree {degree} .*DEFAULT_RADIAL_ORDER"):
+                verify._gauss_order(degree)
+
+    def test_blocks_past_the_node_cap_are_refused(self):
+        # hydrogen n = 127 (d = 127) is the largest block whose rules all fit
+        assert parabolic_norm_residual(HYDROGEN, 254, 0) <= 1e-12
+        with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
+            parabolic_norm_residual(HYDROGEN, 258, 0)
+        with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
+            run_suite(HYDROGEN, n_max=128, r_list=R_LIST)
 
     def test_perturbed_radial_polynomial_fails_the_quadrature_checks(self, monkeypatch):
         real = bases._kummer
@@ -438,22 +520,45 @@ class TestDerivedOrders:
         assert "bases.angular.orthonormality" in failed
 
 
+# checks per family of verify --n-max 8 at both benchmark points together
+BENCHMARK_REPORT_COUNTS = {
+    "bases.angular.orthonormality": 29, "bases.parabolic.normalization": 120,
+    "bases.radial.orthonormality": 120, "interbasis.biorthogonality": 120,
+    "interbasis.cg_equivalence": 120, "interbasis.completeness": 120,
+    "interbasis.orthogonality": 120, "interbasis.overlap": 92, "kernel.bailey": 2,
+    "kernel.jacobi.endpoint": 2, "kernel.jacobi.orthogonality": 2,
+    "kernel.kummer.at_zero": 2, "kernel.lngamma.recurrence": 2,
+    "quad.laguerre.monomials": 2, "quad.legendre.monomials": 2,
+    "spheroidal.angular_spectrum": 120, "spheroidal.basis_change": 480,
+    "spheroidal.limit_scaling": 91, "spheroidal.limits": 25,
+    "spheroidal.normalization": 480, "spheroidal.r_linearity": 120,
+    "spheroidal.runge_lenz_spectrum": 120, "spheroidal.spectrum_equality": 480,
+}
+# sha256 of both reports, one line after the other, with the residual= fields removed
+BENCHMARK_REPORT_SHA256 = "c35f03ccfa0a552dd50e27af51a6b1cf334bd0eed3feabfa766c75e4b0391d07"
+
+
 def test_verify_report_at_benchmark_points(capsys):
     # verify --n-max 8 at both benchmark points: 2771 checks, and the only
-    # FAILs are spheroidal.limits in three blocks (both signs of m) per point
+    # FAILs are spheroidal.limits in three blocks (both signs of m) per point;
+    # every status, check id, context and tolerance is pinned, only residual
+    # digits may move
     known = {f"s={s} c1={c1} c2={c2} n={n} m={sign}{m}"
              for s, c1, c2, blocks in (
                  ("1/2", "0.3", "0.7", (("11/2", "7/2"), ("13/2", "9/2"), ("15/2", "11/2"))),
                  ("0", "0", "0", (("6", "4"), ("7", "5"), ("8", "6"))))
              for n, m in blocks for sign in ("-", "")}
-    checks, fails = 0, []
+    lines = []
     for s, c1, c2 in (("1/2", "0.3", "0.7"), ("0", "0", "0")):
         code = cli.main(["verify", "--s", s, "--c1", c1, "--c2", c2,
                          "--n-max", "8", "--seed", "0"])
-        lines = capsys.readouterr().out.splitlines()
+        lines += capsys.readouterr().out.splitlines()
         assert code == 1
-        checks += len(lines) - 1
-        fails += [line for line in lines if line.startswith("FAIL")]
-    assert checks == 2771
+    checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    fails = [line for line in checks if line.startswith("FAIL")]
+    assert len(checks) == 2771
     assert sorted(line.split()[1] for line in fails) == ["spheroidal.limits"] * 12
     assert {" ".join(line.split()[2:-2]) for line in fails} == known
+    assert collections.Counter(line.split()[1] for line in checks) == BENCHMARK_REPORT_COUNTS
+    stripped = "\n".join(re.sub(r" residual=\S+", "", line) for line in lines)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == BENCHMARK_REPORT_SHA256
