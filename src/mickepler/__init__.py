@@ -4,10 +4,11 @@ A charge in the field of a Dirac dyon with two ring-shaped perturbation
 terms stays exactly solvable: the level (n, m) carries a d-fold
 degenerate multiplet that can be organized in spherical, parabolic, or
 prolate spheroidal form.  This package evaluates all three bases, the
-orthogonal coefficient matrices connecting them (analytic continuations
-of SU(2) Clebsch-Gordan coefficients), the spheroidal
-separation-constant eigenproblem, and a quadrature harness that verifies
-every identity numerically.
+orthogonal coefficient matrices connecting them (eigenvectors of the
+tridiagonal Runge-Lenz matrix, checked against analytic continuations of
+SU(2) Clebsch-Gordan coefficients), the spheroidal separation-constant
+eigenproblem, and a quadrature harness that verifies every identity
+numerically.
 """
 
 from .qnum import (
@@ -33,9 +34,6 @@ from .interbasis import (
     Block,
     ExpansionMatrix,
     block,
-    clebsch_gordan_continued,
-    expansion_coefficient,
-    expansion_coefficient_cg,
     expansion_matrix,
     inverse_expansion_matrix,
 )
@@ -55,12 +53,9 @@ __all__ = [
     "SpheroidalSolution",
     "SystemParams",
     "block",
-    "clebsch_gordan_continued",
     "derive_constants",
     "energy",
     "enumerate_basis",
-    "expansion_coefficient",
-    "expansion_coefficient_cg",
     "expansion_matrix",
     "inverse_expansion_matrix",
     "limits",

@@ -37,7 +37,6 @@ __all__ = [
     "spherical_state",
     "parabolic_state",
     "angular_profile",
-    "angular_z",
     "radial_r",
     "psi_spherical",
     "psi_parabolic",
@@ -134,11 +133,6 @@ def angular_profile(state: SphericalState, theta):
         * np.where(flip & (k % 2 == 1), -poly, poly)
     )
     return value if value.ndim else float(value)
-
-
-def angular_z(state: SphericalState, theta: float, phi: float) -> complex:
-    """Angular function including exp(i (m - s) phi)."""
-    return angular_profile(state, theta) * np.exp(1j * _winding(state) * phi)
 
 
 def _kummer(n: int, c: float, t):

@@ -9,14 +9,11 @@ the eigenvector of the n1-th smallest separation constant beta, signed
 so that its j = m_plus entry is positive.  One tridiagonal eigensolve
 per block keeps every entry accurate to rounding at any dimension.
 
-Two closed forms give the same coefficients entry by entry: a
-terminating 3F2 sum and the analytic continuation of the SU(2)
-Clebsch-Gordan closed form to real arguments.  Their alternating sums
-lose digits as the block grows (accurate to about d <= 12), so they
-serve as independent oracles for the verification suite and the tests.
-The closed form of the radial bi-orthogonality integral (no r^2 weight)
-that underpins the derivation is exposed here; :mod:`mickepler.verify`
-holds its quadrature value.
+The paper's closed forms of the same coefficients, a terminating 3F2
+sum and the analytic continuation of the SU(2) Clebsch-Gordan closed
+form, lose digits as the block grows; they live in
+:mod:`mickepler.numkernel` as oracles of the verification suite and the
+tests.
 
 A :class:`Block` holds the R-independent bands of the spheroidal
 separation operator of one (n, m) level: the angular spectrum and X on
@@ -34,10 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkernel import hyp3f2_unit_scaled
 from .qnum import (
     DerivedConstants,
-    QuantumNumberError,
     SystemParams,
     _block_dimension,
     _n_effective,
@@ -51,12 +46,8 @@ __all__ = [
     "Block",
     "ExpansionMatrix",
     "block",
-    "clebsch_gordan_continued",
-    "expansion_coefficient",
-    "expansion_coefficient_cg",
     "expansion_matrix",
     "inverse_expansion_matrix",
-    "radial_overlap_closed_form",
 ]
 
 
@@ -74,125 +65,9 @@ class ExpansionMatrix:
     col_labels: tuple[str, ...]
 
 
-def _check_labels(params: SystemParams, two_n: int, two_j: int, n1: int, two_m: int):
-    dc = derive_constants(params, two_m)
-    d = _block_dimension(dc, two_n)
-    jj = (two_j - dc.two_m_plus) // 2
-    if (two_j - dc.two_m_plus) % 2 != 0 or not 0 <= jj <= d - 1:
-        raise QuantumNumberError(
-            f"two_j={two_j} outside the block j = m_plus .. n-1 "
-            f"(two_m_plus={dc.two_m_plus}, two_n={two_n})"
-        )
-    if not 0 <= n1 <= d - 1:
-        raise QuantumNumberError(f"n1={n1} outside 0 .. {d - 1}")
-    return dc, d, jj
-
-
-def expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
-                          n1: int, two_m: int) -> float:
-    """Coefficient of the spherical state (n, j, m) in the parabolic
-    state (n1, n2, m) of the same level.
-
-    Evaluated from the terminating 3F2 closed form, with all gamma
-    prefactors combined in log space before exponentiation.
-    """
-    dc, d, _ = _check_labels(params, two_n, two_j, n1, two_m)
-    n = two_n / 2.0
-    j = two_j / 2.0
-    n2 = d - 1 - n1
-    delta = dc.delta_total
-    mp, mm = dc.m_plus, dc.m_minus
-
-    log_pref = 0.5 * (
-        math.log(2.0 * j + delta + 1.0)
-        + math.lgamma(n1 + dc.m1 + 1.0)
-        + math.lgamma(n2 + dc.m2 + 1.0)
-        - math.lgamma(n1 + 1.0)
-        - math.lgamma(n2 + 1.0)
-        - math.lgamma(n - j)
-        - math.lgamma(j - mp + 1.0)
-        - math.lgamma(j + mm + dc.delta2 + 1.0)
-        + math.lgamma(j - mm + dc.delta1 + 1.0)
-        + math.lgamma(j + mp + delta + 1.0)
-        - math.lgamma(n + j + delta + 1.0)
-    ) + math.lgamma(n - mp) - math.lgamma(dc.m1 + 1.0)
-
-    return hyp3f2_unit_scaled(
-        -float(n1),
-        -(j - mp),
-        j + mp + delta + 1.0,
-        dc.m1 + 1.0,
-        -(n - mp - 1.0),
-        log_pref,
-    )
-
-
-# the gamma-function arguments of the Racah form, in the order of ``args`` below
-_CG_GAMMA_ARGS = ("a+alpha+1", "c+gamma+1", "a-alpha+1", "c-gamma+1", "a+b+c+2", "a+b-c+1",
-                  "a-b+c+1", "b-a+c+1", "b-beta+1", "b+beta+1", "a+b-gamma+1", "b+c-alpha+1")
-
-
-def clebsch_gordan_continued(a: float, alpha: float, b: float, beta: float,
-                             c: float, gamma: float) -> float:
-    """SU(2) Clebsch-Gordan closed form continued to real arguments.
-
-    Requires gamma = alpha + beta and a - alpha a nonnegative integer
-    (the terminating index of the 3F2 sum), and every gamma-function
-    argument of the prefactor positive; a ValueError names the first
-    one that is not.  On genuine half-integer SU(2) labels this
-    reproduces the tabulated coefficients.
-    """
-    if abs(gamma - (alpha + beta)) > 1e-12:
-        raise ValueError("selection rule gamma = alpha + beta violated")
-    k = a - alpha
-    if abs(k - round(k)) > 1e-9 or round(k) < 0:
-        raise ValueError(f"a - alpha must be a nonnegative integer, got {k}")
-    args = (a + alpha + 1.0, c + gamma + 1.0, a - alpha + 1.0, c - gamma + 1.0,
-            a + b + c + 2.0, a + b - c + 1.0, a - b + c + 1.0, b - a + c + 1.0,
-            b - beta + 1.0, b + beta + 1.0, a + b - gamma + 1.0, b + c - alpha + 1.0)
-    for label, x in zip(_CG_GAMMA_ARGS, args):
-        if not x > 0.0:
-            raise ValueError(f"gamma argument {label} = {x!r} is not positive")
-    lg = [math.lgamma(x) for x in args]
-    # square root of the first two over the next eight, times the last two
-    log_pref = 0.5 * (math.log(2.0 * c + 1.0) + lg[0] + lg[1] - sum(lg[2:10])) + lg[10] + lg[11]
-    phase = -1.0 if round(k) % 2 else 1.0
-    return phase * hyp3f2_unit_scaled(
-        -(a + b + c + 1.0),
-        -a + alpha,
-        -c + gamma,
-        -a - b + gamma,
-        -b - c + alpha,
-        log_pref,
-    )
-
-
-def expansion_coefficient_cg(params: SystemParams, two_n: int, two_j: int,
-                             n1: int, two_m: int) -> float:
-    """Same coefficient through the continued Clebsch-Gordan closed form."""
-    dc, d, _ = _check_labels(params, two_n, two_j, n1, two_m)
-    return _expansion_coefficient_cg(dc, d, two_n, two_j, n1)
-
-
-def _expansion_coefficient_cg(dc: DerivedConstants, d: int, two_n: int, two_j: int,
-                              n1: int) -> float:
-    """Unvalidated :func:`expansion_coefficient_cg` for block constants already derived."""
-    n = two_n / 2.0
-    j = two_j / 2.0
-    n2 = d - 1 - n1
-    half_delta = 0.5 * dc.delta_total
-    a = 0.5 * (n + dc.m_minus + dc.delta2 - 1.0)
-    alpha = 0.5 * (dc.m2 + n2 - n1)
-    b = 0.5 * (n - dc.m_minus + dc.delta1 - 1.0)
-    beta = 0.5 * (dc.m1 + n1 - n2)
-    c = j + half_delta
-    gamma = 0.5 * (dc.m1 + dc.m2)
-    phase = -1.0 if n1 % 2 else 1.0
-    return phase * clebsch_gordan_continued(a, alpha, b, beta, c, gamma)
-
-
 def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:
-    """Unvalidated ``spheroidal.angular_coupling`` for precomputed block constants."""
+    """Coupling between the adjacent angular channels j - 1 and j of a block,
+    m_plus < j < n; it vanishes at the formal band ends j = m_plus and j = n."""
     j = two_j / 2.0
     n = two_n / 2.0
     delta = dc.delta_total
@@ -358,18 +233,3 @@ def inverse_expansion_matrix(params: SystemParams, two_n: int, two_m: int
     return ExpansionMatrix(dim=w.dim, entries=w.entries.T.copy(),
                            row_labels=w.col_labels, col_labels=w.row_labels)
 
-
-def radial_overlap_closed_form(params: SystemParams, two_n: int, two_m: int,
-                               two_j: int, two_jp: int) -> float:
-    """Closed form of the unweighted radial overlap integral.
-
-    Same-level radial functions in different angular channels are
-    orthogonal without the r^2 weight; the diagonal value is
-    2 / (n_eff^3 (2j + delta1 + delta2 + 1)).
-    """
-    if two_j != two_jp:
-        return 0.0
-    dc = derive_constants(params, two_m)
-    n_eff = _n_effective(dc, two_n)
-    j = two_j / 2.0
-    return 2.0 / (n_eff**3 * (2.0 * j + dc.delta_total + 1.0))

@@ -20,9 +20,7 @@ __all__ = [
     "SphericalQN",
     "ParabolicQN",
     "derive_constants",
-    "spherical_qn",
     "parabolic_qn",
-    "block_dimension",
     "n_effective",
     "epsilon",
     "energy",
@@ -148,13 +146,8 @@ def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
     )
 
 
-def block_dimension(params: SystemParams, two_m: int, two_n: int) -> int:
-    """Degeneracy d = n - m_plus of the (n, m) level; validates the labels."""
-    return _block_dimension(derive_constants(params, two_m), two_n)
-
-
 def _block_dimension(dc: DerivedConstants, two_n: int) -> int:
-    """:func:`block_dimension` for block constants already derived."""
+    """Degeneracy d = n - m_plus of the (n, m) level; validates the labels."""
     gap = two_n - dc.two_m_plus
     if gap < 2 or gap % 2 != 0:
         raise QuantumNumberError(
@@ -164,13 +157,8 @@ def _block_dimension(dc: DerivedConstants, two_n: int) -> int:
     return gap // 2
 
 
-def spherical_qn(params: SystemParams, two_n: int, two_j: int, two_m: int) -> SphericalQN:
-    """Validated spherical labels: j >= m_plus, integer steps, n > j."""
-    return _spherical_qn(derive_constants(params, two_m), two_n, two_j)
-
-
 def _spherical_qn(dc: DerivedConstants, two_n: int, two_j: int) -> SphericalQN:
-    """:func:`spherical_qn` for block constants already derived."""
+    """Validated spherical labels: j >= m_plus, integer steps, n > j."""
     two_m = dc.two_m
     if two_j < dc.two_m_plus or (two_j - dc.two_m_plus) % 2 != 0:
         raise QuantumNumberError(
@@ -194,13 +182,8 @@ def parabolic_qn(params: SystemParams, n1: int, n2: int, two_m: int) -> Paraboli
     return ParabolicQN(n1=n1, n2=n2, two_m=two_m)
 
 
-def principal_two_n(params: SystemParams, pq: ParabolicQN) -> int:
-    """Doubled principal quantum number n = n1 + n2 + m_plus + 1."""
-    return _principal_two_n(derive_constants(params, pq.two_m), pq)
-
-
 def _principal_two_n(dc: DerivedConstants, pq: ParabolicQN) -> int:
-    """:func:`principal_two_n` for block constants already derived."""
+    """Doubled principal quantum number n = n1 + n2 + m_plus + 1."""
     return 2 * (pq.n1 + pq.n2 + 1) + dc.two_m_plus
 
 

@@ -29,17 +29,15 @@ import numpy as np
 from .interbasis import (
     Block,
     ExpansionMatrix,
-    _coupling,
     _eigh_stack,
     _mixing_matrix,
     block,
 )
-from .qnum import QuantumNumberError, SystemParams, derive_constants
+from .qnum import SystemParams
 
 __all__ = [
     "SpheroidalSolution",
     "LimitReport",
-    "angular_coupling",
     "solve",
     "limits",
     "sweep",
@@ -70,20 +68,6 @@ class LimitReport:
     def max_deviation(self) -> float:
         return max(self.u_identity_dev, self.u_mixing_dev,
                    self.v_identity_dev, self.v_mixing_dev)
-
-
-def angular_coupling(params: SystemParams, two_n: int, two_j: int, two_m: int) -> float:
-    """Coupling strength between adjacent angular channels j-1 and j.
-
-    Vanishes at the formal band ends j = m_plus and j = n; raises outside
-    m_plus <= j <= n.
-    """
-    dc = derive_constants(params, two_m)
-    if two_j < dc.two_m_plus or two_j > two_n or (two_j - dc.two_m_plus) % 2 != 0:
-        raise QuantumNumberError(
-            f"coupling defined for m_plus <= j <= n, got two_j={two_j}"
-        )
-    return _coupling(dc, two_n, two_j)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Quadrature engine and the numeric verification suite.
 
-Every identity the closed-form modules rely on is turned into a check
-with a reported residual: quadrature self-tests, kernel identities
+Every identity the library relies on is turned into a check with a
+reported residual: quadrature self-tests, kernel identities
 (recurrences, orthogonality, the 3F2 transformation), wavefunction
-normalizations, the radial bi-orthogonality, interbasis overlaps, and
-the spheroidal operator identities.  Checks never raise on failure; they
-report.
+normalizations, the radial bi-orthogonality against its closed form,
+interbasis overlaps, the production mixing matrix against the
+Clebsch-Gordan oracle of :mod:`mickepler.numkernel`, and the spheroidal
+operator identities.  Checks never raise on failure; they report.
 
 Each integrand of a check is a known weight times a polynomial: radial
 ones t^alpha e^-t, alpha the exact fractional power, angular ones
@@ -23,8 +24,8 @@ once per side: W and the spectrum of X come from one eigensolve, and one
 stacked eigensolve of the spheroidal bands covers every R of the list,
 R = 0 (whose parabolic side is the angular-momentum matrix M alone) and
 the limit probes.  The per-R checks and the limit deviations are array
-operations over that stack.  The public residual functions take
-(params, n, m) labels and build the same objects for a single call.
+operations over that stack.  The checks are private cores that take
+those prebuilt objects; :func:`run_suite` is the one entry point to them.
 """
 
 from __future__ import annotations
@@ -50,14 +51,8 @@ from .bases import (
     spherical_state,
 )
 from .coords import SphericalPoint, spherical_to_parabolic
-from .interbasis import (
-    _expansion_coefficient_cg,
-    _mixing_matrix,
-    block,
-    expansion_matrix,
-    radial_overlap_closed_form,
-)
-from .numkernel import hyp3f2_unit_scaled, kummer_terminating
+from .interbasis import _mixing_matrix, block
+from .numkernel import _expansion_coefficient_cg, hyp3f2_unit_scaled, kummer_terminating
 from .qnum import (
     DerivedConstants,
     SystemParams,
@@ -66,24 +61,18 @@ from .qnum import (
     derive_constants,
     enumerate_blocks,
     format_half_integer,
-    parabolic_separation_constant,
 )
 from .spheroidal import _aligned_deviation, _eigensolve, _limits
 
 __all__ = [
-    "QuadratureRule",
     "CheckReport",
-    "gauss_legendre",
-    "gauss_laguerre",
     "angular_nodes",
-    "integrate_radial",
-    "radial_overlap_integral",
     "run_suite",
     "to_json_lines",
     "summary_table",
 ]
 
-DEFAULT_RADIAL_ORDER = 128   # also the largest order a check's rule may have
+DEFAULT_RADIAL_ORDER = 128   # the largest order a check's rule may have
 
 TOL_QUADRATURE = 1e-12
 TOL_ALGEBRA = 1e-10
@@ -96,33 +85,6 @@ TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
 _LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights of a Gauss rule.
-
-    kind 'gauss_laguerre' may carry a weight exponent alpha > -1 so that
-    integrands t^alpha e^{-t} * polynomial are integrated exactly.
-    """
-
-    kind: str
-    order: int
-    alpha: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre(order: int) -> QuadratureRule:
-    nodes, weights = roots_legendre(order)
-    return QuadratureRule("gauss_legendre", order, 0.0, nodes, weights)
-
-
-@lru_cache(maxsize=None)
-def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
-    nodes, weights = roots_genlaguerre(order, alpha)
-    return QuadratureRule("gauss_laguerre", order, alpha, nodes, weights)
-
-
 @lru_cache(maxsize=None)
 def angular_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Legendre nodes mapped by x = sin(pi u / 2), weights folded.
@@ -131,9 +93,9 @@ def angular_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     there, so endpoint powers (1 -+ x)^gamma integrate to near machine
     accuracy without dedicated weighted rules.
     """
-    rule = gauss_legendre(order)
-    x = np.sin(0.5 * math.pi * rule.nodes)
-    w = rule.weights * 0.5 * math.pi * np.cos(0.5 * math.pi * rule.nodes)
+    u, w_u = roots_legendre(order)
+    x = np.sin(0.5 * math.pi * u)
+    w = w_u * 0.5 * math.pi * np.cos(0.5 * math.pi * u)
     return x, w
 
 
@@ -155,9 +117,8 @@ def _gauss_order(degree: int) -> int:
 def _laguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes t of weight t^alpha e^-t, and weights rescaled
     (in log space) so that sum(w * f(t)) approximates the integral of f."""
-    rule = gauss_laguerre(order, alpha)
-    t = rule.nodes
-    return t, np.exp(np.log(rule.weights) + t - alpha * np.log(t))
+    t, w = roots_genlaguerre(order, alpha)
+    return t, np.exp(np.log(w) + t - alpha * np.log(t))
 
 
 @lru_cache(maxsize=None)
@@ -166,34 +127,6 @@ def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarr
     divided by that weight, so that sum(w * f(x)) approximates the integral of f."""
     x, w = roots_jacobi(order, alpha, beta)
     return x, np.exp(np.log(w) - alpha * np.log1p(-x) - beta * np.log1p(x))
-
-
-def integrate_radial(f, epsilon_scale: float, rule_order: int = DEFAULT_RADIAL_ORDER,
-                     singular_power: float = 0.0) -> float:
-    """Integral of f over (0, inf) for f ~ r^singular_power e^{-epsilon_scale r} q(r).
-
-    Gauss-Laguerre after the substitution t = epsilon_scale * r, with the
-    declared power folded into the rule weight; exact (to rounding) when
-    q is a polynomial of degree at most 2 rule_order - 1.
-    """
-    t, w = _laguerre(rule_order, singular_power)
-    return float(np.sum(w * f(t / epsilon_scale)) / epsilon_scale)
-
-
-def radial_overlap_integral(params: SystemParams, two_n: int, two_m: int,
-                            two_j: int, two_jp: int) -> float:
-    """Quadrature value of the unweighted radial overlap integral.
-
-    Its closed form is :func:`mickepler.interbasis.radial_overlap_closed_form`.
-    """
-    s1 = spherical_state(params, two_n, two_j, two_m)
-    s2 = spherical_state(params, two_n, two_jp, two_m)
-    # R_j R_j' is r^(j + j' + delta) e^(-2 eps r) times two Laguerre
-    # polynomials, of degrees n - j - 1 and n - j' - 1
-    power = (two_j + two_jp) / 2.0 + derive_constants(params, two_m).delta_total
-    degree = two_n - 2 - (two_j + two_jp) // 2
-    return integrate_radial(lambda r: radial_r(s1, r) * radial_r(s2, r), 2.0 * s1.eps,
-                            rule_order=_gauss_order(degree), singular_power=power)
 
 
 @dataclass(frozen=True)
@@ -234,18 +167,18 @@ def summary_table(reports) -> str:
 
 def _check_quadrature_selftest() -> list[CheckReport]:
     reports = []
-    rule = gauss_legendre(64)
+    nodes, weights = roots_legendre(64)
     worst = 0.0
     for k in range(128):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        approx = float(np.sum(rule.weights * rule.nodes**k))
+        approx = float(np.sum(weights * nodes**k))
         worst = max(worst, abs(approx - exact) / max(abs(exact), 1.0))
     reports.append(_report("quad.legendre.monomials", "order=64 k<=127", worst,
                            TOL_QUADRATURE))
 
-    rule = gauss_laguerre(64)
-    log_t = np.log(rule.nodes)
-    log_w = np.log(rule.weights)
+    nodes, weights = roots_genlaguerre(64, 0.0)
+    log_t = np.log(nodes)
+    log_w = np.log(weights)
     worst = 0.0
     for k in range(128):
         a = log_w + k * log_t
@@ -406,11 +339,6 @@ def _angular_gram(states: _States, two_m: int, channels: int) -> np.ndarray:
     return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
 
 
-def angular_gram_residual(params: SystemParams, two_m: int, channels: int = 5) -> float:
-    """Deviation of the angular Gram matrix from identity, j = m+ .. m+ + channels-1."""
-    return _identity_deviation(_angular_gram(_States(params), two_m, channels))
-
-
 def _radial_gram(states: _States, two_m: int, two_j: int, two_n_list) -> np.ndarray:
     dc = derive_constants(states.params, two_m)
     chain = [states.spherical(tn, two_j, two_m) for tn in two_n_list]
@@ -430,12 +358,6 @@ def _radial_gram(states: _States, two_m: int, two_j: int, two_n_list) -> np.ndar
     return np.sum(w * integrand, axis=-1) / pair_eps
 
 
-def radial_gram_residual(params: SystemParams, two_m: int, two_j: int,
-                         two_n_list) -> float:
-    """Deviation of the r^2-weighted radial Gram matrix from identity."""
-    return _identity_deviation(_radial_gram(_States(params), two_m, two_j, two_n_list))
-
-
 def _parabolic_norms(lv: _Level) -> np.ndarray:
     eps = lv.par[0].eps
     # Phi_i^2 is x^m_i e^(-eps x) times a polynomial of degree 2 n_i <= 2d - 2,
@@ -447,12 +369,6 @@ def _parabolic_norms(lv: _Level) -> np.ndarray:
         f2 = np.array([parabolic_factor(st, axis, x) for st in lv.par]) ** 2
         moments.append((np.sum(w * f2, axis=1) / eps, np.sum(w * (f2 * x), axis=1) / eps))
     return 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
-
-
-def parabolic_norm_residual(params: SystemParams, two_n: int, two_m: int) -> float:
-    """Deviation of the parabolic volume-element norms from one."""
-    norms = _parabolic_norms(_States(params).level(two_n, two_m))
-    return float(np.abs(norms - 1.0).max())
 
 
 def _biorthogonality(lv: _Level) -> np.ndarray:
@@ -477,32 +393,15 @@ def _overlap_matrix(lv: _Level) -> np.ndarray:
         "lij,ji->jl", angular, lv.rad * (lv.w_r * lv.r * lv.r))
 
 
-def overlap_matrix_quadrature(params: SystemParams, two_n: int, two_m: int
-                              ) -> np.ndarray:
-    """Brute-force overlap matrix <parabolic n1 | spherical j> by 2D quadrature.
-
-    Rows j, columns n1.
-    """
-    return _overlap_matrix(_States(params).level(two_n, two_m))
-
-
-def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator,
-                           npoints: int = 20) -> float:
+def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) -> float:
     scale = lv.n_eff ** 2
-    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(npoints, 3))
+    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(20, 3))
     point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
                            phi=draws[:, 2])
     ppoint = spherical_to_parabolic(point)
     sph_values = np.array([psi_spherical(st, point) for st in lv.sph])   # (d, npoints)
     direct = np.array([psi_parabolic(st, ppoint) for st in lv.par])      # (d, npoints)
     return float(np.abs(direct - w.T @ sph_values).max())
-
-
-def completeness_residual(params: SystemParams, two_n: int, two_m: int,
-                          rng: np.random.Generator, npoints: int = 20) -> float:
-    """Pointwise reconstruction of parabolic states from the spherical mixture."""
-    w = expansion_matrix(params, two_n, two_m).entries
-    return _completeness_residual(_States(params).level(two_n, two_m), w, rng, npoints)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +461,8 @@ def run_suite(params: SystemParams, n_max: float, r_list,
                                np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
 
         two_js = [st.qn.two_j for st in lv.sph]
-        closed = np.array([[radial_overlap_closed_form(params, two_n, two_m, two_j, two_jp)
-                            for two_jp in two_js] for two_j in two_js])
+        # same-level radial functions of different j are orthogonal without the r^2 weight
+        closed = np.diag(2.0 / (lv.n_eff**3 * (np.array(two_js) + dc.delta_total + 1.0)))
         reports.append(_report("interbasis.biorthogonality", ctx,
                                np.abs(_biorthogonality(lv) - closed).max(),
                                TOL_QUAD_VS_CLOSED))
@@ -584,9 +483,9 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             "interbasis.completeness", ctx,
             _completeness_residual(lv, w, rng), TOL_QUAD_VS_CLOSED))
 
-        betas = np.sort([parabolic_separation_constant(params, st.qn) for st in lv.par])
+        # the betas ascend with n1, as the eigenvalues of X do
         reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
-                               np.abs(x_eigs - betas).max(), TOL_ALGEBRA))
+                               np.abs(x_eigs - blk.betas).max(), TOL_ALGEBRA))
 
         # one stacked eigensolve: the R list, R = 0, where the parabolic side is
         # M alone, and the limit probes; each point is its own LAPACK call, so

@@ -18,28 +18,24 @@ from sympy.physics.quantum.cg import CG
 
 from conftest import blocks_by_dimension, blocks_up_to, grid_cases
 
-from mickepler.interbasis import (
-    block,
-    expansion_coefficient,
-    expansion_coefficient_cg,
-    expansion_matrix,
-    radial_overlap_closed_form,
-)
+from mickepler.interbasis import block, expansion_matrix
+from mickepler.numkernel import expansion_coefficient, expansion_coefficient_cg
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
-    block_dimension,
     derive_constants,
     energy,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import angular_coupling, limits, solve
+from mickepler.spheroidal import _aligned_deviation, limits, solve
 from mickepler.verify import (
-    angular_gram_residual,
-    overlap_matrix_quadrature,
-    parabolic_norm_residual,
-    radial_gram_residual,
-    radial_overlap_integral,
+    _angular_gram,
+    _biorthogonality,
+    _identity_deviation,
+    _overlap_matrix,
+    _parabolic_norms,
+    _radial_gram,
+    _States,
 )
 
 GRID = grid_cases()
@@ -49,32 +45,21 @@ def _line(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
-def _aligned_dev(actual: np.ndarray, target: np.ndarray) -> float:
-    dev = 0.0
-    for q in range(target.shape[1]):
-        col = actual[:, q]
-        if np.dot(col, target[:, q]) < 0:
-            col = -col
-        dev = max(dev, float(np.abs(col - target[:, q]).max()))
-    return dev
-
-
 def test_criterion_1_biorthogonality():
-    """Quadrature radial overlaps match the closed form on the full grid."""
+    """Quadrature radial overlaps match the closed form on the full grid.
+
+    Without the r^2 weight, same-level radial functions of different j are
+    orthogonal and the diagonal is 2 / (n_eff^3 (2j + delta1 + delta2 + 1)).
+    """
     t0 = time.perf_counter()
     worst = 0.0
     for params in GRID:
+        states = _States(params)
         for two_n, two_m in blocks_up_to(params, 5):
-            dc = derive_constants(params, two_m)
-            d = block_dimension(params, two_m, two_n)
-            for ka in range(d):
-                for kb in range(ka, d):
-                    two_j = dc.two_m_plus + 2 * ka
-                    two_jp = dc.two_m_plus + 2 * kb
-                    quad = radial_overlap_integral(params, two_n, two_m, two_j, two_jp)
-                    closed = radial_overlap_closed_form(params, two_n, two_m,
-                                                        two_j, two_jp)
-                    worst = max(worst, abs(quad - closed))
+            level = states.level(two_n, two_m)
+            two_js = np.array([st.qn.two_j for st in level.sph])
+            closed = np.diag(2.0 / (level.n_eff**3 * (two_js + level.dc.delta_total + 1.0)))
+            worst = max(worst, float(np.abs(_biorthogonality(level) - closed).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     _line("criterion-1 bi-orthogonality", ok,
@@ -88,9 +73,10 @@ def test_criterion_2_interbasis_ground_truth():
     t0 = time.perf_counter()
     worst = 0.0
     for params in GRID:
+        states = _States(params)
         for two_n, two_m in blocks_up_to(params, 5, d_max=4):
             w = expansion_matrix(params, two_n, two_m).entries
-            quad = overlap_matrix_quadrature(params, two_n, two_m)
+            quad = _overlap_matrix(states.level(two_n, two_m))
             worst = max(worst, float(np.abs(quad - w).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed < 60.0
@@ -152,8 +138,8 @@ def test_criterion_4_operator_spectrum_identities():
         two_m_values = range(params.two_s - 6, params.two_s + 7, 2)
         for two_n, two_m in blocks_by_dimension(params, range(1, 11), two_m_values):
             dc = derive_constants(params, two_m)
-            d = block_dimension(params, two_m, two_n)
             blk = block(params, two_n, two_m)
+            d = blk.dim
             x_eigs = eigvalsh_tridiagonal(blk.x_diag, blk.x_off)
             betas = np.sort([
                 parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
@@ -183,9 +169,9 @@ def test_criterion_5_cross_basis_spectrum_equality():
                 lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
                 worst_lam = max(worst_lam, float(
                     np.abs(np.sort(sol.lambdas) - lam_par).max()))
-                worst_uv = max(worst_uv, _aligned_dev(
+                worst_uv = max(worst_uv, float(_aligned_deviation(
                     w @ sol.parabolic_coefficients.entries,
-                    sol.spherical_coefficients.entries))
+                    sol.spherical_coefficients.entries)))
     ok = worst_lam <= 1e-10 and worst_uv <= 1e-9
     _line("criterion-5 cross-basis spectrum", ok,
           f"lambda sets {worst_lam:.2e} (tol 1e-10), U vs WV {worst_uv:.2e} (tol 1e-9)")
@@ -223,21 +209,23 @@ def test_criterion_7_normalization_orthonormality():
     """Quadrature normalization residuals across the grid, n <= 4."""
     worst = 0.0
     for params in GRID:
+        states = _States(params)
         blocks = blocks_up_to(params, 4)
         m_done = set()
         for two_n, two_m in blocks:
-            worst = max(worst, parabolic_norm_residual(params, two_n, two_m))
+            norms = _parabolic_norms(states.level(two_n, two_m))
+            worst = max(worst, float(np.abs(norms - 1.0).max()))
             if two_m not in m_done:
                 m_done.add(two_m)
-                worst = max(worst, angular_gram_residual(params, two_m))
+                worst = max(worst, _identity_deviation(_angular_gram(states, two_m, 5)))
                 dc = derive_constants(params, two_m)
                 j_list = sorted({tj for tn, tm in blocks if tm == two_m
                                  for tj in range(dc.two_m_plus, tn - 1, 2)})
                 for two_j in j_list:
                     n_list = [tn for tn, tm in blocks
                               if tm == two_m and tn >= two_j + 2]
-                    worst = max(worst, radial_gram_residual(params, two_m,
-                                                            two_j, n_list))
+                    worst = max(worst, _identity_deviation(
+                        _radial_gram(states, two_m, two_j, n_list)))
     ok = worst <= 1e-8
     _line("criterion-7 normalization/orthonormality", ok,
           f"max residual {worst:.2e} (tol 1e-8)")
@@ -257,11 +245,11 @@ def test_criterion_8_hydrogen_reduction():
         for m in range(-(n - 1), n):
             d = n - abs(m)
             js = [abs(m) + k for k in range(d)]
-            # couplings
+            # couplings: the off-diagonal of X is -(1/n) times the coupling
+            # of the channels j - 1 and j
+            x_off = block(params, 2 * n, 2 * m).x_off
             for j in js[1:]:
-                worst = max(worst, abs(
-                    angular_coupling(params, 2 * n, 2 * j, 2 * m)
-                    - coupling_ref(n, j, m)))
+                worst = max(worst, abs(-n * x_off[j - abs(m) - 1] - coupling_ref(n, j, m)))
             # mixing matrix against the exact Clebsch-Gordan table
             w = expansion_matrix(params, 2 * n, 2 * m).entries
             for k, j in enumerate(js):

@@ -16,7 +16,6 @@ except ImportError:  # older scipy
 
 from mickepler.bases import (
     angular_profile,
-    angular_z,
     parabolic_profile,
     parabolic_state,
     psi_parabolic,
@@ -27,10 +26,11 @@ from mickepler.bases import (
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
 from mickepler.qnum import SystemParams, derive_constants
 from mickepler.verify import (
-    angular_gram_residual,
-    integrate_radial,
-    parabolic_norm_residual,
-    radial_gram_residual,
+    _angular_gram,
+    _identity_deviation,
+    _parabolic_norms,
+    _radial_gram,
+    _States,
 )
 
 HYDROGEN = SystemParams(two_s=0)
@@ -42,6 +42,11 @@ def hydrogen_radial(n, l, r):
     norm = math.sqrt((2.0 / n) ** 3 * math.factorial(n - l - 1)
                      / (2.0 * n * math.factorial(n + l)))
     return norm * np.exp(-rho / 2.0) * rho**l * genlaguerre(n - l - 1, 2 * l + 1)(rho)
+
+
+def parabolic_norm_deviation(params, two_n, two_m):
+    """Largest deviation from one of the block's parabolic volume-element norms."""
+    return float(np.abs(_parabolic_norms(_States(params).level(two_n, two_m)) - 1.0).max())
 
 
 def spherical_mpmath(params, two_n, two_j, two_m, eps, thetas, dps=50):
@@ -82,15 +87,17 @@ def spherical_mpmath(params, two_n, two_j, two_m, eps, thetas, dps=50):
 
 class TestAngular:
     def test_isotropic_state(self):
+        # at r = 0 the ground-state radial factor is 2, so psi = 2 Y_00
         state = spherical_state(HYDROGEN, 2, 0, 0)
         for theta in (0.0, 0.7, math.pi / 2, 3.0):
             for phi in (0.0, 1.0, 5.5):
-                assert angular_z(state, theta, phi) == approx(
-                    1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
+                assert psi_spherical(state, SphericalPoint(0.0, theta, phi)) == approx(
+                    2.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
 
     def test_equatorial_node(self):
         state = spherical_state(HYDROGEN, 4, 2, 0)   # j = 1, m = 0
-        assert angular_z(state, math.pi / 2, 0.0) == approx(0.0, abs=1e-15)
+        assert psi_spherical(state, SphericalPoint(1.0, math.pi / 2, 0.0)) == approx(
+            0.0, abs=1e-15)
 
     def test_perturbed_value_vs_normalization_quadrature(self):
         # j = m_plus = 0 state of the c1 = 0.75 system: compare the coded value
@@ -116,7 +123,9 @@ class TestAngular:
             for _ in range(10):
                 theta = math.acos(rng.uniform(-1, 1))
                 phi = rng.uniform(0, 2 * math.pi)
-                ours = angular_z(state, theta, phi)
+                # the wavefunction over its radial factor, on the unit sphere
+                point = SphericalPoint(1.0, theta, phi)
+                ours = psi_spherical(state, point) / radial_r(state, 1.0)
                 ref = spherical_harmonic(m, l, phi, theta)
                 assert abs(ours) == approx(abs(ref), rel=1e-10, abs=1e-12)
 
@@ -144,7 +153,7 @@ class TestAngular:
     def test_orthonormality_quadrature(self):
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=1, c1=0.3, c2=0.7), 1),
                               (SystemParams(two_s=0, c1=0.3, c2=0.7), -2)]:
-            assert angular_gram_residual(params, two_m) <= 1e-8
+            assert _identity_deviation(_angular_gram(_States(params), two_m, 5)) <= 1e-8
 
 
 class TestRadial:
@@ -184,19 +193,17 @@ class TestRadial:
             (SystemParams(two_s=0, c1=1.1, c2=0.2), 2, 4),
         ]:
             n_list = [two_j + 2 * k for k in range(1, 7)]   # n = j+1 .. j+6
-            assert radial_gram_residual(params, two_m, two_j, n_list) <= 1e-8
+            gram = _radial_gram(_States(params), two_m, two_j, n_list)
+            assert _identity_deviation(gram) <= 1e-8
 
 
     def test_normalization_at_large_radial_number(self):
         # the Laguerre polynomial of degree n_r = 60 cancels catastrophically
         # as a power series; the recurrence keeps the norm to rounding
         params = SystemParams(two_s=0, c1=0.3, c2=0.7)
-        dc = derive_constants(params, 0)
         for two_j in (0, 10):
-            st = spherical_state(params, two_j + 2 * 60 + 2, two_j, 0)
-            norm = integrate_radial(lambda r: radial_r(st, r) ** 2 * r * r, 2.0 * st.eps,
-                                    singular_power=two_j + dc.delta_total + 2.0)
-            assert abs(norm - 1.0) <= 1e-12
+            norm = _radial_gram(_States(params), 0, two_j, [two_j + 2 * 60 + 2])
+            assert abs(norm[0, 0] - 1.0) <= 1e-12
 
 
 class TestFullWavefunctions:
@@ -229,12 +236,12 @@ class TestFullWavefunctions:
             (SystemParams(two_s=1, c1=0.3), 5, 1),
             (SystemParams(two_s=2, c1=0.3, c2=0.7), 8, -2),
         ]:
-            assert parabolic_norm_residual(params, two_n, two_m) <= 1e-8
+            assert parabolic_norm_deviation(params, two_n, two_m) <= 1e-8
 
     def test_parabolic_normalization_at_large_n1(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
         dc = derive_constants(params, 1)
-        assert parabolic_norm_residual(params, dc.two_m_plus + 2 * 61, 1) <= 1e-12
+        assert parabolic_norm_deviation(params, dc.two_m_plus + 2 * 61, 1) <= 1e-12
 
     def test_profile_is_separable_product(self):
         params = SystemParams(two_s=1, c1=0.4, c2=0.2)

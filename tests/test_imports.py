@@ -60,6 +60,28 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+# the closed-form oracles: the verify suite and the tests hold production code to them
+ORACLES = {"expansion_coefficient", "expansion_coefficient_cg", "clebsch_gordan_continued",
+           "hyp3f2_unit_scaled", "kummer_terminating"}
+
+
+def test_only_verify_imports_the_oracle_module():
+    importers = {path.stem for path in PACKAGE.glob("*.py") if "numkernel" in package_imports(path)}
+    assert importers == {"verify"}
+
+
+def test_oracles_live_in_numkernel_and_are_not_exported():
+    numkernel = importlib.import_module("mickepler.numkernel")
+    defined = {name for name, obj in vars(numkernel).items()
+               if getattr(obj, "__module__", None) == numkernel.__name__}
+    assert ORACLES <= defined
+    assert not (defined | {"numkernel"}) & set(mickepler.__all__)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "numkernel"):
+            module = importlib.import_module(f"mickepler.{path.stem}")
+            assert not ORACLES & set(getattr(module, "__all__", ())), path.stem
+
+
 def test_sources_parse_as_python_3_10():
     # the oldest Python the project supports; no 3.11-only syntax such as except*
     root = PACKAGE.parents[1]

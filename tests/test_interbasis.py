@@ -11,27 +11,39 @@ from sympy.physics.quantum.cg import CG
 from conftest import blocks_by_dimension, grid_cases
 
 import mickepler.interbasis as interbasis
-from mickepler.interbasis import (
-    _eigh_stack,
-    block,
+from mickepler.interbasis import _eigh_stack, block, expansion_matrix, inverse_expansion_matrix
+from mickepler.numkernel import (
     clebsch_gordan_continued,
     expansion_coefficient,
     expansion_coefficient_cg,
-    expansion_matrix,
-    inverse_expansion_matrix,
-    radial_overlap_closed_form,
 )
 from mickepler.qnum import (
     ParabolicQN,
     QuantumNumberError,
     SystemParams,
-    block_dimension,
     derive_constants,
+    n_effective,
     parabolic_separation_constant,
 )
-from mickepler.verify import overlap_matrix_quadrature, radial_overlap_integral
+from mickepler.verify import _biorthogonality, _completeness_residual, _overlap_matrix, _States
 
 HYDROGEN = SystemParams(two_s=0)
+
+
+def overlap_quadrature(params, two_n, two_m):
+    """Overlaps <parabolic n1 | spherical j> by 2D quadrature, rows j, columns n1."""
+    return _overlap_matrix(_States(params).level(two_n, two_m))
+
+
+def radial_overlaps(params, two_n, two_m):
+    """Unweighted radial overlaps of the level's spherical states, rows and columns j."""
+    return _biorthogonality(_States(params).level(two_n, two_m))
+
+
+def closed_radial_overlap(params, two_n, two_m, two_j):
+    """Diagonal radial overlap 2 / (n_eff^3 (2j + delta1 + delta2 + 1))."""
+    delta = derive_constants(params, two_m).delta_total
+    return 2.0 / (n_effective(params, two_m, two_n) ** 3 * (two_j + delta + 1.0))
 
 
 def cg_exact(two_a, two_al, two_b, two_be, two_c, two_ga) -> float:
@@ -96,14 +108,14 @@ class TestExpansionCoefficient:
 
     def test_hydrogen_n2_magnitudes(self):
         # overlap-quadrature oracle gives |W| = 1/sqrt(2) for every entry
-        quad = overlap_matrix_quadrature(HYDROGEN, 4, 0)
+        quad = overlap_quadrature(HYDROGEN, 4, 0)
         w = expansion_matrix(HYDROGEN, 4, 0).entries
         assert np.abs(quad - w).max() <= 1e-10
         assert np.abs(np.abs(w) - 1.0 / math.sqrt(2.0)).max() <= 1e-14
 
     def test_perturbed_half_integer_block_vs_quadrature(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
-        quad = overlap_matrix_quadrature(params, 5, 1)   # n = 5/2, m = 1/2
+        quad = overlap_quadrature(params, 5, 1)   # n = 5/2, m = 1/2
         w = expansion_matrix(params, 5, 1).entries
         assert np.abs(quad - w).max() <= 1e-8
 
@@ -195,42 +207,39 @@ class TestInverseExpansion:
 class TestRadialOverlap:
     def test_hydrogen_ground_state_direct(self):
         # integral of (2 e^{-r})^2 is 2, matching 2/(n_eff^3 (2j+1))
-        value = radial_overlap_integral(HYDROGEN, 2, 0, 0, 0)
-        assert value == approx(2.0, rel=1e-12)
-        assert radial_overlap_closed_form(HYDROGEN, 2, 0, 0, 0) == approx(2.0)
+        assert radial_overlaps(HYDROGEN, 2, 0)[0, 0] == approx(2.0, rel=1e-12)
+        assert closed_radial_overlap(HYDROGEN, 2, 0, 0) == approx(2.0)
 
     def test_hydrogen_n3_off_diagonal_vanishes(self):
-        for two_j, two_jp in [(0, 2), (0, 4), (2, 4)]:
-            value = radial_overlap_integral(HYDROGEN, 6, 0, two_j, two_jp)
-            assert abs(value) <= 1e-9
+        table = radial_overlaps(HYDROGEN, 6, 0)   # rows and columns j = 0, 1, 2
+        for ka, kb in [(0, 1), (0, 2), (1, 2)]:
+            assert abs(table[ka, kb]) <= 1e-9
 
     def test_perturbed_half_integer_diagonal(self):
         params = SystemParams(two_s=1, c1=0.2)
         dc = derive_constants(params, 1)
-        for k in range(block_dimension(params, 1, 7)):
-            two_j = dc.two_m_plus + 2 * k
-            quad = radial_overlap_integral(params, 7, 1, two_j, two_j)
-            closed = radial_overlap_closed_form(params, 7, 1, two_j, two_j)
-            assert quad == approx(closed, abs=1e-9)
+        table = radial_overlaps(params, 7, 1)
+        for k in range(len(table)):
+            closed = closed_radial_overlap(params, 7, 1, dc.two_m_plus + 2 * k)
+            assert table[k, k] == approx(closed, abs=1e-9)
 
     def test_closed_form_value(self):
         # n = 3, j = j' = 1 hydrogen: (2/27)/3 = 2/81
-        assert radial_overlap_closed_form(HYDROGEN, 6, 0, 2, 2) == approx(
-            2.0 / 81.0, rel=1e-15)
-        assert radial_overlap_integral(HYDROGEN, 6, 0, 2, 2) == approx(
-            2.0 / 81.0, rel=1e-11)
+        assert closed_radial_overlap(HYDROGEN, 6, 0, 2) == approx(2.0 / 81.0, rel=1e-15)
+        assert radial_overlaps(HYDROGEN, 6, 0)[1, 1] == approx(2.0 / 81.0, rel=1e-11)
 
 
 class TestCompleteness:
     def test_parabolic_reconstruction(self):
-        from mickepler.verify import completeness_residual
         rng = np.random.default_rng(55)
         for params, two_n, two_m in [
             (HYDROGEN, 6, 0),
             (SystemParams(two_s=1, c1=0.3, c2=0.7), 7, 1),
             (SystemParams(two_s=0, c1=1.1, c2=0.2), 8, -2),
         ]:
-            assert completeness_residual(params, two_n, two_m, rng) <= 1e-8
+            w = expansion_matrix(params, two_n, two_m).entries
+            level = _States(params).level(two_n, two_m)
+            assert _completeness_residual(level, w, rng) <= 1e-8
 
 
 def w_mpmath(two_s, c1, c2, two_n, two_j, n1, two_m, dps=60):
@@ -296,9 +305,9 @@ class TestEigenvectorMatrix:
             (SystemParams(two_s=1, c1=0.3, c2=0.7), 41, -3),
             (SystemParams(two_s=2, c1=1.5, c2=0.0), 124, 4),
         ]:
-            d = block_dimension(params, two_m, two_n)
             w = expansion_matrix(params, two_n, two_m).entries
             blk = block(params, two_n, two_m)
+            d = blk.dim
             x = np.diag(blk.x_diag) + np.diag(blk.x_off, 1) + np.diag(blk.x_off, -1)
             betas = [parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
                      for n1 in range(d)]

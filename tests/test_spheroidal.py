@@ -8,7 +8,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 from mickepler.interbasis import block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
-    QuantumNumberError,
     SystemParams,
     derive_constants,
     parabolic_separation_constant,
@@ -17,7 +16,6 @@ from mickepler.spheroidal import (
     _aligned_deviation,
     _continue_signs,
     _eigensolve,
-    angular_coupling,
     limits,
     solve,
     sweep,
@@ -32,24 +30,18 @@ def hydrogen_coupling(n, j, m):
 
 
 class TestAngularCoupling:
-    def test_band_terminates_at_top(self):
-        assert angular_coupling(HYDROGEN, 4, 4, 0) == 0.0     # j = n
-
-    def test_band_terminates_at_bottom(self):
-        assert angular_coupling(HYDROGEN, 4, 0, 0) == 0.0     # j = m_plus
+    """The coupling of the channels j - 1 and j, read off the off-diagonal of X,
+    which is -2 / (2n + delta1 + delta2) times it (-1/n for hydrogen)."""
 
     def test_hydrogen_n2_by_hand(self):
-        assert angular_coupling(HYDROGEN, 4, 2, 0) == approx(1.0, rel=1e-15)
-
-    def test_outside_band_raises(self):
-        with pytest.raises(QuantumNumberError):
-            angular_coupling(HYDROGEN, 4, 6, 0)
+        assert -2.0 * block(HYDROGEN, 4, 0).x_off[0] == approx(1.0, rel=1e-15)
 
     def test_hydrogen_reduction(self):
         for n in range(2, 7):
             for m in range(-(n - 1), n):
+                x_off = block(HYDROGEN, 2 * n, 2 * m).x_off
                 for j in range(abs(m) + 1, n):
-                    ours = angular_coupling(HYDROGEN, 2 * n, 2 * j, 2 * m)
+                    ours = -n * x_off[j - abs(m) - 1]
                     assert ours == approx(hydrogen_coupling(n, j, m), rel=1e-13)
 
 

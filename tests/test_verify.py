@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import math
 import re
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import approx
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_jacobi
+from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
 import mickepler.bases as bases
 import mickepler.cli as cli
@@ -27,43 +26,41 @@ from mickepler.interbasis import block
 from mickepler.qnum import SystemParams, enumerate_basis, enumerate_blocks, n_effective
 from mickepler.spheroidal import _eigensolve, limits, solve
 import mickepler.verify as verify
-from mickepler.verify import (
-    CheckReport,
-    completeness_residual,
-    gauss_laguerre,
-    gauss_legendre,
-    integrate_radial,
-    parabolic_norm_residual,
-    radial_overlap_integral,
-    run_suite,
-    summary_table,
-    to_json_lines,
-)
+from mickepler.verify import CheckReport, run_suite, summary_table, to_json_lines
 
 HYDROGEN = SystemParams(two_s=0)
 RING_HALF = SystemParams(two_s=1, c1=0.3, c2=0.7)
 R_LIST = [0.1, 1.0, 10.0, 100.0]
 
 
+def laguerre_integral(f, scale, order, power=0.0):
+    """Integral of f over (0, inf) for f ~ r^power e^(-scale r) q(r), by the
+    suite's rescaled Gauss-Laguerre rule after the substitution t = scale r."""
+    t, w = verify._laguerre(order, power)
+    return float(np.sum(w * f(t / scale)) / scale)
+
+
 class TestQuadratureRules:
+    """The scipy rules the suite's self-test and its cached rules are built from."""
+
     def test_legendre_invariants(self):
-        rule = gauss_legendre(64)
-        assert rule.weights.min() > 0.0
-        assert rule.nodes.min() > -1.0 and rule.nodes.max() < 1.0
+        nodes, weights = roots_legendre(64)
+        assert weights.min() > 0.0
+        assert nodes.min() > -1.0 and nodes.max() < 1.0
         worst = 0.0
         for k in range(128):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            approx_val = float(np.sum(rule.weights * rule.nodes**k))
+            approx_val = float(np.sum(weights * nodes**k))
             worst = max(worst, abs(approx_val - exact) / max(abs(exact), 1.0))
         assert worst <= 1e-12
 
     def test_laguerre_invariants(self):
-        rule = gauss_laguerre(64)
-        assert rule.weights.min() > 0.0
-        assert rule.nodes.min() > 0.0
+        nodes, weights = roots_genlaguerre(64, 0.0)
+        assert weights.min() > 0.0
+        assert nodes.min() > 0.0
         worst = 0.0
         for k in range(128):
-            log_terms = np.log(rule.weights) + k * np.log(rule.nodes)
+            log_terms = np.log(weights) + k * np.log(nodes)
             top = log_terms.max()
             value = math.exp(top) * float(np.exp(log_terms - top).sum())
             exact = math.factorial(k)
@@ -71,38 +68,37 @@ class TestQuadratureRules:
         assert worst <= 1e-12
 
     def test_generalized_laguerre_moment(self):
-        # weighted rule integrates t^alpha e^{-t} t^k exactly
+        # the rescaled weighted rule integrates t^alpha e^{-t} t^k exactly
         alpha = 1.095
-        rule = gauss_laguerre(32, alpha)
+        t, w = verify._laguerre(32, alpha)
         for k in range(5):
-            value = float(np.sum(rule.weights * rule.nodes**k))
+            value = float(np.sum(w * t**(alpha + k) * np.exp(-t)))
             exact = math.exp(math.lgamma(alpha + k + 1.0))
             assert value == approx(exact, rel=1e-13)
 
     def test_rules_are_cached(self):
-        assert gauss_legendre(40) is gauss_legendre(40)
-        assert gauss_laguerre(40, 0.5) is gauss_laguerre(40, 0.5)
+        assert verify.angular_nodes(40) is verify.angular_nodes(40)
+        assert verify._laguerre(40, 0.5) is verify._laguerre(40, 0.5)
 
 
 class TestIntegrateRadial:
     def test_plain_exponential(self):
         for scale in (1.0, 0.5, 2.0):
-            assert integrate_radial(lambda r: np.exp(-r), scale) == approx(
+            assert laguerre_integral(lambda r: np.exp(-r), scale, 128) == approx(
                 1.0, rel=1e-11)
 
     def test_hydrogen_ground_density(self):
-        value = integrate_radial(lambda r: 4.0 * r * r * np.exp(-2.0 * r), 2.0)
+        value = laguerre_integral(lambda r: 4.0 * r * r * np.exp(-2.0 * r), 2.0, 128)
         assert value == approx(1.0, rel=1e-13)
 
     def test_biorthogonality_target_value(self):
         # hydrogen n=3, j=j'=1 unweighted radial overlap equals 2/81
-        assert radial_overlap_integral(HYDROGEN, 6, 0, 2, 2) == approx(
-            2.0 / 81.0, rel=1e-11)
+        level = verify._States(HYDROGEN).level(6, 0)
+        assert verify._biorthogonality(level)[1, 1] == approx(2.0 / 81.0, rel=1e-11)
 
     def test_fractional_power_exactness(self):
         power = 2.769
-        value = integrate_radial(lambda r: r**power * np.exp(-1.3 * r), 1.3,
-                                 singular_power=power)
+        value = laguerre_integral(lambda r: r**power * np.exp(-1.3 * r), 1.3, 128, power)
         exact = math.exp(math.lgamma(power + 1.0)) / 1.3 ** (power + 1.0)
         assert value == approx(exact, rel=1e-13)
 
@@ -125,24 +121,18 @@ def completeness_point_loop(params, two_n, two_m, rng, w, npoints=20):
     return worst
 
 
-def test_completeness_residual_matches_point_loop(monkeypatch):
+def test_completeness_residual_matches_point_loop():
     # with W's columns rolled the residual is O(1) and depends on every drawn
     # r and theta (phi enters only through the block's common phase), so
     # agreement shows the same points and the same maximum; the generator
     # state shows the same number of draws
     params = SystemParams(two_s=1, c1=0.3, c2=0.7)
     two_n, two_m = 9, 1
-    real = verify.expansion_matrix
-
-    def rolled(params, two_n, two_m):
-        mat = real(params, two_n, two_m)
-        return dataclasses.replace(mat, entries=np.roll(mat.entries, 1, axis=1))
-
-    monkeypatch.setattr(verify, "expansion_matrix", rolled)
+    rolled = np.roll(interbasis.expansion_matrix(params, two_n, two_m).entries, 1, axis=1)
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = completeness_residual(params, two_n, two_m, rng_new)
-    expected = completeness_point_loop(params, two_n, two_m, rng_ref,
-                                       rolled(params, two_n, two_m).entries)
+    got = verify._completeness_residual(verify._States(params).level(two_n, two_m),
+                                        rolled, rng_new)
+    expected = completeness_point_loop(params, two_n, two_m, rng_ref, rolled)
     assert expected > 1e-3
     assert got == approx(expected, rel=1e-12)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -298,8 +288,13 @@ class TestBlockCores:
             table = verify._biorthogonality(level)
             for ka, sa in enumerate(level.sph):
                 for kb, sb in enumerate(level.sph):
-                    scalar = radial_overlap_integral(params, two_n, two_m,
-                                                     sa.qn.two_j, sb.qn.two_j)
+                    # R_j R_j' is r^(j + j' + delta) e^(-2 eps r) times two Laguerre
+                    # polynomials, of degrees n - j - 1 and n - j' - 1, on its own rule
+                    two_j, two_jp = sa.qn.two_j, sb.qn.two_j
+                    scalar = laguerre_integral(
+                        lambda r: bases.radial_r(sa, r) * bases.radial_r(sb, r), 2.0 * sa.eps,
+                        verify._gauss_order(two_n - 2 - (two_j + two_jp) // 2),
+                        (two_j + two_jp) / 2.0 + level.dc.delta_total)
                     assert abs(table[ka, kb] - scalar) <= 1e-14
 
     def test_stacked_eigensolve_is_bit_equal_to_solve(self):
@@ -352,11 +347,11 @@ class TestBlockCores:
             reference = math.sqrt(2.0 * math.pi) * np.einsum(
                 "i,ji,k,jk,lik->jl", level.w_r * level.r * level.r, level.rad,
                 w_x, ang, pab)
-            staged = verify.overlap_matrix_quadrature(params, two_n, two_m)
+            staged = verify._overlap_matrix(level)
             assert np.abs(staged - reference).max() <= 1e-14 * np.abs(reference).max()
 
     def test_radial_gram_matches_pairwise_integrals(self):
-        # reference: one integrate_radial per pair, each on its own nodes, with
+        # reference: one laguerre_integral per pair, each on its own nodes, with
         # the weight exponent 2 m_plus + delta of the block's level tables and
         # the chain's order (2k + 2 + 2 n_r,max) // 2 + 1, k = j - m_plus
         for params, two_m, two_j in ((HYDROGEN, 0, 0), (HYDROGEN, 2, 2),
@@ -367,13 +362,13 @@ class TestBlockCores:
             k = (two_j - dc.two_m_plus) // 2
             n_r_max = (n_list[-1] - two_j - 2) // 2
             order = (2 * k + 2 + 2 * n_r_max) // 2 + 1
-            gram = np.array([[integrate_radial(
+            gram = np.array([[laguerre_integral(
                 lambda r, a=a, b=b: bases.radial_r(a, r) * bases.radial_r(b, r) * r * r,
-                a.eps + b.eps, rule_order=order,
-                singular_power=dc.two_m_plus + dc.delta_total)
+                a.eps + b.eps, order, dc.two_m_plus + dc.delta_total)
                 for b in states] for a in states])
             expected = float(np.abs(gram - np.eye(len(states))).max())
-            got = verify.radial_gram_residual(params, two_m, two_j, n_list)
+            got = verify._identity_deviation(
+                verify._radial_gram(verify._States(params), two_m, two_j, n_list))
             assert got == approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -394,11 +389,9 @@ def test_suite_builds_one_laguerre_rule_per_exponent():
         for two_j in range(dc.two_m_plus, two_n - 1, 2):
             k = (two_j - dc.two_m_plus) // 2
             rules.add((k + 2 + (two_n_max - two_j - 2) // 2, power))
-    gauss_laguerre.cache_clear()
     verify._laguerre.cache_clear()
     run_suite(RING_HALF, n_max=8, r_list=R_LIST)
-    # one more rule: the order-64 self-test
-    assert gauss_laguerre.cache_info().misses <= len(rules) + 1
+    assert verify._laguerre.cache_info().misses == len(rules)
 
 
 def test_suite_builds_each_block_and_state_once(monkeypatch):
@@ -496,9 +489,10 @@ class TestDerivedOrders:
 
     def test_blocks_past_the_node_cap_are_refused(self):
         # hydrogen n = 127 (d = 127) is the largest block whose rules all fit
-        assert parabolic_norm_residual(HYDROGEN, 254, 0) <= 1e-12
+        states = verify._States(HYDROGEN)
+        assert np.abs(verify._parabolic_norms(states.level(254, 0)) - 1.0).max() <= 1e-12
         with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
-            parabolic_norm_residual(HYDROGEN, 258, 0)
+            states.level(258, 0)
         with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
             run_suite(HYDROGEN, n_max=128, r_list=R_LIST)
 
