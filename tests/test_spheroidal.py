@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigvalsh_tridiagonal
 
-from mickepler.interbasis import block, expansion_matrix
+from mickepler.interbasis import _coupling, block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
@@ -31,7 +31,14 @@ def hydrogen_coupling(n, j, m):
 
 class TestAngularCoupling:
     """The coupling of the channels j - 1 and j, read off the off-diagonal of X,
-    which is -2 / (2n + delta1 + delta2) times it (-1/n for hydrogen)."""
+    which is -2 / (2n + delta1 + delta2) times it (-1/n for hydrogen). `block`
+    forms it only for m_plus < j < n; the band-end zeros are `_coupling`'s."""
+
+    def test_band_terminates_at_top(self):
+        assert _coupling(derive_constants(HYDROGEN, 0), 4, 4) == 0.0     # j = n
+
+    def test_band_terminates_at_bottom(self):
+        assert _coupling(derive_constants(HYDROGEN, 0), 4, 0) == 0.0     # j = m_plus
 
     def test_hydrogen_n2_by_hand(self):
         assert -2.0 * block(HYDROGEN, 4, 0).x_off[0] == approx(1.0, rel=1e-15)
