@@ -19,7 +19,6 @@ from .qnum import (
     SystemParams,
     derive_constants,
     energy,
-    enumerate_basis,
     parabolic_separation_constant,
 )
 from .bases import (
@@ -55,7 +54,6 @@ __all__ = [
     "block",
     "derive_constants",
     "energy",
-    "enumerate_basis",
     "expansion_matrix",
     "inverse_expansion_matrix",
     "limits",

@@ -21,7 +21,7 @@ from .qnum import (
     enumerate_blocks,
     parse_half_integer,
 )
-from .spheroidal import _sweep_lambdas, _sweep_stacks, solve
+from .spheroidal import _coefficients, _sweep_lambdas, _sweep_stacks
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
 
@@ -125,10 +125,8 @@ def cmd_coefficients(args) -> int:
     else:
         if args.R is None:
             raise ValueError(f"--R is required for kind {args.kind}")
-        solution = solve(params, two_n, two_m, args.R)
-        matrix = (solution.spherical_coefficients
-                  if args.kind == "spheroidal-in-spherical"
-                  else solution.parabolic_coefficients)
+        matrix = _coefficients(params, two_n, two_m, args.R,
+                               parabolic=args.kind == "spheroidal-in-parabolic")
     _emit(_matrix_output(args, matrix), args.out)
     return 0
 

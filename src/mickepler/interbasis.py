@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .qnum import (
     DerivedConstants,
@@ -169,8 +168,7 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     )
 
 
-# the LAPACK driver scipy.linalg.eigh_tridiagonal selects for a full spectrum
-_STEVD, = scipy.linalg.get_lapack_funcs(("stevd",), dtype=np.float64)
+_CHUNK = 256   # points per dense stack, so a long grid never holds two (P, d, d) copies
 
 
 def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
@@ -178,11 +176,12 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
     """One symmetric tridiagonal eigensolve per row of ``diags``.
 
     ``offdiags`` holds one row per point or a single row shared by all.
-    Returns ascending eigenvalues (P, d) and eigenvectors stored one per
-    row, ``vectors[p, q]`` being eigenvector q at point p.  Each point is
-    one direct ``dstevd`` call, the same doubles ``eigh_tridiagonal``
-    returns without its per-call validation.  Raises ValueError for a
-    non-finite band and RuntimeError if LAPACK does not converge.
+    Returns ascending eigenvalues (P, d) and eigenvectors as rows,
+    ``vectors[p, q]`` being eigenvector q at point p.  Up to _CHUNK points
+    at a time go to one stacked ``numpy.linalg.eigh`` as dense matrices,
+    only the diagonal and lower band filled; LAPACK reduces them with
+    identity reflectors, so the doubles are those of ``dstevd``.  Raises
+    ValueError for a non-finite band, RuntimeError if eigh does not converge.
     """
     points, d = diags.shape
     if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
@@ -190,16 +189,18 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
     if d == 1:
         return diags.copy(), np.ones((points, 1, 1))
     offdiags = np.broadcast_to(offdiags, (points, d - 1))
-    lambdas = np.empty((points, d))
-    vectors = np.empty((points, d, d))
-    for p in range(points):
-        lambdas[p], v, info = _STEVD(diags[p], offdiags[p])
-        if info > 0:
-            raise RuntimeError(
-                f"tridiagonal eigensolver failed to converge for a system of dimension {d}")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of internal stevd")
-        vectors[p] = v.T
+    lambdas, vectors = np.empty((points, d)), np.empty((points, d, d))
+    for start in range(0, points, _CHUNK):
+        part = slice(start, min(start + _CHUNK, points))
+        dense = np.zeros((part.stop - start, d * d))
+        dense[:, ::d + 1] = diags[part]
+        dense[:, d::d + 1] = offdiags[part]   # eigh reads the lower triangle
+        try:
+            lambdas[part], v = np.linalg.eigh(dense.reshape(-1, d, d))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("tridiagonal eigensolver failed to converge for a system "
+                               f"of dimension {d}") from exc
+        vectors[part] = v.swapaxes(-1, -2)
     return lambdas, vectors
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "epsilon",
     "energy",
     "parabolic_separation_constant",
-    "enumerate_basis",
     "enumerate_m_blocks",
     "enumerate_blocks",
     "parse_half_integer",
@@ -214,7 +213,10 @@ def energy(params: SystemParams, two_m: int, two_n: int) -> float:
 
 
 def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> float:
-    """Eigenvalue beta = epsilon (n1 - n2 + (m1 - m2)/2) of the axial integral."""
+    """Eigenvalue beta = epsilon (n1 - n2 + (m1 - m2)/2) of the axial integral.
+
+    Label-based: production reads a block's betas from ``interbasis.block``,
+    and this is the reference they are checked against."""
     dc = derive_constants(params, pq.two_m)
     eps = epsilon(_n_effective(dc, _principal_two_n(dc, pq)))
     return _separation_constant(dc, eps, pq.n1, pq.n2)
@@ -223,21 +225,6 @@ def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> floa
 def _separation_constant(dc: DerivedConstants, eps: float, n1: int, n2: int) -> float:
     """beta of the state (n1, n2) for precomputed block constants and epsilon."""
     return eps * (n1 - n2 + 0.5 * (dc.m1 - dc.m2))
-
-
-def enumerate_basis(params: SystemParams, two_m: int, two_n: int
-                    ) -> tuple[list[SphericalQN], list[ParabolicQN]]:
-    """The d spherical labels j = m_plus..n-1 and d parabolic labels n1 = 0..d-1."""
-    dc = derive_constants(params, two_m)
-    d = _block_dimension(dc, two_n)
-    spherical = [
-        SphericalQN(two_n=two_n, two_j=dc.two_m_plus + 2 * k, two_m=two_m)
-        for k in range(d)
-    ]
-    parabolic = [
-        ParabolicQN(n1=n1, n2=d - 1 - n1, two_m=two_m) for n1 in range(d)
-    ]
-    return spherical, parabolic
 
 
 def enumerate_m_blocks(params: SystemParams, two_n: int) -> list[int]:

@@ -17,11 +17,12 @@ Only R varies within a block: the spherical-side matrix is A + R X, with
 A the diagonal angular spectrum and X the Runge-Lenz matrix, and the
 parabolic-side matrix is M + R diag(beta).  Both are kept as bands of a
 :class:`mickepler.interbasis.Block`, derived once per block, so a sweep
-builds them once for its whole grid and no dense matrix is formed.
+builds them once for its whole grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,20 +105,25 @@ def _eigensolve(blk: Block, r_values: list[float]
     return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
 
 
+@functools.cache
+def _q_labels(d: int) -> tuple[str, ...]:
+    return tuple(f"q={q}" for q in range(d))
+
+
+def _q_matrix(vectors: np.ndarray, row_labels: tuple[str, ...]) -> ExpansionMatrix:
+    # entries are a column-major view into the stack: column q is vector q
+    return ExpansionMatrix(dim=len(row_labels), entries=vectors.T,
+                           row_labels=row_labels, col_labels=_q_labels(len(row_labels)))
+
+
 def _solutions(blk: Block, r_values: list[float], lambdas: np.ndarray,
                u: np.ndarray, v: np.ndarray) -> list[SpheroidalSolution]:
-    # entries are column-major views into the stacks: column q is vector q
-    q_labels = tuple(f"q={q}" for q in range(blk.dim))
     return [
         SpheroidalSolution(
             R=R,
             lambdas=lambdas[p],
-            spherical_coefficients=ExpansionMatrix(
-                dim=blk.dim, entries=u[p].T,
-                row_labels=blk.spherical_labels, col_labels=q_labels),
-            parabolic_coefficients=ExpansionMatrix(
-                dim=blk.dim, entries=v[p].T,
-                row_labels=blk.parabolic_labels, col_labels=q_labels),
+            spherical_coefficients=_q_matrix(u[p], blk.spherical_labels),
+            parabolic_coefficients=_q_matrix(v[p], blk.parabolic_labels),
         )
         for p, R in enumerate(r_values)
     ]
@@ -134,6 +140,15 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     blk = block(params, two_n, two_m)
     lambdas, _, u, v = _eigensolve(blk, [R])
     return _solutions(blk, [R], lambdas, u, v)[0]
+
+
+def _coefficients(params: SystemParams, two_n: int, two_m: int, R: float,
+                  parabolic: bool) -> ExpansionMatrix:
+    """V of :func:`solve` if ``parabolic``, else U, from that side's eigensolve alone."""
+    blk = block(params, two_n, two_m)
+    bands = (blk.parabolic_bands if parabolic else blk.spherical_bands)(np.array([[float(R)]]))
+    return _q_matrix(_fix_signs(_eigh_stack(*bands)[1])[0],
+                     blk.parabolic_labels if parabolic else blk.spherical_labels)
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:

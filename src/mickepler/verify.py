@@ -488,8 +488,8 @@ def run_suite(params: SystemParams, n_max: float, r_list,
                                np.abs(x_eigs - blk.betas).max(), TOL_ALGEBRA))
 
         # one stacked eigensolve: the R list, R = 0, where the parabolic side is
-        # M alone, and the limit probes; each point is its own LAPACK call, so
-        # every row is bit-identical to a solve at that R alone
+        # M alone, and the limit probes; eigh diagonalizes each matrix of the
+        # stack on its own, so every row is bit-identical to a solve at that R alone
         lambdas, lambdas_par, u, v = _eigensolve(
             blk, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
 

@@ -1,5 +1,9 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +96,52 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+# Run in a fresh interpreter: records every import of scipy.linalg with the
+# files on the stack that asked for it, then runs the CLI commands given
+# as a JSON list of argument lists and prints the records as JSON.
+IMPORT_SPY = """
+import importlib.abc, io, json, sys, traceback
+from contextlib import redirect_stdout
+
+importers = []
+
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg":
+            importers.append([frame.filename for frame in traceback.extract_stack()[:-1]
+                              if not frame.filename.startswith("<")])
+        return None
+
+sys.meta_path.insert(0, Spy())
+import mickepler.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        assert mickepler.cli.main(argv) == 0, argv
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps({"importers": importers, "loaded": loaded}))
+"""
+
+
+def test_cli_commands_do_not_import_scipy_linalg():
+    # the tridiagonal eigensolves run through numpy alone; the only import of
+    # scipy.linalg left is scipy.special's own Gauss-rule generator (roots_*
+    # diagonalizes its Jacobi matrix with scipy.linalg), which verify calls
+    from mickepler.cli import MATRIX_KINDS
+
+    commands = [["sweep", "--n", "6", "--m", "1", "--R-grid", "0:20:300", "--vectors"]]
+    commands += [["coefficients", "--kind", kind, "--s", "1/2", "--c1", "0.3", "--c2", "0.7",
+                  "--n", "9/2", "--m", "1/2", "--R", "2.5"] for kind in MATRIX_KINDS]
+    commands += [["verify", "--n-max", "2"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SPY, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    record = json.loads(proc.stdout)
+    assert record["loaded"][:-1] == [False] * (len(commands) - 1), record["importers"]
+    roots_generator = str(Path("scipy", "special", "_orthogonal.py"))
+    for stack in record["importers"]:
+        assert any(path.endswith(roots_generator) for path in stack), stack

@@ -341,15 +341,29 @@ class TestEigenvectorMatrix:
 
 
 class TestEigenStack:
-    """The direct ``dstevd`` stack against scipy's wrapper around the same routine."""
+    """The stacked dense ``eigh`` against scipy's ``dstevd`` wrapper, double for double."""
 
-    @pytest.mark.parametrize("d", range(1, 41))
+    @pytest.mark.parametrize("d", [*range(1, 41), 64, 127])
     def test_bit_equal_to_eigh_tridiagonal(self, d):
         rng = np.random.default_rng(d)
         diags = rng.standard_normal((3, d)) * 10.0 ** rng.integers(-3, 4, (3, 1))
         for offdiags in (rng.standard_normal(d - 1), rng.standard_normal((3, d - 1))):
             lambdas, vectors = _eigh_stack(diags, offdiags)
             for p in range(3):
+                off = offdiags if offdiags.ndim == 1 else offdiags[p]
+                w, v = scipy.linalg.eigh_tridiagonal(diags[p], off, lapack_driver="stevd")
+                assert np.array_equal(lambdas[p], w)
+                assert np.array_equal(vectors[p], v.T)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_bit_equal_across_chunks(self, d):
+        points = 2 * interbasis._CHUNK + 3
+        rng = np.random.default_rng(points + d)
+        diags = rng.standard_normal((points, d))
+        for offdiags in (rng.standard_normal(d - 1), rng.standard_normal((points, d - 1))):
+            lambdas, vectors = _eigh_stack(diags, offdiags)
+            assert lambdas.shape == (points, d) and vectors.shape == (points, d, d)
+            for p in range(points):
                 off = offdiags if offdiags.ndim == 1 else offdiags[p]
                 w, v = scipy.linalg.eigh_tridiagonal(diags[p], off, lapack_driver="stevd")
                 assert np.array_equal(lambdas[p], w)
@@ -368,16 +382,12 @@ class TestEigenStack:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 _eigh_stack(diags, offdiags)
 
-    @pytest.mark.parametrize("info, error", [(3, RuntimeError), (-2, ValueError)])
-    def test_lapack_info_raises(self, monkeypatch, info, error):
-        real = interbasis._STEVD
+    def test_convergence_failure_raises(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def failing(d, e):
-            w, v, _ = real(d, e)
-            return w, v, info
-
-        monkeypatch.setattr(interbasis, "_STEVD", failing)
-        with pytest.raises(error, match="failed to converge" if info > 0 else "argument 2"):
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(RuntimeError, match="failed to converge.*dimension 3"):
             _eigh_stack(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(error):
+        with pytest.raises(RuntimeError, match="failed to converge"):
             expansion_matrix(HYDROGEN, 6, 0)

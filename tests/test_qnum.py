@@ -18,7 +18,6 @@ from mickepler.qnum import (
     _spherical_qn,
     derive_constants,
     energy,
-    enumerate_basis,
     enumerate_m_blocks,
     epsilon,
     format_half_integer,
@@ -157,21 +156,23 @@ class TestSeparationConstant:
 
 
 class TestEnumeration:
+    """The labels of a block: j = m_plus..n-1 and n1 = 0..d-1, n2 = d-1-n1."""
+
     def test_ground_block(self):
-        sph, par = enumerate_basis(HYDROGEN, 0, 2)
-        assert [q.two_j for q in sph] == [0]
-        assert [(q.n1, q.n2) for q in par] == [(0, 0)]
+        blk = interbasis.block(HYDROGEN, 2, 0)
+        assert blk.spherical_labels == ("j=0",)
+        assert blk.parabolic_labels == ("n1=0",)
 
     def test_n3_block_counting(self):
-        sph, par = enumerate_basis(HYDROGEN, 0, 6)
-        assert [q.two_j for q in sph] == [0, 2, 4]
-        assert [(q.n1, q.n2) for q in par] == [(0, 2), (1, 1), (2, 0)]
+        blk = interbasis.block(HYDROGEN, 6, 0)
+        assert blk.spherical_labels == ("j=0", "j=1", "j=2")
+        assert blk.parabolic_labels == ("n1=0", "n1=1", "n1=2")
 
     def test_half_integer_block(self):
         params = SystemParams(two_s=1)
-        sph, par = enumerate_basis(params, 1, 5)     # n = 5/2, m = 1/2
-        assert [q.two_j for q in sph] == [1, 3]       # j = 1/2, 3/2
-        assert [q.n1 for q in par] == [0, 1]
+        blk = interbasis.block(params, 5, 1)     # n = 5/2, m = 1/2
+        assert blk.spherical_labels == ("j=1/2", "j=3/2")
+        assert blk.parabolic_labels == ("n1=0", "n1=1")
         assert _block_dimension(derive_constants(params, 1), 5) == 2
 
     @given(st.integers(min_value=-2, max_value=2),
@@ -183,11 +184,13 @@ class TestEnumeration:
         params = SystemParams(two_s=two_s, c1=0.2, c2=0.1)
         dc = derive_constants(params, two_m)
         two_n = dc.two_m_plus + 2 * d
-        sph, par = enumerate_basis(params, two_m, two_n)
-        assert len(sph) == len(par) == d
-        for q in par:
-            assert q.n1 + q.n2 == d - 1
-            assert _principal_two_n(dc, q) == two_n
+        blk = interbasis.block(params, two_n, two_m)
+        assert _block_dimension(dc, two_n) == blk.dim == d
+        assert blk.spherical_labels == tuple(
+            f"j={format_half_integer(dc.two_m_plus + 2 * k)}" for k in range(d))
+        assert blk.parabolic_labels == tuple(f"n1={n1}" for n1 in range(d))
+        for n1 in range(d):
+            assert _principal_two_n(dc, ParabolicQN(n1, d - 1 - n1, two_m)) == two_n
 
     def test_m_blocks_hydrogen(self):
         assert enumerate_m_blocks(HYDROGEN, 4) == [-2, 0, 2]

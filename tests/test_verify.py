@@ -23,7 +23,13 @@ from mickepler.bases import (
 )
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
 from mickepler.interbasis import block
-from mickepler.qnum import SystemParams, enumerate_basis, enumerate_blocks, n_effective
+from mickepler.qnum import (
+    SystemParams,
+    _block_dimension,
+    derive_constants,
+    enumerate_blocks,
+    n_effective,
+)
 from mickepler.spheroidal import _eigensolve, limits, solve
 import mickepler.verify as verify
 from mickepler.verify import CheckReport, run_suite, summary_table, to_json_lines
@@ -105,9 +111,10 @@ class TestIntegrateRadial:
 
 def completeness_point_loop(params, two_n, two_m, rng, w, npoints=20):
     """Reference: one scalar draw triple and one psi call per state and point."""
-    sph_qns, par_qns = enumerate_basis(params, two_m, two_n)
-    sph = [spherical_state(params, q.two_n, q.two_j, q.two_m) for q in sph_qns]
-    par = [parabolic_state(params, q.n1, q.n2, q.two_m) for q in par_qns]
+    dc = derive_constants(params, two_m)
+    d = _block_dimension(dc, two_n)
+    sph = [spherical_state(params, two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
+    par = [parabolic_state(params, n1, d - 1 - n1, two_m) for n1 in range(d)]
     scale = n_effective(params, two_m, two_n) ** 2
     worst = 0.0
     for _ in range(npoints):
