@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c2", type=float, default=0.0)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("spectrum", help="energy table for all blocks up to n-max")
     common(p)
@@ -226,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=float, default=4.0, dest="n_max")
     p.add_argument("--R-grid", default=None, dest="R_grid",
                    help="start:stop:steps (default 0.1,1,10,100)")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -204,6 +204,14 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
     return lambdas, vectors
 
 
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    # first nonzero component of each eigenvector (last axis) made positive
+    first = np.argmax(vectors != 0.0, axis=-1)[..., None]
+    lead = np.take_along_axis(vectors, first, axis=-1)
+    vectors *= np.where(lead < 0.0, -1.0, 1.0)
+    return vectors
+
+
 def _mixing_matrix(blk: Block) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of the block's X as columns in ascending beta (ascending n1),
     and those ascending eigenvalues, from one eigensolve.
@@ -214,9 +222,7 @@ def _mixing_matrix(blk: Block) -> tuple[np.ndarray, np.ndarray]:
     component would vanish entirely.
     """
     eigenvalues, vectors = _eigh_stack(blk.x_diag[None], blk.x_off)
-    vectors = vectors[0].T
-    vectors *= np.sign(vectors[0])
-    return vectors, eigenvalues[0]
+    return _fix_signs(vectors)[0].T, eigenvalues[0]
 
 
 def expansion_matrix(params: SystemParams, two_n: int, two_m: int) -> ExpansionMatrix:

@@ -25,6 +25,7 @@ from .qnum import (
     QuantumNumberError,
     SystemParams,
     _block_dimension,
+    _spherical_qn,
     derive_constants,
 )
 
@@ -120,12 +121,7 @@ def hyp3f2_unit_scaled(a1: float, a2: float, a3: float, b1: float, b2: float,
 def _check_labels(params: SystemParams, two_n: int, two_j: int, n1: int, two_m: int):
     dc = derive_constants(params, two_m)
     d = _block_dimension(dc, two_n)
-    gap = two_j - dc.two_m_plus
-    if gap % 2 != 0 or not 0 <= gap // 2 <= d - 1:
-        raise QuantumNumberError(
-            f"two_j={two_j} outside the block j = m_plus .. n-1 "
-            f"(two_m_plus={dc.two_m_plus}, two_n={two_n})"
-        )
+    _spherical_qn(dc, two_n, two_j)
     if not 0 <= n1 <= d - 1:
         raise QuantumNumberError(f"n1={n1} outside 0 .. {d - 1}")
     return dc, d

@@ -21,7 +21,6 @@ __all__ = [
     "ParabolicQN",
     "derive_constants",
     "parabolic_qn",
-    "n_effective",
     "epsilon",
     "energy",
     "parabolic_separation_constant",
@@ -52,10 +51,6 @@ class SystemParams:
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("perturbation strengths c1, c2 must be nonnegative")
 
-    @property
-    def s(self) -> float:
-        return self.two_s / 2.0
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -73,10 +68,6 @@ class DerivedConstants:
     delta2: float
     m1: float
     m2: float
-
-    @property
-    def m(self) -> float:
-        return self.two_m / 2.0
 
     @property
     def m_plus(self) -> float:
@@ -186,13 +177,8 @@ def _principal_two_n(dc: DerivedConstants, pq: ParabolicQN) -> int:
     return 2 * (pq.n1 + pq.n2 + 1) + dc.two_m_plus
 
 
-def n_effective(params: SystemParams, two_m: int, two_n: int) -> float:
-    """Effective principal number n + (delta1 + delta2)/2."""
-    return _n_effective(derive_constants(params, two_m), two_n)
-
-
 def _n_effective(dc: DerivedConstants, two_n: int) -> float:
-    """:func:`n_effective` for block constants already derived."""
+    """Effective principal number n + (delta1 + delta2)/2; validates the labels."""
     _block_dimension(dc, two_n)
     return two_n / 2.0 + dc.delta_total / 2.0
 
@@ -208,7 +194,7 @@ def energy(params: SystemParams, two_m: int, two_n: int) -> float:
     Note the m-dependence through delta1, delta2: each azimuthal block
     carries its own energy ladder.
     """
-    eps = epsilon(n_effective(params, two_m, two_n))
+    eps = epsilon(_n_effective(derive_constants(params, two_m), two_n))
     return -0.5 * eps * eps
 
 

@@ -31,6 +31,7 @@ from .interbasis import (
     Block,
     ExpansionMatrix,
     _eigh_stack,
+    _fix_signs,
     _mixing_matrix,
     block,
 )
@@ -71,14 +72,6 @@ class LimitReport:
                    self.v_identity_dev, self.v_mixing_dev)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # first nonzero component of each eigenvector (last axis) made positive
-    first = np.argmax(vectors != 0.0, axis=-1)[..., None]
-    lead = np.take_along_axis(vectors, first, axis=-1)
-    vectors *= np.where(lead < 0.0, -1.0, 1.0)
-    return vectors
-
-
 def _continue_signs(vectors: np.ndarray) -> None:
     """Flip an eigenvector when its overlap with the same one at the previous,
     already continued grid point is negative; an overlap of 0 never flips.
@@ -116,30 +109,15 @@ def _q_matrix(vectors: np.ndarray, row_labels: tuple[str, ...]) -> ExpansionMatr
                            row_labels=row_labels, col_labels=_q_labels(len(row_labels)))
 
 
-def _solutions(blk: Block, r_values: list[float], lambdas: np.ndarray,
-               u: np.ndarray, v: np.ndarray) -> list[SpheroidalSolution]:
-    return [
-        SpheroidalSolution(
-            R=R,
-            lambdas=lambdas[p],
-            spherical_coefficients=_q_matrix(u[p], blk.spherical_labels),
-            parabolic_coefficients=_q_matrix(v[p], blk.parabolic_labels),
-        )
-        for p, R in enumerate(r_values)
-    ]
-
-
 def solve(params: SystemParams, two_n: int, two_m: int, R: float
           ) -> SpheroidalSolution:
-    """Diagonalize both representations at one R.
+    """Diagonalize both representations at one R: :func:`sweep` over [R].
 
     Eigenvalues ascend (defining q); eigenvectors are unit columns with
     the first nonzero component positive.  The two eigenvalue sets agree
     to solver accuracy since both matrices represent the same operator.
     """
-    blk = block(params, two_n, two_m)
-    lambdas, _, u, v = _eigensolve(blk, [R])
-    return _solutions(blk, [R], lambdas, u, v)[0]
+    return sweep(params, two_n, two_m, [R])[0]
 
 
 def _coefficients(params: SystemParams, two_n: int, two_m: int, R: float,
@@ -222,4 +200,7 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[Spheroid
     """
     r_grid = _ascending(r_grid)
     blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, r_grid)
-    return _solutions(blk, r_grid, lambdas, u, v)
+    return [SpheroidalSolution(R=R, lambdas=lambdas[p],
+                               spherical_coefficients=_q_matrix(u[p], blk.spherical_labels),
+                               parabolic_coefficients=_q_matrix(v[p], blk.parabolic_labels))
+            for p, R in enumerate(r_grid)]

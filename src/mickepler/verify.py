@@ -10,11 +10,14 @@ operator identities.  Checks never raise on failure; they report.
 
 Each integrand of a check is a known weight times a polynomial: radial
 ones t^alpha e^-t, alpha the exact fractional power, angular ones
-(1 - x)^m2 (1 + x)^m1 from the half-angle factors.  Each gets the
-Gauss-Laguerre or Gauss-Jacobi rule of its weight with the fewest nodes
-N exact to its degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp.
-23, 221 (1969)), derived next to the rule.  A rule past DEFAULT_RADIAL_ORDER
-nodes is refused with ValueError, so blocks up to d = 127 are checked.
+(1 - x)^m2 (1 + x)^m1 from the half-angle factors, or the Jacobi weight
+of the kernel's orthogonality check.  So there is one rule family: each
+integrand gets the cached Gauss-Laguerre or Gauss-Jacobi rule of its
+weight, with the fewest nodes N exact to its degree, 2N - 1 >= degree
+(Golub and Welsch, Math. Comp. 23, 221 (1969)), as :func:`_gauss_order`
+sizes it from the degree derived next to the rule.  A rule past
+DEFAULT_RADIAL_ORDER nodes is refused with ValueError, so blocks up to
+d = 127 are checked.
 
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
@@ -66,7 +69,6 @@ from .spheroidal import _aligned_deviation, _eigensolve, _limits
 
 __all__ = [
     "CheckReport",
-    "angular_nodes",
     "run_suite",
     "to_json_lines",
     "summary_table",
@@ -83,20 +85,7 @@ TOL_LIMITS = 1e-5
 TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
 # (r_small, r_large) of the inner, then of the outer decade of the limit checks
 _LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
-
-
-@lru_cache(maxsize=None)
-def angular_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre nodes mapped by x = sin(pi u / 2), weights folded.
-
-    The map is smooth, fixes the endpoints, and its Jacobian vanishes
-    there, so endpoint powers (1 -+ x)^gamma integrate to near machine
-    accuracy without dedicated weighted rules.
-    """
-    u, w_u = roots_legendre(order)
-    x = np.sin(0.5 * math.pi * u)
-    w = w_u * 0.5 * math.pi * np.cos(0.5 * math.pi * u)
-    return x, w
+_OVERLAP_D_MAX = 4   # the 2D overlap quadrature is checked on blocks up to this d
 
 
 def _gauss_order(degree: int) -> int:
@@ -206,10 +195,11 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports.append(_report("kernel.lngamma.recurrence", "1000 x in (0.5,100)",
                            worst, TOL_QUADRATURE))
 
-    x, w = angular_nodes(256)
     worst = 0.0
     for a in (0.0, 0.37, 1.5):
         for b in (0.0, 0.37, 1.5):
+            # products of two polynomials of degree <= 8, times the Jacobi weight
+            x, w = _jacobi(_gauss_order(16), a, b)
             weight = w * (1.0 - x)**a * (1.0 + x)**b
             polys = eval_jacobi(np.arange(9)[:, None], a, b, x)
             gram = np.einsum("i,ki,li->kl", weight, polys, polys)
@@ -325,10 +315,9 @@ def _identity_deviation(gram: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 
-def _angular_gram(states: _States, two_m: int, channels: int) -> np.ndarray:
-    dc = derive_constants(states.params, two_m)
+def _angular_gram(states: _States, dc: DerivedConstants, channels: int) -> np.ndarray:
     channel_states = [
-        states.spherical(dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, two_m)
+        states.spherical(dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, dc.two_m)
         for k in range(channels)
     ]
     # each profile is (1 - x)^(m2/2) (1 + x)^(m1/2) times a Jacobi polynomial
@@ -339,9 +328,9 @@ def _angular_gram(states: _States, two_m: int, channels: int) -> np.ndarray:
     return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
 
 
-def _radial_gram(states: _States, two_m: int, two_j: int, two_n_list) -> np.ndarray:
-    dc = derive_constants(states.params, two_m)
-    chain = [states.spherical(tn, two_j, two_m) for tn in two_n_list]
+def _radial_gram(states: _States, dc: DerivedConstants, two_j: int, two_n_list
+                 ) -> np.ndarray:
+    chain = [states.spherical(tn, two_j, dc.two_m) for tn in two_n_list]
     # the pair (a, b) integrand is r^(2 m_plus + delta) e^(-t) times r^(2k + 2),
     # k = j - m_plus, times two Laguerre polynomials of degree <= n_r,max
     power = float(dc.two_m_plus) + dc.delta_total
@@ -408,8 +397,8 @@ def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) 
 # the suite
 # ---------------------------------------------------------------------------
 
-def run_suite(params: SystemParams, n_max: float, r_list,
-              seed: int = 0, overlap_d_max: int = 4) -> list[CheckReport]:
+def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
+              ) -> list[CheckReport]:
     """Run every identity check over all blocks with n <= n_max.
 
     Each block, its mixing matrix W with the spectrum of X (one
@@ -437,7 +426,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
     for two_m, dc in m_constants.items():
         reports.append(_report(
             "bases.angular.orthonormality", _context(params, two_m=two_m),
-            _identity_deviation(_angular_gram(states, two_m, 5)), TOL_QUAD_VS_CLOSED))
+            _identity_deviation(_angular_gram(states, dc, 5)), TOL_QUAD_VS_CLOSED))
         j_values = sorted({two_j for two_n, tm in blocks if tm == two_m
                            for two_j in range(dc.two_m_plus, two_n - 1, 2)})
         for two_j in j_values:
@@ -445,7 +434,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
             reports.append(_report(
                 "bases.radial.orthonormality",
                 _context(params, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
-                _identity_deviation(_radial_gram(states, two_m, two_j, n_list)),
+                _identity_deviation(_radial_gram(states, dc, two_j, n_list)),
                 TOL_QUAD_VS_CLOSED))
 
     n_r = len(r_list)
@@ -475,7 +464,7 @@ def run_suite(params: SystemParams, n_max: float, r_list,
         reports.append(_report("interbasis.cg_equivalence", ctx, np.abs(w - cg).max(),
                                TOL_ALGEBRA))
 
-        if d <= overlap_d_max:
+        if d <= _OVERLAP_D_MAX:
             reports.append(_report("interbasis.overlap", ctx,
                                    np.abs(_overlap_matrix(lv) - w).max(), TOL_OVERLAP))
 

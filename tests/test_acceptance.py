@@ -217,15 +217,15 @@ def test_criterion_7_normalization_orthonormality():
             worst = max(worst, float(np.abs(norms - 1.0).max()))
             if two_m not in m_done:
                 m_done.add(two_m)
-                worst = max(worst, _identity_deviation(_angular_gram(states, two_m, 5)))
                 dc = derive_constants(params, two_m)
+                worst = max(worst, _identity_deviation(_angular_gram(states, dc, 5)))
                 j_list = sorted({tj for tn, tm in blocks if tm == two_m
                                  for tj in range(dc.two_m_plus, tn - 1, 2)})
                 for two_j in j_list:
                     n_list = [tn for tn, tm in blocks
                               if tm == two_m and tn >= two_j + 2]
                     worst = max(worst, _identity_deviation(
-                        _radial_gram(states, two_m, two_j, n_list)))
+                        _radial_gram(states, dc, two_j, n_list)))
     ok = worst <= 1e-8
     _line("criterion-7 normalization/orthonormality", ok,
           f"max residual {worst:.2e} (tol 1e-8)")

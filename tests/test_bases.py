@@ -153,7 +153,8 @@ class TestAngular:
     def test_orthonormality_quadrature(self):
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=1, c1=0.3, c2=0.7), 1),
                               (SystemParams(two_s=0, c1=0.3, c2=0.7), -2)]:
-            assert _identity_deviation(_angular_gram(_States(params), two_m, 5)) <= 1e-8
+            dc = derive_constants(params, two_m)
+            assert _identity_deviation(_angular_gram(_States(params), dc, 5)) <= 1e-8
 
 
 class TestRadial:
@@ -193,7 +194,7 @@ class TestRadial:
             (SystemParams(two_s=0, c1=1.1, c2=0.2), 2, 4),
         ]:
             n_list = [two_j + 2 * k for k in range(1, 7)]   # n = j+1 .. j+6
-            gram = _radial_gram(_States(params), two_m, two_j, n_list)
+            gram = _radial_gram(_States(params), derive_constants(params, two_m), two_j, n_list)
             assert _identity_deviation(gram) <= 1e-8
 
 
@@ -202,7 +203,8 @@ class TestRadial:
         # as a power series; the recurrence keeps the norm to rounding
         params = SystemParams(two_s=0, c1=0.3, c2=0.7)
         for two_j in (0, 10):
-            norm = _radial_gram(_States(params), 0, two_j, [two_j + 2 * 60 + 2])
+            norm = _radial_gram(_States(params), derive_constants(params, 0), two_j,
+                                [two_j + 2 * 60 + 2])
             assert abs(norm[0, 0] - 1.0) <= 1e-12
 
 

@@ -378,6 +378,15 @@ class TestVerify:
             main(["spectrum", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["sweep", "--n", "3", "--m", "0", "--R", "1"],
+                                      ["spectrum"], ["coefficients", "--n", "3", "--m", "0"]])
+    def test_seed_is_a_verify_option_only(self, capsys, argv):
+        # only verify draws random numbers; the other commands reject --seed
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestOutput:
     def test_out_file(self, tmp_path, capsys):

@@ -21,8 +21,8 @@ from mickepler.qnum import (
     ParabolicQN,
     QuantumNumberError,
     SystemParams,
+    _n_effective,
     derive_constants,
-    n_effective,
     parabolic_separation_constant,
 )
 from mickepler.verify import _biorthogonality, _completeness_residual, _overlap_matrix, _States
@@ -42,8 +42,8 @@ def radial_overlaps(params, two_n, two_m):
 
 def closed_radial_overlap(params, two_n, two_m, two_j):
     """Diagonal radial overlap 2 / (n_eff^3 (2j + delta1 + delta2 + 1))."""
-    delta = derive_constants(params, two_m).delta_total
-    return 2.0 / (n_effective(params, two_m, two_n) ** 3 * (two_j + delta + 1.0))
+    dc = derive_constants(params, two_m)
+    return 2.0 / (_n_effective(dc, two_n) ** 3 * (two_j + dc.delta_total + 1.0))
 
 
 def cg_exact(two_a, two_al, two_b, two_be, two_c, two_ga) -> float:
@@ -124,6 +124,14 @@ class TestExpansionCoefficient:
             expansion_coefficient(HYDROGEN, 4, 6, 0, 0)
         with pytest.raises(QuantumNumberError):
             expansion_coefficient(HYDROGEN, 4, 0, 5, 0)
+        # (params, two_n, two_j, two_m): j below m_plus, then two_j - two_m_plus odd
+        ring_half = SystemParams(two_s=1, c1=0.3, c2=0.7)   # m = 1/2: m_plus = 1/2
+        for labels in ((HYDROGEN, 6, 0, 2), (HYDROGEN, 6, 3, 2),
+                       (ring_half, 7, -1, 1), (ring_half, 7, 2, 1)):
+            params, two_n, two_j, two_m = labels
+            for closed_form in (expansion_coefficient, expansion_coefficient_cg):
+                with pytest.raises(QuantumNumberError):
+                    closed_form(params, two_n, two_j, 0, two_m)
 
     def test_matrix_orthogonality_random_systems(self):
         rng = np.random.default_rng(8)

@@ -14,6 +14,7 @@ from mickepler.qnum import (
     QuantumNumberError,
     SystemParams,
     _block_dimension,
+    _n_effective,
     _principal_two_n,
     _spherical_qn,
     derive_constants,
@@ -21,7 +22,6 @@ from mickepler.qnum import (
     enumerate_m_blocks,
     epsilon,
     format_half_integer,
-    n_effective,
     parabolic_qn,
     parabolic_separation_constant,
     parse_half_integer,
@@ -133,7 +133,7 @@ class TestEnergy:
         two_m = two_s  # m = s is always a valid block root
         dc = derive_constants(params, two_m)
         two_n = dc.two_m_plus + 2 * d
-        n_eff = n_effective(params, two_m, two_n)
+        n_eff = _n_effective(dc, two_n)
         assert epsilon(n_eff) * n_eff == approx(1.0, rel=1e-15)
 
 
@@ -283,7 +283,7 @@ class TestBlockConstantsDerivedOnce:
         (lambda: _block_dimension(derive_constants(HYDROGEN, 2), 2),
          "no bound states with two_n=2 in the two_m=2 block "
          "(need n - m_plus a positive integer, m_plus=1.0)"),
-        (lambda: n_effective(HYDROGEN, 2, 2),
+        (lambda: _n_effective(derive_constants(HYDROGEN, 2), 2),
          "no bound states with two_n=2 in the two_m=2 block "
          "(need n - m_plus a positive integer, m_plus=1.0)"),
     ])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from pytest import approx
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from mickepler.interbasis import _coupling, block, expansion_matrix
 from mickepler.qnum import (
@@ -214,11 +214,23 @@ class TestLimits:
 
 class TestSweep:
     def test_single_point_equals_solve(self):
-        grid_sol = sweep(HYDROGEN, 4, 0, [3.0])[0]
-        direct = solve(HYDROGEN, 4, 0, 3.0)
-        assert np.array_equal(grid_sol.lambdas, direct.lambdas)
-        assert np.array_equal(grid_sol.spherical_coefficients.entries,
-                              direct.spherical_coefficients.entries)
+        # solve is a one-point sweep: it must equal the sign-fixed stacked solve
+        # at that R alone, and a dense eigh of the spherical-side matrix
+        for params, two_n, two_m, R in ((HYDROGEN, 4, 0, 3.0),
+                                        (SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1, 2.5)):
+            blk = block(params, two_n, two_m)
+            lambdas, _, u, v = _eigensolve(blk, [R])
+            direct = solve(params, two_n, two_m, R)
+            assert np.array_equal(direct.lambdas, lambdas[0])
+            assert np.array_equal(direct.spherical_coefficients.entries, u[0].T)
+            assert np.array_equal(direct.parabolic_coefficients.entries, v[0].T)
+
+            diag, off = blk.spherical_bands(R)
+            ref_lambdas, ref_u = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            scale = np.abs(ref_lambdas).max()
+            assert np.abs(direct.lambdas - ref_lambdas).max() <= 1e-14 * scale
+            assert _aligned_deviation(direct.spherical_coefficients.entries, ref_u) <= 1e-13
+            assert (direct.spherical_coefficients.entries[0] > 0.0).all()
 
     def test_branches_never_cross(self):
         grid = np.linspace(0.0, 100.0, 80)

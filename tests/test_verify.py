@@ -26,9 +26,9 @@ from mickepler.interbasis import block
 from mickepler.qnum import (
     SystemParams,
     _block_dimension,
+    _n_effective,
     derive_constants,
     enumerate_blocks,
-    n_effective,
 )
 from mickepler.spheroidal import _eigensolve, limits, solve
 import mickepler.verify as verify
@@ -83,7 +83,7 @@ class TestQuadratureRules:
             assert value == approx(exact, rel=1e-13)
 
     def test_rules_are_cached(self):
-        assert verify.angular_nodes(40) is verify.angular_nodes(40)
+        assert verify._jacobi(9, 0.37, 1.5) is verify._jacobi(9, 0.37, 1.5)
         assert verify._laguerre(40, 0.5) is verify._laguerre(40, 0.5)
 
 
@@ -115,7 +115,7 @@ def completeness_point_loop(params, two_n, two_m, rng, w, npoints=20):
     d = _block_dimension(dc, two_n)
     sph = [spherical_state(params, two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
     par = [parabolic_state(params, n1, d - 1 - n1, two_m) for n1 in range(d)]
-    scale = n_effective(params, two_m, two_n) ** 2
+    scale = _n_effective(dc, two_n) ** 2
     worst = 0.0
     for _ in range(npoints):
         point = SphericalPoint(r=scale * rng.uniform(0.05, 3.0),
@@ -375,7 +375,7 @@ class TestBlockCores:
                 for b in states] for a in states])
             expected = float(np.abs(gram - np.eye(len(states))).max())
             got = verify._identity_deviation(
-                verify._radial_gram(verify._States(params), two_m, two_j, n_list))
+                verify._radial_gram(verify._States(params), dc, two_j, n_list))
             assert got == approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -459,13 +459,13 @@ def quadrature_matrices(params, n_max=8):
         matrices["overlap", two_n, two_m] = verify._overlap_matrix(level)
         matrices["parabolic_norms", two_n, two_m] = verify._parabolic_norms(level)
     for two_m in sorted({two_m for _, two_m in blocks}):
-        matrices["angular_gram", two_m] = verify._angular_gram(states, two_m, 5)
         dc = verify.derive_constants(params, two_m)
+        matrices["angular_gram", two_m] = verify._angular_gram(states, dc, 5)
         n_list = [two_n for two_n, tm in blocks if tm == two_m]
         for two_j in range(dc.two_m_plus, max(n_list) - 1, 2):
             chain = [two_n for two_n in n_list if two_n >= two_j + 2]
             matrices["radial_gram", two_m, two_j] = verify._radial_gram(
-                states, two_m, two_j, chain)
+                states, dc, two_j, chain)
     return matrices
 
 
