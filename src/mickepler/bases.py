@@ -146,24 +146,25 @@ def _kummer(n: int, c: float, t):
     return scale * eval_genlaguerre(n, c - 1.0, t)
 
 
-def radial_r(state: SphericalState, r):
-    """Normalized radial function; returns an array if r is an array."""
-    r = np.asarray(r, dtype=float)
-    dc = state.dc
-    j = state.qn.two_j / 2.0
-    power = j + 0.5 * dc.delta_total
-    n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
-    t = 2.0 * state.eps * r
-    poly = _kummer(n_r, 2.0 * j + dc.delta_total + 2.0, t)
+def _laguerre_factor(n: int, c: float, power: float, log_norm: float, norm: float, t):
+    """norm exp(log_norm) t^power e^(-t/2) F(-n; c; t): the radial function
+    and each parabolic factor; returns a float if t is a scalar."""
+    t = np.asarray(t, dtype=float)
     # log of a sentinel 1.0 where t == 0; that branch is overwritten below
     log_t = np.log(np.where(t > 0.0, t, 1.0))
-    envelope = np.where(
-        t > 0.0,
-        np.exp(state.log_norm_radial + power * log_t - 0.5 * t),
-        state.norm_radial if power == 0.0 else 0.0,
-    )
-    value = envelope * poly
+    envelope = np.where(t > 0.0, norm * np.exp(log_norm + power * log_t - 0.5 * t),
+                        norm * math.exp(log_norm) if power == 0.0 else 0.0)
+    value = envelope * _kummer(n, c, t)
     return value if value.ndim else float(value)
+
+
+def radial_r(state: SphericalState, r):
+    """Normalized radial function; returns an array if r is an array."""
+    j, delta = state.qn.two_j / 2.0, state.dc.delta_total
+    n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
+    return _laguerre_factor(n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta,
+                            state.log_norm_radial, 1.0,
+                            2.0 * state.eps * np.asarray(r, dtype=float))
 
 
 def psi_spherical(state: SphericalState, point) -> complex:
@@ -175,37 +176,23 @@ def psi_spherical(state: SphericalState, point) -> complex:
     )
 
 
-def _phi_factor(n_i: int, m_i: float, norm: float, eps: float, x):
-    """One-dimensional parabolic factor without the azimuthal phase."""
-    x = np.asarray(x, dtype=float)
-    t = eps * x
-    poly = _kummer(n_i, m_i + 1.0, t)
-    log_t = np.log(np.where(t > 0.0, t, 1.0))
-    envelope = np.where(
-        t > 0.0,
-        norm * np.exp(0.5 * m_i * log_t - 0.5 * t),
-        norm if m_i == 0.0 else 0.0,
-    )
-    return envelope * poly
-
-
 def parabolic_factor(state: ParabolicState, axis: int, x):
     """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
-    if axis == 0:
-        return _phi_factor(state.qn.n1, state.dc.m1, state.norms[0], state.eps, x)
-    return _phi_factor(state.qn.n2, state.dc.m2, state.norms[1], state.eps, x)
+    n_i = state.qn.n2 if axis else state.qn.n1
+    m_i = state.dc.m2 if axis else state.dc.m1
+    return _laguerre_factor(n_i, m_i + 1.0, 0.5 * m_i, 0.0, state.norms[axis],
+                            state.eps * np.asarray(x, dtype=float))
 
 
 def parabolic_profile(state: ParabolicState, xi, eta):
     """Real profile sqrt(2) eps^2 Phi1(xi) Phi2(eta)."""
-    dc = state.dc
-    value = (
-        math.sqrt(2.0)
-        * state.eps**2
-        * _phi_factor(state.qn.n1, dc.m1, state.norms[0], state.eps, xi)
-        * _phi_factor(state.qn.n2, dc.m2, state.norms[1], state.eps, eta)
-    )
-    return value if np.asarray(value).ndim else float(value)
+    dc, eps, norms = state.dc, state.eps, state.norms
+    # each factor is a float for a scalar argument, so the product is too
+    return (math.sqrt(2.0) * eps**2
+            * _laguerre_factor(state.qn.n1, dc.m1 + 1.0, 0.5 * dc.m1, 0.0, norms[0],
+                               eps * np.asarray(xi, dtype=float))
+            * _laguerre_factor(state.qn.n2, dc.m2 + 1.0, 0.5 * dc.m2, 0.0, norms[1],
+                               eps * np.asarray(eta, dtype=float)))
 
 
 def psi_parabolic(state: ParabolicState, point) -> complex:

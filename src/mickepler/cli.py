@@ -41,19 +41,20 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    """Header line, then every row formatted by one row template.
+def _csv_table(header: list[str], rows) -> str:
+    """Header line, then every row of an iterable formatted by one row template.
 
     All rows share the layout of the first.  String cells (labels, which
     hold no comma or quote) go through as they are; numbers print as
     %.17g, which re-parses to the same double.
     """
-    lines = [",".join(header)]
-    if rows:
-        template = ",".join("%s" if isinstance(cell, str) else "%.17g"
-                            for cell in rows[0])
-        lines += [template % tuple(row) for row in rows]
-    return "\n".join(lines)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ",".join(header)
+    template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first)
+    return "\n".join([",".join(header), template % tuple(first),
+                      *(template % tuple(row) for row in rows)])
 
 
 def _json_table(header: list[str], rows: list[list]) -> str:
@@ -134,21 +135,18 @@ def cmd_coefficients(args) -> int:
 def _sweep_table(args, header: list[str], grid: list[float], cells: np.ndarray) -> str:
     """One row per (R, q): R, q, then ``cells[p, q]`` for grid point p.
 
-    The CSV holds the bytes :func:`_csv_table` would write for those rows,
-    with each R cell formatted once per grid point and each q cell once
-    per q instead of once per row.
+    In CSV each R cell is formatted once per grid point and each q cell
+    once per q, instead of once per row.
     """
     q_values = [float(q) for q in range(cells.shape[1])]
     cells = cells.tolist()
     if args.format == "json":
         return _json_table(header, [[R, q, *row] for R, rows in zip(grid, cells)
                                     for q, row in zip(q_values, rows)])
-    template = "%s,%s" + ",%.17g" * (len(header) - 2)
     r_cells = ["%.17g" % R for R in grid]
     q_cells = ["%.17g" % q for q in q_values]
-    return "\n".join([",".join(header)] + [
-        template % (R, q, *row) for R, rows in zip(r_cells, cells)
-        for q, row in zip(q_cells, rows)])
+    return _csv_table(header, ((R, q, *row) for R, rows in zip(r_cells, cells)
+                               for q, row in zip(q_cells, rows)))
 
 
 def cmd_sweep(args) -> int:

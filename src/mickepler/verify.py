@@ -39,11 +39,12 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi, roots_legendre
+from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi
 
 from .bases import (
     ParabolicState,
     SphericalState,
+    _kummer,
     angular_profile,
     parabolic_factor,
     parabolic_profile,
@@ -156,7 +157,7 @@ def summary_table(reports) -> str:
 
 def _check_quadrature_selftest() -> list[CheckReport]:
     reports = []
-    nodes, weights = roots_legendre(64)
+    nodes, weights = _jacobi(64, 0.0, 0.0)   # the Gauss-Legendre rule
     worst = 0.0
     for k in range(128):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
@@ -165,9 +166,9 @@ def _check_quadrature_selftest() -> list[CheckReport]:
     reports.append(_report("quad.legendre.monomials", "order=64 k<=127", worst,
                            TOL_QUADRATURE))
 
-    nodes, weights = roots_genlaguerre(64, 0.0)
+    nodes, weights = _laguerre(64, 0.0)
     log_t = np.log(nodes)
-    log_w = np.log(weights)
+    log_w = np.log(weights) - nodes   # undo the rule's e^t rescaling
     worst = 0.0
     for k in range(128):
         a = log_w + k * log_t
@@ -220,12 +221,16 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports.append(_report("kernel.jacobi.endpoint", "60 random (k,alpha,beta)",
                            worst, TOL_QUADRATURE))
 
+    # bases._kummer against the series, relative to its sum of |terms|, F(-n; c; -x)
+    x = np.array([0.0, 0.5, 2.0, 10.0])
     worst = 0.0
     for _ in range(40):
         n = int(rng.integers(0, 9))
         c = rng.uniform(0.1, 6.0)
-        worst = max(worst, abs(kummer_terminating(n, c, 0.0) - 1.0))
-    reports.append(_report("kernel.kummer.at_zero", "40 random (n,c)", worst, 0.0))
+        worst = max(worst, float(np.max(np.abs(_kummer(n, c, x) - kummer_terminating(n, c, x))
+                                        / kummer_terminating(n, c, -x))))
+    reports.append(_report("kernel.kummer.series", "40 random (n,c) x in {0,0.5,2,10}",
+                           worst, TOL_QUADRATURE))
 
     worst = 0.0
     trials = 0
@@ -482,10 +487,9 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
         lambdas, lambdas_par, u, v = _eigensolve(
             blk, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
 
-        ell = [dc.m_plus + k + 0.5 * dc.delta_total for k in range(d)]
-        m_expected = np.sort([l * (l + 1.0) for l in ell])
+        # the angular spectrum l(l + 1) ascends with j
         reports.append(_report("spheroidal.angular_spectrum", ctx,
-                               np.abs(lambdas_par[n_r] - m_expected).max(), TOL_ALGEBRA))
+                               np.abs(lambdas_par[n_r] - blk.angular).max(), TOL_ALGEBRA))
 
         base_diag, base_off = blk.spherical_bands(0.0)
         worst = 0.0

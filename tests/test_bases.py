@@ -16,6 +16,7 @@ except ImportError:  # older scipy
 
 from mickepler.bases import (
     angular_profile,
+    parabolic_factor,
     parabolic_profile,
     parabolic_state,
     psi_parabolic,
@@ -263,3 +264,43 @@ class TestFullWavefunctions:
         base = psi_parabolic(state, ParabolicPoint(1.0, 2.0, 0.0))
         rot = psi_parabolic(state, ParabolicPoint(1.0, 2.0, 0.25))
         assert rot == approx(base * np.exp(1j * 1 * 0.25), rel=1e-13)
+
+
+class TestLaguerreFactorBranches:
+    """The one kernel behind the radial function and both parabolic factors."""
+
+    def test_scalar_argument_gives_float(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        sph = spherical_state(params, 7, 3, 1)
+        par = parabolic_state(params, 1, 2, 1)
+        for x in (1.3, 0.0, np.float64(0.4), np.array(2.5)):
+            values = [radial_r(sph, x), angular_profile(sph, x), parabolic_factor(par, 0, x),
+                      parabolic_factor(par, 1, x), parabolic_profile(par, x, 0.7)]
+            assert [type(v) for v in values] == [float] * 5, x
+        assert parabolic_factor(par, 0, np.array([0.5, 1.0])).shape == (2,)
+
+    def test_parabolic_factor_at_origin(self):
+        # x^(m_i / 2) is 1 at x = 0 for m_i = 0 and vanishes for m_i > 0;
+        # F(-n; c; 0) = 1 up to the rounding of its Laguerre prefactor
+        for params, axis_zero in ((SystemParams(two_s=0, c2=0.7), 0),
+                                  (SystemParams(two_s=0, c1=0.3), 1)):
+            state = parabolic_state(params, 2, 1, 0)
+            ms = (state.dc.m1, state.dc.m2)
+            assert ms[axis_zero] == 0.0 and ms[1 - axis_zero] > 0.0
+            assert parabolic_factor(state, axis_zero, 0.0) == approx(
+                state.norms[axis_zero], rel=1e-14)
+            assert parabolic_factor(state, 1 - axis_zero, 0.0) == 0.0
+            values = parabolic_factor(state, 1 - axis_zero, np.array([0.0, 0.5]))
+            assert values[0] == 0.0 and values[1] != 0.0
+
+    def test_profile_is_the_product_of_the_factors_bit_for_bit(self):
+        state = parabolic_state(SystemParams(two_s=1, c1=0.3, c2=0.7), 2, 3, 1)
+        xi = np.array([0.0, 0.3, 1.7, 9.0])
+        eta = np.array([2.2, 0.0, 0.9, 14.0])
+        scale = math.sqrt(2.0) * state.eps**2
+        assert np.array_equal(parabolic_profile(state, xi, eta),
+                              scale * parabolic_factor(state, 0, xi)
+                              * parabolic_factor(state, 1, eta))
+        for a, b in zip(xi, eta):
+            assert parabolic_profile(state, a, b) == (
+                scale * parabolic_factor(state, 0, a) * parabolic_factor(state, 1, b))

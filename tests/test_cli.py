@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,3 +462,18 @@ class TestRepeatedMain:
         monkeypatch.setattr(cli, "cmd_spectrum", fake_spectrum)
         assert main(["spectrum", "--n-max", "3"]) == 7
         assert seen == [3.0]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines_run(capsys):
+    # every "mickepler ..." line of the README's Command line block exits 0
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("mickepler ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

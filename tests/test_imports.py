@@ -98,6 +98,33 @@ def test_sources_parse_as_python_3_10():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every name a node reads, imports or looks up as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that nothing in the package
+    # names, its own body aside, is a left-over second copy
+    statements = [(path, node) for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    private = [(path, node) for path, node in statements
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    assert len(private) > 40
+    unreferenced = [f"{path.stem}.{node.name}" for path, node in private
+                    if not any(node.name in referenced_names(other)
+                               for _, other in statements if other is not node)]
+    assert unreferenced == []
+
+
 # Run in a fresh interpreter: records every import of scipy.linalg with the
 # files on the stack that asked for it, then runs the CLI commands given
 # as a JSON list of argument lists and prints the records as JSON.

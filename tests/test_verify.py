@@ -183,7 +183,7 @@ class TestRunSuite:
         for expected in [
             "quad.legendre.monomials", "quad.laguerre.monomials",
             "kernel.lngamma.recurrence", "kernel.jacobi.orthogonality",
-            "kernel.jacobi.endpoint", "kernel.kummer.at_zero", "kernel.bailey",
+            "kernel.jacobi.endpoint", "kernel.kummer.series", "kernel.bailey",
             "bases.angular.orthonormality", "bases.radial.orthonormality",
             "bases.parabolic.normalization", "interbasis.biorthogonality",
             "interbasis.orthogonality", "interbasis.cg_equivalence",
@@ -264,6 +264,15 @@ class TestRunSuite:
         failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
                   if not r.passed}
         assert failed == {"spheroidal.limit_scaling"}
+
+    def test_negative_control_scaled_kummer(self, monkeypatch):
+        # the self-check compares the production Laguerre path with the series
+        real = verify._kummer
+        monkeypatch.setattr(verify, "_kummer", lambda n, c, t: real(n, c, t) * (1.0 + 1e-10))
+        reports = run_suite(HYDROGEN, n_max=2, r_list=R_LIST)
+        assert {r.check_id for r in reports if not r.passed} == {"kernel.kummer.series"}
+        (kummer,) = [r for r in reports if r.check_id == "kernel.kummer.series"]
+        assert kummer.residual == approx(1e-10, rel=1e-4)
 
     def test_json_lines_round_trip(self):
         import json
@@ -384,9 +393,9 @@ def test_suite_builds_one_laguerre_rule_per_exponent():
     # the level rule (d + 1 nodes, exponent 2 m_plus + delta) and the
     # parabolic-norm rules (d, m1) and (d, m2); per chain j of an m the
     # radial Gram rule of the level exponent with k + 2 + n_r,max nodes,
-    # k = j - m_plus
+    # k = j - m_plus; and the self-test's 64-node rule of exponent 0
     blocks = enumerate_blocks(RING_HALF, 8)
-    rules = set()
+    rules = {(64, 0.0)}
     for two_n, two_m in blocks:
         dc = verify.derive_constants(RING_HALF, two_m)
         d = (two_n - dc.two_m_plus) // 2
@@ -528,7 +537,7 @@ BENCHMARK_REPORT_COUNTS = {
     "interbasis.cg_equivalence": 120, "interbasis.completeness": 120,
     "interbasis.orthogonality": 120, "interbasis.overlap": 92, "kernel.bailey": 2,
     "kernel.jacobi.endpoint": 2, "kernel.jacobi.orthogonality": 2,
-    "kernel.kummer.at_zero": 2, "kernel.lngamma.recurrence": 2,
+    "kernel.kummer.series": 2, "kernel.lngamma.recurrence": 2,
     "quad.laguerre.monomials": 2, "quad.legendre.monomials": 2,
     "spheroidal.angular_spectrum": 120, "spheroidal.basis_change": 480,
     "spheroidal.limit_scaling": 91, "spheroidal.limits": 25,
@@ -536,7 +545,7 @@ BENCHMARK_REPORT_COUNTS = {
     "spheroidal.runge_lenz_spectrum": 120, "spheroidal.spectrum_equality": 480,
 }
 # sha256 of both reports, one line after the other, with the residual= fields removed
-BENCHMARK_REPORT_SHA256 = "c35f03ccfa0a552dd50e27af51a6b1cf334bd0eed3feabfa766c75e4b0391d07"
+BENCHMARK_REPORT_SHA256 = "e5ce90c2b422c5aaee3cbe0b9334847aeb627578a92b759905e8976acdc77601"
 
 
 def test_verify_report_at_benchmark_points(capsys):
