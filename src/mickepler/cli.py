@@ -41,30 +41,139 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _csv_table(header: list[str], rows) -> str:
-    """Header line, then every row of an iterable formatted by one row template.
+# The %.17g kernel: the 17 digits of x are D = round(|x| * 10**(16 - X)),
+# X = floor(log10|x|), from a double-double 10**k and Dekker's exact product,
+# to within 1e-13.  A cell is proven when that is more than 1e-6 from a tie
+# and 10**16 < D < 10**17, which also confirms X (a log10 one too high can
+# round up to exactly 10**16); every other cell goes through '%.17g' % x.
+_KERNEL_MIN_CELLS = 200     # smaller tables: the row template is faster
+_CHUNK_CELLS = 16384
+_SPLIT = 134217729.0        # 2**27 + 1, Dekker's splitter for doubles
+_K_MIN = -300               # 10**k is tabulated for -300 <= k <= 340
 
-    All rows share the layout of the first.  String cells (labels, which
-    hold no comma or quote) go through as they are; numbers print as
-    %.17g, which re-parses to the same double.
+
+@functools.cache
+def _kernel_tables():
+    """10**k as (2**e) * (hi + lo) with 1/2 < hi < 2, Dekker's halves of hi,
+    the four-digit groups '0000'..'9999' and their trailing zeros, and
+    the byte layout of each %.17g cell form."""
+    powers = []
+    for k in range(_K_MIN, 341):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        e = num.bit_length() - den.bit_length()
+        num, den = num << max(-e, 0), den << max(e, 0)
+        h = num / den                       # int division rounds correctly
+        a, b = h.as_integer_ratio()
+        powers.append((h, (num * b - a * den) / (den * b), e))
+    hi, lo, shift = map(np.array, zip(*powers))
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    groups = np.arange(10000)[:, None]
+    quads = (groups // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view(np.uint32)[:, 0]
+    zeros = (groups % [10, 100, 1000, 10000] == 0).sum(axis=1)
+    # layouts[form, kept digits]: the 25-byte slot as bytes of a cell's parts,
+    # 3-19 the digits, 20 '.', 21 '0', 22 NUL, 23 'e', 24-27 |X| as '0ddd',
+    # 28 sign, 29 separator, 30 sign of X
+    layouts = np.full((23, 18, 25), 22, np.int32)
+    for form, keep in np.ndindex(23, 18):   # X + 4 in fixed notation, then e+dd, e+ddd
+        x = form - 4
+        if form < 21:
+            digits = max(keep, x + 1)
+            cell = ([21, 20] + [21] * (-x - 1) if x < 0 else []) + list(range(3, 3 + digits))
+            if 0 <= x < digits - 1:
+                cell.insert(x + 1, 20)
+        else:
+            cell = [3] + [20] * (keep > 1) + list(range(4, 3 + keep))
+            cell += [23, 30] + [25] * (form == 22) + [26, 27]
+        layouts[form, keep, :len(cell) + 1] = [28] + cell
+        layouts[form, keep, 24] = 29
+    return hi, hi_hi, hi - hi_hi, lo, shift.astype(np.intc), quads, zeros, layouts.reshape(-1, 25)
+
+
+def _decimal17(values: np.ndarray):
+    """(D, X, proven) of each value: its 17 significant digits as an integer
+    D and its decimal exponent X where ``proven`` holds (elsewhere D = 10**16)."""
+    hi, hi_hi, hi_lo, lo, shift = _kernel_tables()[:5]
+    a = np.abs(values)
+    proven = (a >= 2.2250738585072014e-308) & (a <= 1e300)
+    a = np.where(proven, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.intp)
+    k = 16 - x - _K_MIN
+    y = np.ldexp(a, shift[k])               # exact: |x| * 10**k == y * (hi + lo)
+    p = y * hi[k]                           # an integer: p >= 10**16 > 2**53
+    c = _SPLIT * y
+    y_hi = c - (c - y)
+    y_lo = y - y_hi
+    t = ((y_hi * hi_hi[k] - p) + y_hi * hi_lo[k] + y_lo * hi_hi[k]) + y_lo * hi_lo[k]
+    t += y * lo[k]
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    proven &= (np.abs(t - r) < 0.5 - 1e-6) & (d > 10 ** 16) & (d < 10 ** 17)
+    return np.where(proven, d, 10 ** 16), x, proven
+
+
+def _cell_bytes(cells: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float array as bytes, (rows, 25 * cols): each cell
+    in a NUL-padded 25-byte slot, '%.17g' then ',' or, last in its row, newline."""
+    values = cells.ravel()
+    quads, zeros, layouts = _kernel_tables()[5:]
+    d, x, proven = _decimal17(values)
+    first, rest = np.divmod(d, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    groups = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
+    parts = np.empty((values.size, 8), np.uint32)
+    for j, group in enumerate((first, *groups)):
+        parts[:, j] = quads[group]
+    parts[:, 5] = np.frombuffer(b".0\0e", np.uint32)[0]
+    parts[:, 6] = quads[np.abs(x)]
+    parts = parts.view(np.uint8)
+    parts[:, 28] = np.where(values < 0, 45, 0)
+    parts.reshape(*cells.shape, 32)[..., 29] = 44
+    parts.reshape(*cells.shape, 32)[:, -1, 29] = 10
+    parts[:, 30] = np.where(x < 0, 45, 43)
+    trailing = zeros[groups[0]]
+    for group in groups[1:]:
+        trailing = np.where(group == 0, trailing + 4, zeros[group])
+    form = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) >= 100, 22, 21))
+    index = np.take(layouts, 18 * form + 17 - trailing, axis=0)
+    index += np.arange(0, parts.size, 32, dtype=np.int32)[:, None]
+    slots = np.take(parts.ravel(), index)
+    fallback = np.flatnonzero(~proven)
+    if fallback.size:
+        text = np.array(["%.17g" % v for v in values[fallback].tolist()], "S24")
+        slots[fallback, :24] = text.view(np.uint8).reshape(-1, 24)
+    return slots.reshape(len(cells), -1)
+
+
+def _csv_table(header: list[str], cells, labels=None) -> str:
+    """Header line, then one line per row of a 2-D float array, each cell
+    exactly '%.17g' % x (which re-parses to the same double), after the
+    row's string label when ``labels`` is given (labels hold no comma or quote).
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return ",".join(header)
-    template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first)
-    return "\n".join([",".join(header), template % tuple(first),
-                      *(template % tuple(row) for row in rows)])
+    cells = np.asarray(cells, dtype=float)
+    if cells.size < _KERNEL_MIN_CELLS:
+        template = ",".join(["%s"] * (labels is not None) + ["%.17g"] * cells.shape[-1])
+        rows = cells if labels is None else ((label, *row) for label, row in zip(labels, cells))
+        return "\n".join([",".join(header), *(template % tuple(row) for row in rows)])
+    if labels is not None:                  # NUL-padded 'label,' bytes
+        labels = np.array([f"{label}," for label in labels], "S").view(np.uint8)
+        labels = labels.reshape(len(cells), -1)
+    step = max(1, _CHUNK_CELLS // cells.shape[1])
+    text = [",".join(header), "\n"]
+    for start in range(0, len(cells), step):
+        chunk = _cell_bytes(cells[start:start + step])
+        if labels is not None:
+            chunk = np.concatenate([labels[start:start + step], chunk], axis=1)
+        if start + step >= len(cells):
+            chunk[-1, -1] = 0               # no newline after the last row
+        text.append(chunk.tobytes().translate(None, b"\0").decode())
+    return "".join(text)
 
 
-def _json_table(header: list[str], rows: list[list]) -> str:
-    return json.dumps({"columns": header, "rows": rows})
-
-
-def _table(args, header: list[str], rows: list[list]) -> str:
+def _table(args, header: list[str], cells: np.ndarray) -> str:
     if args.format == "json":
-        return _json_table(header, rows)
-    return _csv_table(header, rows)
+        return json.dumps({"columns": header, "rows": cells.tolist()})
+    return _csv_table(header, cells)
 
 
 def _params(args) -> SystemParams:
@@ -97,7 +206,8 @@ def cmd_spectrum(args) -> int:
         dc = derive_constants(params, two_m)
         rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2,
                      energy(params, two_m, two_n)])
-    _emit(_table(args, ["n", "m", "delta1", "delta2", "energy"], rows), args.out)
+    header = ["n", "m", "delta1", "delta2", "energy"]
+    _emit(_table(args, header, np.array(rows).reshape(-1, len(header))), args.out)
     return 0
 
 
@@ -109,10 +219,7 @@ def _matrix_output(args, matrix: ExpansionMatrix) -> str:
             "col_labels": list(matrix.col_labels),
             "entries": [[float(v) for v in row] for row in matrix.entries],
         })
-    header = ["row"] + list(matrix.col_labels)
-    rows = [[label, *matrix.entries[i].tolist()]
-            for i, label in enumerate(matrix.row_labels)]
-    return _csv_table(header, rows)
+    return _csv_table(["row", *matrix.col_labels], matrix.entries, matrix.row_labels)
 
 
 def cmd_coefficients(args) -> int:
@@ -132,21 +239,13 @@ def cmd_coefficients(args) -> int:
     return 0
 
 
-def _sweep_table(args, header: list[str], grid: list[float], cells: np.ndarray) -> str:
-    """One row per (R, q): R, q, then ``cells[p, q]`` for grid point p.
-
-    In CSV each R cell is formatted once per grid point and each q cell
-    once per q, instead of once per row.
-    """
-    q_values = [float(q) for q in range(cells.shape[1])]
-    cells = cells.tolist()
-    if args.format == "json":
-        return _json_table(header, [[R, q, *row] for R, rows in zip(grid, cells)
-                                    for q, row in zip(q_values, rows)])
-    r_cells = ["%.17g" % R for R in grid]
-    q_cells = ["%.17g" % q for q in q_values]
-    return _csv_table(header, ((R, q, *row) for R, rows in zip(r_cells, cells)
-                               for q, row in zip(q_cells, rows)))
+def _sweep_table(args, header: list[str], grid: list[float], columns) -> str:
+    """One row per (R, q): R, q, then ``column[p, q]`` of each (P, d, k) column."""
+    points, dim = columns[0].shape[:2]
+    r_col = np.broadcast_to(np.reshape(grid, (points, 1, 1)), (points, dim, 1))
+    q_col = np.broadcast_to(np.arange(dim, dtype=float)[:, None], (points, dim, 1))
+    table = np.concatenate([r_col, q_col, *columns], axis=2)
+    return _table(args, header, table.reshape(points * dim, -1))
 
 
 def cmd_sweep(args) -> int:
@@ -162,11 +261,11 @@ def cmd_sweep(args) -> int:
         header += [f"u[{lab}]" for lab in blk.spherical_labels]
         header += [f"v[{lab}]" for lab in blk.parabolic_labels]
         # row q of point p: lambda_q, then eigenvector q of U and of V
-        cells = np.concatenate([lambdas[:, :, None], u, v], axis=2)
+        columns = [lambdas[:, :, None], u, v]
     else:
         # lambdas alone need neither eigenvectors' signs nor the parabolic solve
-        cells = _sweep_lambdas(params, two_n, two_m, grid)[:, :, None]
-    _emit(_sweep_table(args, header, grid, cells), args.out)
+        columns = [_sweep_lambdas(params, two_n, two_m, grid)[:, :, None]]
+    _emit(_sweep_table(args, header, grid, columns), args.out)
     return 0
 
 

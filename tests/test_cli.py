@@ -12,8 +12,9 @@ from pytest import approx
 import mickepler.cli as cli
 import mickepler.verify as verify
 from mickepler.cli import main
+from mickepler.interbasis import expansion_matrix
 from mickepler.qnum import SystemParams
-from mickepler.spheroidal import solve, sweep
+from mickepler.spheroidal import _coefficients, solve, sweep
 
 
 def run_cli(capsys, *argv):
@@ -77,16 +78,19 @@ class TestSpectrum:
         assert energies == approx([-2.0 / 9.0, -2.0 / 9.0], rel=1e-14)
 
     def test_csv_json_identical_numbers(self, capsys):
-        args = ("spectrum", "--s", "1", "--c1", "0.3", "--c2", "0.7", "--n-max", "4")
-        _, out_csv = run_cli(capsys, *args)
-        _, out_json = run_cli(capsys, *args, "--format", "json")
-        _, rows = parse_csv(out_csv)
-        data = json.loads(out_json)
-        assert data["columns"] == ["n", "m", "delta1", "delta2", "energy"]
-        assert len(data["rows"]) == len(rows)
-        for csv_row, json_row in zip(rows, data["rows"]):
-            for a, b in zip(csv_row, json_row):
-                assert float(a) == b  # bit-identical after re-parsing
+        # n_max = 40 gives 1,599 rows, past the cell kernel's threshold
+        for n_max, count in (("4", 15), ("40", 1599)):
+            args = ("spectrum", "--s", "1", "--c1", "0.3", "--c2", "0.7", "--n-max", n_max)
+            _, out_csv = run_cli(capsys, *args)
+            _, out_json = run_cli(capsys, *args, "--format", "json")
+            _, rows = parse_csv(out_csv)
+            data = json.loads(out_json)
+            assert data["columns"] == ["n", "m", "delta1", "delta2", "energy"]
+            assert len(data["rows"]) == len(rows) == count
+            for csv_row, json_row in zip(rows, data["rows"]):
+                for a, b in zip(csv_row, json_row):
+                    assert float(a) == b  # bit-identical after re-parsing
+            assert out_csv == reference_csv(data["columns"], data["rows"])
 
 
 class TestCoefficients:
@@ -133,13 +137,20 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("kind", ["parabolic-in-spherical", "spheroidal-in-parabolic"])
     def test_csv_matches_cell_by_cell_reference(self, capsys, kind):
-        code, out = run_cli(capsys, "coefficients", "--kind", kind, "--s", "1/2",
-                            "--c1", "0.3", "--c2", "0.7", "--n", "9/2", "--m=-1/2",
-                            "--R", "2.5")
-        assert code == 0
-        header, rows = parse_csv(out)
-        expected = [[r[0]] + [float(v) for v in r[1:]] for r in rows]
-        assert out == reference_csv(header, expected)
+        # the library's own doubles; n = 40 (1,640 cells) takes the cell kernel
+        for s, n, m, two_s, two_n, two_m in (("1/2", "9/2", "-1/2", 1, 9, -1),
+                                             ("0", "40", "0", 0, 80, 0)):
+            code, out = run_cli(capsys, "coefficients", "--kind", kind, "--s", s,
+                                "--c1", "0.3", "--c2", "0.7", "--n", n, f"--m={m}",
+                                "--R", "2.5")
+            assert code == 0
+            params = SystemParams(two_s=two_s, c1=0.3, c2=0.7)
+            if kind == "parabolic-in-spherical":
+                matrix = expansion_matrix(params, two_n, two_m)
+            else:
+                matrix = _coefficients(params, two_n, two_m, 2.5, parabolic=True)
+            rows = [[label, *row] for label, row in zip(matrix.row_labels, matrix.entries)]
+            assert out == reference_csv(["row", *matrix.col_labels], rows)
 
     @pytest.mark.parametrize("kind", ["spheroidal-in-spherical", "spheroidal-in-parabolic"])
     def test_spheroidal_json_unchanged(self, capsys, kind):
@@ -255,6 +266,7 @@ class TestSweep:
         ("9/2", "1/2", 9, 1, "0:20:15", np.linspace(0.0, 20.0, 15)),   # d = 4
         ("3/2", "1/2", 3, 1, "0:20:15", np.linspace(0.0, 20.0, 15)),   # d = 1
         ("7/2", "-3/2", 7, -3, "2.5:2.5:4", [2.5] * 4),                # repeated R
+        ("9/2", "1/2", 9, 1, "0:50:400", np.linspace(0.0, 50.0, 400)), # cell kernel
     ])
     def test_table_equals_reference_from_sweep(self, capsys, fmt, vectors, n, m,
                                                two_n, two_m, grid, points):
@@ -406,6 +418,52 @@ class TestOutput:
         # 17 significant digits round-trip to the exact double
         assert float(value) == -1.0 / 18.0
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+class TestCellKernel:
+    """The vectorized %.17g kernel against '%.17g' % x, cell by cell."""
+
+    TIES = [1234567890123456.75, 1234567890123456.25,
+            -1234567890123456.75, -1234567890123456.25]
+
+    @staticmethod
+    def kernel_cells(values):
+        slots = cli._cell_bytes(np.asarray(values, dtype=float).reshape(-1, 1))
+        return slots.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20,
+                                                        dtype=np.uint64)
+        cells = bits.view(np.float64).reshape(-1, 16)
+        out = cli._csv_table([f"c{i}" for i in range(16)], cells)
+        got = out.partition("\n")[2].replace("\n", ",").split(",")
+        expected = ["%.17g" % v for v in cells.ravel().tolist()]
+        assert len(got) == len(expected)
+        assert [(g, e) for g, e in zip(got, expected) if g != e] == []
+        # most cells are proven, so this did not test the fallback alone
+        assert cli._decimal17(cells.ravel())[2].mean() > 0.95
+
+    def test_edge_values(self):
+        tiny, normal, huge = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+        values = [0.0, -0.0, tiny, -tiny, normal, -normal, np.nextafter(normal, 1.0),
+                  1e300, np.nextafter(1e300, 0.0), np.nextafter(1e300, np.inf),
+                  huge, -huge, np.inf, -np.inf, np.nan,
+                  1e-5, 9.9999999999999995e-05, 1e16, 1e17, *self.TIES]
+        for k in range(-20, 23):
+            for p in (10.0 ** k, -(10.0 ** k)):
+                values += [p, np.nextafter(p, 0.0), np.nextafter(p, 2 * p)]
+        assert self.kernel_cells(values) == ["%.17g" % v for v in values]
+
+    def test_ties_take_the_fallback(self):
+        assert not cli._decimal17(np.array(self.TIES))[2].any()
+
+    def test_labels_and_chunks(self):
+        # rows that straddle the chunk boundary, each after its label
+        cells = np.random.default_rng(3).standard_normal((3000, 7)) * 1e3
+        labels = [f"j={i}" for i in range(3000)]
+        out = cli._csv_table(["row", *"abcdefg"], cells, labels)
+        assert out == reference_csv(["row", *"abcdefg"],
+                                    [[lab, *row] for lab, row in zip(labels, cells)])[:-1]
 
 
 class TestRepeatedMain:
