@@ -27,7 +27,6 @@ from .qnum import (
     _principal_two_n,
     _spherical_qn,
     derive_constants,
-    epsilon,
     parabolic_qn,
 )
 
@@ -54,8 +53,7 @@ class SphericalState:
     two_s: int
     eps: float
     norm_angular: float       # N_jm
-    norm_radial: float        # C_nj, includes the 2 eps^2 prefactor
-    log_norm_radial: float
+    log_norm_radial: float    # log C_nj, includes the 2 eps^2 prefactor
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
                     ) -> SphericalState:
     dc = derive_constants(params, two_m)
     qn = _spherical_qn(dc, two_n, two_j)
-    eps = epsilon(_n_effective(dc, two_n))
+    eps = 1.0 / _n_effective(dc, two_n)
     j = two_j / 2.0
     n = two_n / 2.0
     delta = dc.delta_total
@@ -97,7 +95,6 @@ def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
         two_s=params.two_s,
         eps=eps,
         norm_angular=math.exp(log_norm_ang),
-        norm_radial=math.exp(log_norm_rad),
         log_norm_radial=log_norm_rad,
     )
 
@@ -106,7 +103,7 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
                     ) -> ParabolicState:
     qn = parabolic_qn(params, n1, n2, two_m)
     dc = derive_constants(params, two_m)
-    eps = epsilon(_n_effective(dc, _principal_two_n(dc, qn)))
+    eps = 1.0 / _n_effective(dc, _principal_two_n(dc, qn))
     norms = tuple(
         math.exp(0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0))
                  - math.lgamma(mi + 1.0))

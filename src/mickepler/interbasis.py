@@ -37,7 +37,6 @@ from .qnum import (
     _n_effective,
     _separation_constant,
     derive_constants,
-    epsilon,
     format_half_integer,
 )
 
@@ -138,7 +137,7 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     delta = dc.delta_total
     half_delta = 0.5 * delta
     n = two_n / 2.0
-    eps = epsilon(_n_effective(dc, two_n))
+    eps = 1.0 / _n_effective(dc, two_n)
     num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
     base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
     js = [dc.m_plus + k for k in range(d)]

@@ -21,7 +21,6 @@ __all__ = [
     "ParabolicQN",
     "derive_constants",
     "parabolic_qn",
-    "epsilon",
     "energy",
     "parabolic_separation_constant",
     "enumerate_m_blocks",
@@ -178,14 +177,9 @@ def _principal_two_n(dc: DerivedConstants, pq: ParabolicQN) -> int:
 
 
 def _n_effective(dc: DerivedConstants, two_n: int) -> float:
-    """Effective principal number n + (delta1 + delta2)/2; validates the labels."""
+    """Effective principal number n + (delta1+delta2)/2 = 1/epsilon; validates the labels."""
     _block_dimension(dc, two_n)
     return two_n / 2.0 + dc.delta_total / 2.0
-
-
-def epsilon(n_eff: float) -> float:
-    """Inverse effective principal number, epsilon = sqrt(-2E)."""
-    return 1.0 / n_eff
 
 
 def energy(params: SystemParams, two_m: int, two_n: int) -> float:
@@ -194,7 +188,7 @@ def energy(params: SystemParams, two_m: int, two_n: int) -> float:
     Note the m-dependence through delta1, delta2: each azimuthal block
     carries its own energy ladder.
     """
-    eps = epsilon(_n_effective(derive_constants(params, two_m), two_n))
+    eps = 1.0 / _n_effective(derive_constants(params, two_m), two_n)
     return -0.5 * eps * eps
 
 
@@ -204,7 +198,7 @@ def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> floa
     Label-based: production reads a block's betas from ``interbasis.block``,
     and this is the reference they are checked against."""
     dc = derive_constants(params, pq.two_m)
-    eps = epsilon(_n_effective(dc, _principal_two_n(dc, pq)))
+    eps = 1.0 / _n_effective(dc, _principal_two_n(dc, pq))
     return _separation_constant(dc, eps, pq.n1, pq.n2)
 
 

@@ -149,7 +149,7 @@ class TestAngular:
                     assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
                     # exp of a log-gamma sum: relative error up to a few eps per unit of log
                     assert abs(st.norm_angular / norm_ang - 1.0) <= 4.0 * eps * (1.0 + s_ang)
-                    assert abs(st.norm_radial / norm_rad - 1.0) <= 4.0 * eps * (1.0 + s_rad)
+                    assert abs(math.exp(st.log_norm_radial) / norm_rad - 1.0) <= 4.0 * eps * (1.0 + s_rad)
 
     def test_orthonormality_quadrature(self):
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=1, c1=0.3, c2=0.7), 1),

@@ -89,7 +89,7 @@ def test_oracles_live_in_numkernel_and_are_not_exported():
 def test_sources_parse_as_python_3_10():
     # the oldest Python the project supports; no 3.11-only syntax such as except*
     root = PACKAGE.parents[1]
-    paths = [path for folder in ("src", "tests", "scripts", "perfbench")
+    paths = [path for folder in ("src", "tests", "perfbench")
              for path in sorted((root / folder).rglob("*.py"))]
     assert len(paths) > 20
     for path in paths:
@@ -111,17 +111,20 @@ def referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_private_definition_is_referenced():
-    # a private module-level function or class that nothing in the package
-    # names, its own body aside, is a left-over second copy
+def test_every_definition_is_referenced():
+    # a module-level function or class that nothing in the package names,
+    # its own body aside, is dead code unless the package exports it or the
+    # tests hold production code to it (an oracle)
     statements = [(path, node) for path in sorted(PACKAGE.glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
-    private = [(path, node) for path, node in statements
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
-    assert len(private) > 40
-    unreferenced = [f"{path.stem}.{node.name}" for path, node in private
-                    if not any(node.name in referenced_names(other)
-                               for _, other in statements if other is not node)]
+    definitions = [(path, node) for path, node in statements
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert sum(node.name.startswith("_") for _, node in definitions) > 40
+    kept = set(mickepler.__all__) | ORACLES
+    unreferenced = [f"{path.stem}.{node.name}" for path, node in definitions
+                    if node.name not in kept
+                    and not any(node.name in referenced_names(other)
+                                for _, other in statements if other is not node)]
     assert unreferenced == []
 
 

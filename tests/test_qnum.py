@@ -20,7 +20,6 @@ from mickepler.qnum import (
     derive_constants,
     energy,
     enumerate_m_blocks,
-    epsilon,
     format_half_integer,
     parabolic_qn,
     parabolic_separation_constant,
@@ -123,18 +122,6 @@ class TestEnergy:
         params = SystemParams(two_s=1, c1=0.4, c2=0.9)
         values = [energy(params, 1, two_n) for two_n in (3, 5, 7, 9, 11)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    @given(st.integers(min_value=-2, max_value=2),
-           st.integers(min_value=1, max_value=5),
-           st.floats(min_value=0.0, max_value=3.0),
-           st.floats(min_value=0.0, max_value=3.0))
-    def test_epsilon_inverse(self, two_s, d, c1, c2):
-        params = SystemParams(two_s=two_s, c1=c1, c2=c2)
-        two_m = two_s  # m = s is always a valid block root
-        dc = derive_constants(params, two_m)
-        two_n = dc.two_m_plus + 2 * d
-        n_eff = _n_effective(dc, two_n)
-        assert epsilon(n_eff) * n_eff == approx(1.0, rel=1e-15)
 
 
 class TestSeparationConstant:
