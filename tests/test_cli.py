@@ -215,6 +215,22 @@ class TestSweep:
         first = [float(v) for v in rows[0][3:5]]
         assert math.hypot(*first) == approx(1.0, rel=1e-12)
 
+    def test_branch_diagram(self, capsys):
+        # the README's branch-diagram line on a 5-point grid: n = 7/2, m = 1/2
+        # at s = 1/2 has d = 3 branches lambda_q(R), each with its leading
+        # spherical coefficient u[j=1/2]
+        code, out = run_cli(capsys, "sweep", "--s", "1/2", "--c1", "0.3", "--c2", "0.7",
+                            "--n", "7/2", "--m", "1/2", "--R-grid", "0:4:5", "--vectors")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[:4] == ["R", "q", "lambda", "u[j=1/2]"]
+        assert len(rows) == 5 * 3
+        assert [float(r[0]) for r in rows[::3]] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        solutions = sweep(SystemParams(two_s=1, c1=0.3, c2=0.7), 7, 1,
+                          np.linspace(0.0, 4.0, 5))
+        assert [float(r[3]) for r in rows] == [
+            sol.spherical_coefficients.entries[0, q] for sol in solutions for q in range(3)]
+
     @pytest.mark.parametrize("vectors", [(), ("--vectors",)])
     def test_one_dimensional_block(self, capsys, vectors):
         code, out = run_cli(capsys, "sweep", "--c1", "0.3", "--c2", "0.7",

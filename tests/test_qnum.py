@@ -123,6 +123,23 @@ class TestEnergy:
         values = [energy(params, 1, two_n) for two_n in (3, 5, 7, 9, 11)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @given(st.integers(min_value=-2, max_value=2),
+           st.integers(min_value=1, max_value=5),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=3.0))
+    def test_epsilon_inverse(self, two_s, d, c1, c2):
+        # E = -epsilon^2 / 2 and beta = epsilon (n1 - n2 + (m1 - m2)/2), epsilon = 1/n_eff
+        params = SystemParams(two_s=two_s, c1=c1, c2=c2)
+        two_m = two_s  # m = s is always a valid block root
+        dc = derive_constants(params, two_m)
+        two_n = dc.two_m_plus + 2 * d
+        n_eff = _n_effective(dc, two_n)
+        assert energy(params, two_m, two_n) * n_eff**2 == approx(-0.5, rel=1e-15)
+        for n1 in range(d):
+            beta = parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
+            shifted = n1 - (d - 1 - n1) + 0.5 * (dc.m1 - dc.m2)
+            assert beta * n_eff == approx(shifted, rel=1e-15, abs=1e-15 * n_eff)
+
 
 class TestSeparationConstant:
     def test_symmetric_state_vanishes(self):

@@ -211,6 +211,19 @@ class TestLimits:
                       "v_identity_dev", "v_mixing_dev"):
             assert getattr(outer, field) <= 0.101 * getattr(inner, field)
 
+    @pytest.mark.parametrize("params, two_n, two_m", [
+        (SystemParams(two_s=0, c1=0.3, c2=0.7), 6, 0),
+        (SystemParams(two_s=1, c1=0.3, c2=0.7), 7, 1),
+    ])
+    def test_limit_convergence(self, params, two_n, two_m):
+        # perturbed levels: every deviation falls tenfold per decade of R
+        # (or 1/R) from 1e-3 down to 1e-6
+        reports = [limits(params, two_n, two_m, 10.0**-k, 10.0**k) for k in (3, 4, 5, 6)]
+        for inner, outer in zip(reports, reports[1:]):
+            for field in ("u_identity_dev", "u_mixing_dev",
+                          "v_identity_dev", "v_mixing_dev"):
+                assert getattr(outer, field) / getattr(inner, field) == approx(0.1, rel=1e-2)
+
 
 class TestSweep:
     def test_single_point_equals_solve(self):
