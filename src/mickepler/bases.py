@@ -5,9 +5,9 @@ the azimuthal phase exp(i (m - s) phi); m - s is always an integer.  The
 real profiles are exposed separately because every interbasis check
 compares real amplitudes.
 
-Exponential-times-power prefactors are evaluated as exp(log magnitude)
-with the terminating polynomial factored out, so large gamma ratios
-never meet small exponentials in linear arithmetic.
+Normalizations are stored as logs: the angular, radial and both parabolic
+factors are each one exp of (log norm + log envelope) times a polynomial,
+so large gamma ratios never meet small powers in linear arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class SphericalState:
     dc: DerivedConstants
     two_s: int
     eps: float
-    norm_angular: float       # N_jm
+    log_norm_angular: float   # log N_jm
     log_norm_radial: float    # log C_nj, includes the 2 eps^2 prefactor
 
 
@@ -62,7 +62,7 @@ class ParabolicState:
     dc: DerivedConstants
     two_s: int
     eps: float
-    norms: tuple[float, float]  # gamma-ratio prefactors of the two 1D factors
+    log_norms: tuple[float, float]  # logs of the gamma-ratio prefactors of the 1D factors
 
 
 def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
@@ -94,7 +94,7 @@ def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
         dc=dc,
         two_s=params.two_s,
         eps=eps,
-        norm_angular=math.exp(log_norm_ang),
+        log_norm_angular=log_norm_ang,
         log_norm_radial=log_norm_rad,
     )
 
@@ -104,12 +104,11 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
     qn = parabolic_qn(params, n1, n2, two_m)
     dc = derive_constants(params, two_m)
     eps = 1.0 / _n_effective(dc, _principal_two_n(dc, qn))
-    norms = tuple(
-        math.exp(0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0))
-                 - math.lgamma(mi + 1.0))
+    log_norms = tuple(
+        0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0)) - math.lgamma(mi + 1.0)
         for ni, mi in ((n1, dc.m1), (n2, dc.m2))
     )
-    return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, norms=norms)
+    return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, log_norms=log_norms)
 
 
 def angular_profile(state: SphericalState, theta):
@@ -123,12 +122,12 @@ def angular_profile(state: SphericalState, theta):
     # P_k^(a,b)(x) = (-1)^k P_k^(b,a)(-x) keeps its argument in [0, 1]
     flip = x < 0.0
     poly = eval_jacobi(k, np.where(flip, dc.m1, dc.m2), np.where(flip, dc.m2, dc.m1), np.abs(x))
-    value = (
-        state.norm_angular
-        * np.cos(half) ** dc.m1
-        * np.sin(half) ** dc.m2
-        * np.where(flip & (k % 2 == 1), -poly, poly)
-    )
+    # cos^m1 sin^m2 of the half angle in logs; a zero power is skipped (0 log 0)
+    with np.errstate(divide="ignore"):
+        log_value = (state.log_norm_angular
+                     + (dc.m1 * np.log(np.cos(half)) if dc.m1 else 0.0)
+                     + (dc.m2 * np.log(np.sin(half)) if dc.m2 else 0.0))
+    value = np.exp(log_value) * np.where(flip & (k % 2 == 1), -poly, poly)
     return value if value.ndim else float(value)
 
 
@@ -143,14 +142,14 @@ def _kummer(n: int, c: float, t):
     return scale * eval_genlaguerre(n, c - 1.0, t)
 
 
-def _laguerre_factor(n: int, c: float, power: float, log_norm: float, norm: float, t):
-    """norm exp(log_norm) t^power e^(-t/2) F(-n; c; t): the radial function
-    and each parabolic factor; returns a float if t is a scalar."""
+def _laguerre_factor(n: int, c: float, power: float, log_norm: float, t):
+    """exp(log_norm) t^power e^(-t/2) F(-n; c; t): the radial function and
+    each parabolic factor; returns a float if t is a scalar."""
     t = np.asarray(t, dtype=float)
     # log of a sentinel 1.0 where t == 0; that branch is overwritten below
     log_t = np.log(np.where(t > 0.0, t, 1.0))
-    envelope = np.where(t > 0.0, norm * np.exp(log_norm + power * log_t - 0.5 * t),
-                        norm * math.exp(log_norm) if power == 0.0 else 0.0)
+    envelope = np.where(t > 0.0, np.exp(log_norm + power * log_t - 0.5 * t),
+                        math.exp(log_norm) if power == 0.0 else 0.0)
     value = envelope * _kummer(n, c, t)
     return value if value.ndim else float(value)
 
@@ -160,8 +159,7 @@ def radial_r(state: SphericalState, r):
     j, delta = state.qn.two_j / 2.0, state.dc.delta_total
     n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
     return _laguerre_factor(n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta,
-                            state.log_norm_radial, 1.0,
-                            2.0 * state.eps * np.asarray(r, dtype=float))
+                            state.log_norm_radial, 2.0 * state.eps * np.asarray(r, dtype=float))
 
 
 def psi_spherical(state: SphericalState, point) -> complex:
@@ -177,19 +175,15 @@ def parabolic_factor(state: ParabolicState, axis: int, x):
     """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
     n_i = state.qn.n2 if axis else state.qn.n1
     m_i = state.dc.m2 if axis else state.dc.m1
-    return _laguerre_factor(n_i, m_i + 1.0, 0.5 * m_i, 0.0, state.norms[axis],
+    return _laguerre_factor(n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis],
                             state.eps * np.asarray(x, dtype=float))
 
 
 def parabolic_profile(state: ParabolicState, xi, eta):
     """Real profile sqrt(2) eps^2 Phi1(xi) Phi2(eta)."""
-    dc, eps, norms = state.dc, state.eps, state.norms
     # each factor is a float for a scalar argument, so the product is too
-    return (math.sqrt(2.0) * eps**2
-            * _laguerre_factor(state.qn.n1, dc.m1 + 1.0, 0.5 * dc.m1, 0.0, norms[0],
-                               eps * np.asarray(xi, dtype=float))
-            * _laguerre_factor(state.qn.n2, dc.m2 + 1.0, 0.5 * dc.m2, 0.0, norms[1],
-                               eps * np.asarray(eta, dtype=float)))
+    return (math.sqrt(2.0) * state.eps**2
+            * parabolic_factor(state, 0, xi) * parabolic_factor(state, 1, eta))
 
 
 def psi_parabolic(state: ParabolicState, point) -> complex:

@@ -131,7 +131,10 @@ class Block:
 
 
 def block(params: SystemParams, two_n: int, two_m: int) -> Block:
-    """Bands of the (n, m) block, derived once from the block constants."""
+    """Bands of the (n, m) block, derived once from the block constants.
+
+    Raises ValueError naming c1 and c2 if any band overflows.
+    """
     dc = derive_constants(params, two_m)
     d = _block_dimension(dc, two_n)
     delta = dc.delta_total
@@ -142,7 +145,7 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
     js = [dc.m_plus + k for k in range(d)]
     pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
-    return Block(
+    blk = Block(
         dim=d,
         spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
                                for k in range(d)),
@@ -165,6 +168,12 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
         ]),
         betas=np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs]),
     )
+    bands = (blk.angular, blk.x_diag, blk.x_off, blk.m_diag, blk.m_off, blk.betas)
+    if not np.isfinite(np.concatenate(bands)).all():
+        raise ValueError(f"c1={params.c1:g}, c2={params.c2:g} are too large: the bands of the "
+                         f"n={format_half_integer(two_n)}, m={format_half_integer(two_m)} "
+                         "block overflow")
+    return blk
 
 
 _CHUNK = 256   # points per dense stack, so a long grid never holds two (P, d, d) copies

@@ -455,8 +455,10 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
                                np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
 
         two_js = [st.qn.two_j for st in lv.sph]
-        # same-level radial functions of different j are orthogonal without the r^2 weight
-        closed = np.diag(2.0 / (lv.n_eff**3 * (np.array(two_js) + dc.delta_total + 1.0)))
+        # same-level radial functions of different j are orthogonal without the r^2 weight;
+        # n_eff^3 as a product, which overflows to inf where float ** would raise
+        closed = np.diag(2.0 / (lv.n_eff * lv.n_eff * lv.n_eff
+                                * (np.array(two_js) + dc.delta_total + 1.0)))
         reports.append(_report("interbasis.biorthogonality", ctx,
                                np.abs(_biorthogonality(lv) - closed).max(),
                                TOL_QUAD_VS_CLOSED))

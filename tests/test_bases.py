@@ -2,8 +2,9 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from pytest import approx
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 from scipy.special import genlaguerre
 
 try:
@@ -133,7 +134,7 @@ class TestAngular:
     def test_high_degree_vs_mpmath(self):
         # Jacobi degree k = j - m_plus up to 40 with (alpha, beta) = (m2, m1) from
         # (0, 0) to (40, 40); scipy's recurrence alone is 2e-13 off near theta = pi
-        thetas = np.linspace(0.0, math.pi, 63)[1:-1]
+        thetas = np.linspace(0.0, math.pi, 63)   # both poles included
         eps = np.finfo(float).eps
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=40), 40),
                               (SystemParams(two_s=40), -40), (HYDROGEN, 80),
@@ -148,8 +149,33 @@ class TestAngular:
                     ours = angular_profile(st, thetas)
                     assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
                     # exp of a log-gamma sum: relative error up to a few eps per unit of log
-                    assert abs(st.norm_angular / norm_ang - 1.0) <= 4.0 * eps * (1.0 + s_ang)
+                    assert (abs(math.exp(st.log_norm_angular) / norm_ang - 1.0)
+                            <= 4.0 * eps * (1.0 + s_ang))
                     assert abs(math.exp(st.log_norm_radial) / norm_rad - 1.0) <= 4.0 * eps * (1.0 + s_rad)
+
+    @pytest.mark.parametrize("c1", [0.0, 0.3])
+    def test_north_pole_without_a_sine_power(self, c1):
+        # s = 0, m = 0, c2 = 0 gives m2 = 0: sin^0 of the vanishing half angle
+        # is skipped, not taken as exp(0 log 0); a RuntimeWarning fails the test
+        params = SystemParams(two_s=0, c1=c1)
+        state = spherical_state(params, 2, 0, 0)
+        assert state.dc.m2 == 0.0 and (state.dc.m1 > 0.0) == (c1 > 0.0)
+        value = angular_profile(state, 0.0)
+        assert math.isfinite(value) and value != 0.0
+        assert angular_profile(state, np.array([0.0, 1.0]))[0] == value
+        if c1 == 0.0:
+            assert value == approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
+
+    def test_north_pole_with_a_sine_power(self):
+        # m2 > 0: the log of sin(0) is -inf and the profile exactly 0, without a warning
+        for params, two_m in [(SystemParams(two_s=0, c2=0.7), 0), (HYDROGEN, 2),
+                              (SystemParams(two_s=1, c1=0.3, c2=0.7), 1)]:
+            dc = derive_constants(params, two_m)
+            assert dc.m2 > 0.0
+            state = spherical_state(params, dc.two_m_plus + 4, dc.two_m_plus + 2, two_m)
+            assert angular_profile(state, 0.0) == 0.0
+            values = angular_profile(state, np.array([0.0, 0.5]))
+            assert values[0] == 0.0 and values[1] != 0.0
 
     def test_orthonormality_quadrature(self):
         for params, two_m in [(HYDROGEN, 0), (SystemParams(two_s=1, c1=0.3, c2=0.7), 1),
@@ -207,6 +233,35 @@ class TestRadial:
             norm = _radial_gram(_States(params), derive_constants(params, 0), two_j,
                                 [two_j + 2 * 60 + 2])
             assert abs(norm[0, 0] - 1.0) <= 1e-12
+
+
+class TestLargeRingStrengths:
+    """m1 and m2 grow like 2 sqrt(c): the gamma-ratio norms and the power
+    envelopes would overflow or underflow apart, so they meet as logs.
+    verify's Gauss rules are NaN at these c, so the norms are dense trapezoids."""
+
+    @pytest.mark.parametrize("c1", [1e5, 1e6])
+    def test_parabolic_factors_are_normalized(self, c1):
+        # int Phi_i(x)^2 d(eps x) = 1 for each factor
+        state = parabolic_state(SystemParams(two_s=0, c1=c1, c2=0.7), 2, 1, 0)
+        for axis, n_i, m_i in ((0, 2, state.dc.m1), (1, 1, state.dc.m2)):
+            peak = 2.0 * n_i + m_i + 1.0
+            t = np.linspace(0.0, peak + 40.0 * math.sqrt(peak) + 100.0, 20001)
+            phi = parabolic_factor(state, axis, t / state.eps)
+            assert np.isfinite(phi).all()
+            assert trapezoid(phi**2, t) == approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("c", [1e6, 1e10])
+    def test_angular_profile_is_normalized(self, c):
+        params = SystemParams(two_s=0, c1=c, c2=c)
+        dc = derive_constants(params, 0)
+        theta = np.linspace(0.0, math.pi, 20001)
+        for k in (0, 1, 2):
+            two_j = dc.two_m_plus + 2 * k
+            z = angular_profile(spherical_state(params, two_j + 2, two_j, 0), theta)
+            assert np.isfinite(z).all()
+            assert 2.0 * math.pi * trapezoid(z**2 * np.sin(theta), theta) == approx(
+                1.0, abs=1e-6)
 
 
 class TestFullWavefunctions:
@@ -288,7 +343,7 @@ class TestLaguerreFactorBranches:
             ms = (state.dc.m1, state.dc.m2)
             assert ms[axis_zero] == 0.0 and ms[1 - axis_zero] > 0.0
             assert parabolic_factor(state, axis_zero, 0.0) == approx(
-                state.norms[axis_zero], rel=1e-14)
+                math.exp(state.log_norms[axis_zero]), rel=1e-14)
             assert parabolic_factor(state, 1 - axis_zero, 0.0) == 0.0
             values = parabolic_factor(state, 1 - axis_zero, np.array([0.0, 0.5]))
             assert values[0] == 0.0 and values[1] != 0.0

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +404,18 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert f"{text!r} is not a finite number" in captured.err
+
+    @pytest.mark.parametrize("argv", [["verify", "--n-max", "3"],
+                                      ["coefficients", "--n", "3", "--m", "0"],
+                                      ["sweep", "--n", "3", "--m", "0", "--R", "1"]])
+    def test_overflowing_strength_is_usage_error(self, argv):
+        # the bands of the n >= 2 blocks overflow; run as a process, because
+        # verify's n = 1 quadrature warns on the way there
+        result = subprocess.run([sys.executable, "-m", "mickepler.cli", *argv, "--c1", "1e300"],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "c1=1e+300, c2=0 are too large" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -347,6 +347,17 @@ class TestEigenvectorMatrix:
                     assert abs(w[k, n1] - expansion_coefficient_cg(
                         params, two_n, two_j, n1, two_m)) <= cg_tol
 
+    def test_overflowing_bands_name_the_strengths(self):
+        # at c1 = 1e300 the coupling's product of six factors of order 1e150
+        # overflows; the n = 1 block has no coupling and stays finite
+        params = SystemParams(two_s=0, c1=1e300)
+        assert np.isfinite(block(params, 2, 0).x_diag).all()
+        with pytest.raises(ValueError, match=r"c1=1e\+300, c2=0 are too large: "
+                                             r"the bands of the n=2, m=0 block overflow"):
+            block(params, 4, 0)
+        with pytest.raises(ValueError, match=r"c1=0, c2=1e\+300 .* n=3, m=0 block"):
+            expansion_matrix(SystemParams(two_s=0, c2=1e300), 6, 0)
+
 
 class TestEigenStack:
     """The stacked dense ``eigh`` against scipy's ``dstevd`` wrapper, double for double."""
