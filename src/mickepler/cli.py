@@ -252,9 +252,10 @@ def cmd_sweep(args) -> int:
     params = _params(args)
     two_n = parse_half_integer(args.n)
     two_m = parse_half_integer(args.m)
+    if (args.R is None) == (not args.R_grid):
+        raise ValueError("give --R or --R-grid, not both" if args.R_grid
+                         else "sweep needs --R or --R-grid")
     grid = _parse_grid(args.R_grid) if args.R_grid else [args.R]
-    if grid == [None]:
-        raise ValueError("sweep needs --R or --R-grid")
     header = ["R", "q", "lambda"]
     if args.vectors:
         blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, grid)

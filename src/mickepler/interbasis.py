@@ -9,11 +9,10 @@ the eigenvector of the n1-th smallest separation constant beta, signed
 so that its j = m_plus entry is positive.  One tridiagonal eigensolve
 per block keeps every entry accurate to rounding at any dimension.
 
-The paper's closed forms of the same coefficients, a terminating 3F2
-sum and the analytic continuation of the SU(2) Clebsch-Gordan closed
-form, lose digits as the block grows; they live in
-:mod:`mickepler.numkernel` as oracles of the verification suite and the
-tests.
+The paper's closed form of the same coefficients, the analytic
+continuation of the SU(2) Clebsch-Gordan closed form, is evaluated
+exactly in :mod:`mickepler.numkernel` as the oracle of the verification
+suite and the tests.
 
 A :class:`Block` holds the R-independent bands of the spheroidal
 separation operator of one (n, m) level: the angular spectrum and X on

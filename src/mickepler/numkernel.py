@@ -1,17 +1,19 @@
-"""Closed-form oracles: terminating hypergeometric sums and the
-closed-form interbasis coefficients built on them.
+"""Closed-form oracles: terminating hypergeometric sums and the exact
+closed form of the interbasis coefficients built on them.
 
 None of this is public API or production code: only
 :mod:`mickepler.verify` and the tests import it.  The confluent sum
 F(-n; c; x) backs a verify kernel self-check.  The 3F2 sum at unit
-argument backs the Bailey check and the two closed forms of the
-parabolic-spherical coefficients, :func:`expansion_coefficient` (3F2)
-and :func:`expansion_coefficient_cg` (SU(2) Clebsch-Gordan continued to
-real arguments).  Their alternating sums lose digits as the block grows,
-so they are trusted only to about d <= 12.  The production coefficients
-are the eigenvectors of :func:`mickepler.interbasis.expansion_matrix`;
-log-gamma, Pochhammer symbols, Jacobi and Laguerre polynomials come from
-:mod:`math` and :mod:`scipy.special`.
+argument is exact: it sums rational parameters in integer arithmetic.
+It backs the Bailey check and :func:`clebsch_gordan_block`, the paper's
+parabolic-spherical coefficients as SU(2) Clebsch-Gordan coefficients
+continued to real arguments.  The ring shifts delta1 and delta2 are
+doubles, so exact dyadic rationals, and that form is evaluated exactly
+and rounded once, at every block dimension.  The production
+coefficients are the eigenvectors of
+:func:`mickepler.interbasis.expansion_matrix`; log-gamma, Pochhammer
+symbols, Jacobi and Laguerre polynomials come from :mod:`math` and
+:mod:`scipy.special`.
 """
 
 from __future__ import annotations
@@ -20,21 +22,12 @@ import math
 
 import numpy as np
 
-from .qnum import (
-    DerivedConstants,
-    QuantumNumberError,
-    SystemParams,
-    _block_dimension,
-    _spherical_qn,
-    derive_constants,
-)
+from .qnum import DerivedConstants, _block_dimension
 
 __all__ = [
     "kummer_terminating",
-    "hyp3f2_unit_scaled",
-    "expansion_coefficient",
-    "clebsch_gordan_continued",
-    "expansion_coefficient_cg",
+    "hyp3f2_terminating",
+    "clebsch_gordan_block",
 ]
 
 
@@ -62,169 +55,90 @@ def kummer_terminating(n: int, c: float, x):
     return total if total.ndim else float(total)
 
 
-def _terminating_index(a1: float, a2: float, a3: float) -> int:
-    """Smallest N with a numerator parameter equal to -N (nonpositive int)."""
-    candidates = []
-    for a in (a1, a2, a3):
-        r = round(a)
-        if abs(a - r) < 1e-9 and r <= 0:
-            candidates.append(-int(r))
-    if not candidates:
-        raise ValueError(
-            "hyp3f2_unit_scaled requires a nonpositive-integer numerator "
-            f"parameter, got {(a1, a2, a3)}"
-        )
-    return min(candidates)
+def hyp3f2_terminating(a, b, n_terms: int) -> tuple[int, int]:
+    """Exact sum over p < n_terms of (a1)_p (a2)_p (a3)_p / ((b1)_p (b2)_p p!).
 
-
-def hyp3f2_unit_scaled(a1: float, a2: float, a3: float, b1: float, b2: float,
-                       log_scale: float = 0.0) -> float:
-    """exp(log_scale) * 3F2(a1,a2,a3; b1,b2; 1) for a terminating series.
-
-    One of a1, a2, a3 must be a nonpositive integer -N; the sum runs to
-    the smallest such N.  Raises ValueError if a denominator Pochhammer
-    vanishes before the series terminates.  Terms are tracked as sign
-    plus log-magnitude so that large Pochhammer products combine with an
-    external log prefactor before exponentiation; the linear-scale sum
-    uses Kahan compensation.
+    This is 3F2(a1, a2, a3; b1, b2; 1) when a numerator parameter is
+    -(n_terms - 1); the caller passes the number of terms.  The three
+    numerator parameters ``a`` and the two denominator parameters ``b``
+    are exact rationals, each an integer pair (numerator, denominator)
+    with a positive denominator.  Horner's rule runs in integers and
+    returns the sum as a pair (numerator, denominator), the denominator
+    positive and the pair not reduced.  Raises ValueError if a
+    denominator Pochhammer symbol vanishes within the sum.
     """
-    n_terms = _terminating_index(a1, a2, a3)
-    total = 0.0
-    comp = 0.0
-    sign = 1.0
-    log_mag = 0.0
-    for p in range(n_terms + 1):
-        if sign != 0.0:
-            term = sign * math.exp(log_mag + log_scale)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        if p == n_terms:
-            break
-        num = (a1 + p) * (a2 + p) * (a3 + p)
-        den = (b1 + p) * (b2 + p) * (1.0 + p)
-        if den == 0.0:
+    (a1, r1), (a2, r2), (a3, r3) = a
+    (b1, s1), (b2, s2) = b
+    # the parameters' denominators, cancelled once: a factor of every term ratio
+    common = math.gcd(r1 * r2 * r3, s1 * s2)
+    scale_top, scale_bottom = s1 * s2 // common, r1 * r2 * r3 // common
+    u, v = int(n_terms > 0), 1
+    for p in range(n_terms - 2, -1, -1):
+        bottom = (b1 + p * s1) * (b2 + p * s2) * (p + 1) * scale_bottom
+        if bottom == 0:
             raise ValueError(
                 "denominator Pochhammer vanishes before the series terminates: "
-                f"3F2({a1},{a2},{a3};{b1},{b2})"
-            )
-        if num == 0.0:
-            sign = 0.0
-            continue
-        ratio = num / den
-        sign *= math.copysign(1.0, ratio)
-        log_mag += math.log(abs(ratio))
-    return total
+                f"3F2 with denominator parameters {b}")
+        top = (a1 + p * r1) * (a2 + p * r2) * (a3 + p * r3) * scale_top
+        v *= bottom
+        u = v + top * u
+    return (u, v) if v > 0 else (-u, -v)
 
 
-def _check_labels(params: SystemParams, two_n: int, two_j: int, n1: int, two_m: int):
-    dc = derive_constants(params, two_m)
+def _rising(x: int, q: int, length: int) -> list[int]:
+    """Numerators over q**i of the Pochhammer symbols (x/q)_i, i = 0 .. length."""
+    out = [1]
+    for i in range(length):
+        out.append(out[-1] * (x + i * q))
+    return out
+
+
+def clebsch_gordan_block(dc: DerivedConstants, two_n: int) -> np.ndarray:
+    """The d x d coefficients W[j, n1] of the (n, m) block from the
+    continued Clebsch-Gordan closed form, each the square root of its
+    exact square rounded once; rows spherical j, columns parabolic n1.
+
+    W[j, n1] = (-1)^n1 C(a alpha; b beta | c gamma), Racah's SU(2)
+    closed form at a = (n + m_minus + delta2 - 1)/2, alpha = (m2 + n2 -
+    n1)/2, b = (n - m_minus + delta1 - 1)/2, beta = (m1 + n1 - n2)/2,
+    c = j + delta/2, gamma = (m1 + m2)/2.  There its twelve gamma
+    functions pair into Pochhammer symbols of integer length.  With
+    mu = |m - s|, nu = |m + s|, k = j - m_plus and n2 = d - 1 - n1:
+
+        W^2 = (2j + delta + 1) (mu + k + delta1 + 1)_n1
+              (mu + n1 + delta1 + 1)_k (nu + k + delta2 + 1)_(n2 - k)
+              ((d - 1)!)^2 S^2 / [(mu + nu + k + delta + 1)_d n1! k!
+              (d - k - 1)! n2!],
+
+    with (x)_(-i) = 1 / (x - i)_i, sign W = sign S, and S the 3F2 sum
+    (-(mu + nu + d + k + delta), -n1, -k; -(d - 1), -(mu + k + n1 +
+    delta1); 1) of min(n1, k) + 1 terms.  The two (-1)^n1 phases cancel.
+    """
     d = _block_dimension(dc, two_n)
-    _spherical_qn(dc, two_n, two_j)
-    if not 0 <= n1 <= d - 1:
-        raise QuantumNumberError(f"n1={n1} outside 0 .. {d - 1}")
-    return dc, d
-
-
-def expansion_coefficient(params: SystemParams, two_n: int, two_j: int,
-                          n1: int, two_m: int) -> float:
-    """Coefficient of the spherical state (n, j, m) in the parabolic
-    state (n1, n2, m) of the same level.
-
-    Evaluated from the terminating 3F2 closed form, with all gamma
-    prefactors combined in log space before exponentiation.
-    """
-    dc, d = _check_labels(params, two_n, two_j, n1, two_m)
-    n = two_n / 2.0
-    j = two_j / 2.0
-    n2 = d - 1 - n1
-    delta = dc.delta_total
-    mp, mm = dc.m_plus, dc.m_minus
-
-    log_pref = 0.5 * (
-        math.log(2.0 * j + delta + 1.0)
-        + math.lgamma(n1 + dc.m1 + 1.0)
-        + math.lgamma(n2 + dc.m2 + 1.0)
-        - math.lgamma(n1 + 1.0)
-        - math.lgamma(n2 + 1.0)
-        - math.lgamma(n - j)
-        - math.lgamma(j - mp + 1.0)
-        - math.lgamma(j + mm + dc.delta2 + 1.0)
-        + math.lgamma(j - mm + dc.delta1 + 1.0)
-        + math.lgamma(j + mp + delta + 1.0)
-        - math.lgamma(n + j + delta + 1.0)
-    ) + math.lgamma(n - mp) - math.lgamma(dc.m1 + 1.0)
-
-    return hyp3f2_unit_scaled(
-        -float(n1),
-        -(j - mp),
-        j + mp + delta + 1.0,
-        dc.m1 + 1.0,
-        -(n - mp - 1.0),
-        log_pref,
-    )
-
-
-# the gamma-function arguments of the Racah form, in the order of ``args`` below
-_CG_GAMMA_ARGS = ("a+alpha+1", "c+gamma+1", "a-alpha+1", "c-gamma+1", "a+b+c+2", "a+b-c+1",
-                  "a-b+c+1", "b-a+c+1", "b-beta+1", "b+beta+1", "a+b-gamma+1", "b+c-alpha+1")
-
-
-def clebsch_gordan_continued(a: float, alpha: float, b: float, beta: float,
-                             c: float, gamma: float) -> float:
-    """SU(2) Clebsch-Gordan closed form continued to real arguments.
-
-    Requires gamma = alpha + beta and a - alpha a nonnegative integer
-    (the terminating index of the 3F2 sum), and every gamma-function
-    argument of the prefactor positive; a ValueError names the first
-    one that is not.  On genuine half-integer SU(2) labels this
-    reproduces the tabulated coefficients.
-    """
-    if abs(gamma - (alpha + beta)) > 1e-12:
-        raise ValueError("selection rule gamma = alpha + beta violated")
-    k = a - alpha
-    if abs(k - round(k)) > 1e-9 or round(k) < 0:
-        raise ValueError(f"a - alpha must be a nonnegative integer, got {k}")
-    args = (a + alpha + 1.0, c + gamma + 1.0, a - alpha + 1.0, c - gamma + 1.0,
-            a + b + c + 2.0, a + b - c + 1.0, a - b + c + 1.0, b - a + c + 1.0,
-            b - beta + 1.0, b + beta + 1.0, a + b - gamma + 1.0, b + c - alpha + 1.0)
-    for label, x in zip(_CG_GAMMA_ARGS, args):
-        if not x > 0.0:
-            raise ValueError(f"gamma argument {label} = {x!r} is not positive")
-    lg = [math.lgamma(x) for x in args]
-    # square root of the first two over the next eight, times the last two
-    log_pref = 0.5 * (math.log(2.0 * c + 1.0) + lg[0] + lg[1] - sum(lg[2:10])) + lg[10] + lg[11]
-    phase = -1.0 if round(k) % 2 else 1.0
-    return phase * hyp3f2_unit_scaled(
-        -(a + b + c + 1.0),
-        -a + alpha,
-        -c + gamma,
-        -a - b + gamma,
-        -b - c + alpha,
-        log_pref,
-    )
-
-
-def expansion_coefficient_cg(params: SystemParams, two_n: int, two_j: int,
-                             n1: int, two_m: int) -> float:
-    """Same coefficient through the continued Clebsch-Gordan closed form."""
-    dc, d = _check_labels(params, two_n, two_j, n1, two_m)
-    return _expansion_coefficient_cg(dc, d, two_n, two_j, n1)
-
-
-def _expansion_coefficient_cg(dc: DerivedConstants, d: int, two_n: int, two_j: int,
-                              n1: int) -> float:
-    """Unvalidated :func:`expansion_coefficient_cg` for block constants already derived."""
-    n = two_n / 2.0
-    j = two_j / 2.0
-    n2 = d - 1 - n1
-    half_delta = 0.5 * dc.delta_total
-    a = 0.5 * (n + dc.m_minus + dc.delta2 - 1.0)
-    alpha = 0.5 * (dc.m2 + n2 - n1)
-    b = 0.5 * (n - dc.m_minus + dc.delta1 - 1.0)
-    beta = 0.5 * (dc.m1 + n1 - n2)
-    c = j + half_delta
-    gamma = 0.5 * (dc.m1 + dc.m2)
-    phase = -1.0 if n1 % 2 else 1.0
-    return phase * clebsch_gordan_continued(a, alpha, b, beta, c, gamma)
+    mu = (dc.two_m_plus - dc.two_m_minus) // 2
+    nu = (dc.two_m_plus + dc.two_m_minus) // 2
+    # delta1 = p1/q, delta2 = p2/q and delta = p/q over one power of two q
+    (p1, q1), (p2, q2) = dc.delta1.as_integer_ratio(), dc.delta2.as_integer_ratio()
+    q = max(q1, q2)
+    p1, p2 = p1 * (q // q1), p2 * (q // q2)
+    p = p1 + p2
+    # every Pochhammer symbol of W^2 as its numerator over q**length;
+    # the powers of q cancel between the numerator and the denominator
+    fact = [math.factorial(i) for i in range(d)]
+    ring1 = [_rising((mu + i + 1) * q + p1, q, d - 1) for i in range(d)]
+    ring2 = _rising((nu + 1) * q + p2, q, d - 1)
+    # the factors of row k, then those of column n1 and of both
+    top_row = [((mu + nu + 2 * k + 1) * q + p) * fact[d - 1] ** 2 for k in range(d)]
+    bottom_row = [_rising((mu + nu + k + 1) * q + p, q, d)[d] * ring2[k] * fact[k]
+                  * fact[d - 1 - k] for k in range(d)]
+    w = np.empty((d, d))
+    for k in range(d):
+        for n1 in range(d):
+            n2 = d - 1 - n1
+            u, v = hyp3f2_terminating(((-(mu + nu + d + k) * q - p, q), (-n1, 1), (-k, 1)),
+                                      ((1 - d, 1), (-(mu + k + n1) * q - p1, q)),
+                                      min(n1, k) + 1)
+            root = math.sqrt(top_row[k] * ring2[n2] * ring1[k][n1] * ring1[n1][k] * u * u
+                             / (bottom_row[k] * fact[n1] * fact[n2] * v * v))
+            w[k, n1] = -root if u < 0 else root
+    return w

@@ -111,7 +111,7 @@ def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
 
     The shifts are evaluated as 4c / (sqrt((m∓s)^2 + 4c) + |m∓s|) when
     |m∓s| > 0, which avoids the cancellation of sqrt(x^2 + eps) - x for
-    small c.
+    small c.  Raises ValueError naming c1 and c2 if m1 or m2 overflows.
     """
     _check_parity(params, two_m)
     two_sum = abs(two_m + params.two_s)
@@ -121,6 +121,9 @@ def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
 
     m1 = math.sqrt(abs_m_minus_s**2 + 4.0 * params.c1)
     m2 = math.sqrt(abs_m_plus_s**2 + 4.0 * params.c2)
+    if not math.isfinite(m1 + m2):
+        raise ValueError(f"c1={params.c1:g}, c2={params.c2:g} are too large: m1 and m2 of "
+                         f"the m={format_half_integer(two_m)} block overflow")
     delta1 = 4.0 * params.c1 / (m1 + abs_m_minus_s) if m1 + abs_m_minus_s > 0.0 else 0.0
     delta2 = 4.0 * params.c2 / (m2 + abs_m_plus_s) if m2 + abs_m_plus_s > 0.0 else 0.0
 

@@ -2,11 +2,12 @@
 
 Every identity the library relies on is turned into a check with a
 reported residual: quadrature self-tests, kernel identities
-(recurrences, orthogonality, the 3F2 transformation), wavefunction
-normalizations, the radial bi-orthogonality against its closed form,
-interbasis overlaps, the production mixing matrix against the
-Clebsch-Gordan oracle of :mod:`mickepler.numkernel`, and the spheroidal
-operator identities.  Checks never raise on failure; they report.
+(recurrences, orthogonality, Bailey's 3F2 transformation, whose two
+sides are compared exactly), wavefunction normalizations, the radial
+bi-orthogonality against its closed form, interbasis overlaps, the
+production mixing matrix against the exact Clebsch-Gordan oracle of
+:mod:`mickepler.numkernel`, and the spheroidal operator identities.
+Checks never raise on failure; they report.
 
 Each integrand of a check is a known weight times a polynomial: radial
 ones t^alpha e^-t, alpha the exact fractional power, angular ones
@@ -56,7 +57,7 @@ from .bases import (
 )
 from .coords import SphericalPoint, spherical_to_parabolic
 from .interbasis import _mixing_matrix, block
-from .numkernel import _expansion_coefficient_cg, hyp3f2_unit_scaled, kummer_terminating
+from .numkernel import clebsch_gordan_block, hyp3f2_terminating, kummer_terminating
 from .qnum import (
     DerivedConstants,
     SystemParams,
@@ -242,10 +243,20 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
                for v in (t_, tp, 1.0 - big_n - t_, t_ + s_)):
             continue
         trials += 1
-        lhs = hyp3f2_unit_scaled(s_, sp, -float(big_n), tp, 1.0 - big_n - t_)
-        rhs = (poch(t_ + s_, big_n) / poch(t_, big_n)
-               * hyp3f2_unit_scaled(s_, tp - sp, -float(big_n), tp, t_ + s_))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10))
+        # the draws are doubles, so integers over one power of two q: both sides are exact
+        ratios = [x.as_integer_ratio() for x in (s_, sp, tp, t_)]
+        q = max(den for _, den in ratios)
+        s_, sp, tp, t_ = (num * (q // den) for num, den in ratios)
+        lhs_num, lhs_den = hyp3f2_terminating(((s_, q), (sp, q), (-big_n, 1)),
+                                              ((tp, q), ((1 - big_n) * q - t_, q)), big_n + 1)
+        rhs_num, rhs_den = hyp3f2_terminating(((s_, q), (tp - sp, q), (-big_n, 1)),
+                                              ((tp, q), (t_ + s_, q)), big_n + 1)
+        # the right side carries (t + s)_N / (t)_N; both sides times lhs_den rhs_den (t)_N q^N
+        t_rising = math.prod(t_ + i * q for i in range(big_n))
+        lhs = lhs_num * rhs_den * t_rising
+        rhs = rhs_num * lhs_den * math.prod(t_ + s_ + i * q for i in range(big_n))
+        floor = abs(lhs_den * rhs_den * t_rising) // 10**10   # the 1e-10 floor in these units
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor, 1))
     reports.append(_report("kernel.bailey", "200 random sets N<=6", worst, TOL_ALGEBRA))
     return reports
 
@@ -466,10 +477,8 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
         reports.append(_report("interbasis.orthogonality", ctx,
                                _identity_deviation(w.T @ w), TOL_ALGEBRA))
 
-        cg = np.array([[_expansion_coefficient_cg(dc, d, two_n, two_j, n1)
-                        for n1 in range(d)] for two_j in two_js])
-        reports.append(_report("interbasis.cg_equivalence", ctx, np.abs(w - cg).max(),
-                               TOL_ALGEBRA))
+        reports.append(_report("interbasis.cg_equivalence", ctx,
+                               np.abs(w - clebsch_gordan_block(dc, two_n)).max(), TOL_ALGEBRA))
 
         if d <= _OVERLAP_D_MAX:
             reports.append(_report("interbasis.overlap", ctx,

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +39,42 @@ def blocks_by_dimension(params, d_values, two_m_values):
         for d in d_values:
             out.append((dc.two_m_plus + 2 * d, two_m))
     return out
+
+
+def w_mpmath(two_s, c1, c2, two_n, two_j, n1, two_m, dps=60):
+    """3F2 closed form of W[j, n1] evaluated in mpmath at ``dps`` digits.
+
+    The ring constants are derived from c1, c2 at the same precision, so
+    the only double-precision inputs are the strengths themselves.
+    """
+    with mpmath.workdps(dps):
+        am = mpmath.mpf(abs(two_m - two_s)) / 2
+        ap = mpmath.mpf(abs(two_m + two_s)) / 2
+        m1 = mpmath.sqrt(am * am + 4 * mpmath.mpf(c1))
+        m2 = mpmath.sqrt(ap * ap + 4 * mpmath.mpf(c2))
+        delta1, delta2 = m1 - am, m2 - ap
+        delta = delta1 + delta2
+        mp_, mm = (ap + am) / 2, (ap - am) / 2
+        n = mpmath.mpf(two_n) / 2
+        j = mpmath.mpf(two_j) / 2
+        d = int(n - mp_)
+        k = int(j - mp_)
+        n2 = d - 1 - n1
+        lg = mpmath.loggamma
+        log_pref = (
+            (mpmath.log(2 * j + delta + 1)
+             + lg(n1 + m1 + 1) + lg(n2 + m2 + 1) - lg(n1 + 1) - lg(n2 + 1)
+             - lg(n - j) - lg(k + 1) - lg(j + mm + delta2 + 1)
+             + lg(j - mm + delta1 + 1) + lg(j + mp_ + delta + 1)
+             - lg(n + j + delta + 1)) / 2
+            + lg(n - mp_) - lg(m1 + 1)
+        )
+        a3, b1, b2 = j + mp_ + delta + 1, m1 + 1, -(n - mp_ - 1)
+        series = term = mpmath.mpf(1)
+        for p in range(min(n1, k)):
+            term *= (p - n1) * (p - k) * (a3 + p) / ((b1 + p) * (b2 + p) * (p + 1))
+            series += term
+        return float(mpmath.exp(log_pref) * series)
 
 
 @pytest.fixture

@@ -16,10 +16,10 @@ from scipy.linalg import eigvalsh_tridiagonal
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
-from conftest import blocks_by_dimension, blocks_up_to, grid_cases
+from conftest import blocks_by_dimension, blocks_up_to, grid_cases, w_mpmath
 
 from mickepler.interbasis import block, expansion_matrix
-from mickepler.numkernel import expansion_coefficient, expansion_coefficient_cg
+from mickepler.numkernel import clebsch_gordan_block
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
@@ -87,7 +87,7 @@ def test_criterion_2_interbasis_ground_truth():
 
 
 def test_criterion_3_cg_continuation():
-    """Both closed forms agree; integer case matches the Racah oracle."""
+    """The exact CG form agrees with the 3F2 form; integer case matches the Racah oracle."""
     rng = np.random.default_rng(1234)
     worst_rel = 0.0
     checked = 0
@@ -100,9 +100,9 @@ def test_criterion_3_cg_continuation():
         d = int(rng.integers(1, 7))
         two_n = dc.two_m_plus + 2 * d
         n1 = int(rng.integers(0, d))
-        two_j = dc.two_m_plus + 2 * int(rng.integers(0, d))
-        direct = expansion_coefficient(params, two_n, two_j, n1, two_m)
-        via_cg = expansion_coefficient_cg(params, two_n, two_j, n1, two_m)
+        k = int(rng.integers(0, d))
+        direct = w_mpmath(two_s, params.c1, params.c2, two_n, dc.two_m_plus + 2 * k, n1, two_m)
+        via_cg = clebsch_gordan_block(dc, two_n)[k, n1]
         worst_rel = max(worst_rel, abs(direct - via_cg)
                         / max(abs(direct), abs(via_cg)))
         checked += 1
@@ -111,18 +111,17 @@ def test_criterion_3_cg_continuation():
     for n in range(1, 5):
         for m in range(-(n - 1), n):
             d = n - abs(m)
+            w = clebsch_gordan_block(derive_constants(SystemParams(two_s=0), 2 * m), 2 * n)
             for k in range(d):
                 j = abs(m) + k
                 for n1 in range(d):
                     n2 = d - 1 - n1
-                    ours = expansion_coefficient_cg(
-                        SystemParams(two_s=0), 2 * n, 2 * j, n1, 2 * m)
                     ref = float(
                         (-1) ** n1 * CG(
                             Rational(n - 1, 2), Rational(abs(m) + n2 - n1, 2),
                             Rational(n - 1, 2), Rational(abs(m) + n1 - n2, 2),
                             j, abs(m)).doit())
-                    worst_int = max(worst_int, abs(ours - ref))
+                    worst_int = max(worst_int, abs(w[k, n1] - ref))
     ok = worst_rel <= 1e-10 and worst_int <= 1e-12
     _line("criterion-3 CG continuation", ok,
           f"500 random labels rel {worst_rel:.2e} (tol 1e-10), "

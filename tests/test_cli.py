@@ -417,6 +417,36 @@ class TestVerify:
         assert "c1=1e+300, c2=0 are too large" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--n-max", "2"], ["verify", "--n-max", "3"],
+                                      ["coefficients", "--n", "3", "--m", "0"],
+                                      ["sweep", "--n", "3", "--m", "0", "--R", "1"]])
+    def test_strength_overflowing_m1_is_usage_error(self, argv):
+        # 4 c1 overflows, so m1 is inf and delta1 nan: refused where the block
+        # constants are derived, before any table or quadrature
+        result = subprocess.run([sys.executable, "-m", "mickepler.cli", *argv, "--c1", "1.7e308"],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "c1=1.7e+308, c2=0 are too large" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_huge_strength_is_reported_not_raised(self):
+        # at c1 = 1e200 the bands stay finite and verify reports FAILs; the
+        # CG oracle is exact, so nothing overflows on the way
+        result = subprocess.run([sys.executable, "-m", "mickepler.cli", "verify", "--n-max", "3",
+                                 "--c1", "1e200"], capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "FAIL" in result.stdout
+        assert "Traceback" not in result.stderr
+        assert "OverflowError" not in result.stderr
+
+    def test_sweep_R_with_R_grid_is_usage_error(self, capsys):
+        code = main(["sweep", "--n", "2", "--m", "0", "--R", "5", "--R-grid", "0:1:2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "give --R or --R-grid, not both" in captured.err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--bogus"])

@@ -65,8 +65,7 @@ def test_every_exported_name_resolves():
 
 
 # the closed-form oracles: the verify suite and the tests hold production code to them
-ORACLES = {"expansion_coefficient", "expansion_coefficient_cg", "clebsch_gordan_continued",
-           "hyp3f2_unit_scaled", "kummer_terminating"}
+ORACLES = {"clebsch_gordan_block", "hyp3f2_terminating", "kummer_terminating"}
 
 
 def test_only_verify_imports_the_oracle_module():

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,15 +7,11 @@ from pytest import approx
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
-from conftest import blocks_by_dimension, grid_cases
+from conftest import blocks_by_dimension, grid_cases, w_mpmath
 
 import mickepler.interbasis as interbasis
 from mickepler.interbasis import _eigh_stack, block, expansion_matrix, inverse_expansion_matrix
-from mickepler.numkernel import (
-    clebsch_gordan_continued,
-    expansion_coefficient,
-    expansion_coefficient_cg,
-)
+from mickepler.numkernel import clebsch_gordan_block
 from mickepler.qnum import (
     ParabolicQN,
     QuantumNumberError,
@@ -54,57 +49,45 @@ def cg_exact(two_a, two_al, two_b, two_be, two_c, two_ga) -> float:
     return float(value)
 
 
+def cg_oracle(params, two_n, two_m):
+    """The exact continued-CG coefficients of the (n, m) block."""
+    return clebsch_gordan_block(derive_constants(params, two_m), two_n)
+
+
 class TestContinuedCG:
     def test_matches_su2_tables(self):
-        rng = np.random.default_rng(42)
+        # without ring terms delta1 = delta2 = 0 and every block is a table of
+        # SU(2) coefficients, W = (-1)^n1 C(a alpha; b beta | c gamma) with
+        # 2a = n + m_minus - 1 = m2 + d - 1, 2 alpha = m2 + n2 - n1,
+        # 2b = n - m_minus - 1 = m1 + d - 1, 2 beta = m1 + n1 - n2, c = j and
+        # gamma = m_plus; a != b when s != 0
         checked = 0
-        while checked < 150:
-            two_a = int(rng.integers(0, 7))
-            two_b = int(rng.integers(0, 7))
-            two_c = int(rng.integers(abs(two_a - two_b), two_a + two_b + 1))
-            if (two_c + two_a + two_b) % 2 != 0:
-                continue
-            two_al = int(rng.integers(-two_a, two_a + 1))
-            if (two_al + two_a) % 2 != 0:
-                continue
-            two_ga_options = [g for g in range(-two_c, two_c + 1, 2)
-                              if abs(g - two_al) <= two_b
-                              and (g - two_al + two_b) % 2 == 0]
-            if not two_ga_options:
-                continue
-            two_ga = int(rng.choice(two_ga_options))
-            two_be = two_ga - two_al
-            checked += 1
-            ours = clebsch_gordan_continued(
-                two_a / 2, two_al / 2, two_b / 2, two_be / 2, two_c / 2, two_ga / 2)
-            assert ours == approx(cg_exact(two_a, two_al, two_b, two_be,
-                                           two_c, two_ga), rel=1e-12, abs=1e-12)
-
-    def test_selection_rule(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan_continued(1.0, 0.5, 1.0, 0.0, 2.0, 1.0)
-
-    def test_requires_integer_terminating_index(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan_continued(1.3, 0.5, 1.0, 0.3, 2.0, 0.8)
-
-    def test_nonpositive_gamma_argument_raises(self):
-        # a - b + c + 1 = -0.5: lgamma would return log|Gamma(-0.5)| silently
-        with pytest.raises(ValueError, match=r"a-b\+c\+1 = -0\.5 "):
-            clebsch_gordan_continued(1.0, 0.0, 3.0, 0.0, 0.5, 0.0)
-        # a + b - c + 1 = 0 sits on a pole
-        with pytest.raises(ValueError, match=r"a\+b-c\+1 = 0\.0 "):
-            clebsch_gordan_continued(1.0, 1.0, 1.0, 0.0, 3.0, 1.0)
+        for two_s in range(-3, 4):
+            params = SystemParams(two_s=two_s)
+            for two_m in range(two_s - 4, two_s + 5, 2):
+                dc = derive_constants(params, two_m)
+                for d in range(1, 5):
+                    two_n = dc.two_m_plus + 2 * d
+                    w = cg_oracle(params, two_n, two_m)
+                    m1, m2 = abs(two_m - two_s) // 2, abs(two_m + two_s) // 2
+                    for k in range(d):
+                        for n1 in range(d):
+                            n2 = d - 1 - n1
+                            ref = (-1) ** n1 * cg_exact(
+                                m2 + d - 1, m2 + n2 - n1, m1 + d - 1, m1 + n1 - n2,
+                                dc.two_m_plus + 2 * k, dc.two_m_plus)
+                            assert w[k, n1] == approx(ref, rel=1e-15, abs=1e-15)
+                            checked += 1
+        assert checked > 1000
 
 
 class TestExpansionCoefficient:
     def test_single_state_block(self):
-        # d = 1: normalization forces the single coefficient to one
-        assert expansion_coefficient(HYDROGEN, 2, 0, 0, 0) == approx(1.0, rel=1e-14)
+        # d = 1: normalization forces the single coefficient to one, exactly
+        assert np.array_equal(cg_oracle(HYDROGEN, 2, 0), np.ones((1, 1)))
         params = SystemParams(two_s=3, c1=0.4, c2=0.1)
         dc = derive_constants(params, 3)
-        assert expansion_coefficient(params, dc.two_m_plus + 2, dc.two_m_plus, 0, 3) \
-            == approx(1.0, rel=1e-13)
+        assert np.array_equal(cg_oracle(params, dc.two_m_plus + 2, 3), np.ones((1, 1)))
 
     def test_hydrogen_n2_magnitudes(self):
         # overlap-quadrature oracle gives |W| = 1/sqrt(2) for every entry
@@ -120,18 +103,12 @@ class TestExpansionCoefficient:
         assert np.abs(quad - w).max() <= 1e-8
 
     def test_invalid_labels(self):
-        with pytest.raises(QuantumNumberError):
-            expansion_coefficient(HYDROGEN, 4, 6, 0, 0)
-        with pytest.raises(QuantumNumberError):
-            expansion_coefficient(HYDROGEN, 4, 0, 5, 0)
-        # (params, two_n, two_j, two_m): j below m_plus, then two_j - two_m_plus odd
+        # (params, two_n, two_m): n not above m_plus, then n - m_plus not an integer
         ring_half = SystemParams(two_s=1, c1=0.3, c2=0.7)   # m = 1/2: m_plus = 1/2
-        for labels in ((HYDROGEN, 6, 0, 2), (HYDROGEN, 6, 3, 2),
-                       (ring_half, 7, -1, 1), (ring_half, 7, 2, 1)):
-            params, two_n, two_j, two_m = labels
-            for closed_form in (expansion_coefficient, expansion_coefficient_cg):
-                with pytest.raises(QuantumNumberError):
-                    closed_form(params, two_n, two_j, 0, two_m)
+        for params, two_n, two_m in ((HYDROGEN, 4, 4), (HYDROGEN, 5, 0),
+                                     (ring_half, 1, 1), (ring_half, 6, 1)):
+            with pytest.raises(QuantumNumberError):
+                cg_oracle(params, two_n, two_m)
 
     def test_matrix_orthogonality_random_systems(self):
         rng = np.random.default_rng(8)
@@ -156,20 +133,22 @@ class TestCGForm:
         for n in range(1, 5):
             for m in range(-(n - 1), n):
                 d = n - abs(m)
+                w = cg_oracle(HYDROGEN, 2 * n, 2 * m)
                 for k in range(d):
                     j = abs(m) + k
                     for n1 in range(d):
                         n2 = d - 1 - n1
-                        ours = expansion_coefficient_cg(HYDROGEN, 2 * n, 2 * j, n1, 2 * m)
                         ref = (-1.0) ** n1 * cg_exact(
                             n - 1, abs(m) + n2 - n1, n - 1, abs(m) + n1 - n2,
                             2 * j, 2 * abs(m))
-                        assert ours == approx(ref, rel=1e-12, abs=1e-12)
+                        assert w[k, n1] == approx(ref, rel=1e-15, abs=1e-15)
 
     def test_single_state_block_phase(self):
-        assert expansion_coefficient_cg(HYDROGEN, 2, 0, 0, 0) == approx(1.0, rel=1e-13)
+        assert cg_oracle(HYDROGEN, 2, 0)[0, 0] == 1.0
 
     def test_agrees_with_direct_form(self):
+        # the 3F2 closed form, at 60 digits with the ring constants derived
+        # at that precision, against the exact CG form
         rng = np.random.default_rng(31)
         for _ in range(120):
             two_s = int(rng.integers(-2, 3))
@@ -180,15 +159,16 @@ class TestCGForm:
             d = int(rng.integers(1, 7))
             two_n = dc.two_m_plus + 2 * d
             n1 = int(rng.integers(0, d))
-            two_j = dc.two_m_plus + 2 * int(rng.integers(0, d))
-            direct = expansion_coefficient(params, two_n, two_j, n1, two_m)
-            via_cg = expansion_coefficient_cg(params, two_n, two_j, n1, two_m)
-            assert via_cg == approx(direct, rel=1e-10, abs=1e-12)
+            k = int(rng.integers(0, d))
+            direct = w_mpmath(two_s, params.c1, params.c2, two_n, dc.two_m_plus + 2 * k,
+                              n1, two_m)
+            assert cg_oracle(params, two_n, two_m)[k, n1] == approx(direct, rel=1e-13,
+                                                                     abs=1e-15)
 
 
 class TestInverseExpansion:
     def test_single_state_block(self):
-        assert expansion_coefficient(HYDROGEN, 2, 0, 0, 0) == approx(1.0)
+        assert np.array_equal(inverse_expansion_matrix(HYDROGEN, 2, 0).entries, np.ones((1, 1)))
 
     def test_transpose_relation(self):
         params = SystemParams(two_s=1, c1=0.4, c2=0.2)
@@ -250,42 +230,6 @@ class TestCompleteness:
             assert _completeness_residual(level, w, rng) <= 1e-8
 
 
-def w_mpmath(two_s, c1, c2, two_n, two_j, n1, two_m, dps=60):
-    """3F2 closed form of W[j, n1] evaluated in mpmath at ``dps`` digits.
-
-    The ring constants are derived from c1, c2 at the same precision, so
-    the only double-precision inputs are the strengths themselves.
-    """
-    with mpmath.workdps(dps):
-        am = mpmath.mpf(abs(two_m - two_s)) / 2
-        ap = mpmath.mpf(abs(two_m + two_s)) / 2
-        m1 = mpmath.sqrt(am * am + 4 * mpmath.mpf(c1))
-        m2 = mpmath.sqrt(ap * ap + 4 * mpmath.mpf(c2))
-        delta1, delta2 = m1 - am, m2 - ap
-        delta = delta1 + delta2
-        mp_, mm = (ap + am) / 2, (ap - am) / 2
-        n = mpmath.mpf(two_n) / 2
-        j = mpmath.mpf(two_j) / 2
-        d = int(n - mp_)
-        k = int(j - mp_)
-        n2 = d - 1 - n1
-        lg = mpmath.loggamma
-        log_pref = (
-            (mpmath.log(2 * j + delta + 1)
-             + lg(n1 + m1 + 1) + lg(n2 + m2 + 1) - lg(n1 + 1) - lg(n2 + 1)
-             - lg(n - j) - lg(k + 1) - lg(j + mm + delta2 + 1)
-             + lg(j - mm + delta1 + 1) + lg(j + mp_ + delta + 1)
-             - lg(n + j + delta + 1)) / 2
-            + lg(n - mp_) - lg(m1 + 1)
-        )
-        a3, b1, b2 = j + mp_ + delta + 1, m1 + 1, -(n - mp_ - 1)
-        series = term = mpmath.mpf(1)
-        for p in range(min(n1, k)):
-            term *= (p - n1) * (p - k) * (a3 + p) / ((b1 + p) * (b2 + p) * (p + 1))
-            series += term
-        return float(mpmath.exp(log_pref) * series)
-
-
 class TestEigenvectorMatrix:
     """Production W: sign-fixed eigenvectors of the Runge-Lenz matrix X."""
 
@@ -329,23 +273,19 @@ class TestEigenvectorMatrix:
         assert w.dim == 1 and np.array_equal(w.entries, np.ones((1, 1)))
 
     @pytest.mark.parametrize("params", grid_cases(), ids=repr)
-    def test_agrees_with_both_closed_forms_up_to_d12(self, params):
-        # the closed forms carry their own rounding error, which grows with d:
-        # the CG form passes 1e-10 up to d = 9 only (2e-9 at d = 12 against
-        # the mpmath oracle, where W stays within 1e-15)
+    def test_agrees_with_exact_closed_form_up_to_d20(self, params):
+        # the CG form is exact and rounded once, so W must match it to rounding
         two_m_values = range(params.two_s - 4, params.two_s + 5, 2)
-        for two_n, two_m in blocks_by_dimension(params, range(1, 13), two_m_values):
-            dc = derive_constants(params, two_m)
+        for two_n, two_m in blocks_by_dimension(params, range(1, 21), two_m_values):
             w = expansion_matrix(params, two_n, two_m).entries
-            d = w.shape[0]
-            cg_tol = 1e-10 if d <= 9 else 1e-8
-            for k in range(d):
-                two_j = dc.two_m_plus + 2 * k
-                for n1 in range(d):
-                    assert abs(w[k, n1] - expansion_coefficient(
-                        params, two_n, two_j, n1, two_m)) <= 1e-10
-                    assert abs(w[k, n1] - expansion_coefficient_cg(
-                        params, two_n, two_j, n1, two_m)) <= cg_tol
+            assert np.abs(w - cg_oracle(params, two_n, two_m)).max() <= 1e-14
+
+    def test_moved_entry_fails_the_exact_comparison(self):
+        # negative control: W with one entry moved by 1e-12 is caught at 1e-14
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        w = expansion_matrix(params, 21, 1).entries.copy()
+        w[3, 5] += 1e-12
+        assert np.abs(w - cg_oracle(params, 21, 1)).max() > 1e-14
 
     def test_overflowing_bands_name_the_strengths(self):
         # at c1 = 1e300 the coupling's product of six factors of order 1e150

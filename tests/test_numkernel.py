@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import mpmath
 from pytest import approx
 from scipy.special import eval_jacobi, poch
 
-from mickepler.numkernel import hyp3f2_unit_scaled, kummer_terminating
+from mickepler.numkernel import hyp3f2_terminating, kummer_terminating
 from mickepler.verify import _gauss_order, _jacobi
 
 # The library takes log-gamma from math.lgamma and Pochhammer symbols and
@@ -29,8 +30,7 @@ class TestLnGamma:
         assert math.lgamma(8.25) - math.lgamma(7.25) == approx(math.log(7.25), abs=1e-13)
 
     def test_domain_error(self):
-        # poles raise; negative non-integers return log|Gamma| instead, which
-        # is why clebsch_gordan_continued checks its arguments itself
+        # poles raise; negative non-integers return log|Gamma| instead
         with pytest.raises(ValueError):
             math.lgamma(0.0)
         with pytest.raises(ValueError):
@@ -163,63 +163,69 @@ class TestKummer:
         assert vals[0] == 1.0
 
 
+def hyp3f2(a, b, n_terms):
+    """The exact sum of int or Fraction parameters, as a Fraction."""
+    return Fraction(*hyp3f2_terminating([Fraction(x).as_integer_ratio() for x in a],
+                                        [Fraction(x).as_integer_ratio() for x in b], n_terms))
+
+
+def rising(x, n):
+    """Exact Pochhammer symbol (x)_n."""
+    return math.prod((x + i for i in range(n)), start=Fraction(1))
+
+
 class TestHyp3F2:
     def test_zero_index(self):
-        assert hyp3f2_unit_scaled(0.0, 1.3, -2.7, 0.4, 5.0) == 1.0
+        # a zero numerator parameter leaves the first term alone; no term is an empty sum
+        a, b = (0, Fraction(13, 10), Fraction(-27, 10)), (Fraction(2, 5), 5)
+        assert hyp3f2(a, b, 1) == hyp3f2(a, b, 3) == 1
+        assert hyp3f2(a, b, 0) == 0
 
     def test_single_step_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            a2, a3, b1, b2 = rng.uniform(0.3, 4.0, size=4)
-            expected = 1.0 - a2 * a3 / (b1 * b2)
-            assert hyp3f2_unit_scaled(-1.0, a2, a3, b1, b2) == approx(
-                expected, rel=1e-13, abs=1e-13)
+            a2, a3, b1, b2 = map(Fraction, rng.uniform(0.3, 4.0, size=4))
+            assert hyp3f2((-1, a2, a3), (b1, b2), 2) == 1 - a2 * a3 / (b1 * b2)
 
     def test_saalschuetz_balanced(self):
-        # -2, 1.5, 2.5; 2.0, 1.0 is Saalschuetzian: 1 + a + b - c - n matches
-        # the second denominator.  Two independent oracles: brute-force term
-        # sum and the Saalschuetz closed form (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n).
-        n, a, b, c = 2, 1.5, 2.5, 2.0
-        brute = sum(
-            poch(-n, p) * poch(a, p) * poch(b, p)
-            / (poch(c, p) * poch(1 + a + b - c - n, p) * math.factorial(p))
-            for p in range(n + 1)
-        )
-        closed = (poch(c - a, n) * poch(c - b, n)
-                  / (poch(c, n) * poch(c - a - b, n)))
-        assert brute == approx(closed, rel=1e-14)
-        assert brute == approx(-0.015625, rel=1e-13)
-        value = hyp3f2_unit_scaled(-2.0, 1.5, 2.5, 2.0, 1.0)
-        assert value == approx(brute, rel=1e-12)
+        # -2, 3/2, 5/2; 2, 1 is Saalschuetzian: 1 + a + b - c - n matches the
+        # second denominator, and the sum is (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
+        n, a, b, c = 2, Fraction(3, 2), Fraction(5, 2), Fraction(2)
+        closed = (rising(c - a, n) * rising(c - b, n)
+                  / (rising(c, n) * rising(c - a - b, n)))
+        assert closed == Fraction(-1, 64)
+        assert hyp3f2((-n, a, b), (c, 1 + a + b - c - n), n + 1) == closed
 
-    def test_terminates_at_smallest_index(self):
-        # second numerator -1 terminates before the -4
-        value = hyp3f2_unit_scaled(-4.0, -1.0, 2.0, 3.0, 5.0)
-        assert value == approx(1.0 + (-4.0) * (-1.0) * 2.0 / (3.0 * 5.0), rel=1e-13)
+    def test_terms_past_a_vanishing_numerator_add_nothing(self):
+        # the numerator -1 ends the series after two terms, before the -4 would
+        value = hyp3f2((-4, -1, 2), (3, 5), 2)
+        assert value == 1 + Fraction(-4 * -1 * 2, 3 * 5)
+        assert hyp3f2((-4, -1, 2), (3, 5), 5) == value
 
     def test_denominator_pole_raises(self):
-        with pytest.raises(ValueError):
-            hyp3f2_unit_scaled(-3.0, 5.0, 7.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="denominator Pochhammer vanishes"):
+            hyp3f2((-3, 5, 7), (1, -1), 4)
 
-    def test_requires_terminating_parameter(self):
-        with pytest.raises(ValueError):
-            hyp3f2_unit_scaled(0.5, 1.3, 2.7, 0.4, 5.0)
-
-    def test_scaled_consistency(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a2, a3, b1, b2 = rng.uniform(0.5, 3.0, size=4)
-            n = float(rng.integers(0, 5))
-            scale = rng.uniform(-3.0, 3.0)
-            plain = hyp3f2_unit_scaled(-n, a2, a3, b1, b2)
-            scaled = hyp3f2_unit_scaled(-n, a2, a3, b1, b2, scale)
-            assert scaled == approx(math.exp(scale) * plain, rel=1e-12)
+    @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=12),
+                    min_size=5, max_size=5),
+           st.integers(min_value=0, max_value=6))
+    def test_term_by_term_sum(self, params, n_terms):
+        # any rational parameters, against the sum of the terms themselves
+        a, b = params[:3], params[3:]
+        if any(rising(x, n_terms - 1) == 0 for x in b):
+            with pytest.raises(ValueError):
+                hyp3f2(a, b, n_terms)
+            return
+        expected = sum(math.prod(rising(x, p) for x in a)
+                       / (math.prod(rising(x, p) for x in b) * math.factorial(p))
+                       for p in range(n_terms))
+        assert hyp3f2(a, b, n_terms) == expected
 
     def test_bailey_transformation(self):
-        # left and right sides of the two-term 3F2(1) relation
+        # left and right sides of the two-term 3F2(1) relation, exactly equal
+        # at doubles, which are exact rationals
         rng = np.random.default_rng(2024)
         checked = 0
-        worst = 0.0
         while checked < 200:
             big_n = int(rng.integers(0, 7))
             s, sp, tp, t = rng.uniform(-3.0, 3.0, size=4)
@@ -227,8 +233,8 @@ class TestHyp3F2:
                    for v in (t, tp, 1.0 - big_n - t, t + s)):
                 continue
             checked += 1
-            lhs = hyp3f2_unit_scaled(s, sp, -float(big_n), tp, 1.0 - big_n - t)
-            rhs = (poch(t + s, big_n) / poch(t, big_n)
-                   * hyp3f2_unit_scaled(s, tp - sp, -float(big_n), tp, t + s))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-10))
-        assert worst <= 1e-10
+            s, sp, tp, t = map(Fraction, (s, sp, tp, t))
+            lhs = hyp3f2((s, sp, -big_n), (tp, 1 - big_n - t), big_n + 1)
+            rhs = (rising(t + s, big_n) / rising(t, big_n)
+                   * hyp3f2((s, tp - sp, -big_n), (tp, t + s), big_n + 1))
+            assert lhs == rhs

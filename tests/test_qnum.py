@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,16 @@ class TestDerivedConstants:
     def test_non_finite_strength_rejected(self, c1, c2):
         with pytest.raises(ValueError, match="finite"):
             SystemParams(two_s=1, c1=c1, c2=c2)
+
+    @pytest.mark.parametrize("c1, c2", [(1.7e308, 0.0), (0.0, 4.5e307), (1e308, 1e308)])
+    def test_overflowing_strength_names_both(self, c1, c2):
+        # 4 c past the float range makes m1 or m2 inf and its delta nan
+        with pytest.raises(ValueError, match=re.escape(f"c1={c1:g}, c2={c2:g} are too large")):
+            derive_constants(SystemParams(two_s=1, c1=c1, c2=c2), 1)
+
+    def test_largest_strength_is_derived(self):
+        dc = derive_constants(SystemParams(two_s=0, c1=4.49e307, c2=4.49e307), 2)
+        assert all(math.isfinite(x) for x in (dc.m1, dc.m2, dc.delta1, dc.delta2))
 
     @given(st.integers(min_value=-3, max_value=3),
            st.integers(min_value=-6, max_value=6),
