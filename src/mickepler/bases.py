@@ -5,9 +5,12 @@ the azimuthal phase exp(i (m - s) phi); m - s is always an integer.  The
 real profiles are exposed separately because every interbasis check
 compares real amplitudes.
 
-Normalizations are stored as logs: the angular, radial and both parabolic
-factors are each one exp of (log norm + log envelope) times a polynomial,
-so large gamma ratios never meet small powers in linear arithmetic.
+A Laguerre kernel gives the radial function and both parabolic factors, a
+Jacobi kernel the angular profile, each as one exp of (log constant + log
+envelope), the norm and the Kummer scale in the constant, times a scipy
+polynomial: large gamma ratios never meet small powers in linear arithmetic.
+The public functions pass a state's scalar labels; verify passes the label
+arrays of a block's states, one call per family, equal to them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_jacobi
+from scipy.special import eval_genlaguerre, eval_jacobi, xlogy
 
 from .qnum import (
     DerivedConstants,
@@ -111,55 +114,57 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
     return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, log_norms=log_norms)
 
 
-def angular_profile(state: SphericalState, theta):
-    """Real angular factor: the full Z without the azimuthal phase."""
-    theta = np.asarray(theta, dtype=float)
-    dc = state.dc
-    k = (state.qn.two_j - dc.two_m_plus) // 2
-    half = 0.5 * theta
+def _angular(k, m1, m2, log_norm, theta):
+    """exp(log_norm) cos^m1(theta/2) sin^m2(theta/2) P_k^(m2,m1)(cos theta); labels
+    broadcast against theta, all-scalar input gives a float."""
     x = np.cos(theta)
     # scipy's Jacobi recurrence loses digits near x = -1; the reflection
     # P_k^(a,b)(x) = (-1)^k P_k^(b,a)(-x) keeps its argument in [0, 1]
     flip = x < 0.0
-    poly = eval_jacobi(k, np.where(flip, dc.m1, dc.m2), np.where(flip, dc.m2, dc.m1), np.abs(x))
-    # cos^m1 sin^m2 of the half angle in logs; a zero power is skipped (0 log 0)
-    with np.errstate(divide="ignore"):
-        log_value = (state.log_norm_angular
-                     + (dc.m1 * np.log(np.cos(half)) if dc.m1 else 0.0)
-                     + (dc.m2 * np.log(np.sin(half)) if dc.m2 else 0.0))
-    value = np.exp(log_value) * np.where(flip & (k % 2 == 1), -poly, poly)
+    poly = eval_jacobi(k, np.where(flip, m1, m2), np.where(flip, m2, m1), np.abs(x))
+    # the half-angle powers in logs; xlogy gives 0 log 0 = 0 for a zero power
+    half = 0.5 * theta
+    value = (np.exp(xlogy(m1, np.cos(half)) + xlogy(m2, np.sin(half)) + log_norm)
+             * np.where(flip & (k % 2 == 1), -poly, poly))
     return value if value.ndim else float(value)
 
 
-def _kummer(n: int, c: float, t):
-    """Terminating confluent hypergeometric F(-n; c; t) = n! / (c)_n L_n^(c-1)(t).
-
-    The generalized Laguerre polynomial comes from its forward three-term
-    recurrence, which stays accurate where the alternating power series of
-    F loses every digit to cancellation (large n and t).
-    """
-    scale = math.exp(math.lgamma(n + 1.0) + math.lgamma(c) - math.lgamma(c + n))
-    return scale * eval_genlaguerre(n, c - 1.0, t)
+def _angular_labels(state: SphericalState) -> tuple:
+    """Labels of _angular for the angular profile of a state."""
+    dc = state.dc
+    return (state.qn.two_j - dc.two_m_plus) // 2, dc.m1, dc.m2, state.log_norm_angular
 
 
-def _laguerre_factor(n: int, c: float, power: float, log_norm: float, t):
-    """exp(log_norm) t^power e^(-t/2) F(-n; c; t): the radial function and
-    each parabolic factor; returns a float if t is a scalar."""
-    t = np.asarray(t, dtype=float)
-    # log of a sentinel 1.0 where t == 0; that branch is overwritten below
-    log_t = np.log(np.where(t > 0.0, t, 1.0))
-    envelope = np.where(t > 0.0, np.exp(log_norm + power * log_t - 0.5 * t),
-                        math.exp(log_norm) if power == 0.0 else 0.0)
-    value = envelope * _kummer(n, c, t)
+def angular_profile(state: SphericalState, theta):
+    """Real angular factor: the full Z without the azimuthal phase."""
+    return _angular(*_angular_labels(state), np.asarray(theta, dtype=float))
+
+
+def _laguerre_factor(n, c, power, log_const, scale, x):
+    """exp(log_const) t^power e^(-t/2) L_n^(c-1)(t), t = scale x: the radial function and
+    each parabolic factor; labels broadcast against x, all-scalar input gives a float."""
+    t = scale * x
+    value = np.exp(xlogy(power, t) - 0.5 * t + log_const) * eval_genlaguerre(n, c - 1.0, t)
     return value if value.ndim else float(value)
+
+
+def _laguerre_labels(n: int, c: float, power: float, log_norm: float, scale: float) -> tuple:
+    """Labels of _laguerre_factor for exp(log_norm) t^power e^(-t/2) F(-n; c; t), with
+    F = n! Gamma(c) / Gamma(c + n) L_n^(c-1)(t) and that scale in the log constant."""
+    return n, c, power, log_norm + math.lgamma(n + 1) + math.lgamma(c) - math.lgamma(c + n), scale
+
+
+def _radial_labels(state: SphericalState) -> tuple:
+    """Labels of _laguerre_factor for the radial function, t = 2 eps r."""
+    j, delta = state.qn.two_j / 2.0, state.dc.delta_total
+    n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
+    return _laguerre_labels(n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta,
+                            state.log_norm_radial, 2.0 * state.eps)
 
 
 def radial_r(state: SphericalState, r):
     """Normalized radial function; returns an array if r is an array."""
-    j, delta = state.qn.two_j / 2.0, state.dc.delta_total
-    n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
-    return _laguerre_factor(n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta,
-                            state.log_norm_radial, 2.0 * state.eps * np.asarray(r, dtype=float))
+    return _laguerre_factor(*_radial_labels(state), np.asarray(r, dtype=float))
 
 
 def psi_spherical(state: SphericalState, point) -> complex:
@@ -171,12 +176,16 @@ def psi_spherical(state: SphericalState, point) -> complex:
     )
 
 
-def parabolic_factor(state: ParabolicState, axis: int, x):
-    """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
+def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
+    """Labels of _laguerre_factor for one parabolic factor, t = eps x."""
     n_i = state.qn.n2 if axis else state.qn.n1
     m_i = state.dc.m2 if axis else state.dc.m1
-    return _laguerre_factor(n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis],
-                            state.eps * np.asarray(x, dtype=float))
+    return _laguerre_labels(n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis], state.eps)
+
+
+def parabolic_factor(state: ParabolicState, axis: int, x):
+    """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
+    return _laguerre_factor(*_parabolic_labels(state, axis), np.asarray(x, dtype=float))
 
 
 def parabolic_profile(state: ParabolicState, xi, eta):

@@ -49,6 +49,8 @@ class SystemParams:
             )
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("perturbation strengths c1, c2 must be nonnegative")
+        object.__setattr__(self, "c1", self.c1 + 0.0)   # -0.0 + 0.0 is +0.0: no "-0" out
+        object.__setattr__(self, "c2", self.c2 + 0.0)
 
 
 @dataclass(frozen=True)

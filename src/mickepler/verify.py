@@ -23,13 +23,16 @@ d = 127 are checked.
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
 states on one Gauss-Laguerre rule, and hands them to every check of the
-block; every state is built once per run.  Each block is diagonalized
-once per side: W and the spectrum of X come from one eigensolve, and one
-stacked eigensolve of the spheroidal bands covers every R of the list,
-R = 0 (whose parabolic side is the angular-momentum matrix M alone) and
-the limit probes.  The per-R checks and the limit deviations are array
-operations over that stack.  The checks are private cores that take
-those prebuilt objects; :func:`run_suite` is the one entry point to them.
+block; every state is built once per run.  A block's wavefunctions take
+one :mod:`mickepler.bases` kernel call per family (radial, angular, each
+parabolic factor) over the label arrays of its states, and one azimuthal
+phase.  Each block is diagonalized once per side: W and the spectrum of X
+come from one eigensolve, and one stacked eigensolve of the spheroidal
+bands covers every R of the list, R = 0 (whose parabolic side is the
+angular-momentum matrix M alone) and the limit probes.  The per-R checks
+and the limit deviations are array operations over that stack.  The
+checks are private cores that take those prebuilt objects;
+:func:`run_suite` is the one entry point to them.
 """
 
 from __future__ import annotations
@@ -45,14 +48,14 @@ from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi
 from .bases import (
     ParabolicState,
     SphericalState,
-    _kummer,
-    angular_profile,
-    parabolic_factor,
-    parabolic_profile,
+    _angular,
+    _angular_labels,
+    _laguerre_factor,
+    _laguerre_labels,
+    _parabolic_labels,
+    _radial_labels,
+    _winding,
     parabolic_state,
-    psi_parabolic,
-    psi_spherical,
-    radial_r,
     spherical_state,
 )
 from .coords import SphericalPoint, spherical_to_parabolic
@@ -222,13 +225,15 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports.append(_report("kernel.jacobi.endpoint", "60 random (k,alpha,beta)",
                            worst, TOL_QUADRATURE))
 
-    # bases._kummer against the series, relative to its sum of |terms|, F(-n; c; -x)
+    # F from the production Laguerre kernel (power 0, log norm 0, its e^(-x/2) undone)
+    # against the series, relative to its sum of |terms|, F(-n; c; -x)
     x = np.array([0.0, 0.5, 2.0, 10.0])
     worst = 0.0
     for _ in range(40):
         n = int(rng.integers(0, 9))
         c = rng.uniform(0.1, 6.0)
-        worst = max(worst, float(np.max(np.abs(_kummer(n, c, x) - kummer_terminating(n, c, x))
+        kernel = _laguerre_factor(*_laguerre_labels(n, c, 0.0, 0.0, 1.0), x) * np.exp(0.5 * x)
+        worst = max(worst, float(np.max(np.abs(kernel - kummer_terminating(n, c, x))
                                         / kummer_terminating(n, c, -x))))
     reports.append(_report("kernel.kummer.series", "40 random (n,c) x in {0,0.5,2,10}",
                            worst, TOL_QUADRATURE))
@@ -323,8 +328,34 @@ class _States:
         t, w = _laguerre(_gauss_order(2 * d), power)
         scale = 2.0 * sph[0].eps
         r = t / scale
-        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph, par=par, r=r,
-                      w_r=w / scale, rad=np.array([radial_r(st, r) for st in sph]))
+        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph, par=par, r=r, w_r=w / scale,
+                      rad=_rows(_laguerre_factor, map(_radial_labels, sph), r[None]))
+
+
+def _rows(kernel, labels, points):
+    """One kernel call over per-state label tuples, row k at points[k] (or points[0]);
+    each element takes the operations of the per-state call, so the rows equal it."""
+    table = np.array(list(labels)).T
+    table = table.reshape(table.shape + (1,) * (np.ndim(points) - 1))
+    # the first label is the degree, whose integer type selects scipy's recurrence
+    return kernel(table[0].astype(np.int64), *table[1:], points)
+
+
+def _profile_rows(par: list[ParabolicState], xi, eta) -> np.ndarray:
+    """parabolic_profile of the states of one level (one eps), as _rows."""
+    phi1, phi2 = (_rows(_laguerre_factor, [_parabolic_labels(st, axis) for st in par], x)
+                  for axis, x in ((0, xi), (1, eta)))
+    return math.sqrt(2.0) * par[0].eps**2 * phi1 * phi2
+
+
+def _psi_rows(lv: _Level, point: SphericalPoint) -> tuple[np.ndarray, np.ndarray]:
+    """psi_spherical and psi_parabolic rows; a block's states share one winding m - s."""
+    phase = np.exp(1j * _winding(lv.sph[0]) * point.phi)
+    ppoint = spherical_to_parabolic(point)
+    return (_rows(_laguerre_factor, map(_radial_labels, lv.sph), point.r[None])
+            * _rows(_angular, map(_angular_labels, lv.sph), point.theta[None]) * phase,
+            _profile_rows(lv.par, ppoint.xi[None], ppoint.eta[None]) * phase
+            / math.sqrt(2.0 * math.pi))
 
 
 def _identity_deviation(gram: np.ndarray) -> float:
@@ -340,7 +371,7 @@ def _angular_gram(states: _States, dc: DerivedConstants, channels: int) -> np.nd
     # of degree < channels, a product the Jacobi weight times degree 2 channels - 2
     x, w = _jacobi(_gauss_order(2 * channels - 2), dc.m2, dc.m1)
     theta = np.arccos(x)
-    profiles = np.array([angular_profile(st, theta) for st in channel_states])
+    profiles = _rows(_angular, map(_angular_labels, channel_states), theta[None])
     return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
 
 
@@ -355,10 +386,10 @@ def _radial_gram(states: _States, dc: DerivedConstants, two_j: int, two_n_list
     t, w = _laguerre(_gauss_order(two_k + 2 + two_n_r_max), power)
     eps = np.array([st.eps for st in chain])
     pair_eps = eps[:, None] + eps[None, :]
-    # the pair (a, b) has its own nodes r[a, b]; one radial_r call per state
-    # evaluates it on the nodes of all its pairs, values[a, b] = R_a(r[a, b])
+    # the pair (a, b) has its own nodes r[a, b]; one kernel call evaluates each
+    # state on the nodes of all its pairs, values[a, b] = R_a(r[a, b])
     r = t / pair_eps[:, :, None]
-    values = np.array([radial_r(st, r[a]) for a, st in enumerate(chain)])
+    values = _rows(_laguerre_factor, map(_radial_labels, chain), r)
     integrand = values * values.transpose(1, 0, 2) * r * r
     return np.sum(w * integrand, axis=-1) / pair_eps
 
@@ -371,7 +402,7 @@ def _parabolic_norms(lv: _Level) -> np.ndarray:
     for axis, mi in ((0, lv.dc.m1), (1, lv.dc.m2)):
         t, w = _laguerre(_gauss_order(2 * len(lv.par) - 1), mi)
         x = t / eps
-        f2 = np.array([parabolic_factor(st, axis, x) for st in lv.par]) ** 2
+        f2 = _rows(_laguerre_factor, [_parabolic_labels(st, axis) for st in lv.par], x[None])**2
         moments.append((np.sum(w * f2, axis=1) / eps, np.sum(w * (f2 * x), axis=1) / eps))
     return 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
 
@@ -388,8 +419,8 @@ def _overlap_matrix(lv: _Level) -> np.ndarray:
     theta = np.arccos(x)
     xi = lv.r[:, None] * (1.0 + x)[None, :]
     eta = lv.r[:, None] * (1.0 - x)[None, :]
-    ang = np.array([angular_profile(st, theta) for st in lv.sph])       # (d, nx)
-    pab = np.array([parabolic_profile(st, xi, eta) for st in lv.par])  # (d, nt, nx)
+    ang = _rows(_angular, map(_angular_labels, lv.sph), theta[None])   # (d, nx)
+    pab = _profile_rows(lv.par, xi[None], eta[None])                   # (d, nt, nx)
     d, nt, nx = pab.shape
     # the angular sum as one matrix product over the stacked (n1, node) rows,
     # then the radial sum
@@ -403,9 +434,7 @@ def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) 
     draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(20, 3))
     point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
                            phi=draws[:, 2])
-    ppoint = spherical_to_parabolic(point)
-    sph_values = np.array([psi_spherical(st, point) for st in lv.sph])   # (d, npoints)
-    direct = np.array([psi_parabolic(st, ppoint) for st in lv.par])      # (d, npoints)
+    sph_values, direct = _psi_rows(lv, point)
     return float(np.abs(direct - w.T @ sph_values).max())
 
 

@@ -471,6 +471,16 @@ class TestOutput:
         content = target.read_text()
         assert content.startswith("n,m,delta1,delta2,energy")
 
+    @pytest.mark.parametrize("command", [("spectrum", "--n-max", "2"),
+                                         ("verify", "--n-max", "2")])
+    @pytest.mark.parametrize("flag", ["--c1", "--c2"])
+    def test_negative_zero_strength_prints_the_bytes_of_zero(self, capsys, command, flag):
+        # -0.0 passes the sign check; SystemParams stores it as +0.0
+        code_neg, out_neg = run_cli(capsys, *command, flag, "-0")
+        code_pos, out_pos = run_cli(capsys, *command, flag, "0")
+        assert code_neg == code_pos == 0
+        assert out_neg == out_pos
+
     def test_seventeen_significant_digits(self, capsys):
         _, out = run_cli(capsys, "spectrum", "--n-max", "3")
         _, rows = parse_csv(out)

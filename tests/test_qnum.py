@@ -30,6 +30,14 @@ from mickepler.qnum import (
 HYDROGEN = SystemParams(two_s=0)
 
 
+def test_negative_zero_strengths_are_stored_as_positive_zero():
+    params = SystemParams(two_s=0, c1=-0.0, c2=-0.0)
+    assert math.copysign(1.0, params.c1) == math.copysign(1.0, params.c2) == 1.0
+    # the shifts 4c / (m_i + |m -+ s|) of m = 1 carry the sign of c
+    dc = derive_constants(params, 2)
+    assert math.copysign(1.0, dc.delta1) == math.copysign(1.0, dc.delta2) == 1.0
+
+
 class TestDerivedConstants:
     def test_unperturbed_integer_m(self):
         dc = derive_constants(HYDROGEN, 2)

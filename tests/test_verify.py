@@ -10,15 +10,19 @@ from pytest import approx
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
+from conftest import blocks_up_to, grid_cases
+
 import mickepler.bases as bases
 import mickepler.cli as cli
 import mickepler.interbasis as interbasis
 from mickepler.bases import (
     angular_profile,
+    parabolic_factor,
     parabolic_profile,
     parabolic_state,
     psi_parabolic,
     psi_spherical,
+    radial_r,
     spherical_state,
 )
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
@@ -266,9 +270,11 @@ class TestRunSuite:
         assert failed == {"spheroidal.limit_scaling"}
 
     def test_negative_control_scaled_kummer(self, monkeypatch):
-        # the self-check compares the production Laguerre path with the series
-        real = verify._kummer
-        monkeypatch.setattr(verify, "_kummer", lambda n, c, t: real(n, c, t) * (1.0 + 1e-10))
+        # the self-check compares the production Laguerre kernel with the series;
+        # scaling the kernel moves every quadrature check by far less than its tolerance
+        real = verify._laguerre_factor
+        monkeypatch.setattr(verify, "_laguerre_factor",
+                            lambda *labels: real(*labels) * (1.0 + 1e-10))
         reports = run_suite(HYDROGEN, n_max=2, r_list=R_LIST)
         assert {r.check_id for r in reports if not r.passed} == {"kernel.kummer.series"}
         (kummer,) = [r for r in reports if r.check_id == "kernel.kummer.series"]
@@ -386,6 +392,56 @@ class TestBlockCores:
             got = verify._identity_deviation(
                 verify._radial_gram(verify._States(params), dc, two_j, n_list))
             assert got == approx(expected, rel=1e-12, abs=1e-15)
+
+
+class TestBatchedRows:
+    """verify's one kernel call per family and block against the per-state
+    public functions: each row equal bit for bit, t = 0 and theta = 0, pi included."""
+
+    R = np.array([0.0, 1e-3, 0.5, 3.0, 17.0, 60.0])
+    THETA = np.array([0.0, 1e-3, 0.7, 0.5 * math.pi, 2.4, math.pi])
+    X = np.array([0.0, 0.02, 1.3, 8.0, 45.0])
+
+    @pytest.mark.parametrize("params", grid_cases(), ids=repr)
+    def test_rows_equal_per_state_calls(self, params):
+        states = verify._States(params)
+        zero_powers = set()
+        for two_n, two_m in blocks_up_to(params, 8):
+            lv = states.level(two_n, two_m)
+            zero_powers |= {axis for axis, m_i in enumerate((lv.dc.m1, lv.dc.m2)) if m_i == 0.0}
+            radial = verify._rows(bases._laguerre_factor, map(bases._radial_labels, lv.sph),
+                                  self.R[None])
+            angular = verify._rows(bases._angular, map(bases._angular_labels, lv.sph),
+                                   self.THETA[None])
+            # per-state points, as the radial Gram matrix passes them
+            own_r = np.outer(np.arange(1.0, len(lv.sph) + 1.0), self.R)
+            radial_own = verify._rows(bases._laguerre_factor,
+                                      map(bases._radial_labels, lv.sph), own_r)
+            for k, st in enumerate(lv.sph):
+                assert np.array_equal(radial[k], radial_r(st, self.R))
+                assert np.array_equal(radial_own[k], radial_r(st, own_r[k]))
+                assert np.array_equal(lv.rad[k], radial_r(st, lv.r))
+                assert np.array_equal(angular[k], angular_profile(st, self.THETA))
+            for axis in (0, 1):
+                factors = verify._rows(bases._laguerre_factor,
+                                       [bases._parabolic_labels(st, axis) for st in lv.par],
+                                       self.X[None])
+                for k, st in enumerate(lv.par):
+                    assert np.array_equal(factors[k], parabolic_factor(st, axis, self.X))
+            xi, eta = np.meshgrid(self.X, self.X[::-1])
+            profiles = verify._profile_rows(lv.par, xi[None], eta[None])
+            point = SphericalPoint(r=np.repeat(self.R, 6), theta=np.tile(self.THETA, 6),
+                                   phi=np.linspace(0.0, 6.0, 36))
+            psi_sph, psi_par = verify._psi_rows(lv, point)
+            ppoint = spherical_to_parabolic(point)
+            for k, st in enumerate(lv.par):
+                assert np.array_equal(profiles[k], parabolic_profile(st, xi, eta))
+                assert np.array_equal(psi_par[k], psi_parabolic(st, ppoint))
+            for k, st in enumerate(lv.sph):
+                assert np.array_equal(psi_sph[k], psi_spherical(st, point))
+        # the power-0 branch of both parabolic factors is among the cases
+        if params.c1 == params.c2 == 0.0:
+            assert zero_powers == {0, 1}
 
 
 def test_suite_builds_one_laguerre_rule_per_exponent():
@@ -513,18 +569,23 @@ class TestDerivedOrders:
             run_suite(HYDROGEN, n_max=128, r_list=R_LIST)
 
     def test_perturbed_radial_polynomial_fails_the_quadrature_checks(self, monkeypatch):
-        real = bases._kummer
-        monkeypatch.setattr(bases, "_kummer",
-                            lambda n, c, t: real(n, c, t) * (1.0 + 1e-6 * t))
+        # the suite evaluates every radial and parabolic factor through one
+        # Laguerre kernel call per family; its argument is t = scale * x
+        real = verify._laguerre_factor
+        monkeypatch.setattr(verify, "_laguerre_factor",
+                            lambda n, c, power, log_const, scale, x:
+                            real(n, c, power, log_const, scale, x) * (1.0 + 1e-6 * (scale * x)))
         failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
                   if not r.passed}
         assert {"interbasis.biorthogonality", "interbasis.overlap",
                 "bases.radial.orthonormality", "bases.parabolic.normalization"} <= failed
 
     def test_perturbed_angular_profile_fails_angular_orthonormality(self, monkeypatch):
-        real = verify.angular_profile
-        monkeypatch.setattr(verify, "angular_profile",
-                            lambda state, theta: real(state, theta) * (1.0 + 1e-6 * theta))
+        # the suite evaluates every angular profile through the one angular kernel
+        real = verify._angular
+        monkeypatch.setattr(verify, "_angular",
+                            lambda k, m1, m2, log_norm, theta:
+                            real(k, m1, m2, log_norm, theta) * (1.0 + 1e-6 * theta))
         failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
                   if not r.passed}
         assert "bases.angular.orthonormality" in failed
