@@ -9,8 +9,11 @@ A Laguerre kernel gives the radial function and both parabolic factors, a
 Jacobi kernel the angular profile, each as one exp of (log constant + log
 envelope), the norm and the Kummer scale in the constant, times a scipy
 polynomial: large gamma ratios never meet small powers in linear arithmetic.
-The public functions pass a state's scalar labels; verify passes the label
-arrays of a block's states, one call per family, equal to them bit for bit.
+
+Each evaluating function takes one state or a list of states, of any levels
+and m: a list's labels, eps and the winding m - s among them, are stacked on
+a leading axis that broadcasts against the first axis of the points, row k at
+points[k] (or points[0]), bit for bit the call with state k alone.
 """
 
 from __future__ import annotations
@@ -129,15 +132,25 @@ def _angular(k, m1, m2, log_norm, theta):
     return value if value.ndim else float(value)
 
 
+def _labels(labels, state, points, *args):
+    """labels(state, *args), or for a list of states each label as an array (of
+    integers for an integer label) on a leading axis against the points' first."""
+    if not isinstance(state, list):
+        return labels(state, *args)
+    shape = (-1,) + (1,) * (np.ndim(points) - 1)
+    return [np.array(col).reshape(shape) for col in zip(*[labels(st, *args) for st in state])]
+
+
 def _angular_labels(state: SphericalState) -> tuple:
     """Labels of _angular for the angular profile of a state."""
     dc = state.dc
     return (state.qn.two_j - dc.two_m_plus) // 2, dc.m1, dc.m2, state.log_norm_angular
 
 
-def angular_profile(state: SphericalState, theta):
+def angular_profile(state: SphericalState | list[SphericalState], theta):
     """Real angular factor: the full Z without the azimuthal phase."""
-    return _angular(*_angular_labels(state), np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    return _angular(*_labels(_angular_labels, state, theta), theta)
 
 
 def _laguerre_factor(n, c, power, log_const, scale, x):
@@ -162,17 +175,19 @@ def _radial_labels(state: SphericalState) -> tuple:
                             state.log_norm_radial, 2.0 * state.eps)
 
 
-def radial_r(state: SphericalState, r):
+def radial_r(state: SphericalState | list[SphericalState], r):
     """Normalized radial function; returns an array if r is an array."""
-    return _laguerre_factor(*_radial_labels(state), np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    return _laguerre_factor(*_labels(_radial_labels, state, r), r)
 
 
-def psi_spherical(state: SphericalState, point) -> complex:
+def psi_spherical(state: SphericalState | list[SphericalState], point) -> complex:
     """Full spherical wavefunction at a SphericalPoint."""
+    (winding,) = _labels(_winding, state, point.phi)
     return (
         radial_r(state, point.r)
         * angular_profile(state, point.theta)
-        * np.exp(1j * _winding(state) * point.phi)
+        * np.exp(1j * winding * point.phi)
     )
 
 
@@ -183,27 +198,29 @@ def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
     return _laguerre_labels(n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis], state.eps)
 
 
-def parabolic_factor(state: ParabolicState, axis: int, x):
+def parabolic_factor(state: ParabolicState | list[ParabolicState], axis: int, x):
     """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
-    return _laguerre_factor(*_parabolic_labels(state, axis), np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return _laguerre_factor(*_labels(_parabolic_labels, state, x, axis), x)
 
 
-def parabolic_profile(state: ParabolicState, xi, eta):
+def parabolic_profile(state: ParabolicState | list[ParabolicState], xi, eta):
     """Real profile sqrt(2) eps^2 Phi1(xi) Phi2(eta)."""
+    (prefactor,) = _labels(lambda st: (math.sqrt(2.0) * st.eps**2,), state, xi)
     # each factor is a float for a scalar argument, so the product is too
-    return (math.sqrt(2.0) * state.eps**2
-            * parabolic_factor(state, 0, xi) * parabolic_factor(state, 1, eta))
+    return prefactor * parabolic_factor(state, 0, xi) * parabolic_factor(state, 1, eta)
 
 
-def psi_parabolic(state: ParabolicState, point) -> complex:
+def psi_parabolic(state: ParabolicState | list[ParabolicState], point) -> complex:
     """Full parabolic wavefunction at a ParabolicPoint."""
+    (winding,) = _labels(_winding, state, point.phi)
     return (
         parabolic_profile(state, point.xi, point.eta)
-        * np.exp(1j * _winding(state) * point.phi)
+        * np.exp(1j * winding * point.phi)
         / math.sqrt(2.0 * math.pi)
     )
 
 
-def _winding(state) -> int:
-    """Integer azimuthal winding m - s."""
-    return (state.qn.two_m - state.two_s) // 2
+def _winding(state) -> tuple:
+    """The integer azimuthal winding m - s, the one label of the phase."""
+    return ((state.qn.two_m - state.two_s) // 2,)

@@ -226,13 +226,15 @@ def cmd_coefficients(args) -> int:
     params = _params(args)
     two_n = parse_half_integer(args.n)
     two_m = parse_half_integer(args.m)
+    spheroidal = args.kind.startswith("spheroidal")
+    if (args.R is None) == spheroidal:
+        raise ValueError(f"--R is required for kind {args.kind}" if spheroidal
+                         else f"kind {args.kind} takes no --R")
     if args.kind == "parabolic-in-spherical":
         matrix = expansion_matrix(params, two_n, two_m)
     elif args.kind == "spherical-in-parabolic":
         matrix = inverse_expansion_matrix(params, two_n, two_m)
     else:
-        if args.R is None:
-            raise ValueError(f"--R is required for kind {args.kind}")
         matrix = _coefficients(params, two_n, two_m, args.R,
                                parabolic=args.kind == "spheroidal-in-parabolic")
     _emit(_matrix_output(args, matrix), args.out)

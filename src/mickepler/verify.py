@@ -23,13 +23,13 @@ d = 127 are checked.
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
 states on one Gauss-Laguerre rule, and hands them to every check of the
-block; every state is built once per run.  A block's wavefunctions take
-one :mod:`mickepler.bases` kernel call per family (radial, angular, each
-parabolic factor) over the label arrays of its states, and one azimuthal
-phase.  Each block is diagonalized once per side: W and the spectrum of X
-come from one eigensolve, and one stacked eigensolve of the spheroidal
-bands covers every R of the list, R = 0 (whose parabolic side is the
-angular-momentum matrix M alone) and the limit probes.  The per-R checks
+block; every state is built once per run.  The wavefunctions come from
+the public :mod:`mickepler.bases` functions, each called once per family
+with the list of states it needs (a block's, or a chain of levels), one
+kernel call per factor.  Each block is diagonalized once per side: W and
+the spectrum of X come from one eigensolve, and one stacked eigensolve of
+the spheroidal bands covers every R of the list, R = 0 (whose parabolic
+side is the angular-momentum matrix M alone) and the limit probes.  The per-R checks
 and the limit deviations are array operations over that stack.  The
 checks are private cores that take those prebuilt objects;
 :func:`run_suite` is the one entry point to them.
@@ -48,14 +48,15 @@ from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi
 from .bases import (
     ParabolicState,
     SphericalState,
-    _angular,
-    _angular_labels,
     _laguerre_factor,
     _laguerre_labels,
-    _parabolic_labels,
-    _radial_labels,
-    _winding,
+    angular_profile,
+    parabolic_factor,
+    parabolic_profile,
     parabolic_state,
+    psi_parabolic,
+    psi_spherical,
+    radial_r,
     spherical_state,
 )
 from .coords import SphericalPoint, spherical_to_parabolic
@@ -329,33 +330,7 @@ class _States:
         scale = 2.0 * sph[0].eps
         r = t / scale
         return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph, par=par, r=r, w_r=w / scale,
-                      rad=_rows(_laguerre_factor, map(_radial_labels, sph), r[None]))
-
-
-def _rows(kernel, labels, points):
-    """One kernel call over per-state label tuples, row k at points[k] (or points[0]);
-    each element takes the operations of the per-state call, so the rows equal it."""
-    table = np.array(list(labels)).T
-    table = table.reshape(table.shape + (1,) * (np.ndim(points) - 1))
-    # the first label is the degree, whose integer type selects scipy's recurrence
-    return kernel(table[0].astype(np.int64), *table[1:], points)
-
-
-def _profile_rows(par: list[ParabolicState], xi, eta) -> np.ndarray:
-    """parabolic_profile of the states of one level (one eps), as _rows."""
-    phi1, phi2 = (_rows(_laguerre_factor, [_parabolic_labels(st, axis) for st in par], x)
-                  for axis, x in ((0, xi), (1, eta)))
-    return math.sqrt(2.0) * par[0].eps**2 * phi1 * phi2
-
-
-def _psi_rows(lv: _Level, point: SphericalPoint) -> tuple[np.ndarray, np.ndarray]:
-    """psi_spherical and psi_parabolic rows; a block's states share one winding m - s."""
-    phase = np.exp(1j * _winding(lv.sph[0]) * point.phi)
-    ppoint = spherical_to_parabolic(point)
-    return (_rows(_laguerre_factor, map(_radial_labels, lv.sph), point.r[None])
-            * _rows(_angular, map(_angular_labels, lv.sph), point.theta[None]) * phase,
-            _profile_rows(lv.par, ppoint.xi[None], ppoint.eta[None]) * phase
-            / math.sqrt(2.0 * math.pi))
+                      rad=radial_r(sph, r[None]))
 
 
 def _identity_deviation(gram: np.ndarray) -> float:
@@ -371,7 +346,7 @@ def _angular_gram(states: _States, dc: DerivedConstants, channels: int) -> np.nd
     # of degree < channels, a product the Jacobi weight times degree 2 channels - 2
     x, w = _jacobi(_gauss_order(2 * channels - 2), dc.m2, dc.m1)
     theta = np.arccos(x)
-    profiles = _rows(_angular, map(_angular_labels, channel_states), theta[None])
+    profiles = angular_profile(channel_states, theta[None])
     return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
 
 
@@ -389,7 +364,7 @@ def _radial_gram(states: _States, dc: DerivedConstants, two_j: int, two_n_list
     # the pair (a, b) has its own nodes r[a, b]; one kernel call evaluates each
     # state on the nodes of all its pairs, values[a, b] = R_a(r[a, b])
     r = t / pair_eps[:, :, None]
-    values = _rows(_laguerre_factor, map(_radial_labels, chain), r)
+    values = radial_r(chain, r)
     integrand = values * values.transpose(1, 0, 2) * r * r
     return np.sum(w * integrand, axis=-1) / pair_eps
 
@@ -402,7 +377,7 @@ def _parabolic_norms(lv: _Level) -> np.ndarray:
     for axis, mi in ((0, lv.dc.m1), (1, lv.dc.m2)):
         t, w = _laguerre(_gauss_order(2 * len(lv.par) - 1), mi)
         x = t / eps
-        f2 = _rows(_laguerre_factor, [_parabolic_labels(st, axis) for st in lv.par], x[None])**2
+        f2 = parabolic_factor(lv.par, axis, x[None])**2
         moments.append((np.sum(w * f2, axis=1) / eps, np.sum(w * (f2 * x), axis=1) / eps))
     return 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
 
@@ -419,8 +394,8 @@ def _overlap_matrix(lv: _Level) -> np.ndarray:
     theta = np.arccos(x)
     xi = lv.r[:, None] * (1.0 + x)[None, :]
     eta = lv.r[:, None] * (1.0 - x)[None, :]
-    ang = _rows(_angular, map(_angular_labels, lv.sph), theta[None])   # (d, nx)
-    pab = _profile_rows(lv.par, xi[None], eta[None])                   # (d, nt, nx)
+    ang = angular_profile(lv.sph, theta[None])              # (d, nx)
+    pab = parabolic_profile(lv.par, xi[None], eta[None])    # (d, nt, nx)
     d, nt, nx = pab.shape
     # the angular sum as one matrix product over the stacked (n1, node) rows,
     # then the radial sum
@@ -432,10 +407,10 @@ def _overlap_matrix(lv: _Level) -> np.ndarray:
 def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) -> float:
     scale = lv.n_eff ** 2
     draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(20, 3))
-    point = SphericalPoint(r=scale * draws[:, 0], theta=np.arccos(draws[:, 1]),
-                           phi=draws[:, 2])
-    sph_values, direct = _psi_rows(lv, point)
-    return float(np.abs(direct - w.T @ sph_values).max())
+    point = SphericalPoint(r=scale * draws[None, :, 0], theta=np.arccos(draws[None, :, 1]),
+                           phi=draws[None, :, 2])
+    direct = psi_parabolic(lv.par, spherical_to_parabolic(point))
+    return float(np.abs(direct - w.T @ psi_spherical(lv.sph, point)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +428,18 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     are reported, never raised; a range holding no block raises
     QuantumNumberError, and one whose largest block needs a quadrature
     rule past DEFAULT_RADIAL_ORDER nodes raises ValueError before any
-    check runs.  The report is exhaustive and, for fixed inputs and seed,
-    byte-identical across runs.
+    block is enumerated.  The report is exhaustive and, for fixed inputs
+    and seed, byte-identical across runs.
     """
+    # a block's largest integrand, of degree 2d, sets the largest rule of the run; the
+    # largest d = n - m_plus is at m = s (m_plus = |s|) and the largest n, of the parity
+    # of 2s, so a range is sized before its O(n_max^2) blocks are enumerated
+    two_n_max = int(2 * n_max)
+    two_n_max -= (two_n_max - params.two_s) % 2
+    _gauss_order(two_n_max - abs(params.two_s))
     blocks = enumerate_blocks(params, n_max)
     m_constants = {two_m: derive_constants(params, two_m)
                    for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
-    # a block's largest integrand, of degree 2d, sets the largest rule of the run
-    _gauss_order(2 * max(_block_dimension(m_constants[two_m], two_n)
-                         for two_n, two_m in blocks))
     rng = np.random.default_rng(seed)
     r_list = [float(r) for r in r_list]
     reports = _check_quadrature_selftest()

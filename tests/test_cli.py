@@ -137,6 +137,14 @@ class TestCoefficients:
                           "spheroidal-in-spherical", "--n", "2", "--m", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["parabolic-in-spherical", "spherical-in-parabolic"])
+    def test_r_with_a_non_spheroidal_kind_is_usage_error(self, capsys, kind):
+        code = main(["coefficients", "--kind", kind, "--n", "2", "--m", "0", "--R", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"kind {kind} takes no --R" in captured.err
+
     @pytest.mark.parametrize("kind", ["parabolic-in-spherical", "spheroidal-in-parabolic"])
     def test_csv_matches_cell_by_cell_reference(self, capsys, kind):
         # the library's own doubles; n = 40 (1,640 cells) takes the cell kernel
@@ -144,7 +152,7 @@ class TestCoefficients:
                                              ("0", "40", "0", 0, 80, 0)):
             code, out = run_cli(capsys, "coefficients", "--kind", kind, "--s", s,
                                 "--c1", "0.3", "--c2", "0.7", "--n", n, f"--m={m}",
-                                "--R", "2.5")
+                                *(("--R", "2.5") if kind.startswith("spheroidal") else ()))
             assert code == 0
             params = SystemParams(two_s=two_s, c1=0.3, c2=0.7)
             if kind == "parabolic-in-spherical":
@@ -344,6 +352,14 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert "DEFAULT_RADIAL_ORDER" in captured.err
+
+    def test_huge_n_max_is_refused_before_enumerating_blocks(self, capsys):
+        # about 1e12 blocks: sized from n_max and s alone, refused at once
+        code = main(["verify", "--n-max", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "degree 2000000" in captured.err
 
     def test_json_report_stream(self, capsys):
         code, out = run_cli(capsys, "verify", "--n-max", "1", "--format", "json")

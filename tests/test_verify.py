@@ -395,12 +395,16 @@ class TestBlockCores:
 
 
 class TestBatchedRows:
-    """verify's one kernel call per family and block against the per-state
-    public functions: each row equal bit for bit, t = 0 and theta = 0, pi included."""
+    """The public bases functions over a list of states, as verify calls them,
+    against the per-state calls: each row equal bit for bit, t = 0 and
+    theta = 0, pi included."""
 
     R = np.array([0.0, 1e-3, 0.5, 3.0, 17.0, 60.0])
     THETA = np.array([0.0, 1e-3, 0.7, 0.5 * math.pi, 2.4, math.pi])
     X = np.array([0.0, 0.02, 1.3, 8.0, 45.0])
+    # 36 spherical points, with a leading axis of length 1 for the rows
+    POINT = SphericalPoint(r=np.repeat(R, 6)[None], theta=np.tile(THETA, 6)[None],
+                           phi=np.linspace(0.0, 6.0, 36)[None])
 
     @pytest.mark.parametrize("params", grid_cases(), ids=repr)
     def test_rows_equal_per_state_calls(self, params):
@@ -409,39 +413,80 @@ class TestBatchedRows:
         for two_n, two_m in blocks_up_to(params, 8):
             lv = states.level(two_n, two_m)
             zero_powers |= {axis for axis, m_i in enumerate((lv.dc.m1, lv.dc.m2)) if m_i == 0.0}
-            radial = verify._rows(bases._laguerre_factor, map(bases._radial_labels, lv.sph),
-                                  self.R[None])
-            angular = verify._rows(bases._angular, map(bases._angular_labels, lv.sph),
-                                   self.THETA[None])
+            radial = radial_r(lv.sph, self.R[None])
+            angular = angular_profile(lv.sph, self.THETA[None])
             # per-state points, as the radial Gram matrix passes them
             own_r = np.outer(np.arange(1.0, len(lv.sph) + 1.0), self.R)
-            radial_own = verify._rows(bases._laguerre_factor,
-                                      map(bases._radial_labels, lv.sph), own_r)
+            radial_own = radial_r(lv.sph, own_r)
             for k, st in enumerate(lv.sph):
                 assert np.array_equal(radial[k], radial_r(st, self.R))
                 assert np.array_equal(radial_own[k], radial_r(st, own_r[k]))
                 assert np.array_equal(lv.rad[k], radial_r(st, lv.r))
                 assert np.array_equal(angular[k], angular_profile(st, self.THETA))
             for axis in (0, 1):
-                factors = verify._rows(bases._laguerre_factor,
-                                       [bases._parabolic_labels(st, axis) for st in lv.par],
-                                       self.X[None])
+                factors = parabolic_factor(lv.par, axis, self.X[None])
                 for k, st in enumerate(lv.par):
                     assert np.array_equal(factors[k], parabolic_factor(st, axis, self.X))
             xi, eta = np.meshgrid(self.X, self.X[::-1])
-            profiles = verify._profile_rows(lv.par, xi[None], eta[None])
-            point = SphericalPoint(r=np.repeat(self.R, 6), theta=np.tile(self.THETA, 6),
-                                   phi=np.linspace(0.0, 6.0, 36))
-            psi_sph, psi_par = verify._psi_rows(lv, point)
-            ppoint = spherical_to_parabolic(point)
+            profiles = parabolic_profile(lv.par, xi[None], eta[None])
+            ppoint = spherical_to_parabolic(self.POINT)
+            psi_sph = psi_spherical(lv.sph, self.POINT)
+            psi_par = psi_parabolic(lv.par, ppoint)
             for k, st in enumerate(lv.par):
                 assert np.array_equal(profiles[k], parabolic_profile(st, xi, eta))
-                assert np.array_equal(psi_par[k], psi_parabolic(st, ppoint))
+                assert np.array_equal(psi_par[k], psi_parabolic(st, ppoint)[0])
             for k, st in enumerate(lv.sph):
-                assert np.array_equal(psi_sph[k], psi_spherical(st, point))
+                assert np.array_equal(psi_sph[k], psi_spherical(st, self.POINT)[0])
         # the power-0 branch of both parabolic factors is among the cases
         if params.c1 == params.c2 == 0.0:
             assert zero_powers == {0, 1}
+
+    @pytest.mark.parametrize("params", [HYDROGEN, RING_HALF], ids=repr)
+    def test_radial_chain_has_its_own_eps_per_row(self, params):
+        # a _radial_gram chain: one j, several n, so eps and the degree change per row
+        two_m = params.two_s
+        two_j = derive_constants(params, two_m).two_m_plus + 2
+        chain = [spherical_state(params, two_n, two_j, two_m)
+                 for two_n in range(two_j + 2, two_j + 12, 2)]
+        assert len({st.eps for st in chain}) == len(chain)
+        own_r = np.outer(np.arange(1.0, len(chain) + 1.0), self.R)
+        for r in (self.R[None], own_r):
+            rows = radial_r(chain, r)
+            for k, st in enumerate(chain):
+                assert np.array_equal(rows[k], radial_r(st, r[min(k, len(r) - 1)]))
+        # a scalar point gives one value per state, each the per-state float
+        assert radial_r(chain, 1.3).tolist() == [radial_r(st, 1.3) for st in chain]
+
+    @pytest.mark.parametrize("params", [HYDROGEN, RING_HALF], ids=repr)
+    def test_profile_list_from_two_levels(self, params):
+        # the levels d = 2 and d = 5 of one m, whose states have two eps
+        par = [parabolic_state(params, n1, d - 1 - n1, params.two_s)
+               for d in (2, 5) for n1 in range(d)]
+        assert len({st.eps for st in par}) == 2
+        xi, eta = np.meshgrid(self.X, self.X[::-1])
+        profiles = parabolic_profile(par, xi[None], eta[None])
+        for k, st in enumerate(par):
+            assert np.array_equal(profiles[k], parabolic_profile(st, xi, eta))
+
+    @pytest.mark.parametrize("params", [HYDROGEN, RING_HALF], ids=repr)
+    def test_psi_list_mixing_two_m(self, params):
+        # states of two m have two windings m - s, each row with its own phase
+        two_n = params.two_s % 2 + 8
+        sph, par = [], []
+        for two_m in (params.two_s - 2, params.two_s + 2):
+            dc = derive_constants(params, two_m)
+            d = (two_n - dc.two_m_plus) // 2
+            sph += [spherical_state(params, two_n, dc.two_m_plus + 2 * k, two_m)
+                    for k in range(d)]
+            par += [parabolic_state(params, n1, d - 1 - n1, two_m) for n1 in range(d)]
+        assert len({st.qn.two_m for st in sph}) == len({st.qn.two_m for st in par}) == 2
+        ppoint = spherical_to_parabolic(self.POINT)
+        psi_sph = psi_spherical(sph, self.POINT)
+        psi_par = psi_parabolic(par, ppoint)
+        for k, st in enumerate(sph):
+            assert np.array_equal(psi_sph[k], psi_spherical(st, self.POINT)[0])
+        for k, st in enumerate(par):
+            assert np.array_equal(psi_par[k], psi_parabolic(st, ppoint)[0])
 
 
 def test_suite_builds_one_laguerre_rule_per_exponent():
@@ -568,11 +613,24 @@ class TestDerivedOrders:
         with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
             run_suite(HYDROGEN, n_max=128, r_list=R_LIST)
 
+    def test_huge_ranges_are_refused_before_enumerating(self, monkeypatch):
+        # the O(n_max^2) blocks of n_max = 1e9 would never be enumerated
+        def no_enumeration(*args):
+            raise AssertionError("enumerate_blocks was called")
+
+        monkeypatch.setattr(verify, "enumerate_blocks", no_enumeration)
+        for params in (HYDROGEN, RING_HALF, SystemParams(two_s=-3)):
+            with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
+                run_suite(params, 1e9, [1.0])
+        # the cap is the largest block, at m = s: n = 129/2 at s = 1/2 fits (d = 64)
+        with pytest.raises(AssertionError, match="enumerate_blocks"):
+            run_suite(RING_HALF, 64.5, [1.0])
+
     def test_perturbed_radial_polynomial_fails_the_quadrature_checks(self, monkeypatch):
-        # the suite evaluates every radial and parabolic factor through one
-        # Laguerre kernel call per family; its argument is t = scale * x
-        real = verify._laguerre_factor
-        monkeypatch.setattr(verify, "_laguerre_factor",
+        # the suite evaluates every radial and parabolic factor through the public
+        # bases functions, which share one Laguerre kernel; its argument is t = scale * x
+        real = bases._laguerre_factor
+        monkeypatch.setattr(bases, "_laguerre_factor",
                             lambda n, c, power, log_const, scale, x:
                             real(n, c, power, log_const, scale, x) * (1.0 + 1e-6 * (scale * x)))
         failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
@@ -582,8 +640,8 @@ class TestDerivedOrders:
 
     def test_perturbed_angular_profile_fails_angular_orthonormality(self, monkeypatch):
         # the suite evaluates every angular profile through the one angular kernel
-        real = verify._angular
-        monkeypatch.setattr(verify, "_angular",
+        real = bases._angular
+        monkeypatch.setattr(bases, "_angular",
                             lambda k, m1, m2, log_norm, theta:
                             real(k, m1, m2, log_norm, theta) * (1.0 + 1e-6 * theta))
         failed = {r.check_id for r in run_suite(RING_HALF, n_max=4, r_list=R_LIST)
