@@ -175,9 +175,16 @@ def _radial_labels(state: SphericalState) -> tuple:
                             state.log_norm_radial, 2.0 * state.eps)
 
 
+def _check_nonnegative(name: str, x: np.ndarray) -> None:
+    """Refuse a negative coordinate; -0.0 is the origin and an empty array has none."""
+    if x.min(initial=0.0) < 0.0:
+        raise ValueError(f"{name} needs nonnegative coordinates, got {x[x < 0.0][0]}")
+
+
 def radial_r(state: SphericalState | list[SphericalState], r):
-    """Normalized radial function; returns an array if r is an array."""
+    """Normalized radial function, an array if r is; raises ValueError for r < 0."""
     r = np.asarray(r, dtype=float)
+    _check_nonnegative("radial_r", r)
     return _laguerre_factor(*_labels(_radial_labels, state, r), r)
 
 
@@ -199,8 +206,9 @@ def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
 
 
 def parabolic_factor(state: ParabolicState | list[ParabolicState], axis: int, x):
-    """One of the two 1D factors of the parabolic profile (axis 0: xi, 1: eta)."""
+    """One 1D factor of the parabolic profile (axis 0: xi, 1: eta); refuses x < 0."""
     x = np.asarray(x, dtype=float)
+    _check_nonnegative("parabolic_factor", x)
     return _laguerre_factor(*_labels(_parabolic_labels, state, x, axis), x)
 
 

@@ -145,25 +145,17 @@ def _cell_bytes(cells: np.ndarray) -> np.ndarray:
     return slots.reshape(len(cells), -1)
 
 
-def _csv_table(header: list[str], cells, labels=None) -> str:
+def _csv_table(header: list[str], cells) -> str:
     """Header line, then one line per row of a 2-D float array, each cell
-    exactly '%.17g' % x (which re-parses to the same double), after the
-    row's string label when ``labels`` is given (labels hold no comma or quote).
-    """
+    exactly '%.17g' % x (which re-parses to the same double)."""
     cells = np.asarray(cells, dtype=float)
     if cells.size < _KERNEL_MIN_CELLS:
-        template = ",".join(["%s"] * (labels is not None) + ["%.17g"] * cells.shape[-1])
-        rows = cells if labels is None else ((label, *row) for label, row in zip(labels, cells))
-        return "\n".join([",".join(header), *(template % tuple(row) for row in rows)])
-    if labels is not None:                  # NUL-padded 'label,' bytes
-        labels = np.array([f"{label}," for label in labels], "S").view(np.uint8)
-        labels = labels.reshape(len(cells), -1)
+        template = ",".join(["%.17g"] * cells.shape[-1])
+        return "\n".join([",".join(header), *(template % tuple(row) for row in cells)])
     step = max(1, _CHUNK_CELLS // cells.shape[1])
     text = [",".join(header), "\n"]
     for start in range(0, len(cells), step):
         chunk = _cell_bytes(cells[start:start + step])
-        if labels is not None:
-            chunk = np.concatenate([labels[start:start + step], chunk], axis=1)
         if start + step >= len(cells):
             chunk[-1, -1] = 0               # no newline after the last row
         text.append(chunk.tobytes().translate(None, b"\0").decode())
@@ -219,7 +211,9 @@ def _matrix_output(args, matrix: ExpansionMatrix) -> str:
             "col_labels": list(matrix.col_labels),
             "entries": [[float(v) for v in row] for row in matrix.entries],
         })
-    return _csv_table(["row", *matrix.col_labels], matrix.entries, matrix.row_labels)
+    # each row after its label (labels hold no comma or quote)
+    head, *rows = _csv_table(["row", *matrix.col_labels], matrix.entries).split("\n")
+    return "\n".join([head, *(f"{label},{row}" for label, row in zip(matrix.row_labels, rows))])
 
 
 def cmd_coefficients(args) -> int:

@@ -193,8 +193,6 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
     points, d = diags.shape
     if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
         raise ValueError("array must not contain infs or NaNs")  # scipy's wording
-    if d == 1:
-        return diags.copy(), np.ones((points, 1, 1))
     offdiags = np.broadcast_to(offdiags, (points, d - 1))
     lambdas, vectors = np.empty((points, d)), np.empty((points, d, d))
     for start in range(0, points, _CHUNK):

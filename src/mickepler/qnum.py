@@ -213,16 +213,11 @@ def _separation_constant(dc: DerivedConstants, eps: float, n1: int, n2: int) -> 
 
 
 def enumerate_m_blocks(params: SystemParams, two_n: int) -> list[int]:
-    """All two_m values whose (n, m) block is nonempty, ascending."""
-    out = []
-    for two_m in range(-(two_n - 2), two_n - 1):
-        if (two_m - params.two_s) % 2 != 0:
-            continue
-        dc = derive_constants(params, two_m)
-        gap = two_n - dc.two_m_plus
-        if gap >= 2 and gap % 2 == 0:
-            out.append(two_m)
-    return out
+    """All two_m values whose (n, m) block is nonempty, ascending: it holds n - m_plus
+    states, m_plus = max(|m|, |s|): every |m| <= n - 1 once n - |s| is a positive integer."""
+    if two_n - abs(params.two_s) < 2 or (two_n - params.two_s) % 2 != 0:
+        return []
+    return list(range(2 - two_n, two_n - 1, 2))
 
 
 def enumerate_blocks(params: SystemParams, n_max: float) -> list[tuple[int, int]]:

@@ -92,6 +92,7 @@ TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
 # (r_small, r_large) of the inner, then of the outer decade of the limit checks
 _LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
 _OVERLAP_D_MAX = 4   # the 2D overlap quadrature is checked on blocks up to this d
+_ANGULAR_CHANNELS = 5   # the angular Gram matrix of each m covers j = m_plus .. m_plus + 4
 
 
 def _gauss_order(degree: int) -> int:
@@ -337,14 +338,14 @@ def _identity_deviation(gram: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 
-def _angular_gram(states: _States, dc: DerivedConstants, channels: int) -> np.ndarray:
+def _angular_gram(states: _States, dc: DerivedConstants) -> np.ndarray:
     channel_states = [
         states.spherical(dc.two_m_plus + 2 * k + 2, dc.two_m_plus + 2 * k, dc.two_m)
-        for k in range(channels)
+        for k in range(_ANGULAR_CHANNELS)
     ]
     # each profile is (1 - x)^(m2/2) (1 + x)^(m1/2) times a Jacobi polynomial
     # of degree < channels, a product the Jacobi weight times degree 2 channels - 2
-    x, w = _jacobi(_gauss_order(2 * channels - 2), dc.m2, dc.m1)
+    x, w = _jacobi(_gauss_order(2 * _ANGULAR_CHANNELS - 2), dc.m2, dc.m1)
     theta = np.arccos(x)
     profiles = angular_profile(channel_states, theta[None])
     return 2.0 * math.pi * np.einsum("i,ki,li->kl", w, profiles, profiles)
@@ -433,7 +434,8 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     """
     # a block's largest integrand, of degree 2d, sets the largest rule of the run; the
     # largest d = n - m_plus is at m = s (m_plus = |s|) and the largest n, of the parity
-    # of 2s, so a range is sized before its O(n_max^2) blocks are enumerated
+    # of 2s, so a range is sized before its O(n_max^2) blocks are enumerated; every m
+    # block of the range also runs up to that n
     two_n_max = int(2 * n_max)
     two_n_max -= (two_n_max - params.two_s) % 2
     _gauss_order(two_n_max - abs(params.two_s))
@@ -449,15 +451,14 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     for two_m, dc in m_constants.items():
         reports.append(_report(
             "bases.angular.orthonormality", _context(params, two_m=two_m),
-            _identity_deviation(_angular_gram(states, dc, 5)), TOL_QUAD_VS_CLOSED))
-        j_values = sorted({two_j for two_n, tm in blocks if tm == two_m
-                           for two_j in range(dc.two_m_plus, two_n - 1, 2)})
-        for two_j in j_values:
-            n_list = [two_n for two_n, tm in blocks if tm == two_m and two_n >= two_j + 2]
+            _identity_deviation(_angular_gram(states, dc)), TOL_QUAD_VS_CLOSED))
+        # the radial chain of each j holds the levels n = j + 1 .. n_max
+        for two_j in range(dc.two_m_plus, two_n_max - 1, 2):
             reports.append(_report(
                 "bases.radial.orthonormality",
                 _context(params, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
-                _identity_deviation(_radial_gram(states, dc, two_j, n_list)),
+                _identity_deviation(_radial_gram(
+                    states, dc, two_j, range(two_j + 2, two_n_max + 1, 2))),
                 TOL_QUAD_VS_CLOSED))
 
     n_r = len(r_list)

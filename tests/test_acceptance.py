@@ -217,7 +217,7 @@ def test_criterion_7_normalization_orthonormality():
             if two_m not in m_done:
                 m_done.add(two_m)
                 dc = derive_constants(params, two_m)
-                worst = max(worst, _identity_deviation(_angular_gram(states, dc, 5)))
+                worst = max(worst, _identity_deviation(_angular_gram(states, dc)))
                 j_list = sorted({tj for tn, tm in blocks if tm == two_m
                                  for tj in range(dc.two_m_plus, tn - 1, 2)})
                 for two_j in j_list:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ from pytest import approx
 import mickepler.cli as cli
 import mickepler.verify as verify
 from mickepler.cli import main
-from mickepler.interbasis import expansion_matrix
+from mickepler.interbasis import ExpansionMatrix, expansion_matrix
 from mickepler.qnum import SystemParams
 from mickepler.spheroidal import _coefficients, solve, sweep
 
@@ -547,7 +548,9 @@ class TestCellKernel:
         # rows that straddle the chunk boundary, each after its label
         cells = np.random.default_rng(3).standard_normal((3000, 7)) * 1e3
         labels = [f"j={i}" for i in range(3000)]
-        out = cli._csv_table(["row", *"abcdefg"], cells, labels)
+        matrix = ExpansionMatrix(dim=3000, entries=cells, row_labels=tuple(labels),
+                                 col_labels=tuple("abcdefg"))
+        out = cli._matrix_output(argparse.Namespace(format="csv"), matrix)
         assert out == reference_csv(["row", *"abcdefg"],
                                     [[lab, *row] for lab, row in zip(labels, cells)])[:-1]
 

@@ -223,6 +223,35 @@ class TestEnumeration:
         params = SystemParams(two_s=3)
         assert enumerate_m_blocks(params, 5) == [-3, -1, 1, 3]
 
+    def test_m_blocks_follow_the_label_rule(self):
+        # the reference keeps every two_m of the parity of two_s in |m| <= n - 1
+        # whose block dimension n - m_plus is a positive integer
+        def reference(params, two_n):
+            out = []
+            for two_m in range(-(two_n - 2), two_n - 1):
+                if (two_m - params.two_s) % 2 == 0:
+                    try:
+                        _block_dimension(derive_constants(params, two_m), two_n)
+                    except QuantumNumberError:
+                        continue
+                    out.append(two_m)
+            return out
+
+        for two_s in range(-5, 6):
+            params = SystemParams(two_s=two_s, c1=0.3, c2=0.7)
+            for two_n in range(25):
+                assert enumerate_m_blocks(params, two_n) == reference(params, two_n), (
+                    two_s, two_n)
+
+    def test_blocks_are_enumerated_without_constants(self, monkeypatch):
+        # at c1 = 1.7e308 every m1 overflows; the labels alone decide the blocks
+        def refuse(*args):
+            raise AssertionError("derive_constants was called")
+
+        monkeypatch.setattr(qnum, "derive_constants", refuse)
+        assert qnum.enumerate_blocks(SystemParams(two_s=2, c1=1.7e308), 3) == [
+            (4, -2), (4, 0), (4, 2), (6, -4), (6, -2), (6, 0), (6, 2), (6, 4)]
+
     def test_label_validation(self):
         with pytest.raises(QuantumNumberError):
             bases.spherical_state(HYDROGEN, 4, 6, 0)   # j = 3 > n - 1

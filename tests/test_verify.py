@@ -570,7 +570,7 @@ def quadrature_matrices(params, n_max=8):
         matrices["parabolic_norms", two_n, two_m] = verify._parabolic_norms(level)
     for two_m in sorted({two_m for _, two_m in blocks}):
         dc = verify.derive_constants(params, two_m)
-        matrices["angular_gram", two_m] = verify._angular_gram(states, dc, 5)
+        matrices["angular_gram", two_m] = verify._angular_gram(states, dc)
         n_list = [two_n for two_n, tm in blocks if tm == two_m]
         for two_j in range(dc.two_m_plus, max(n_list) - 1, 2):
             chain = [two_n for two_n in n_list if two_n >= two_j + 2]
