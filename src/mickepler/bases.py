@@ -19,6 +19,7 @@ points[k] (or points[0]), bit for bit the call with state k alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +148,20 @@ def _angular_labels(state: SphericalState) -> tuple:
     return (state.qn.two_j - dc.two_m_plus) // 2, dc.m1, dc.m2, state.log_norm_angular
 
 
+def _check_domain(name: str, what: str, x: np.ndarray, upper: float = sys.float_info.max
+                  ) -> None:
+    """Refuse a coordinate outside [0, upper], by default a negative or non-finite one;
+    -0.0 is the origin and an empty array has none.  NaN propagates through min and
+    max, so their two reductions see it too."""
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= upper):
+        raise ValueError(f"{name} needs {what}, got {x[~((x >= 0.0) & (x <= upper))][0]}")
+
+
 def angular_profile(state: SphericalState | list[SphericalState], theta):
-    """Real angular factor: the full Z without the azimuthal phase."""
+    """Real angular factor: the full Z without the azimuthal phase; raises ValueError
+    for a polar angle outside [0, pi]."""
     theta = np.asarray(theta, dtype=float)
+    _check_domain("angular_profile", "polar angles in [0, pi]", theta, math.pi)
     return _angular(*_labels(_angular_labels, state, theta), theta)
 
 
@@ -175,16 +187,11 @@ def _radial_labels(state: SphericalState) -> tuple:
                             state.log_norm_radial, 2.0 * state.eps)
 
 
-def _check_nonnegative(name: str, x: np.ndarray) -> None:
-    """Refuse a negative coordinate; -0.0 is the origin and an empty array has none."""
-    if x.min(initial=0.0) < 0.0:
-        raise ValueError(f"{name} needs nonnegative coordinates, got {x[x < 0.0][0]}")
-
-
 def radial_r(state: SphericalState | list[SphericalState], r):
-    """Normalized radial function, an array if r is; raises ValueError for r < 0."""
+    """Normalized radial function, an array if r is; raises ValueError for a
+    negative or non-finite r."""
     r = np.asarray(r, dtype=float)
-    _check_nonnegative("radial_r", r)
+    _check_domain("radial_r", "finite nonnegative coordinates", r)
     return _laguerre_factor(*_labels(_radial_labels, state, r), r)
 
 
@@ -206,9 +213,10 @@ def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
 
 
 def parabolic_factor(state: ParabolicState | list[ParabolicState], axis: int, x):
-    """One 1D factor of the parabolic profile (axis 0: xi, 1: eta); refuses x < 0."""
+    """One 1D factor of the parabolic profile (axis 0: xi, 1: eta); raises ValueError
+    for a negative or non-finite x."""
     x = np.asarray(x, dtype=float)
-    _check_nonnegative("parabolic_factor", x)
+    _check_domain("parabolic_factor", "finite nonnegative coordinates", x)
     return _laguerre_factor(*_labels(_parabolic_labels, state, x, axis), x)
 
 

@@ -260,7 +260,9 @@ def cmd_sweep(args) -> int:
         # row q of point p: lambda_q, then eigenvector q of U and of V
         columns = [lambdas[:, :, None], u, v]
     else:
-        # lambdas alone need neither eigenvectors' signs nor the parabolic solve
+        # lambdas alone need no eigenvectors, no signs and no parabolic solve; the
+        # eigenvalue-only solve gives dsterf's lambdas, which may differ from those
+        # printed with --vectors (dstevd's) in their last bits
         columns = [_sweep_lambdas(params, two_n, two_m, grid)[:, :, None]]
     _emit(_sweep_table(args, header, grid, columns), args.out)
     return 0

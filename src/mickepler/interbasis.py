@@ -178,35 +178,42 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
 _CHUNK = 256   # points per dense stack, so a long grid never holds two (P, d, d) copies
 
 
-def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """One symmetric tridiagonal eigensolve per row of ``diags``.
 
     ``offdiags`` holds one row per point or a single row shared by all.
-    Returns ascending eigenvalues (P, d) and eigenvectors as rows,
-    ``vectors[p, q]`` being eigenvector q at point p.  Up to _CHUNK points
-    at a time go to one stacked ``numpy.linalg.eigh`` as dense matrices,
-    only the diagonal and lower band filled; LAPACK reduces them with
-    identity reflectors, so the doubles are those of ``dstevd``.  Raises
-    ValueError for a non-finite band, RuntimeError if eigh does not converge.
+    Returns ascending eigenvalues (P, d) and, if ``vectors``, eigenvectors
+    as rows (P, d, d), ``[p, q]`` being eigenvector q at point p; without
+    ``vectors``, None in their place.  Up to _CHUNK points at a time go to one
+    stacked ``numpy.linalg.eigh`` (``eigvalsh`` without vectors) as dense
+    matrices, only the diagonal and lower band filled; LAPACK reduces them
+    with identity reflectors, so the doubles are those of ``dstevd``
+    (``dsterf`` without vectors).  Raises ValueError for a non-finite band,
+    RuntimeError if the solver does not converge.
     """
     points, d = diags.shape
     if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
         raise ValueError("array must not contain infs or NaNs")  # scipy's wording
     offdiags = np.broadcast_to(offdiags, (points, d - 1))
-    lambdas, vectors = np.empty((points, d)), np.empty((points, d, d))
+    lambdas = np.empty((points, d))
+    stack = np.empty((points, d, d)) if vectors else None
     for start in range(0, points, _CHUNK):
         part = slice(start, min(start + _CHUNK, points))
         dense = np.zeros((part.stop - start, d * d))
         dense[:, ::d + 1] = diags[part]
-        dense[:, d::d + 1] = offdiags[part]   # eigh reads the lower triangle
+        dense[:, d::d + 1] = offdiags[part]   # both solvers read the lower triangle
+        dense = dense.reshape(-1, d, d)
         try:
-            lambdas[part], v = np.linalg.eigh(dense.reshape(-1, d, d))
+            if vectors:
+                lambdas[part], v = np.linalg.eigh(dense)
+                stack[part] = v.swapaxes(-1, -2)
+            else:
+                lambdas[part] = np.linalg.eigvalsh(dense)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("tridiagonal eigensolver failed to converge for a system "
                                f"of dimension {d}") from exc
-        vectors[part] = v.swapaxes(-1, -2)
-    return lambdas, vectors
+    return lambdas, stack
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:

@@ -172,9 +172,10 @@ def _ascending(r_grid) -> list[float]:
 
 
 def _sweep_lambdas(params: SystemParams, two_n: int, two_m: int, r_grid) -> np.ndarray:
-    """The eigenvalues of :func:`sweep`, (P, d), from the spherical solve alone."""
+    """The eigenvalues of :func:`sweep`, (P, d), from an eigenvalue-only spherical
+    solve: LAPACK ``dsterf``'s, which may differ from ``sweep``'s in the last bits."""
     r = np.asarray(_ascending(r_grid))[:, None]
-    return _eigh_stack(*block(params, two_n, two_m).spherical_bands(r))[0]
+    return _eigh_stack(*block(params, two_n, two_m).spherical_bands(r), vectors=False)[0]
 
 
 def _sweep_stacks(params: SystemParams, two_n: int, two_m: int, r_grid

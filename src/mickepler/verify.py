@@ -114,7 +114,7 @@ def _laguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes t of weight t^alpha e^-t, and weights rescaled
     (in log space) so that sum(w * f(t)) approximates the integral of f."""
     t, w = roots_genlaguerre(order, alpha)
-    return t, np.exp(np.log(w) + t - alpha * np.log(t))
+    return _rule(t, np.exp(np.log(w) + t - alpha * np.log(t)))
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +122,15 @@ def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarr
     """Gauss-Jacobi nodes x of weight (1 - x)^alpha (1 + x)^beta, and weights
     divided by that weight, so that sum(w * f(x)) approximates the integral of f."""
     x, w = roots_jacobi(order, alpha, beta)
-    return x, np.exp(np.log(w) - alpha * np.log1p(-x) - beta * np.log1p(x))
+    return _rule(x, np.exp(np.log(w) - alpha * np.log1p(-x) - beta * np.log1p(x)))
+
+
+def _rule(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule with each non-finite node, left by a weight power that overflows,
+    moved to 0 and its weight made NaN: the wavefunctions refuse a NaN coordinate,
+    and a check must report, so the checks on such a rule report NaN and fail."""
+    bad = ~np.isfinite(nodes)
+    return np.where(bad, 0.0, nodes), np.where(bad, np.nan, weights)
 
 
 @dataclass(frozen=True)

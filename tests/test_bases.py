@@ -395,3 +395,43 @@ class TestNegativeCoordinates:
         assert parabolic_factor(par, 0, -0.0) == parabolic_factor(par, 0, 0.0)
         assert radial_r([sph], np.empty((1, 0))).shape == (1, 0)
         assert parabolic_factor(par, 1, []).shape == (0,)
+
+
+class TestCoordinateDomain:
+    """A NaN or infinite coordinate, and a polar angle outside [0, pi], are refused."""
+
+    RING = SystemParams(two_s=0, c1=0.3, c2=0.7)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_refused(self, bad):
+        state = spherical_state(self.RING, 6, 2, 0)
+        with pytest.raises(ValueError, match=rf"radial_r needs finite .* got {bad}"):
+            radial_r(state, bad)
+        with pytest.raises(ValueError, match=rf"radial_r .* got {bad}"):
+            radial_r([state, state], np.array([[1.0, bad, math.nan]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parabolic_coordinate_is_refused(self, bad):
+        state = parabolic_state(self.RING, 1, 2, 0)
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match=rf"parabolic_factor needs finite .* got {bad}"):
+                parabolic_factor(state, axis, [0.5, bad])
+
+    @pytest.mark.parametrize("bad", [-1.0, 4.0, math.pi + 4e-16, -1e-300,
+                                     math.nan, math.inf, -math.inf])
+    def test_polar_angle_outside_zero_to_pi_is_refused(self, bad):
+        # at c = (0.3, 0.7) the half-angle powers of -1.0 and 4.0 are NaN
+        state = spherical_state(self.RING, 6, 2, 0)
+        with pytest.raises(ValueError, match=rf"angular_profile needs polar angles in "
+                                             rf"\[0, pi\], got {bad!r}"):
+            angular_profile(state, bad)
+        with pytest.raises(ValueError, match=rf"angular_profile .* got {bad!r}"):
+            psi_spherical([state], SphericalPoint(r=np.ones((1, 3)),
+                                                  theta=np.array([[0.5, bad, -2.0]]),
+                                                  phi=np.zeros((1, 3))))
+
+    def test_polar_angle_bounds_are_accepted(self):
+        state = spherical_state(self.RING, 6, 2, 0)
+        assert angular_profile(state, -0.0) == angular_profile(state, 0.0)
+        assert math.isfinite(angular_profile(state, math.pi))
+        assert angular_profile([state], np.empty((1, 0))).shape == (1, 0)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from pytest import approx
 
 import mickepler.cli as cli
 import mickepler.verify as verify
 from mickepler.cli import main
-from mickepler.interbasis import ExpansionMatrix, expansion_matrix
+from mickepler.interbasis import ExpansionMatrix, block, expansion_matrix
 from mickepler.qnum import SystemParams
 from mickepler.spheroidal import _coefficients, solve, sweep
 
@@ -39,6 +41,17 @@ def reference_csv(header, rows):
     for row in rows:
         writer.writerow([c if isinstance(c, str) else f"{float(c):.17g}" for c in row])
     return buf.getvalue()
+
+
+def reference_solutions(params, two_n, two_m, grid, vectors):
+    """:func:`sweep` along the grid; without vectors each lambda row is LAPACK
+    ``dsterf``'s of the block's spherical bands, which `sweep` then prints."""
+    solutions = sweep(params, two_n, two_m, grid)
+    if vectors:
+        return solutions
+    blk = block(params, two_n, two_m)
+    return [dataclasses.replace(sol, lambdas=scipy.linalg.eigvalsh_tridiagonal(
+        *blk.spherical_bands(sol.R), lapack_driver="sterf")) for sol in solutions]
 
 
 def reference_sweep_table(solutions, vectors):
@@ -273,15 +286,16 @@ class TestSweep:
                             "--n", "4", "--m=-1", "--R-grid", "0.5:30:9",
                             "--format", "json", *vectors)
         assert code == 0
-        solutions = sweep(SystemParams(two_s=2, c1=0.3, c2=0.7), 8, -2,
-                          np.linspace(0.5, 30.0, 9))
+        solutions = reference_solutions(SystemParams(two_s=2, c1=0.3, c2=0.7), 8, -2,
+                                        np.linspace(0.5, 30.0, 9), bool(vectors))
         header, rows = reference_sweep_table(solutions, vectors=bool(vectors))
         assert out == json.dumps({"columns": header, "rows": rows}) + "\n"
 
     RING_HALF_ARGS = ("--s", "1/2", "--c1", "0.3", "--c2", "0.7")
 
     def expected_sweep(self, two_n, two_m, grid, vectors, fmt):
-        solutions = sweep(SystemParams(two_s=1, c1=0.3, c2=0.7), two_n, two_m, grid)
+        solutions = reference_solutions(SystemParams(two_s=1, c1=0.3, c2=0.7),
+                                        two_n, two_m, grid, vectors)
         header, rows = reference_sweep_table(solutions, vectors)
         if fmt == "json":
             return json.dumps({"columns": header, "rows": rows}) + "\n"
@@ -311,6 +325,29 @@ class TestSweep:
                             *(("--vectors",) if vectors else ()))
         assert code == 0 and out == ""
         assert path.read_text() == self.expected_sweep(11, 1, [3.25], vectors, "csv")
+
+    def test_lambdas_alone_skip_eigenvectors(self, capsys, monkeypatch):
+        # the benchmark's d = 30 block on a shorter grid
+        argv = ("sweep", "--c1", "0.3", "--c2", "0.7", "--n", "30", "--m", "0",
+                "--R-grid", "0:50:200")
+
+        def no_eigenvectors(a):
+            raise AssertionError("sweep without --vectors computed eigenvectors")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", no_eigenvectors)
+            code, out = run_cli(capsys, *argv)
+        assert code == 0
+        code, out_vectors = run_cli(capsys, *argv, "--vectors")
+        assert code == 0
+        lam = np.array([float(r[2]) for r in parse_csv(out)[1]]).reshape(200, 30)
+        ref = np.array([float(r[2]) for r in parse_csv(out_vectors)[1]]).reshape(200, 30)
+        # dsterf and dstevd are both backward stable: each lambda is an exact
+        # eigenvalue of the band plus a perturbation of norm c(d) u ||T||, and
+        # ||T|| = max|lambda|, so by Weyl the two differ by at most 2 c(d) u
+        # max|lambda|; the benchmark grid measures 0.72 d u, and d u bounds it
+        bound = 30 * np.finfo(float).eps / 2 * np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(lam - ref) <= bound)
 
     def test_empty_grid_usage_error(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--n", "2", "--m", "0",

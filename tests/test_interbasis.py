@@ -328,25 +328,53 @@ class TestEigenStack:
                 assert np.array_equal(lambdas[p], w)
                 assert np.array_equal(vectors[p], v.T)
 
+    @pytest.mark.parametrize("d", [*range(1, 41), 64, 127])
+    def test_values_only_bit_equal_to_sterf(self, d):
+        rng = np.random.default_rng(d)
+        diags = rng.standard_normal((3, d)) * 10.0 ** rng.integers(-3, 4, (3, 1))
+        for offdiags in (rng.standard_normal(d - 1), rng.standard_normal((3, d - 1))):
+            lambdas, vectors = _eigh_stack(diags, offdiags, vectors=False)
+            assert vectors is None
+            for p in range(3):
+                off = offdiags if offdiags.ndim == 1 else offdiags[p]
+                w = scipy.linalg.eigvalsh_tridiagonal(diags[p], off, lapack_driver="sterf")
+                assert np.array_equal(lambdas[p], w)
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_values_only_bit_equal_across_chunks(self, d):
+        points = 2 * interbasis._CHUNK + 3
+        rng = np.random.default_rng(points + d)
+        diags = rng.standard_normal((points, d))
+        for offdiags in (rng.standard_normal(d - 1), rng.standard_normal((points, d - 1))):
+            lambdas, vectors = _eigh_stack(diags, offdiags, vectors=False)
+            assert lambdas.shape == (points, d) and vectors is None
+            for p in range(points):
+                off = offdiags if offdiags.ndim == 1 else offdiags[p]
+                w = scipy.linalg.eigvalsh_tridiagonal(diags[p], off, lapack_driver="sterf")
+                assert np.array_equal(lambdas[p], w)
+
     @pytest.mark.parametrize("d", [1, 4])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_band_raises(self, d, bad):
-        diags, offdiags = np.ones((2, d)), np.full(d - 1, 0.5)
-        diags[1, -1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            _eigh_stack(diags, offdiags)
-        if d > 1:
-            diags[1, -1] = 1.0
-            offdiags[0] = bad
+        for vectors in (True, False):
+            diags, offdiags = np.ones((2, d)), np.full(d - 1, 0.5)
+            diags[1, -1] = bad
             with pytest.raises(ValueError, match="infs or NaNs"):
-                _eigh_stack(diags, offdiags)
+                _eigh_stack(diags, offdiags, vectors)
+            if d > 1:
+                diags[1, -1] = 1.0
+                offdiags[0] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    _eigh_stack(diags, offdiags, vectors)
 
     def test_convergence_failure_raises(self, monkeypatch):
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
-        with pytest.raises(RuntimeError, match="failed to converge.*dimension 3"):
-            _eigh_stack(np.ones((2, 3)), np.ones(2))
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        for vectors in (True, False):
+            with pytest.raises(RuntimeError, match="failed to converge.*dimension 3"):
+                _eigh_stack(np.ones((2, 3)), np.ones(2), vectors)
         with pytest.raises(RuntimeError, match="failed to converge"):
             expansion_matrix(HYDROGEN, 6, 0)
