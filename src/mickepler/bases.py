@@ -7,8 +7,11 @@ compares real amplitudes.
 
 A Laguerre kernel gives the radial function and both parabolic factors, a
 Jacobi kernel the angular profile, each as one exp of (log constant + log
-envelope), the norm and the Kummer scale in the constant, times a scipy
-polynomial: large gamma ratios never meet small powers in linear arithmetic.
+envelope) times a scipy polynomial: large gamma ratios never meet small powers
+in linear arithmetic.  Each state stores the log constant its kernel multiplies.
+For a Laguerre factor that is the normalization of t^p e^(-t/2) L_n^(c-1)(t); the
+paper's constant of t^p e^(-t/2) F(-n; c; t), such as C_nj, is it times
+Gamma(c + n) / (n! Gamma(c)).
 
 Each evaluating function takes one state or a list of states, of any levels
 and m: a list's labels, eps and the winding m - s among them, are stacked on
@@ -60,7 +63,8 @@ class SphericalState:
     two_s: int
     eps: float
     log_norm_angular: float   # log N_jm
-    log_norm_radial: float    # log C_nj, includes the 2 eps^2 prefactor
+    # log normalization of t^p e^(-t/2) L_n_r^(2j+delta+1)(t), with the 2 eps^2 prefactor
+    log_norm_radial: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class ParabolicState:
     dc: DerivedConstants
     two_s: int
     eps: float
-    log_norms: tuple[float, float]  # logs of the gamma-ratio prefactors of the 1D factors
+    # log normalizations of the 1D factors t^(m_i/2) e^(-t/2) L_n_i^(m_i)(t)
+    log_norms: tuple[float, float]
 
 
 def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
@@ -91,11 +96,8 @@ def spherical_state(params: SystemParams, two_n: int, two_j: int, two_m: int
         - math.lgamma(j - dc.m_minus + dc.delta1 + 1.0)
         - math.lgamma(j + dc.m_minus + dc.delta2 + 1.0)
     )
-    log_norm_rad = (
-        math.log(2.0 * eps * eps)
-        - math.lgamma(2.0 * j + delta + 2.0)
-        + 0.5 * (math.lgamma(n + j + delta + 1.0) - math.lgamma(n_r + 1.0))
-    )
+    log_norm_rad = (math.log(2.0 * eps * eps)
+                    + 0.5 * (math.lgamma(n_r + 1.0) - math.lgamma(n + j + delta + 1.0)))
     return SphericalState(
         qn=qn,
         dc=dc,
@@ -112,7 +114,7 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
     dc = derive_constants(params, two_m)
     eps = 1.0 / _n_effective(dc, _principal_two_n(dc, qn))
     log_norms = tuple(
-        0.5 * (math.lgamma(ni + mi + 1.0) - math.lgamma(ni + 1.0)) - math.lgamma(mi + 1.0)
+        0.5 * (math.lgamma(ni + 1.0) - math.lgamma(ni + mi + 1.0))
         for ni, mi in ((n1, dc.m1), (n2, dc.m2))
     )
     return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, log_norms=log_norms)
@@ -135,9 +137,12 @@ def _angular(k, m1, m2, log_norm, theta):
 
 def _labels(labels, state, points, *args):
     """labels(state, *args), or for a list of states each label as an array (of
-    integers for an integer label) on a leading axis against the points' first."""
+    integers for an integer label) on a leading axis against the points' first; an
+    empty list is refused."""
     if not isinstance(state, list):
         return labels(state, *args)
+    if not state:
+        raise ValueError("a list of states needs at least one state")
     shape = (-1,) + (1,) * (np.ndim(points) - 1)
     return [np.array(col).reshape(shape) for col in zip(*[labels(st, *args) for st in state])]
 
@@ -166,25 +171,19 @@ def angular_profile(state: SphericalState | list[SphericalState], theta):
 
 
 def _laguerre_factor(n, c, power, log_const, scale, x):
-    """exp(log_const) t^power e^(-t/2) L_n^(c-1)(t), t = scale x: the radial function and
-    each parabolic factor; labels broadcast against x, all-scalar input gives a float."""
+    """exp(log_const) t^power e^(-t/2) L_n^(c-1)(t), t = scale x, with log_const a state's
+    stored log norm: the radial function and each parabolic factor; labels broadcast
+    against x, all-scalar input gives a float."""
     t = scale * x
     value = np.exp(xlogy(power, t) - 0.5 * t + log_const) * eval_genlaguerre(n, c - 1.0, t)
     return value if value.ndim else float(value)
-
-
-def _laguerre_labels(n: int, c: float, power: float, log_norm: float, scale: float) -> tuple:
-    """Labels of _laguerre_factor for exp(log_norm) t^power e^(-t/2) F(-n; c; t), with
-    F = n! Gamma(c) / Gamma(c + n) L_n^(c-1)(t) and that scale in the log constant."""
-    return n, c, power, log_norm + math.lgamma(n + 1) + math.lgamma(c) - math.lgamma(c + n), scale
 
 
 def _radial_labels(state: SphericalState) -> tuple:
     """Labels of _laguerre_factor for the radial function, t = 2 eps r."""
     j, delta = state.qn.two_j / 2.0, state.dc.delta_total
     n_r = (state.qn.two_n - state.qn.two_j - 2) // 2
-    return _laguerre_labels(n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta,
-                            state.log_norm_radial, 2.0 * state.eps)
+    return n_r, 2.0 * j + delta + 2.0, j + 0.5 * delta, state.log_norm_radial, 2.0 * state.eps
 
 
 def radial_r(state: SphericalState | list[SphericalState], r):
@@ -197,19 +196,15 @@ def radial_r(state: SphericalState | list[SphericalState], r):
 
 def psi_spherical(state: SphericalState | list[SphericalState], point) -> complex:
     """Full spherical wavefunction at a SphericalPoint."""
-    (winding,) = _labels(_winding, state, point.phi)
-    return (
-        radial_r(state, point.r)
-        * angular_profile(state, point.theta)
-        * np.exp(1j * winding * point.phi)
-    )
+    profile = radial_r(state, point.r) * angular_profile(state, point.theta)
+    return profile * _phase(state, profile, point.phi)
 
 
 def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
     """Labels of _laguerre_factor for one parabolic factor, t = eps x."""
     n_i = state.qn.n2 if axis else state.qn.n1
     m_i = state.dc.m2 if axis else state.dc.m1
-    return _laguerre_labels(n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis], state.eps)
+    return n_i, m_i + 1.0, 0.5 * m_i, state.log_norms[axis], state.eps
 
 
 def parabolic_factor(state: ParabolicState | list[ParabolicState], axis: int, x):
@@ -229,14 +224,11 @@ def parabolic_profile(state: ParabolicState | list[ParabolicState], xi, eta):
 
 def psi_parabolic(state: ParabolicState | list[ParabolicState], point) -> complex:
     """Full parabolic wavefunction at a ParabolicPoint."""
-    (winding,) = _labels(_winding, state, point.phi)
-    return (
-        parabolic_profile(state, point.xi, point.eta)
-        * np.exp(1j * winding * point.phi)
-        / math.sqrt(2.0 * math.pi)
-    )
+    profile = parabolic_profile(state, point.xi, point.eta)
+    return profile * _phase(state, profile, point.phi) / math.sqrt(2.0 * math.pi)
 
 
-def _winding(state) -> tuple:
-    """The integer azimuthal winding m - s, the one label of the phase."""
-    return ((state.qn.two_m - state.two_s) // 2,)
+def _phase(state, profile, phi):
+    """exp(i (m - s) phi), its integer winding m - s on the rows of the real profile."""
+    (winding,) = _labels(lambda st: ((st.qn.two_m - st.two_s) // 2,), state, profile)
+    return np.exp(1j * winding * phi)

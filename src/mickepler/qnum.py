@@ -153,19 +153,16 @@ def _block_dimension(dc: DerivedConstants, two_n: int) -> int:
 
 def _spherical_qn(dc: DerivedConstants, two_n: int, two_j: int) -> SphericalQN:
     """Validated spherical labels: j >= m_plus, integer steps, n > j."""
-    two_m = dc.two_m
     if two_j < dc.two_m_plus or (two_j - dc.two_m_plus) % 2 != 0:
         raise QuantumNumberError(
             f"two_j={two_j} must exceed two_m_plus={dc.two_m_plus} by an even amount"
         )
-    if abs(two_m) > two_j:
-        raise QuantumNumberError(f"|m| <= j violated: two_m={two_m}, two_j={two_j}")
     if two_n - two_j < 2 or (two_n - two_j) % 2 != 0:
         raise QuantumNumberError(
             f"radial quantum number n - j - 1 must be a nonnegative integer: "
             f"two_n={two_n}, two_j={two_j}"
         )
-    return SphericalQN(two_n=two_n, two_j=two_j, two_m=two_m)
+    return SphericalQN(two_n=two_n, two_j=two_j, two_m=dc.two_m)
 
 
 def parabolic_qn(params: SystemParams, n1: int, n2: int, two_m: int) -> ParabolicQN:

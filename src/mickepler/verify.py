@@ -49,7 +49,6 @@ from .bases import (
     ParabolicState,
     SphericalState,
     _laguerre_factor,
-    _laguerre_labels,
     angular_profile,
     parabolic_factor,
     parabolic_profile,
@@ -235,14 +234,16 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports.append(_report("kernel.jacobi.endpoint", "60 random (k,alpha,beta)",
                            worst, TOL_QUADRATURE))
 
-    # F from the production Laguerre kernel (power 0, log norm 0, its e^(-x/2) undone)
-    # against the series, relative to its sum of |terms|, F(-n; c; -x)
+    # F from the production Laguerre kernel (power 0, the Kummer scale n! Gamma(c) /
+    # Gamma(c + n) as its log constant, its e^(-x/2) undone) against the series,
+    # relative to its sum of |terms|, F(-n; c; -x)
     x = np.array([0.0, 0.5, 2.0, 10.0])
     worst = 0.0
     for _ in range(40):
         n = int(rng.integers(0, 9))
         c = rng.uniform(0.1, 6.0)
-        kernel = _laguerre_factor(*_laguerre_labels(n, c, 0.0, 0.0, 1.0), x) * np.exp(0.5 * x)
+        log_scale = math.lgamma(n + 1) + math.lgamma(c) - math.lgamma(c + n)
+        kernel = _laguerre_factor(n, c, 0.0, log_scale, 1.0, x) * np.exp(0.5 * x)
         worst = max(worst, float(np.max(np.abs(kernel - kummer_terminating(n, c, x))
                                         / kummer_terminating(n, c, -x))))
     reports.append(_report("kernel.kummer.series", "40 random (n,c) x in {0,0.5,2,10}",

@@ -25,7 +25,7 @@ from mickepler.bases import (
     radial_r,
     spherical_state,
 )
-from mickepler.coords import SphericalPoint, spherical_to_parabolic
+from mickepler.coords import ParabolicPoint, SphericalPoint, spherical_to_parabolic
 from mickepler.qnum import SystemParams, derive_constants
 from mickepler.verify import (
     _angular_gram,
@@ -76,10 +76,11 @@ def spherical_mpmath(params, two_n, two_j, two_m, eps, thetas, dps=50):
         lg = mpmath.loggamma
         ang = (lg(k + 1), lg(j + m_plus + delta + 1), lg(j - m_minus + d1 + 1),
                lg(j + m_minus + d2 + 1))
-        rad = (lg(2 * j + delta + 2), lg(n + j + delta + 1), lg(n_r + 1))
+        rad = (lg(n_r + 1), lg(n + j + delta + 1))
         norm_ang = mpmath.sqrt((2 * j + delta + 1) / (4 * mpmath.pi)
                                * mpmath.exp(ang[0] + ang[1] - ang[2] - ang[3]))
-        norm_rad = 2 * mpmath.mpf(eps) ** 2 * mpmath.exp((rad[1] - rad[2]) / 2 - rad[0])
+        # the normalization of t^p e^(-t/2) L_n_r^(2j+delta+1)(t)
+        norm_rad = 2 * mpmath.mpf(eps) ** 2 * mpmath.exp((rad[0] - rad[1]) / 2)
         profile = [norm_ang * mpmath.cos(mpmath.mpf(t) / 2) ** m1
                    * mpmath.sin(mpmath.mpf(t) / 2) ** m2 * mpmath.jacobi(k, m2, m1, mpmath.mpf(x))
                    for t, x in zip(thetas, np.cos(thetas))]
@@ -251,6 +252,24 @@ class TestLargeRingStrengths:
             assert np.isfinite(phi).all()
             assert trapezoid(phi**2, t) == approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("c1", [0.0, 0.3, 1e4, 1e6, 1e10])
+    def test_parabolic_log_norms_vs_mpmath(self, c1):
+        # the normalization of t^(m_i/2) e^(-t/2) L_n_i^(m_i)(t), with m_i from the labels
+        # in mpmath; exp of a log-gamma sum: a few eps per unit of log
+        eps = np.finfo(float).eps
+        params = SystemParams(two_s=1, c1=c1, c2=0.7)
+        for n1, n2, two_m in ((0, 0, 1), (3, 7, -1), (40, 2, 5), (1, 60, -3)):
+            state = parabolic_state(params, n1, n2, two_m)
+            with mpmath.workdps(40):
+                m1 = mpmath.sqrt((mpmath.mpf(two_m - params.two_s) / 2) ** 2 + 4 * mpmath.mpf(c1))
+                m2 = mpmath.sqrt((mpmath.mpf(two_m + params.two_s) / 2) ** 2
+                                 + 4 * mpmath.mpf(params.c2))
+                for ours, n_i, m_i in zip(state.log_norms, (n1, n2), (m1, m2)):
+                    terms = (mpmath.loggamma(n_i + 1), mpmath.loggamma(n_i + m_i + 1))
+                    ref = (terms[0] - terms[1]) / 2
+                    s = float(abs(terms[0]) + abs(terms[1]))
+                    assert abs(ours - float(ref)) <= 4.0 * eps * (1.0 + s), (n_i, float(m_i))
+
     @pytest.mark.parametrize("c", [1e6, 1e10])
     def test_angular_profile_is_normalized(self, c):
         params = SystemParams(two_s=0, c1=c, c2=c)
@@ -315,7 +334,6 @@ class TestFullWavefunctions:
         # phase advances as exp(i (m - s) phi)
         params = SystemParams(two_s=1)
         state = parabolic_state(params, 0, 1, 3)         # m = 3/2, s = 1/2
-        from mickepler.coords import ParabolicPoint
         base = psi_parabolic(state, ParabolicPoint(1.0, 2.0, 0.0))
         rot = psi_parabolic(state, ParabolicPoint(1.0, 2.0, 0.25))
         assert rot == approx(base * np.exp(1j * 1 * 0.25), rel=1e-13)
@@ -336,7 +354,7 @@ class TestLaguerreFactorBranches:
 
     def test_parabolic_factor_at_origin(self):
         # x^(m_i / 2) is 1 at x = 0 for m_i = 0 and vanishes for m_i > 0;
-        # F(-n; c; 0) = 1 up to the rounding of its Laguerre prefactor
+        # L_n^(0)(0) = 1
         for params, axis_zero in ((SystemParams(two_s=0, c2=0.7), 0),
                                   (SystemParams(two_s=0, c1=0.3), 1)):
             state = parabolic_state(params, 2, 1, 0)
@@ -359,6 +377,41 @@ class TestLaguerreFactorBranches:
         for a, b in zip(xi, eta):
             assert parabolic_profile(state, a, b) == (
                 scale * parabolic_factor(state, 0, a) * parabolic_factor(state, 1, b))
+
+
+class TestListsOfStates:
+    """A list of states: rows follow the profile's leading axis, and a list needs a state."""
+
+    def test_scalar_phi_takes_the_rows_of_the_profile(self):
+        # r and theta (xi and eta) of shape (1, 4) give three rows of four; phi is a
+        # scalar, and the windings m - s are 0, -1 and 1
+        ring = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        sph = [spherical_state(ring, 7, two_j, two_m)
+               for two_j, two_m in ((1, 1), (3, -1), (5, 3))]
+        par = [parabolic_state(ring, n1, 1, two_m) for n1, two_m in ((0, 1), (2, -1), (1, 3))]
+        row = np.array([[0.3, 1.0, 2.5, 6.0]])
+        sph_point = SphericalPoint(r=row, theta=row / 2.0, phi=0.7)
+        par_point = ParabolicPoint(xi=row, eta=row[:, ::-1], phi=0.7)
+        for psi, states, point in ((psi_spherical, sph, sph_point),
+                                   (psi_parabolic, par, par_point)):
+            rows = psi(states, point)
+            assert rows.shape == (3, 4)
+            for k, st in enumerate(states):
+                assert np.array_equal(rows[k], psi(st, point)[0])
+
+    @pytest.mark.parametrize("call", [
+        lambda: radial_r([], 1.0),
+        lambda: angular_profile([], 0.5),
+        lambda: parabolic_factor([], 0, 1.0),
+        lambda: parabolic_factor([], 1, np.ones((1, 3))),
+        lambda: parabolic_profile([], 1.0, 2.0),
+        lambda: psi_spherical([], SphericalPoint(r=1.0, theta=0.5, phi=0.0)),
+        lambda: psi_parabolic([], ParabolicPoint(xi=1.0, eta=2.0, phi=0.0)),
+    ], ids=["radial_r", "angular_profile", "parabolic_factor_xi", "parabolic_factor_eta",
+            "parabolic_profile", "psi_spherical", "psi_parabolic"])
+    def test_empty_list_is_refused(self, call):
+        with pytest.raises(ValueError, match="a list of states needs at least one state"):
+            call()
 
 
 class TestNegativeCoordinates:

@@ -73,11 +73,11 @@ def private_imports(path: Path) -> set[tuple[str, str]]:
 
 def test_only_the_kummer_self_check_reaches_into_bases():
     # the wavefunctions are evaluated through the public bases functions, a
-    # list of states included; verify keeps the Laguerre kernel and its labels
-    # to hold them to the Kummer series
+    # list of states included; verify keeps the Laguerre kernel to hold it to
+    # the Kummer series
     reached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for module, name in private_imports(path) if module == "bases"}
-    assert reached == {("verify", "_laguerre_factor"), ("verify", "_laguerre_labels")}
+    assert reached == {("verify", "_laguerre_factor")}
 
 
 # the closed-form oracles: the verify suite and the tests hold production code to them
