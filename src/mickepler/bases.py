@@ -15,8 +15,12 @@ Gamma(c + n) / (n! Gamma(c)).
 
 Each evaluating function takes one state or a list of states, of any levels
 and m: a list's labels, eps and the winding m - s among them, are stacked on
-a leading axis that broadcasts against the first axis of the points, row k at
-points[k] (or points[0]), bit for bit the call with state k alone.
+a leading axis, row k bit for bit the call with state k alone.  The coordinates
+of a list call (r, theta and phi; xi, eta and phi; or the one coordinate of a
+single factor) must broadcast to one shape that is a scalar's or whose first
+axis is 1 or the number of states; row k is then taken at the broadcast
+points [k] (or [0]), or at the scalar point.  Any other shape is refused with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -135,16 +139,25 @@ def _angular(k, m1, m2, log_norm, theta):
     return value if value.ndim else float(value)
 
 
-def _labels(labels, state, points, *args):
+def _labels(labels, state, coords, *args):
     """labels(state, *args), or for a list of states each label as an array (of
-    integers for an integer label) on a leading axis against the points' first; an
-    empty list is refused."""
+    integers for an integer label) on a leading axis against the first axis of the
+    broadcast shape of the call's coordinates ``coords``; an empty list, and
+    coordinates that break the module's contract, are refused."""
     if not isinstance(state, list):
         return labels(state, *args)
     if not state:
         raise ValueError("a list of states needs at least one state")
-    shape = (-1,) + (1,) * (np.ndim(points) - 1)
-    return [np.array(col).reshape(shape) for col in zip(*[labels(st, *args) for st in state])]
+    try:
+        shape = np.broadcast(*coords).shape
+    except ValueError:
+        shape = None
+    if shape is None or shape[:1] not in ((), (1,), (len(state),)):
+        raise ValueError(f"a list of {len(state)} states needs coordinates that broadcast "
+                         f"to a scalar or to a shape whose first axis is 1 or {len(state)}, "
+                         f"got shapes {', '.join(str(np.shape(c)) for c in coords)}")
+    lead = (-1,) + (1,) * (len(shape) - 1)
+    return [np.array(col).reshape(lead) for col in zip(*[labels(st, *args) for st in state])]
 
 
 def _angular_labels(state: SphericalState) -> tuple:
@@ -167,7 +180,7 @@ def angular_profile(state: SphericalState | list[SphericalState], theta):
     for a polar angle outside [0, pi]."""
     theta = np.asarray(theta, dtype=float)
     _check_domain("angular_profile", "polar angles in [0, pi]", theta, math.pi)
-    return _angular(*_labels(_angular_labels, state, theta), theta)
+    return _angular(*_labels(_angular_labels, state, (theta,)), theta)
 
 
 def _laguerre_factor(n, c, power, log_const, scale, x):
@@ -191,13 +204,24 @@ def radial_r(state: SphericalState | list[SphericalState], r):
     negative or non-finite r."""
     r = np.asarray(r, dtype=float)
     _check_domain("radial_r", "finite nonnegative coordinates", r)
-    return _laguerre_factor(*_labels(_radial_labels, state, r), r)
+    return _laguerre_factor(*_labels(_radial_labels, state, (r,)), r)
+
+
+def _winding(state) -> int:
+    """The integer m - s of the azimuthal phase exp(i (m - s) phi)."""
+    return (state.qn.two_m - state.two_s) // 2
 
 
 def psi_spherical(state: SphericalState | list[SphericalState], point) -> complex:
     """Full spherical wavefunction at a SphericalPoint."""
-    profile = radial_r(state, point.r) * angular_profile(state, point.theta)
-    return profile * _phase(state, profile, point.phi)
+    r = np.asarray(point.r, dtype=float)
+    theta = np.asarray(point.theta, dtype=float)
+    _check_domain("radial_r", "finite nonnegative coordinates", r)
+    _check_domain("angular_profile", "polar angles in [0, pi]", theta, math.pi)
+    labels = _labels(lambda st: (*_radial_labels(st), *_angular_labels(st), _winding(st)),
+                     state, (r, theta, point.phi))
+    profile = _laguerre_factor(*labels[:5], r) * _angular(*labels[5:9], theta)
+    return profile * np.exp(1j * labels[9] * point.phi)
 
 
 def _parabolic_labels(state: ParabolicState, axis: int) -> tuple:
@@ -212,23 +236,40 @@ def parabolic_factor(state: ParabolicState | list[ParabolicState], axis: int, x)
     for a negative or non-finite x."""
     x = np.asarray(x, dtype=float)
     _check_domain("parabolic_factor", "finite nonnegative coordinates", x)
-    return _laguerre_factor(*_labels(_parabolic_labels, state, x, axis), x)
+    return _laguerre_factor(*_labels(_parabolic_labels, state, (x,), axis), x)
+
+
+def _profile_labels(state: ParabolicState) -> tuple:
+    """The prefactor sqrt(2) eps^2, then the labels of both parabolic factors."""
+    return (math.sqrt(2.0) * state.eps**2, *_parabolic_labels(state, 0),
+            *_parabolic_labels(state, 1))
+
+
+def _parabolic_coords(xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """xi and eta as arrays; raises ValueError for a negative or non-finite one."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    _check_domain("parabolic_factor", "finite nonnegative coordinates", xi)
+    _check_domain("parabolic_factor", "finite nonnegative coordinates", eta)
+    return xi, eta
+
+
+def _profile(labels, xi: np.ndarray, eta: np.ndarray):
+    """The parabolic profile from the labels of :func:`_profile_labels`; a float
+    for scalar xi and eta, since each factor is."""
+    return labels[0] * _laguerre_factor(*labels[1:6], xi) * _laguerre_factor(*labels[6:11], eta)
 
 
 def parabolic_profile(state: ParabolicState | list[ParabolicState], xi, eta):
     """Real profile sqrt(2) eps^2 Phi1(xi) Phi2(eta)."""
-    (prefactor,) = _labels(lambda st: (math.sqrt(2.0) * st.eps**2,), state, xi)
-    # each factor is a float for a scalar argument, so the product is too
-    return prefactor * parabolic_factor(state, 0, xi) * parabolic_factor(state, 1, eta)
+    xi, eta = _parabolic_coords(xi, eta)
+    return _profile(_labels(_profile_labels, state, (xi, eta)), xi, eta)
 
 
 def psi_parabolic(state: ParabolicState | list[ParabolicState], point) -> complex:
     """Full parabolic wavefunction at a ParabolicPoint."""
-    profile = parabolic_profile(state, point.xi, point.eta)
-    return profile * _phase(state, profile, point.phi) / math.sqrt(2.0 * math.pi)
-
-
-def _phase(state, profile, phi):
-    """exp(i (m - s) phi), its integer winding m - s on the rows of the real profile."""
-    (winding,) = _labels(lambda st: ((st.qn.two_m - st.two_s) // 2,), state, profile)
-    return np.exp(1j * winding * phi)
+    xi, eta = _parabolic_coords(point.xi, point.eta)
+    labels = _labels(lambda st: (*_profile_labels(st), _winding(st)), state,
+                     (xi, eta, point.phi))
+    return (_profile(labels, xi, eta) * np.exp(1j * labels[11] * point.phi)
+            / math.sqrt(2.0 * math.pi))

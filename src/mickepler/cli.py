@@ -87,7 +87,8 @@ def _kernel_tables():
             cell += [23, 30] + [25] * (form == 22) + [26, 27]
         layouts[form, keep, :len(cell) + 1] = [28] + cell
         layouts[form, keep, 24] = 29
-    return hi, hi_hi, hi - hi_hi, lo, shift.astype(np.intc), quads, zeros, layouts.reshape(-1, 25)
+    return (hi, hi_hi, hi - hi_hi, lo, shift.astype(np.intc), quads, zeros,
+            layouts.reshape(-1, 25).astype(np.intp))
 
 
 def _decimal17(values: np.ndarray):
@@ -135,8 +136,12 @@ def _cell_bytes(cells: np.ndarray) -> np.ndarray:
     for group in groups[1:]:
         trailing = np.where(group == 0, trailing + 4, zeros[group])
     form = np.where((x >= -4) & (x < 17), x + 4, np.where(np.abs(x) >= 100, 22, 21))
+    # intp indices: np.take would copy int32 ones to intp, and those 200 more bytes
+    # per cell made the allocator return each chunk's freed temporaries to the
+    # system, to be faulted in again by the next chunk (50k against 6k page faults
+    # for the first d = 10, 2000-point sweep table of a process)
     index = np.take(layouts, 18 * form + 17 - trailing, axis=0)
-    index += np.arange(0, parts.size, 32, dtype=np.int32)[:, None]
+    index += np.arange(0, parts.size, 32)[:, None]
     slots = np.take(parts.ravel(), index)
     fallback = np.flatnonzero(~proven)
     if fallback.size:
@@ -153,12 +158,17 @@ def _csv_table(header: list[str], cells) -> str:
         template = ",".join(["%.17g"] * cells.shape[-1])
         return "\n".join([",".join(header), *(template % tuple(row) for row in cells)])
     step = max(1, _CHUNK_CELLS // cells.shape[1])
+    return _join_rows(header, (_cell_bytes(cells[start:start + step])
+                               for start in range(0, len(cells), step)))
+
+
+def _join_rows(header: list[str], chunks) -> str:
+    """Header line, then the rows of each chunk of NUL-padded row bytes with the
+    padding dropped, and no newline after the last row."""
     text = [",".join(header), "\n"]
-    for start in range(0, len(cells), step):
-        chunk = _cell_bytes(cells[start:start + step])
-        if start + step >= len(cells):
-            chunk[-1, -1] = 0               # no newline after the last row
+    for chunk in chunks:
         text.append(chunk.tobytes().translate(None, b"\0").decode())
+    text[-1] = text[-1][:-1]
     return "".join(text)
 
 
@@ -236,12 +246,34 @@ def cmd_coefficients(args) -> int:
 
 
 def _sweep_table(args, header: list[str], grid: list[float], columns) -> str:
-    """One row per (R, q): R, q, then ``column[p, q]`` of each (P, d, k) column."""
+    """One row per (R, q): R, q, then ``column[p, q]`` of each (P, d, k) column.
+
+    The kernel formats each grid value and each q once, as a slot ended by a
+    comma; a chunk of points at a time then puts them before its rows' values."""
     points, dim = columns[0].shape[:2]
-    r_col = np.broadcast_to(np.reshape(grid, (points, 1, 1)), (points, dim, 1))
-    q_col = np.broadcast_to(np.arange(dim, dtype=float)[:, None], (points, dim, 1))
-    table = np.concatenate([r_col, q_col, *columns], axis=2)
-    return _table(args, header, table.reshape(points * dim, -1))
+    if args.format == "json" or points * dim * len(header) < _KERNEL_MIN_CELLS:
+        r_col = np.broadcast_to(np.reshape(grid, (points, 1, 1)), (points, dim, 1))
+        q_col = np.broadcast_to(np.arange(dim, dtype=float)[:, None], (points, dim, 1))
+        table = np.concatenate([r_col, q_col, *columns], axis=2)
+        return _table(args, header, table.reshape(points * dim, -1))
+    r_slots = _cell_bytes(np.reshape(grid, (points, 1)))
+    q_slots = _cell_bytes(np.arange(dim, dtype=float)[:, None])
+    r_slots[:, -1] = q_slots[:, -1] = ord(",")
+    step = max(1, _CHUNK_CELLS // (dim * len(header)))
+    # one buffer for the rows of every chunk: each is joined before the next is made
+    rows = np.empty((min(step, points), dim, 25 * len(header)), np.uint8)
+    rows[:, :, 25:50] = q_slots
+
+    def chunks():
+        for start in range(0, points, step):
+            part = slice(start, start + step)
+            values = np.concatenate([column[part] for column in columns], axis=2)
+            size = len(values)
+            rows[:size, :, :25] = r_slots[part, None]
+            rows[:size, :, 50:] = _cell_bytes(values.reshape(size * dim, -1)).reshape(size, dim, -1)
+            yield rows[:size]
+
+    return _join_rows(header, chunks())
 
 
 def cmd_sweep(args) -> int:

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 from scipy.integrate import quad, trapezoid
 from scipy.special import genlaguerre
@@ -26,7 +28,7 @@ from mickepler.bases import (
     spherical_state,
 )
 from mickepler.coords import ParabolicPoint, SphericalPoint, spherical_to_parabolic
-from mickepler.qnum import SystemParams, derive_constants
+from mickepler.qnum import SystemParams, derive_constants, enumerate_blocks
 from mickepler.verify import (
     _angular_gram,
     _identity_deviation,
@@ -379,6 +381,19 @@ class TestLaguerreFactorBranches:
                 scale * parabolic_factor(state, 0, a) * parabolic_factor(state, 1, b))
 
 
+def states_up_to(n_max):
+    """Every spherical and every parabolic state of the levels n <= n_max of
+    hydrogen and of s = 1/2, c = (0.3, 0.7): mixed levels and m."""
+    sph, par = [], []
+    for params in (HYDROGEN, SystemParams(two_s=1, c1=0.3, c2=0.7)):
+        for two_n, two_m in enumerate_blocks(params, n_max):
+            m_plus = derive_constants(params, two_m).two_m_plus
+            d = (two_n - m_plus) // 2
+            sph += [spherical_state(params, two_n, m_plus + 2 * k, two_m) for k in range(d)]
+            par += [parabolic_state(params, n1, d - 1 - n1, two_m) for n1 in range(d)]
+    return sph, par
+
+
 class TestListsOfStates:
     """A list of states: rows follow the profile's leading axis, and a list needs a state."""
 
@@ -398,6 +413,56 @@ class TestListsOfStates:
             assert rows.shape == (3, 4)
             for k, st in enumerate(states):
                 assert np.array_equal(rows[k], psi(st, point)[0])
+
+    SPH, PAR = states_up_to(3)
+
+    # each function: which states, its coordinates, and the call from those
+    CALLS = {
+        "radial_r": (SPH, "r", lambda s, r: radial_r(s, r)),
+        "angular_profile": (SPH, "t", lambda s, t: angular_profile(s, t)),
+        "parabolic_factor_xi": (PAR, "x", lambda s, x: parabolic_factor(s, 0, x)),
+        "parabolic_factor_eta": (PAR, "x", lambda s, x: parabolic_factor(s, 1, x)),
+        "parabolic_profile": (PAR, "xx", parabolic_profile),
+        "psi_spherical": (SPH, "rtp", lambda s, r, t, p: psi_spherical(
+            s, SphericalPoint(r=r, theta=t, phi=p))),
+        "psi_parabolic": (PAR, "xxp", lambda s, x, y, p: psi_parabolic(
+            s, ParabolicPoint(xi=x, eta=y, phi=p))),
+    }
+    RANGES = {"r": (0.0, 12.0), "x": (0.0, 12.0), "t": (0.0, math.pi), "p": (-4.0, 4.0)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(CALLS)), picks=st.lists(st.integers(0, 10**6),
+                                                              min_size=1, max_size=4),
+           k=st.integers(1, 4), shape_ids=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_follow_the_broadcast_coordinates(self, name, picks, k, shape_ids, seed):
+        # each coordinate on its own takes a shape of {(), (1,), (k,), (1, k), (d, k),
+        # (d, 1)}: the call gives row i bit for bit the call with state i alone at the
+        # broadcast points, or refuses the shapes with the contract's ValueError
+        pool, kinds, call = self.CALLS[name]
+        states = [pool[i % len(pool)] for i in picks]
+        d = len(states)
+        rng = np.random.default_rng(seed)
+        coords = []
+        for kind, shape_id in zip(kinds, shape_ids):
+            shape = [(), (1,), (k,), (1, k), (d, k), (d, 1)][shape_id]
+            coords.append(rng.uniform(*self.RANGES[kind], size=shape))
+        try:
+            shape = np.broadcast_shapes(*(c.shape for c in coords))
+        except ValueError:
+            shape = None
+        if shape is None or shape[:1] not in ((), (1,), (d,)):
+            with pytest.raises(ValueError, match=rf"a list of {d} states needs coordinates "
+                                                 rf"that broadcast to a scalar or to a shape "
+                                                 rf"whose first axis is 1 or {d}"):
+                call(states, *coords)
+            return
+        rows = call(states, *coords)
+        assert rows.shape == (d, *shape[1:])
+        for i, state in enumerate(states):
+            at = [np.broadcast_to(c, shape)[i if shape[0] == d else 0] if shape else c
+                  for c in coords]
+            assert np.array_equal(rows[i], call(state, *at))
 
     @pytest.mark.parametrize("call", [
         lambda: radial_r([], 1.0),

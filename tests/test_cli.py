@@ -17,7 +17,7 @@ from pytest import approx
 import mickepler.cli as cli
 import mickepler.verify as verify
 from mickepler.cli import main
-from mickepler.interbasis import ExpansionMatrix, block, expansion_matrix
+from mickepler.interbasis import ExpansionMatrix, _fix_signs, block, expansion_matrix
 from mickepler.qnum import SystemParams
 from mickepler.spheroidal import _coefficients, solve, sweep
 
@@ -182,9 +182,15 @@ class TestCoefficients:
                             "--c1", "0.3", "--c2", "0.7", "--n", "5", "--m", "1",
                             "--R", "3.5", "--format", "json")
         assert code == 0
-        sol = solve(SystemParams(two_s=2, c1=0.3, c2=0.7), 10, 2, 3.5)
+        params = SystemParams(two_s=2, c1=0.3, c2=0.7)
+        sol = solve(params, 10, 2, 3.5)
         matrix = (sol.spherical_coefficients if kind == "spheroidal-in-spherical"
                   else sol.parabolic_coefficients)
+        # V is the rows of U times W, signs fixed
+        w = expansion_matrix(params, 10, 2).entries
+        assert np.array_equal(sol.parabolic_coefficients.entries,
+                              _fix_signs(np.einsum(
+                                  "pqk,kn->pqn", sol.spherical_coefficients.entries.T[None], w))[0].T)
         assert out == json.dumps({
             "kind": kind,
             "row_labels": list(matrix.row_labels),
@@ -316,6 +322,27 @@ class TestSweep:
                             *(("--vectors",) if vectors else ()))
         assert code == 0
         assert out == self.expected_sweep(two_n, two_m, points, vectors, fmt)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("n, m, two_n, two_m, d", [("3/2", "1/2", 3, 1, 1),
+                                                       ("9/2", "1/2", 9, 1, 4)])
+    def test_deduplicated_columns_equal_cell_by_cell_reference(self, capsys, vectors,
+                                                               n, m, two_n, two_m, d):
+        # the CSV formats each R and each q once; it must still equal the table
+        # written cell by cell, and the JSON the one built row by row, on grids from
+        # R = 0 of one point and just below and above the cell kernel's threshold
+        # and one kernel chunk
+        per_point = d * (3 + 2 * d * vectors)
+        below_kernel = (cli._KERNEL_MIN_CELLS - 1) // per_point
+        per_chunk = cli._CHUNK_CELLS // per_point
+        for points in (1, below_kernel, below_kernel + 1, per_chunk, per_chunk + 1):
+            for fmt in ("csv", "json"):
+                code, out = run_cli(capsys, "sweep", *self.RING_HALF_ARGS, "--n", n,
+                                    f"--m={m}", "--R-grid", f"0:20:{points}", "--format",
+                                    fmt, *(("--vectors",) if vectors else ()))
+                assert code == 0
+                assert out == self.expected_sweep(two_n, two_m, np.linspace(0.0, 20.0, points),
+                                                  vectors, fmt), (points, fmt)
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_out_file_equals_reference_from_sweep(self, capsys, tmp_path, vectors):

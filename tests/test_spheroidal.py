@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from mickepler.interbasis import _coupling, block, expansion_matrix
+from mickepler.interbasis import _coupling, _fix_signs, block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
@@ -227,8 +227,10 @@ class TestLimits:
 
 class TestSweep:
     def test_single_point_equals_solve(self):
-        # solve is a one-point sweep: it must equal the sign-fixed stacked solve
-        # at that R alone, and a dense eigh of the spherical-side matrix
+        # solve is a one-point sweep: its lambdas and U must equal the sign-fixed
+        # stacked spherical solve at that R alone, its V the rows of that U times W
+        # with signs fixed, and both a dense eigh of the spherical-side matrix and
+        # the independent parabolic-side solve to rounding
         for params, two_n, two_m, R in ((HYDROGEN, 4, 0, 3.0),
                                         (SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1, 2.5)):
             blk = block(params, two_n, two_m)
@@ -236,7 +238,10 @@ class TestSweep:
             direct = solve(params, two_n, two_m, R)
             assert np.array_equal(direct.lambdas, lambdas[0])
             assert np.array_equal(direct.spherical_coefficients.entries, u[0].T)
-            assert np.array_equal(direct.parabolic_coefficients.entries, v[0].T)
+            w = expansion_matrix(params, two_n, two_m).entries
+            assert np.array_equal(direct.parabolic_coefficients.entries,
+                                  _fix_signs(np.einsum("pqk,kn->pqn", u, w))[0].T)
+            assert _aligned_deviation(direct.parabolic_coefficients.entries, v[0].T) <= 1e-13
 
             diag, off = blk.spherical_bands(R)
             ref_lambdas, ref_u = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
