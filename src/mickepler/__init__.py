@@ -36,7 +36,7 @@ from .interbasis import (
     expansion_matrix,
     inverse_expansion_matrix,
 )
-from .spheroidal import SpheroidalSolution, limits, solve, sweep
+from .spheroidal import SpheroidalSolution, SpheroidalSweep, limits, solve, sweep
 from .verify import CheckReport, run_suite
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "SphericalQN",
     "SphericalState",
     "SpheroidalSolution",
+    "SpheroidalSweep",
     "SystemParams",
     "block",
     "derive_constants",

@@ -21,7 +21,7 @@ from .qnum import (
     enumerate_blocks,
     parse_half_integer,
 )
-from .spheroidal import _coefficients, _sweep_lambdas, _sweep_stacks
+from .spheroidal import sweep
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
 
@@ -238,9 +238,10 @@ def cmd_coefficients(args) -> int:
         matrix = expansion_matrix(params, two_n, two_m)
     elif args.kind == "spherical-in-parabolic":
         matrix = inverse_expansion_matrix(params, two_n, two_m)
+    elif args.kind == "spheroidal-in-spherical":
+        matrix = sweep(params, two_n, two_m, [args.R]).spherical_coefficients(0)
     else:
-        matrix = _coefficients(params, two_n, two_m, args.R,
-                               parabolic=args.kind == "spheroidal-in-parabolic")
+        matrix = sweep(params, two_n, two_m, [args.R]).parabolic_coefficients(0)
     _emit(_matrix_output(args, matrix), args.out)
     return 0
 
@@ -284,18 +285,14 @@ def cmd_sweep(args) -> int:
         raise ValueError("give --R or --R-grid, not both" if args.R_grid
                          else "sweep needs --R or --R-grid")
     grid = _parse_grid(args.R_grid) if args.R_grid else [args.R]
+    result = sweep(params, two_n, two_m, grid, vectors=args.vectors)
     header = ["R", "q", "lambda"]
+    columns = [result.lambdas[:, :, None]]
     if args.vectors:
-        blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, grid)
-        header += [f"u[{lab}]" for lab in blk.spherical_labels]
-        header += [f"v[{lab}]" for lab in blk.parabolic_labels]
+        header += [f"u[{lab}]" for lab in result.block.spherical_labels]
+        header += [f"v[{lab}]" for lab in result.block.parabolic_labels]
         # row q of point p: lambda_q, then eigenvector q of U and of V
-        columns = [lambdas[:, :, None], u, v]
-    else:
-        # lambdas alone need no eigenvectors, no signs and no parabolic solve; the
-        # eigenvalue-only solve gives dsterf's lambdas, which may differ from those
-        # printed with --vectors (dstevd's) in their last bits
-        columns = [_sweep_lambdas(params, two_n, two_m, grid)[:, :, None]]
+        columns += [result.u, result.v]
     _emit(_sweep_table(args, header, grid, columns), args.out)
     return 0
 

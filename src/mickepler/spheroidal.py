@@ -19,15 +19,16 @@ parabolic-side matrix is M + R diag(beta).  Both are kept as bands of a
 :class:`mickepler.interbasis.Block`, derived once per block, so a sweep
 builds them once for its whole grid.
 
-:func:`solve`, :func:`sweep` and the CLI diagonalize the spherical side
-alone: the parabolic-side coefficients are V = W^T U, with W the block's
-mixing matrix, signed like U.  The verification suite and :func:`limits`
-keep the independent parabolic-side eigensolve, which checks both.
+:func:`sweep`, the one production path (:func:`solve` and the CLI call it),
+diagonalizes the spherical side alone: V = W^T U, with W the block's mixing
+matrix, signed like U.  :func:`_eigensolve` keeps the independent
+parabolic-side eigensolve, the reference verification checks both against.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .qnum import SystemParams
 
 __all__ = [
     "SpheroidalSolution",
+    "SpheroidalSweep",
     "LimitReport",
     "solve",
     "limits",
@@ -59,6 +61,60 @@ class SpheroidalSolution:
     lambdas: np.ndarray                      # ascending; index is q
     spherical_coefficients: ExpansionMatrix  # rows j, columns q
     parabolic_coefficients: ExpansionMatrix  # rows n1, columns q
+
+
+@dataclass(frozen=True, eq=False)
+class SpheroidalSweep(Sequence):
+    """The solutions of one block along an R grid, as stacks; ``[p]`` is the
+    :class:`SpheroidalSolution` at point p, its matrices views into the stacks.
+
+    Eigenvector q at point p is ``u[p, q]`` (over j) and ``v[p, q]`` (over n1).
+    V = W^T U is formed when first read, so ``lambdas`` and ``u`` alone never
+    build W.  Without vectors ``u`` and ``v`` are None and indexing raises
+    ValueError.
+    """
+
+    block: Block
+    grid: tuple[float, ...]          # P ascending R values
+    lambdas: np.ndarray              # (P, d), ascending per point; index is q
+    u: np.ndarray | None             # (P, d, d), sign-continued
+
+    @functools.cached_property
+    def v(self) -> np.ndarray | None:
+        """(P, d, d): U's rows times W, each first nonzero made positive, then
+        continued like U (flipping a row of U flips that row of V exactly)."""
+        if self.u is None:
+            return None
+        # numpy's own loop, not BLAS: a first BLAS matrix product maps its work
+        # buffer, 0.3 MiB more peak memory for a sweep that calls no other
+        v = _fix_signs(np.einsum("pqk,kn->pqn", self.u, _mixing_matrix(self.block)[0]))
+        _continue_signs(v)
+        return v
+
+    def spherical_coefficients(self, p: int) -> ExpansionMatrix:
+        """U at point p: rows j, columns q."""
+        return self._q_matrix(self.u, self.block.spherical_labels, p)
+
+    def parabolic_coefficients(self, p: int) -> ExpansionMatrix:
+        """V at point p: rows n1, columns q."""
+        return self._q_matrix(self.v, self.block.parabolic_labels, p)
+
+    def _q_matrix(self, stack, row_labels: tuple[str, ...], p: int) -> ExpansionMatrix:
+        if stack is None:
+            raise ValueError("a sweep without vectors has no coefficient matrices")
+        # entries are a column-major view into the stack: column q is vector q
+        return ExpansionMatrix(dim=len(row_labels), entries=stack[p].T, row_labels=row_labels,
+                               col_labels=tuple(f"q={q}" for q in range(len(row_labels))))
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[p] for p in range(len(self))[index]]
+        p = range(len(self))[index]     # a negative index counts from the end
+        return SpheroidalSolution(self.grid[p], self.lambdas[p],
+                                  self.spherical_coefficients(p), self.parabolic_coefficients(p))
 
 
 @dataclass(frozen=True)
@@ -85,6 +141,8 @@ def _continue_signs(vectors: np.ndarray) -> None:
     sign of the previous point: the sign is the product of the raw overlap
     signs since the last exactly 0 overlap, where it restarts at +1.
     """
+    if len(vectors) < 2:    # a one-point solve: skip a dozen calls on empty arrays
+        return
     overlap = np.einsum("pqk,pqk->pq", vectors[:-1], vectors[1:])
     negative = np.cumsum(overlap < 0.0, axis=0)
     # the count is nondecreasing, so its running max over the 0 overlaps is
@@ -97,23 +155,12 @@ def _eigensolve(blk: Block, r_values: list[float]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ascending eigenvalues of the spherical and of the parabolic side, and
     the sign-fixed U and V stacks (vectors as rows), at each R, from one eigensolve
-    of each side: the independent V that verification and :func:`limits` check
-    against U; :func:`sweep` takes V from U instead."""
+    of each side: verification's and :func:`limits`' reference, not a production
+    path; :func:`sweep` takes V = W^T U instead."""
     r = np.asarray(r_values, dtype=float)[:, None]
     lambdas, u = _eigh_stack(*blk.spherical_bands(r))
     lambdas_par, v = _eigh_stack(*blk.parabolic_bands(r))
     return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
-
-
-@functools.cache
-def _q_labels(d: int) -> tuple[str, ...]:
-    return tuple(f"q={q}" for q in range(d))
-
-
-def _q_matrix(vectors: np.ndarray, row_labels: tuple[str, ...]) -> ExpansionMatrix:
-    # entries are a column-major view into the stack: column q is vector q
-    return ExpansionMatrix(dim=len(row_labels), entries=vectors.T,
-                           row_labels=row_labels, col_labels=_q_labels(len(row_labels)))
 
 
 def solve(params: SystemParams, two_n: int, two_m: int, R: float
@@ -125,16 +172,6 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     component positive.
     """
     return sweep(params, two_n, two_m, [R])[0]
-
-
-def _coefficients(params: SystemParams, two_n: int, two_m: int, R: float,
-                  parabolic: bool) -> ExpansionMatrix:
-    """V of :func:`solve` if ``parabolic``, else U; U needs no mixing matrix."""
-    blk = block(params, two_n, two_m)
-    u = _fix_signs(_eigh_stack(*blk.spherical_bands(np.array([[float(R)]])))[1])
-    if not parabolic:
-        return _q_matrix(u[0], blk.spherical_labels)
-    return _q_matrix(_parabolic_rows(blk, u)[0], blk.parabolic_labels)
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -169,58 +206,23 @@ def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
-def _ascending(r_grid) -> list[float]:
-    """The grid as floats; raises ValueError if it is empty or descends."""
-    r_grid = [float(r) for r in r_grid]
-    if not r_grid:
-        raise ValueError("R grid must contain at least one point")
-    if any(b < a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("R grid must be ascending")
-    return r_grid
+def sweep(params: SystemParams, two_n: int, two_m: int, r_grid,
+          vectors: bool = True) -> SpheroidalSweep:
+    """The block's solutions along an ascending R grid, stacked, from one
+    spherical-side eigensolve per point with the bands built once.
 
-
-def _sweep_lambdas(params: SystemParams, two_n: int, two_m: int, r_grid) -> np.ndarray:
-    """The eigenvalues of :func:`sweep`, (P, d), from an eigenvalue-only spherical
-    solve: LAPACK ``dsterf``'s, which may differ from ``sweep``'s in the last bits."""
-    r = np.asarray(_ascending(r_grid))[:, None]
-    return _eigh_stack(*block(params, two_n, two_m).spherical_bands(r), vectors=False)[0]
-
-
-def _parabolic_rows(blk: Block, u: np.ndarray) -> np.ndarray:
-    """The sign-fixed V stack of a sign-fixed U stack (vectors as rows): V = W^T U,
-    so each row of V is that row of U times the mixing matrix W."""
-    # numpy's own loop, not BLAS: a first BLAS matrix product maps its work
-    # buffer, 0.3 MiB more peak memory for a sweep that calls no other
-    return _fix_signs(np.einsum("pqk,kn->pqn", u, _mixing_matrix(blk)[0]))
-
-
-def _sweep_stacks(params: SystemParams, two_n: int, two_m: int, r_grid
-                  ) -> tuple[Block, np.ndarray, np.ndarray, np.ndarray]:
-    """The block and the stacks of :func:`sweep`: lambdas (P, d), and U and V
-    (P, d, d) with sign-continued eigenvector q of point p in ``[p, q]``; one
-    spherical-side eigensolve per point, V from U."""
-    r = np.asarray(_ascending(r_grid))[:, None]
-    blk = block(params, two_n, two_m)
-    lambdas, u = _eigh_stack(*blk.spherical_bands(r))
-    u = _fix_signs(u)
-    v = _parabolic_rows(blk, u)
-    _continue_signs(u)
-    _continue_signs(v)
-    return blk, lambdas, u, v
-
-
-def sweep(params: SystemParams, two_n: int, two_m: int, r_grid) -> list[SpheroidalSolution]:
-    """Solutions along an ascending R grid with sign-continued eigenvectors.
-
-    Each eigenvector column keeps the sign that maximizes its overlap
-    with the previous grid point, so lambda branches and coefficient
-    curves are continuous along the grid.  The block's bands are built
-    once for the whole grid; the returned coefficient matrices are views
-    into shared per-grid stacks.
+    Each eigenvector keeps the sign that makes its overlap with the previous
+    point nonnegative, so coefficient curves are continuous along the grid.
+    Without ``vectors`` only the eigenvalues are solved for: LAPACK
+    ``dsterf``'s, which may differ in the last bits from ``dstevd``'s.
     """
-    r_grid = _ascending(r_grid)
-    blk, lambdas, u, v = _sweep_stacks(params, two_n, two_m, r_grid)
-    return [SpheroidalSolution(R=R, lambdas=lambdas[p],
-                               spherical_coefficients=_q_matrix(u[p], blk.spherical_labels),
-                               parabolic_coefficients=_q_matrix(v[p], blk.parabolic_labels))
-            for p, R in enumerate(r_grid)]
+    grid = tuple(map(float, r_grid))
+    if not grid:
+        raise ValueError("R grid must contain at least one point")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("R grid must be ascending")
+    blk = block(params, two_n, two_m)
+    lambdas, u = _eigh_stack(*blk.spherical_bands(np.array(grid)[:, None]), vectors=vectors)
+    if u is not None:
+        _continue_signs(_fix_signs(u))
+    return SpheroidalSweep(blk, grid, lambdas, u)

@@ -15,11 +15,12 @@ import scipy.linalg
 from pytest import approx
 
 import mickepler.cli as cli
+import mickepler.spheroidal as spheroidal
 import mickepler.verify as verify
 from mickepler.cli import main
 from mickepler.interbasis import ExpansionMatrix, _fix_signs, block, expansion_matrix
 from mickepler.qnum import SystemParams
-from mickepler.spheroidal import _coefficients, solve, sweep
+from mickepler.spheroidal import solve, sweep
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,29 @@ class TestCoefficients:
         values = np.array([[float(v) for v in r[1:]] for r in rows])
         assert np.abs(np.abs(values) - np.eye(2)).max() <= 1e-6
 
+    def test_u_and_lambdas_alone_never_build_the_mixing_matrix(self, capsys, monkeypatch):
+        # V = W^T U is formed only when read: the spherical-side table and the
+        # lambda-only sweep print the same bytes with W unavailable
+        ring = ("--c1", "0.3", "--c2", "0.7", "--m", "0")
+        argvs = [("coefficients", "--kind", "spheroidal-in-spherical", *ring, "--n", "13",
+                  "--R", "2.5"),
+                 ("sweep", *ring, "--n", "10", "--R-grid", "0:50:200")]
+        expected = [run_cli(capsys, *argv) for argv in argvs]
+        assert [code for code, _ in expected] == [0, 0]
+
+        class MixingMatrixBuilt(Exception):
+            pass
+
+        def no_mixing_matrix(blk):
+            raise MixingMatrixBuilt
+
+        monkeypatch.setattr(spheroidal, "_mixing_matrix", no_mixing_matrix)
+        assert [run_cli(capsys, *argv) for argv in argvs] == expected
+        for argv in ([*argvs[0][:2], "spheroidal-in-parabolic", *argvs[0][3:]],
+                     [*argvs[1], "--vectors"]):
+            with pytest.raises(MixingMatrixBuilt):
+                main(argv)
+
     def test_missing_r_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "coefficients", "--kind",
                           "spheroidal-in-spherical", "--n", "2", "--m", "0")
@@ -172,7 +196,7 @@ class TestCoefficients:
             if kind == "parabolic-in-spherical":
                 matrix = expansion_matrix(params, two_n, two_m)
             else:
-                matrix = _coefficients(params, two_n, two_m, 2.5, parabolic=True)
+                matrix = sweep(params, two_n, two_m, [2.5]).parabolic_coefficients(0)
             rows = [[label, *row] for label, row in zip(matrix.row_labels, matrix.entries)]
             assert out == reference_csv(["row", *matrix.col_labels], rows)
 

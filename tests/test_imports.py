@@ -80,6 +80,15 @@ def test_only_the_kummer_self_check_reaches_into_bases():
     assert reached == {("verify", "_laguerre_factor")}
 
 
+def test_only_verify_reaches_into_spheroidal():
+    # the CLI takes every spheroidal result from the public sweep; verify keeps
+    # the independent two-sided eigensolve and the limit deviations as its reference
+    reached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+               for module, name in private_imports(path) if module == "spheroidal"}
+    assert reached == {("verify", "_aligned_deviation"), ("verify", "_eigensolve"),
+                       ("verify", "_limits")}
+
+
 # the closed-form oracles: the verify suite and the tests hold production code to them
 ORACLES = {"clebsch_gordan_block", "hyp3f2_terminating", "kummer_terminating"}
 

@@ -5,7 +5,8 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from mickepler.interbasis import _coupling, _fix_signs, block, expansion_matrix
+import mickepler.spheroidal as spheroidal
+from mickepler.interbasis import _coupling, _fix_signs, _mixing_matrix, block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
@@ -324,6 +325,84 @@ class TestSweep:
             sweep(HYDROGEN, 4, 0, [1.0, 0.5])
         with pytest.raises(ValueError):
             sweep(HYDROGEN, 4, 0, [])
+
+    @staticmethod
+    def assert_same_solution(a, b):
+        assert a.R == b.R and np.array_equal(a.lambdas, b.lambdas)
+        for attr in ("spherical_coefficients", "parabolic_coefficients"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert (x.dim, x.row_labels, x.col_labels) == (y.dim, y.row_labels, y.col_labels)
+            assert np.array_equal(x.entries, y.entries)
+
+    def test_sequence_views(self):
+        # len, negative indices, slices and iteration give the same views, and
+        # each equals the one-point solve up to its continued column signs
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        grid = [0.0, 0.5, 3.0, 12.5, 40.0]
+        sols = sweep(params, 11, 1, grid)
+        assert len(sols) == len(grid)
+        listed = list(sols)
+        assert [sol.R for sol in listed] == grid
+        self.assert_same_solution(sols[-1], listed[4])
+        self.assert_same_solution(sols[-5], listed[0])
+        for got, expected in zip(sols[1:4], listed[1:4]):
+            self.assert_same_solution(got, expected)
+        assert [sol.R for sol in sols[::-2]] == grid[::-2]
+        assert sols[5:] == []
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                sols[index]
+        for sol, R in zip(sols, grid):
+            direct = solve(params, 11, 1, R)
+            assert np.array_equal(sol.lambdas, direct.lambdas)
+            for attr in ("spherical_coefficients", "parabolic_coefficients"):
+                cont, ref = getattr(sol, attr).entries, getattr(direct, attr).entries
+                sign = np.where((cont == ref).all(axis=0), 1.0, -1.0)
+                assert np.array_equal(cont, sign * ref)
+
+    def test_lambdas_alone_are_dsterfs(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        grid = np.linspace(0.0, 50.0, 40)
+        result = sweep(params, 13, 1, grid, vectors=False)
+        assert len(result) == 40 and result.u is None and result.v is None
+        blk = block(params, 13, 1)
+        for R, lambdas in zip(grid, result.lambdas):
+            assert np.array_equal(lambdas, eigvalsh_tridiagonal(
+                *blk.spherical_bands(R), lapack_driver="sterf"))
+        for index in (0, -1, slice(0, 2)):
+            with pytest.raises(ValueError, match="without vectors"):
+                result[index]
+        with pytest.raises(ValueError, match="without vectors"):
+            result.spherical_coefficients(0)
+        with pytest.raises(ValueError, match="without vectors"):
+            list(result)
+
+    def test_v_is_formed_once_and_only_when_read(self, monkeypatch):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        grid = np.linspace(0.0, 20.0, 30)
+
+        def no_mixing_matrix(blk):
+            raise AssertionError("the mixing matrix was built")
+
+        monkeypatch.setattr(spheroidal, "_mixing_matrix", no_mixing_matrix)
+        result = sweep(params, 13, 1, grid)
+        d = result.block.dim
+        assert result.u.shape == (30, d, d) and result.lambdas.shape == (30, d)
+        assert result.spherical_coefficients(-1).entries.shape == (d, d)
+        assert sweep(params, 13, 1, grid, vectors=False).v is None
+        with pytest.raises(AssertionError, match="mixing matrix"):
+            result.v
+        calls = []
+
+        def counting(blk):
+            calls.append(blk)
+            return _mixing_matrix(blk)
+
+        monkeypatch.setattr(spheroidal, "_mixing_matrix", counting)
+        v = result.v
+        assert result.v is v and calls == [result.block]
+        assert np.array_equal(result[7].parabolic_coefficients.entries, v[7].T)
+        assert len(calls) == 1
 
 
 def continue_signs_loop(vectors):

@@ -303,6 +303,9 @@ class TestBlockCores:
 
     CASES = [(params, two_n, two_m) for params in (HYDROGEN, RING_HALF)
              for two_n, two_m in enumerate_blocks(params, 5)]
+    # d = 16, 24 and 40 at m = s, where U's rounding passes through a larger W
+    LARGE_CASES = [(SystemParams(two_s=two_s, c1=0.3, c2=0.7), two_s + 2 * d, two_s)
+                   for two_s in (0, 1) for d in (16, 24, 40)]
 
     def test_biorthogonality_table_matches_scalar_integral(self):
         for params, two_n, two_m in self.CASES:
@@ -322,7 +325,7 @@ class TestBlockCores:
     def test_stacked_eigensolve_is_bit_equal_to_solve(self):
         # solve's lambdas and U are the suite's; its V is U times W with signs fixed,
         # and the suite's own parabolic-side solve agrees with it to rounding
-        for params, two_n, two_m in self.CASES:
+        for params, two_n, two_m in self.CASES + self.LARGE_CASES:
             blk = block(params, two_n, two_m)
             lambdas, lambdas_par, u, v = _eigensolve(blk, R_LIST)
             v_from_u = interbasis._fix_signs(
