@@ -1,14 +1,19 @@
 """Command-line front end: spectra, coefficient tables, sweeps, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout closes it before the output ends, as
+``| head`` does; the command then stops without a message.  Tables are
+written as they are formatted, one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -33,12 +38,18 @@ MATRIX_KINDS = (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(pieces, out: str | None) -> None:
+    """Write a text given as an iterable of strings to ``out`` or stdout, each
+    piece as it comes, so a table is never held whole, and end it with one
+    newline.  The file is opened only once the first piece exists."""
+    pieces = iter(pieces)
+    last = next(pieces)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(last)
+        for last in pieces:
+            fh.write(last)
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
 # The %.17g kernel: the 17 digits of x are D = round(|x| * 10**(16 - X)),
@@ -150,31 +161,30 @@ def _cell_bytes(cells: np.ndarray) -> np.ndarray:
     return slots.reshape(len(cells), -1)
 
 
-def _csv_table(header: list[str], cells) -> str:
-    """Header line, then one line per row of a 2-D float array, each cell
-    exactly '%.17g' % x (which re-parses to the same double)."""
+def _csv_table(header: list[str], cells):
+    """The header line, then one line per row of a 2-D float array, each cell
+    exactly '%.17g' % x (which re-parses to the same double), as pieces of
+    whole lines: one per row below the cell kernel, else one per chunk."""
     cells = np.asarray(cells, dtype=float)
     if cells.size < _KERNEL_MIN_CELLS:
-        template = ",".join(["%.17g"] * cells.shape[-1])
-        return "\n".join([",".join(header), *(template % tuple(row) for row in cells)])
+        template = ",".join(["%.17g"] * cells.shape[-1]) + "\n"
+        return [",".join(header) + "\n", *(template % tuple(row) for row in cells)]
     step = max(1, _CHUNK_CELLS // cells.shape[1])
     return _join_rows(header, (_cell_bytes(cells[start:start + step])
                                for start in range(0, len(cells), step)))
 
 
-def _join_rows(header: list[str], chunks) -> str:
-    """Header line, then the rows of each chunk of NUL-padded row bytes with the
-    padding dropped, and no newline after the last row."""
-    text = [",".join(header), "\n"]
+def _join_rows(header: list[str], chunks):
+    """Yield the header line, then the rows of each chunk of NUL-padded row
+    bytes with the padding dropped."""
+    yield ",".join(header) + "\n"
     for chunk in chunks:
-        text.append(chunk.tobytes().translate(None, b"\0").decode())
-    text[-1] = text[-1][:-1]
-    return "".join(text)
+        yield chunk.tobytes().translate(None, b"\0").decode()
 
 
-def _table(args, header: list[str], cells: np.ndarray) -> str:
+def _table(args, header: list[str], cells: np.ndarray):
     if args.format == "json":
-        return json.dumps({"columns": header, "rows": cells.tolist()})
+        return [json.dumps({"columns": header, "rows": cells.tolist()})]
     return _csv_table(header, cells)
 
 
@@ -213,17 +223,25 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _matrix_output(args, matrix: ExpansionMatrix) -> str:
+def _matrix_output(args, matrix: ExpansionMatrix):
     if args.format == "json":
-        return json.dumps({
+        return [json.dumps({
             "kind": args.kind,
             "row_labels": list(matrix.row_labels),
             "col_labels": list(matrix.col_labels),
             "entries": [[float(v) for v in row] for row in matrix.entries],
-        })
-    # each row after its label (labels hold no comma or quote)
-    head, *rows = _csv_table(["row", *matrix.col_labels], matrix.entries).split("\n")
-    return "\n".join([head, *(f"{label},{row}" for label, row in zip(matrix.row_labels, rows))])
+        })]
+    return _labelled(matrix.row_labels, _csv_table(["row", *matrix.col_labels], matrix.entries))
+
+
+def _labelled(labels, pieces):
+    """Yield the header piece, then each piece's rows after their labels
+    (labels hold no comma or quote)."""
+    labels = iter(labels)
+    pieces = iter(pieces)
+    yield next(pieces)
+    for piece in pieces:
+        yield "".join(f"{next(labels)},{row}\n" for row in piece.splitlines())
 
 
 def cmd_coefficients(args) -> int:
@@ -246,7 +264,7 @@ def cmd_coefficients(args) -> int:
     return 0
 
 
-def _sweep_table(args, header: list[str], grid: list[float], columns) -> str:
+def _sweep_table(args, header: list[str], grid: list[float], columns):
     """One row per (R, q): R, q, then ``column[p, q]`` of each (P, d, k) column.
 
     The kernel formats each grid value and each q once, as a slot ended by a
@@ -261,7 +279,7 @@ def _sweep_table(args, header: list[str], grid: list[float], columns) -> str:
     q_slots = _cell_bytes(np.arange(dim, dtype=float)[:, None])
     r_slots[:, -1] = q_slots[:, -1] = ord(",")
     step = max(1, _CHUNK_CELLS // (dim * len(header)))
-    # one buffer for the rows of every chunk: each is joined before the next is made
+    # one buffer for the rows of every chunk: each is written before the next is made
     rows = np.empty((min(step, points), dim, 25 * len(header)), np.uint8)
     rows[:, :, 25:50] = q_slots
 
@@ -301,10 +319,7 @@ def cmd_verify(args) -> int:
     params = _params(args)
     r_list = _parse_grid(args.R_grid) if args.R_grid else [0.1, 1.0, 10.0, 100.0]
     reports = run_suite(params, n_max=_n_max(args), r_list=r_list, seed=args.seed)
-    if args.format == "json":
-        _emit(to_json_lines(reports), args.out)
-    else:
-        _emit(summary_table(reports), args.out)
+    _emit([to_json_lines(reports) if args.format == "json" else summary_table(reports)], args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -365,6 +380,9 @@ def main(argv=None) -> int:
 
     The parser is built once per process.  The command function is looked
     up when the command runs, so a replaced ``cmd_*`` is the one called.
+    When the process's own stdout loses its reader, it returns 141 and points
+    file descriptor 1 at devnull; a caller's redirected stdout that raises
+    ``BrokenPipeError`` gets the exception.
     """
     args = _parser().parse_args(argv)
     command = {"spectrum": cmd_spectrum, "coefficients": cmd_coefficients,
@@ -374,6 +392,15 @@ def main(argv=None) -> int:
     except (QuantumNumberError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if sys.stdout is not sys.__stdout__:
+            raise
+        # the reader of stdout has gone, as after `| head`: stop quietly, and point
+        # stdout at devnull so that the interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ both diagonalize them through one stacked tridiagonal eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,18 +48,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _eq_by_value(self, other) -> bool:
+    """``==`` of a dataclass with array fields: the same class and equal fields,
+    arrays bit for bit (shape, dtype and bytes); it never raises, and an object
+    of another class, an array too, is unequal."""
+    if other.__class__ is not self.__class__:
+        return False
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            a, b = np.asarray(a), np.asarray(b)
+            if (a.shape, a.dtype, a.tobytes()) != (b.shape, b.dtype, b.tobytes()):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class ExpansionMatrix:
     """Square coefficient matrix with printable row/column labels.
 
     Column k holds the expansion coefficients of the k-th expanded state
-    over the basis labelling the rows.
+    over the basis labelling the rows.  Two matrices are equal when their
+    labels are and their entries are bit-equal; a matrix is not hashable.
     """
 
     dim: int
     entries: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
+
+    __eq__ = _eq_by_value
 
 
 def _coupling(dc: DerivedConstants, two_n: int, two_j: int) -> float:

@@ -37,6 +37,7 @@ from .interbasis import (
     Block,
     ExpansionMatrix,
     _eigh_stack,
+    _eq_by_value,
     _fix_signs,
     _mixing_matrix,
     block,
@@ -53,14 +54,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpheroidalSolution:
-    """Eigenvalues and both coefficient matrices at one R."""
+    """Eigenvalues and both coefficient matrices at one R.
+
+    Two solutions are equal when their R and matrices are and their lambdas
+    are bit-equal, so ``in`` and ``index`` find ``s[p]`` in its sweep ``s``;
+    a solution is not hashable.
+    """
 
     R: float
     lambdas: np.ndarray                      # ascending; index is q
     spherical_coefficients: ExpansionMatrix  # rows j, columns q
     parabolic_coefficients: ExpansionMatrix  # rows n1, columns q
+
+    __eq__ = _eq_by_value
 
 
 @dataclass(frozen=True, eq=False)

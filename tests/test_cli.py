@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,21 @@ class TestSweep:
         assert code == 0 and out == ""
         assert path.read_text() == self.expected_sweep(11, 1, [3.25], vectors, "csv")
 
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_stdout_equals_out_file_across_chunks(self, capsys, tmp_path, vectors):
+        # the table is written one kernel chunk at a time; on grids that end just
+        # before, on and after a chunk boundary both outputs equal the reference
+        per_chunk = cli._CHUNK_CELLS // (4 * (3 + 8 * vectors))
+        path = tmp_path / "sweep.csv"
+        for points in (per_chunk - 1, per_chunk, 2 * per_chunk + 1):
+            argv = ("sweep", *self.RING_HALF_ARGS, "--n", "9/2", "--m", "1/2", "--R-grid",
+                    f"0:20:{points}", *(("--vectors",) if vectors else ()))
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+            assert out == path.read_text() == self.expected_sweep(
+                9, 1, np.linspace(0.0, 20.0, points), vectors, "csv"), points
+
     def test_lambdas_alone_skip_eigenvectors(self, capsys, monkeypatch):
         # the benchmark's d = 30 block on a shorter grid
         argv = ("sweep", "--c1", "0.3", "--c2", "0.7", "--n", "30", "--m", "0",
@@ -595,6 +612,90 @@ class TestOutput:
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
 
+class _Discard(io.TextIOBase):
+    """Stand-in stdout that drops what it is given."""
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        return len(s)
+
+
+class TestStreaming:
+    """Tables are written one chunk at a time, and only once nothing can refuse."""
+
+    @staticmethod
+    def sweep_peak(points):
+        argv = ["sweep", "--c1", "0.3", "--c2", "0.7", "--n", "10", "--m", "0",
+                "--R-grid", f"0:50:{points}", "--vectors"]
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0      # warm: caches and the parser
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_peak_memory_grows_with_the_stacks_not_the_text(self):
+        # the d = 10 sweep prints about 4.4 kB per point; held whole, that text
+        # grew the peak by about 63 MiB from 2000 to 8000 points, while the
+        # lambda, U and V stacks of 8000 points take 12.8 MiB
+        d = 10
+        stacks = 8000 * d * (1 + 2 * d) * 8
+        assert self.sweep_peak(8000) - self.sweep_peak(2000) <= stacks
+
+    def test_matrix_across_chunks_equals_reference(self, capsys, tmp_path):
+        # d = 130: 16,900 cells, two kernel chunks, each row after its label
+        path = tmp_path / "w.csv"
+        argv = ("coefficients", "--c1", "0.3", "--c2", "0.7", "--n", "130", "--m", "0")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+        matrix = expansion_matrix(SystemParams(two_s=0, c1=0.3, c2=0.7), 260, 0)
+        assert out == path.read_text() == reference_csv(
+            ["row", *matrix.col_labels],
+            [[lab, *row] for lab, row in zip(matrix.row_labels, matrix.entries)])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "3", "--m", "0", "--R-grid", "0:inf:5"],
+        ["sweep", "--n", "3", "--m", "0", "--R-grid", "5:0:5", "--vectors"],
+        ["sweep", "--n", "3", "--m", "0", "--R", "1", "--R-grid", "0:1:2"],
+        ["sweep", "--n", "3", "--m", "0", "--R-grid", "0:1:5", "--c1", "1e300"],
+        ["coefficients", "--kind", "spheroidal-in-parabolic", "--n", "3", "--m", "0"],
+    ])
+    def test_refused_command_writes_nothing(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        for out in ((), ("--out", str(path))):
+            code = main([*argv, *out])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+        assert not path.exists()
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the reader stops after 100 bytes of an 8.8 MB table, as `| head -c 100` does
+        proc = subprocess.Popen([sys.executable, "-m", "mickepler.cli", "sweep", "--n", "10",
+                                 "--m", "0", "--R-grid", "0:50:2000", "--vectors"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(100).startswith(b"R,q,lambda,u[j=0]")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
+
+    def test_redirected_stdout_still_raises_broken_pipe(self):
+        # an in-process caller's own stdout is theirs to handle: main leaves it
+        # and the process's file descriptors alone
+        class ClosedPipe(_Discard):
+            def write(self, s):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(ClosedPipe()), pytest.raises(BrokenPipeError):
+            main(["spectrum", "--n-max", "2"])
+
+
 class TestCellKernel:
     """The vectorized %.17g kernel against '%.17g' % x, cell by cell."""
 
@@ -610,8 +711,8 @@ class TestCellKernel:
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20,
                                                         dtype=np.uint64)
         cells = bits.view(np.float64).reshape(-1, 16)
-        out = cli._csv_table([f"c{i}" for i in range(16)], cells)
-        got = out.partition("\n")[2].replace("\n", ",").split(",")
+        out = "".join(cli._csv_table([f"c{i}" for i in range(16)], cells))
+        got = out.partition("\n")[2].replace("\n", ",")[:-1].split(",")
         expected = ["%.17g" % v for v in cells.ravel().tolist()]
         assert len(got) == len(expected)
         assert [(g, e) for g, e in zip(got, expected) if g != e] == []
@@ -638,9 +739,9 @@ class TestCellKernel:
         labels = [f"j={i}" for i in range(3000)]
         matrix = ExpansionMatrix(dim=3000, entries=cells, row_labels=tuple(labels),
                                  col_labels=tuple("abcdefg"))
-        out = cli._matrix_output(argparse.Namespace(format="csv"), matrix)
+        out = "".join(cli._matrix_output(argparse.Namespace(format="csv"), matrix))
         assert out == reference_csv(["row", *"abcdefg"],
-                                    [[lab, *row] for lab, row in zip(labels, cells)])[:-1]
+                                    [[lab, *row] for lab, row in zip(labels, cells)])
 
 
 class TestRepeatedMain:

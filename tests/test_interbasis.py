@@ -287,6 +287,23 @@ class TestEigenvectorMatrix:
         w[3, 5] += 1e-12
         assert np.abs(w - cg_oracle(params, 21, 1)).max() > 1e-14
 
+    def test_equality_by_labels_and_bits(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        w = expansion_matrix(params, 9, 1)
+        again = expansion_matrix(params, 9, 1)
+        assert w is not again and w == again and not w != again
+        assert w != inverse_expansion_matrix(params, 9, 1)     # labels swapped
+        assert w != expansion_matrix(params, 11, 1)             # other shape
+        flipped = interbasis.ExpansionMatrix(w.dim, w.entries * -1.0, w.row_labels, w.col_labels)
+        assert w != flipped and w != w.entries and w != None   # noqa: E711
+        # bit for bit: -0.0 is not 0.0, and a NaN equals the same NaN
+        zero = interbasis.ExpansionMatrix(1, np.array([[0.0]]), ("j=0",), ("n1=0",))
+        assert zero != interbasis.ExpansionMatrix(1, np.array([[-0.0]]), ("j=0",), ("n1=0",))
+        nan = interbasis.ExpansionMatrix(1, np.array([[np.nan]]), ("j=0",), ("n1=0",))
+        assert nan == interbasis.ExpansionMatrix(1, np.array([[np.nan]]), ("j=0",), ("n1=0",))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(w)
+
     def test_overflowing_bands_name_the_strengths(self):
         # at c1 = 1e300 the coupling's product of six factors of order 1e150
         # overflows; the n = 1 block has no coupling and stays finite

@@ -360,6 +360,22 @@ class TestSweep:
                 sign = np.where((cont == ref).all(axis=0), 1.0, -1.0)
                 assert np.array_equal(cont, sign * ref)
 
+    def test_solutions_compare_by_value(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        one, other = solve(params, 11, 1, 2.5), solve(params, 11, 1, 2.5)
+        assert one is not other and one == other and not one != other
+        assert one != solve(params, 11, 1, 3.0) and one != solve(params, 13, 1, 2.5)
+        assert one != one.lambdas and one != None   # noqa: E711
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(one)
+        sols = sweep(params, 11, 1, [0.0, 2.5, 2.5, 40.0])
+        # each read builds a fresh view, found by value; a repeated R keeps its
+        # continued signs, so the first of two equal points is the one found
+        assert sols[0] is not sols[0] and sols[0] == sols[0]
+        assert all(sol in sols for sol in sols)
+        assert [sols.index(sols[p]) for p in range(4)] == [0, 1, 1, 3]
+        assert sols.index(sols[-1]) == 3 and sols.count(sols[1]) == 2
+
     def test_lambdas_alone_are_dsterfs(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
         grid = np.linspace(0.0, 50.0, 40)
