@@ -39,12 +39,15 @@ MATRIX_KINDS = (
 
 
 def _emit(pieces, out: str | None) -> None:
-    """Write a text given as an iterable of strings to ``out`` or stdout, each
-    piece as it comes, so a table is never held whole, and end it with one
-    newline.  The file is opened only once the first piece exists."""
+    """Write an iterable of strings to ``out`` or stdout piece by piece, ending in one
+    newline; ``out`` is opened once the first piece exists, a ValueError if it cannot be."""
     pieces = iter(pieces)
     last = next(pieces)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot open --out {out}: {exc.strerror}") from None
+    with target as fh:
         fh.write(last)
         for last in pieces:
             fh.write(last)

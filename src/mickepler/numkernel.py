@@ -1,19 +1,14 @@
-"""Closed-form oracles: terminating hypergeometric sums and the exact
-closed form of the interbasis coefficients built on them.
+"""Exact oracles: Laguerre and Jacobi polynomials, a terminating 3F2 sum
+and the paper's interbasis coefficients built on it.  Not public API or
+production code: only :mod:`mickepler.verify` and the tests import it.
 
-None of this is public API or production code: only
-:mod:`mickepler.verify` and the tests import it.  The confluent sum
-F(-n; c; x) backs a verify kernel self-check.  The 3F2 sum at unit
-argument is exact: it sums rational parameters in integer arithmetic.
-It backs the Bailey check and :func:`clebsch_gordan_block`, the paper's
-parabolic-spherical coefficients as SU(2) Clebsch-Gordan coefficients
-continued to real arguments.  The ring shifts delta1 and delta2 are
-doubles, so exact dyadic rationals, and that form is evaluated exactly
-and rounded once, at every block dimension.  The production
-coefficients are the eigenvectors of
-:func:`mickepler.interbasis.expansion_matrix`; log-gamma, Pochhammer
-symbols, Jacobi and Laguerre polynomials come from :mod:`math` and
-:mod:`scipy.special`.
+Each runs in Python integers, doubles taken as exact dyadic rationals
+over one power of two.  The two polynomials are the references of the
+production wavefunction kernels.  The 3F2 sum at unit argument backs the
+Bailey check and :func:`clebsch_gordan_block`, the parabolic-spherical
+coefficients as SU(2) Clebsch-Gordan coefficients continued to real
+arguments, exact at every block dimension and rounded once; production
+takes them from :func:`mickepler.interbasis.expansion_matrix`.
 """
 
 from __future__ import annotations
@@ -25,34 +20,47 @@ import numpy as np
 from .qnum import DerivedConstants, _block_dimension
 
 __all__ = [
-    "kummer_terminating",
+    "laguerre_exact",
+    "jacobi_exact",
     "hyp3f2_terminating",
     "clebsch_gordan_block",
 ]
 
 
-def kummer_terminating(n: int, c: float, x):
-    """Terminating confluent hypergeometric sum F(-n; c; x).
+def _over_power_of_two(*values: float) -> tuple[list[int], int]:
+    """Doubles, which are exact dyadic rationals, as numerators over one power of two."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    q = max(den for _, den in ratios)
+    return [num * (q // den) for num, den in ratios], q
 
-    Equals sum_{p=0}^{n} (-n)_p x^p / (p! (c)_p).  Compensated (Kahan)
-    summation guards the alternating-sign cancellation.  Accepts scalar
-    or ndarray x; requires c > 0.
-    """
-    if n < 0:
-        raise ValueError("kummer_terminating requires n >= 0")
-    if not c > 0.0:
-        raise ValueError("kummer_terminating requires c > 0")
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    comp = np.zeros_like(x)
-    term = np.ones_like(x)
-    for p in range(n):
-        term = term * ((p - n) / ((c + p) * (p + 1.0))) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total if total.ndim else float(total)
+
+def laguerre_exact(n: int, alpha: float, t: float) -> tuple[int, int]:
+    """Exact L_n^(alpha)(t) at doubles, a pair (numerator, positive denominator): with
+    alpha = A/Q and t = T/Q over one power of two Q, L_k = N_k / (k! Q^k) and the
+    three-term recurrence is N_(k+1) = ((2k + 1) Q + A - T) N_k - k Q (k Q + A) N_(k-1)."""
+    (a, t_num), q = _over_power_of_two(alpha, t)
+    prev, cur = 0, 1
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1) * q + a - t_num) * cur - k * q * (k * q + a) * prev
+    return cur, math.factorial(n) * q**n
+
+
+def jacobi_exact(k: int, a: float, b: float, x: float) -> tuple[int, int]:
+    """Exact P_k^(a,b)(x) at doubles, a, b > -1, a pair (numerator, positive denominator):
+    the recurrence c_i P_(i+1) = d_i P_i - e_i P_(i-1) (Abramowitz and Stegun 22.7.1) on
+    P_i = N_i / D_i, D_(i+1) = Q^4 c_i D_i, is N_(i+1) = Q^4 d_i N_i - Q^4 e_i (D_i / D_(i-1))
+    N_(i-1) in integers, with a, b and x over one power of two Q."""
+    (a, b, x), q = _over_power_of_two(a, b, x)
+    # P_1 = ((a - b) + (a + b + 2) x) / 2, over D_1 = 2 Q^2
+    prev, cur = 1, (a - b) * q + (a + b + 2 * q) * x
+    den = g = 2 * q * q
+    for i in range(1, k):
+        s = 2 * i * q + a + b   # (2i + a + b) Q
+        top = (s + q) * ((s + 2 * q) * s * x + (a * a - b * b) * q)
+        prev, cur = cur, top * cur - 2 * (i * q + a) * (i * q + b) * (s + 2 * q) * q * g * prev
+        g = 2 * (i + 1) * ((i + 1) * q + a + b) * s * q * q
+        den *= g
+    return (cur, den) if k else (1, 1)
 
 
 def hyp3f2_terminating(a, b, n_terms: int) -> tuple[int, int]:
@@ -118,9 +126,7 @@ def clebsch_gordan_block(dc: DerivedConstants, two_n: int) -> np.ndarray:
     mu = (dc.two_m_plus - dc.two_m_minus) // 2
     nu = (dc.two_m_plus + dc.two_m_minus) // 2
     # delta1 = p1/q, delta2 = p2/q and delta = p/q over one power of two q
-    (p1, q1), (p2, q2) = dc.delta1.as_integer_ratio(), dc.delta2.as_integer_ratio()
-    q = max(q1, q2)
-    p1, p2 = p1 * (q // q1), p2 * (q // q2)
+    (p1, p2), q = _over_power_of_two(dc.delta1, dc.delta2)
     p = p1 + p2
     # every Pochhammer symbol of W^2 as its numerator over q**length;
     # the powers of q cancel between the numerator and the denominator

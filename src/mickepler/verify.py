@@ -1,24 +1,23 @@
 """Quadrature engine and the numeric verification suite.
 
 Every identity the library relies on is turned into a check with a
-reported residual: quadrature self-tests, kernel identities
-(recurrences, orthogonality, Bailey's 3F2 transformation, whose two
-sides are compared exactly), wavefunction normalizations, the radial
-bi-orthogonality against its closed form, interbasis overlaps, the
-production mixing matrix against the exact Clebsch-Gordan oracle of
+reported residual: quadrature self-tests, the wavefunction kernels
+against exact polynomials, Bailey's 3F2 transformation of the oracle's
+exact sum, wavefunction normalizations, the radial bi-orthogonality
+against its closed form, interbasis overlaps, the production mixing
+matrix against the exact Clebsch-Gordan oracle of
 :mod:`mickepler.numkernel`, and the spheroidal operator identities.
 Checks never raise on failure; they report.
 
 Each integrand of a check is a known weight times a polynomial: radial
-ones t^alpha e^-t, alpha the exact fractional power, angular ones
-(1 - x)^m2 (1 + x)^m1 from the half-angle factors, or the Jacobi weight
-of the kernel's orthogonality check.  So there is one rule family: each
-integrand gets the cached Gauss-Laguerre or Gauss-Jacobi rule of its
-weight, with the fewest nodes N exact to its degree, 2N - 1 >= degree
-(Golub and Welsch, Math. Comp. 23, 221 (1969)), as :func:`_gauss_order`
-sizes it from the degree derived next to the rule.  A rule past
-DEFAULT_RADIAL_ORDER nodes is refused with ValueError, so blocks up to
-d = 127 are checked.
+ones t^alpha e^-t, alpha the exact fractional power, and angular ones
+(1 - x)^m2 (1 + x)^m1 from the half-angle factors.  So there is one
+rule family: each integrand gets the cached Gauss-Laguerre or
+Gauss-Jacobi rule of its weight, with the fewest nodes N exact to its
+degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp. 23, 221
+(1969)), as :func:`_gauss_order` sizes it from the degree derived next
+to the rule.  A rule past DEFAULT_RADIAL_ORDER nodes is refused with
+ValueError, so blocks up to d = 127 are checked.
 
 :func:`run_suite` builds each (n, m) block, its mixing matrix W and its
 spherical and parabolic states once, with the radial values of the
@@ -43,11 +42,12 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import eval_jacobi, poch, roots_genlaguerre, roots_jacobi
+from scipy.special import gammaln, roots_genlaguerre, roots_jacobi, xlogy
 
 from .bases import (
     ParabolicState,
     SphericalState,
+    _angular,
     _laguerre_factor,
     angular_profile,
     parabolic_factor,
@@ -60,7 +60,8 @@ from .bases import (
 )
 from .coords import SphericalPoint, spherical_to_parabolic
 from .interbasis import _mixing_matrix, block
-from .numkernel import clebsch_gordan_block, hyp3f2_terminating, kummer_terminating
+from .numkernel import (_over_power_of_two, clebsch_gordan_block, hyp3f2_terminating,
+                        jacobi_exact, laguerre_exact)
 from .qnum import (
     DerivedConstants,
     SystemParams,
@@ -194,63 +195,53 @@ def _check_quadrature_selftest() -> list[CheckReport]:
     return reports
 
 
-def _jacobi_weighted_norm(k: int, a: float, b: float) -> float:
-    return (2.0**(a + b + 1.0) / (2.0 * k + a + b + 1.0)) * math.exp(
-        math.lgamma(k + a + 1.0) + math.lgamma(k + b + 1.0)
-        - math.lgamma(k + a + b + 1.0) - math.lgamma(k + 1.0)
-    )
+def _exact_deviation(kernel, envelope, polynomial, *labels) -> np.ndarray:
+    """Per row, max |kernel - reference| over max |reference|: the exact numkernel
+    polynomial at the labels (degree first) broadcast to the kernel's (rows, points),
+    times the float envelope, as exact rationals rounded once."""
+    degree, *params = np.broadcast_arrays(*labels)
+    ref = np.empty(envelope.shape)
+    for i in np.ndindex(ref.shape):
+        num, den = polynomial(int(degree[i]), *(float(p[i]) for p in params))
+        top, bottom = float(envelope[i]).as_integer_ratio()
+        ref[i] = top * num / (bottom * den)
+    return np.max(np.abs(kernel - ref), axis=-1) / np.max(np.abs(ref), axis=-1)
+
+
+def _laguerre_deviation(n, c, power, log_const, scale, x) -> np.ndarray:
+    """:func:`_exact_deviation` of the Laguerre kernel, labels (rows, 1), x (rows, points)."""
+    t = scale * x
+    return _exact_deviation(_laguerre_factor(n, c, power, log_const, scale, x),
+                            np.exp(xlogy(power, t) - 0.5 * t + log_const),
+                            laguerre_exact, n, c - 1.0, t)
 
 
 def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
     reports = []
 
-    xs = rng.uniform(0.5, 100.0, size=1000)
-    worst = max(abs(math.lgamma(x + 1.0) - math.lgamma(x) - math.log(x)) for x in xs)
-    reports.append(_report("kernel.lngamma.recurrence", "1000 x in (0.5,100)",
+    # normalized factors t^(alpha/2) e^(-t/2) L_n^(alpha)(t) of degree n <= 40, each
+    # at points across its oscillating region t < 4n + 2 alpha + 2 and a little past it
+    n = rng.integers(0, 41, size=(6, 1))
+    c = 1.0 + rng.uniform(0.0, 40.0, size=(6, 1))
+    log_const = 0.5 * (gammaln(n + 1.0) - gammaln(n + c))
+    scale = rng.uniform(0.5, 2.0, size=(6, 1))
+    x = rng.uniform(0.0, 1.2, size=(6, 5)) * (4.0 * n + 2.0 * c) / scale
+    worst = np.max(_laguerre_deviation(n, c, 0.5 * (c - 1.0), log_const, scale, x))
+    reports.append(_report("kernel.laguerre.exact", "6 random (n<=40,alpha<40) x 5 t",
                            worst, TOL_QUADRATURE))
 
-    worst = 0.0
-    for a in (0.0, 0.37, 1.5):
-        for b in (0.0, 0.37, 1.5):
-            # products of two polynomials of degree <= 8, times the Jacobi weight
-            x, w = _jacobi(_gauss_order(16), a, b)
-            weight = w * (1.0 - x)**a * (1.0 + x)**b
-            polys = eval_jacobi(np.arange(9)[:, None], a, b, x)
-            gram = np.einsum("i,ki,li->kl", weight, polys, polys)
-            target = np.diag([_jacobi_weighted_norm(k, a, b) for k in range(9)])
-            scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
-            worst = max(worst, float(np.abs((gram - target) / scale).max()))
-    reports.append(_report("kernel.jacobi.orthogonality",
-                           "alpha,beta in {0,0.37,1.5} k<=8", worst, TOL_ALGEBRA))
-
-    worst = 0.0
-    for _ in range(60):
-        k = int(rng.integers(0, 11))
-        a = rng.uniform(-0.9, 3.0)
-        b = rng.uniform(-0.9, 3.0)
-        lhs = eval_jacobi(k, a, b, 1.0)
-        rhs = poch(a + 1.0, k) / math.exp(math.lgamma(k + 1.0))
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    reports.append(_report("kernel.jacobi.endpoint", "60 random (k,alpha,beta)",
+    # cos^m1(theta/2) sin^m2(theta/2) P_k^(m2,m1)(cos theta) of degree k <= 40; the
+    # exact reference costs most per point, so it gets the fewest
+    k = rng.integers(0, 41, size=(3, 1))
+    m1, m2 = rng.uniform(0.0, 10.0, size=(2, 3, 1))
+    theta = rng.uniform(0.0, math.pi, size=(3, 4))
+    envelope = np.exp(xlogy(m1, np.cos(0.5 * theta)) + xlogy(m2, np.sin(0.5 * theta)))
+    worst = np.max(_exact_deviation(_angular(k, m1, m2, 0.0, theta), envelope,
+                                    jacobi_exact, k, m2, m1, np.cos(theta)))
+    reports.append(_report("kernel.jacobi.exact", "3 random (k<=40,m1,m2<10) x 4 theta",
                            worst, TOL_QUADRATURE))
 
-    # F from the production Laguerre kernel (power 0, the Kummer scale n! Gamma(c) /
-    # Gamma(c + n) as its log constant, its e^(-x/2) undone) against the series,
-    # relative to its sum of |terms|, F(-n; c; -x)
-    x = np.array([0.0, 0.5, 2.0, 10.0])
-    worst = 0.0
-    for _ in range(40):
-        n = int(rng.integers(0, 9))
-        c = rng.uniform(0.1, 6.0)
-        log_scale = math.lgamma(n + 1) + math.lgamma(c) - math.lgamma(c + n)
-        kernel = _laguerre_factor(n, c, 0.0, log_scale, 1.0, x) * np.exp(0.5 * x)
-        worst = max(worst, float(np.max(np.abs(kernel - kummer_terminating(n, c, x))
-                                        / kummer_terminating(n, c, -x))))
-    reports.append(_report("kernel.kummer.series", "40 random (n,c) x in {0,0.5,2,10}",
-                           worst, TOL_QUADRATURE))
-
-    worst = 0.0
-    trials = 0
+    worst, trials = 0.0, 0
     while trials < 200:
         big_n = int(rng.integers(0, 7))
         s_, sp, tp, t_ = rng.uniform(-3.0, 3.0, size=4)
@@ -260,9 +251,7 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
             continue
         trials += 1
         # the draws are doubles, so integers over one power of two q: both sides are exact
-        ratios = [x.as_integer_ratio() for x in (s_, sp, tp, t_)]
-        q = max(den for _, den in ratios)
-        s_, sp, tp, t_ = (num * (q // den) for num, den in ratios)
+        (s_, sp, tp, t_), q = _over_power_of_two(s_, sp, tp, t_)
         lhs_num, lhs_den = hyp3f2_terminating(((s_, q), (sp, q), (-big_n, 1)),
                                               ((tp, q), ((1 - big_n) * q - t_, q)), big_n + 1)
         rhs_num, rhs_den = hyp3f2_terminating(((s_, q), (tp - sp, q), (-big_n, 1)),
@@ -451,10 +440,11 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     blocks = enumerate_blocks(params, n_max)
     m_constants = {two_m: derive_constants(params, two_m)
                    for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
-    rng = np.random.default_rng(seed)
+    # the self-checks have a generator of their own: they move no completeness point
+    kernel_rng, rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     r_list = [float(r) for r in r_list]
     reports = _check_quadrature_selftest()
-    reports += _check_kernel(rng)
+    reports += _check_kernel(kernel_rng)
     states = _States(params)
 
     for two_m, dc in m_constants.items():

@@ -595,6 +595,18 @@ class TestOutput:
 
     @pytest.mark.parametrize("command", [("spectrum", "--n-max", "2"),
                                          ("verify", "--n-max", "2")])
+    def test_out_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path, command):
+        # exit 2, not verify's 1 for failed checks, and one error line, no traceback
+        for target, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                               (tmp_path, "Is a directory")):
+            code = main([*command, "--out", str(target)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: cannot open --out {target}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [("spectrum", "--n-max", "2"),
+                                         ("verify", "--n-max", "2")])
     @pytest.mark.parametrize("flag", ["--c1", "--c2"])
     def test_negative_zero_strength_prints_the_bytes_of_zero(self, capsys, command, flag):
         # -0.0 passes the sign check; SystemParams stores it as +0.0

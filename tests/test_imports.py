@@ -71,13 +71,13 @@ def private_imports(path: Path) -> set[tuple[str, str]]:
             for alias in node.names if alias.name.startswith("_")}
 
 
-def test_only_the_kummer_self_check_reaches_into_bases():
+def test_only_the_kernel_self_checks_reach_into_bases():
     # the wavefunctions are evaluated through the public bases functions, a
-    # list of states included; verify keeps the Laguerre kernel to hold it to
-    # the Kummer series
+    # list of states included; verify keeps the Laguerre and angular kernels to
+    # hold them to the exact polynomials
     reached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for module, name in private_imports(path) if module == "bases"}
-    assert reached == {("verify", "_laguerre_factor")}
+    assert reached == {("verify", "_angular"), ("verify", "_laguerre_factor")}
 
 
 def test_only_verify_reaches_into_spheroidal():
@@ -90,7 +90,7 @@ def test_only_verify_reaches_into_spheroidal():
 
 
 # the closed-form oracles: the verify suite and the tests hold production code to them
-ORACLES = {"clebsch_gordan_block", "hyp3f2_terminating", "kummer_terminating"}
+ORACLES = {"clebsch_gordan_block", "hyp3f2_terminating", "jacobi_exact", "laguerre_exact"}
 
 
 def test_only_verify_imports_the_oracle_module():

@@ -9,13 +9,13 @@ import mpmath
 from pytest import approx
 from scipy.special import eval_jacobi, poch
 
-from mickepler.numkernel import hyp3f2_terminating, kummer_terminating
+from mickepler.numkernel import hyp3f2_terminating, jacobi_exact, laguerre_exact
 from mickepler.verify import _gauss_order, _jacobi
 
-# The library takes log-gamma from math.lgamma and Pochhammer symbols and
-# Jacobi polynomials from scipy.special.  TestLnGamma, TestPochhammer and
-# TestJacobi hold those functions to the identities and accuracy that the
-# bases, interbasis and verify modules rely on.
+# The library takes log-gamma from math.lgamma and Jacobi polynomials from
+# scipy.special.  TestLnGamma and TestJacobi hold those functions to the
+# identities and accuracy that the bases, interbasis and verify modules rely
+# on; TestPochhammer holds scipy's Pochhammer symbol, which TestJacobi uses.
 
 
 class TestLnGamma:
@@ -138,29 +138,58 @@ class TestJacobi:
         assert vals[0] == approx(eval_jacobi(3, 0.5, 1.5, -1.0))
 
 
-class TestKummer:
-    def test_n_zero(self):
-        assert kummer_terminating(0, 2.3, 17.0) == 1.0
+def at_40_digits(pair):
+    """An exact (numerator, denominator) pair as a 40-digit mpmath number."""
+    with mpmath.workdps(40):
+        return mpmath.mpf(pair[0]) / pair[1]
 
-    def test_two_terms_by_hand(self):
-        assert kummer_terminating(1, 2.0, 3.0) == approx(1.0 - 3.0 / 2.0, rel=1e-15)
 
-    def test_three_term_oracle(self):
-        # direct term-by-term sum of (-2)_p x^p / (p! (1.5)_p)
-        x = 1.0
-        expected = 1.0 + (-2.0) * x / 1.5 + ((-2.0) * (-1.0)) * x * x / (2.0 * 1.5 * 2.5)
-        assert kummer_terminating(2, 1.5, x) == approx(expected, rel=1e-14)
+def agrees_to(value, ref, digits):
+    return abs(value - ref) <= abs(ref) * mpmath.mpf(10) ** -digits
 
-    @given(st.integers(min_value=0, max_value=10),
-           st.floats(min_value=0.1, max_value=8.0))
-    def test_at_zero(self, n, c):
-        assert kummer_terminating(n, c, 0.0) == 1.0
 
-    def test_array_argument(self):
-        x = np.linspace(0.0, 5.0, 11)
-        vals = kummer_terminating(3, 2.0, x)
-        assert vals.shape == x.shape
-        assert vals[0] == 1.0
+class TestExactPolynomials:
+    # each exact value against 40-digit mpmath at the same doubles; the exact
+    # pair rounded to 40 digits must agree to about that
+    LAGUERRE_CASES = [(0, 0.0, 3.5), (1, 0.37, 2.0), (7, 2.5, 0.125), (40, 17.3, 61.7),
+                      (250, 4.0, 300.25), (500, 1.5, 1000.0 / 3.0)]
+    JACOBI_CASES = [(0, 0.0, 0.0, 0.3), (1, 1.5, -0.4, -1.0), (2, -0.5, -0.5, 0.25),
+                    (13, 3.7, 0.2, -0.81), (40, 9.9, 6.25, 0.5), (200, 0.3, 7.0, -0.123)]
+
+    def test_laguerre_against_mpmath(self):
+        for n, alpha, t in self.LAGUERRE_CASES:
+            with mpmath.workdps(40):
+                ref = mpmath.laguerre(n, mpmath.mpf(alpha), mpmath.mpf(t))
+                assert agrees_to(at_40_digits(laguerre_exact(n, alpha, t)), ref, 35), n
+
+    def test_jacobi_against_mpmath(self):
+        for k, a, b, x in self.JACOBI_CASES:
+            with mpmath.workdps(40):
+                ref = mpmath.jacobi(k, mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x))
+                assert agrees_to(at_40_digits(jacobi_exact(k, a, b, x)), ref, 35), k
+
+    def test_low_degrees_by_hand(self):
+        # L_2^(a)(t) = ((t - 2a - 4) t + (a + 1)(a + 2)) / 2 and P_1^(a,b)(1) = a + 1
+        a, t = Fraction(3, 4), Fraction(5, 2)
+        assert Fraction(*laguerre_exact(2, float(a), float(t))) == (
+            (t - 2 * a - 4) * t + (a + 1) * (a + 2)) / 2
+        assert Fraction(*jacobi_exact(1, 2.25, 0.5, 1.0)) == Fraction(13, 4)
+        assert laguerre_exact(0, 3.0, 9.0) == (1, 1) and jacobi_exact(0, 0.5, 0.5, 0.0) == (1, 1)
+
+    def test_denominators_are_positive(self):
+        for n, alpha, t in self.LAGUERRE_CASES[:4]:
+            assert laguerre_exact(n, alpha, t)[1] > 0
+        for k, a, b, x in self.JACOBI_CASES[:5]:
+            assert jacobi_exact(k, a, b, x)[1] > 0
+
+    @given(st.integers(min_value=0, max_value=12),
+           st.floats(min_value=-0.99, max_value=5.0),
+           st.floats(min_value=-0.99, max_value=5.0),
+           st.floats(min_value=-1.0, max_value=1.0))
+    def test_jacobi_reflection_is_exact(self, k, a, b, x):
+        # P_k^(a,b)(-x) = (-1)^k P_k^(b,a)(x), the identity bases._angular uses
+        reflected = (-1) ** k * Fraction(*jacobi_exact(k, b, a, x))
+        assert Fraction(*jacobi_exact(k, a, b, -x)) == reflected
 
 
 def hyp3f2(a, b, n_terms):

@@ -186,8 +186,7 @@ class TestRunSuite:
         ids = {r.check_id for r in reports}
         for expected in [
             "quad.legendre.monomials", "quad.laguerre.monomials",
-            "kernel.lngamma.recurrence", "kernel.jacobi.orthogonality",
-            "kernel.jacobi.endpoint", "kernel.kummer.series", "kernel.bailey",
+            "kernel.laguerre.exact", "kernel.jacobi.exact", "kernel.bailey",
             "bases.angular.orthonormality", "bases.radial.orthonormality",
             "bases.parabolic.normalization", "interbasis.biorthogonality",
             "interbasis.orthogonality", "interbasis.cg_equivalence",
@@ -270,15 +269,62 @@ class TestRunSuite:
         assert failed == {"spheroidal.limit_scaling"}
 
     def test_negative_control_scaled_kummer(self, monkeypatch):
-        # the self-check compares the production Laguerre kernel with the series;
-        # scaling the kernel moves every quadrature check by far less than its tolerance
+        # the self-check compares the production Laguerre kernel with its exact
+        # polynomial; scaling the kernel moves every quadrature check by far less
+        # than its tolerance
         real = verify._laguerre_factor
         monkeypatch.setattr(verify, "_laguerre_factor",
                             lambda *labels: real(*labels) * (1.0 + 1e-10))
         reports = run_suite(HYDROGEN, n_max=2, r_list=R_LIST)
-        assert {r.check_id for r in reports if not r.passed} == {"kernel.kummer.series"}
-        (kummer,) = [r for r in reports if r.check_id == "kernel.kummer.series"]
-        assert kummer.residual == approx(1e-10, rel=1e-4)
+        assert {r.check_id for r in reports if not r.passed} == {"kernel.laguerre.exact"}
+        (laguerre,) = [r for r in reports if r.check_id == "kernel.laguerre.exact"]
+        # the kernel's own rounding, at most a few 1e-14 of the row max, rides on top
+        assert laguerre.residual == approx(1e-10, rel=1e-3)
+
+    def test_negative_control_tilted_laguerre_kernel(self, monkeypatch):
+        real = verify._laguerre_factor
+        monkeypatch.setattr(verify, "_laguerre_factor",
+                            lambda n, c, power, log_const, scale, x:
+                            real(n, c, power, log_const, scale, x) * (1.0 + 1e-9 * (scale * x)))
+        failed = {r.check_id for r in verify._check_kernel(np.random.default_rng(0))
+                  if not r.passed}
+        assert failed == {"kernel.laguerre.exact"}
+
+    def test_negative_control_swapped_angular_powers(self, monkeypatch):
+        real = verify._angular
+        monkeypatch.setattr(verify, "_angular",
+                            lambda k, m1, m2, log_norm, theta: real(k, m2, m1, log_norm, theta))
+        failed = {r.check_id for r in verify._check_kernel(np.random.default_rng(0))
+                  if not r.passed}
+        assert failed == {"kernel.jacobi.exact"}
+
+    def test_laguerre_check_fails_at_radial_quantum_number_500(self):
+        # the radial function of n_r = 500 at 17 points across its support: the kernel
+        # returns NaN at the last five, where its polynomial overflows while the
+        # envelope underflows; the exact polynomial times the envelope stays finite
+        labels = bases._radial_labels(spherical_state(HYDROGEN, 1004, 2, 0))
+        assert labels[0] == 500
+        n, c, power, log_const, scale = (np.array([[label]]) for label in labels)
+        t = np.linspace(1.0, 2000.0, 17)[None]
+        kernel = bases._laguerre_factor(*labels, t[0] / labels[4])
+        assert np.isnan(kernel).sum() == 5
+        deviation = verify._laguerre_deviation(n, c, power, log_const, scale, t / scale)
+        assert not verify._report("kernel.laguerre.exact", "", deviation.max(),
+                                  verify.TOL_QUADRATURE).passed
+
+    def test_self_checks_do_not_move_the_completeness_points(self, monkeypatch):
+        # the kernel self-checks draw from a generator of their own
+        def completeness():
+            return {r.context: r.residual for r in run_suite(RING_HALF, n_max=3, r_list=[1.0])
+                    if r.check_id == "interbasis.completeness"}
+
+        def more_draws(rng):
+            rng.uniform(size=1000)
+            return []
+
+        before = completeness()
+        monkeypatch.setattr(verify, "_check_kernel", more_draws)
+        assert completeness() == before
 
     def test_json_lines_round_trip(self):
         import json
@@ -552,7 +598,7 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
 
     reports = run_suite(RING_HALF, n_max=4, r_list=R_LIST)
     blocks = enumerate_blocks(RING_HALF, 4)
-    assert len(reports) == 287
+    assert len(reports) == 285
     assert counts["block"] == collections.Counter(dict.fromkeys(blocks, 1))
     assert eigensolves["calls"] == 3 * len(blocks)
     assert not hasattr(verify, "eigvalsh_tridiagonal")
@@ -663,8 +709,7 @@ BENCHMARK_REPORT_COUNTS = {
     "bases.radial.orthonormality": 120, "interbasis.biorthogonality": 120,
     "interbasis.cg_equivalence": 120, "interbasis.completeness": 120,
     "interbasis.orthogonality": 120, "interbasis.overlap": 92, "kernel.bailey": 2,
-    "kernel.jacobi.endpoint": 2, "kernel.jacobi.orthogonality": 2,
-    "kernel.kummer.series": 2, "kernel.lngamma.recurrence": 2,
+    "kernel.jacobi.exact": 2, "kernel.laguerre.exact": 2,
     "quad.laguerre.monomials": 2, "quad.legendre.monomials": 2,
     "spheroidal.angular_spectrum": 120, "spheroidal.basis_change": 480,
     "spheroidal.limit_scaling": 91, "spheroidal.limits": 25,
@@ -672,11 +717,11 @@ BENCHMARK_REPORT_COUNTS = {
     "spheroidal.runge_lenz_spectrum": 120, "spheroidal.spectrum_equality": 480,
 }
 # sha256 of both reports, one line after the other, with the residual= fields removed
-BENCHMARK_REPORT_SHA256 = "e5ce90c2b422c5aaee3cbe0b9334847aeb627578a92b759905e8976acdc77601"
+BENCHMARK_REPORT_SHA256 = "f16b792c96c0ba11986a45ff11b56d0c4a01421dc5267172f6b1492d1082973f"
 
 
 def test_verify_report_at_benchmark_points(capsys):
-    # verify --n-max 8 at both benchmark points: 2771 checks, and the only
+    # verify --n-max 8 at both benchmark points: 2767 checks, and the only
     # FAILs are spheroidal.limits in three blocks (both signs of m) per point;
     # every status, check id, context and tolerance is pinned, only residual
     # digits may move
@@ -693,7 +738,7 @@ def test_verify_report_at_benchmark_points(capsys):
         assert code == 1
     checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
     fails = [line for line in checks if line.startswith("FAIL")]
-    assert len(checks) == 2771
+    assert len(checks) == 2767
     assert sorted(line.split()[1] for line in fails) == ["spheroidal.limits"] * 12
     assert {" ".join(line.split()[2:-2]) for line in fails} == known
     assert collections.Counter(line.split()[1] for line in checks) == BENCHMARK_REPORT_COUNTS
