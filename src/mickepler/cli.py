@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 (128 +
 SIGPIPE) when the reader of stdout closes it before the output ends, as
-``| head`` does; the command then stops without a message.  Tables are
-written as they are formatted, one chunk of rows at a time.
+``| head`` does; the command then stops without a message.  Every CSV table
+goes through one writer: leading strings (a label, or R and q), then the float
+cells, written as they are formatted, one chunk of points at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -18,14 +20,7 @@ import sys
 
 import numpy as np
 
-from .qnum import (
-    QuantumNumberError,
-    SystemParams,
-    derive_constants,
-    energy,
-    enumerate_blocks,
-    parse_half_integer,
-)
+from .qnum import SystemParams, derive_constants, energy, enumerate_blocks, parse_half_integer
 from .spheroidal import sweep
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
@@ -53,6 +48,16 @@ def _emit(pieces, out: str | None) -> None:
             fh.write(last)
         if not last.endswith("\n"):
             fh.write("\n")
+
+
+def _check_out(out: str) -> None:
+    """Refuse before any work, as opening would, an ``out`` that is a directory or lies in none."""
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.join(os.path.dirname(out), "."))
+    except OSError as exc:
+        raise ValueError(f"cannot open --out {out}: {exc.strerror}") from None
 
 
 # The %.17g kernel: the 17 digits of x are D = round(|x| * 10**(16 - X)),
@@ -128,8 +133,8 @@ def _decimal17(values: np.ndarray):
 
 
 def _cell_bytes(cells: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D float array as bytes, (rows, 25 * cols): each cell
-    in a NUL-padded 25-byte slot, '%.17g' then ',' or, last in its row, newline."""
+    """The rows of a float array as bytes, (..., 25 * cols): each cell in a
+    NUL-padded 25-byte slot, '%.17g' then ',' or, last in its row, newline."""
     values = cells.ravel()
     quads, zeros, layouts = _kernel_tables()[5:]
     d, x, proven = _decimal17(values)
@@ -144,7 +149,7 @@ def _cell_bytes(cells: np.ndarray) -> np.ndarray:
     parts = parts.view(np.uint8)
     parts[:, 28] = np.where(values < 0, 45, 0)
     parts.reshape(*cells.shape, 32)[..., 29] = 44
-    parts.reshape(*cells.shape, 32)[:, -1, 29] = 10
+    parts.reshape(*cells.shape, 32)[..., -1, 29] = 10
     parts[:, 30] = np.where(x < 0, 45, 43)
     trailing = zeros[groups[0]]
     for group in groups[1:]:
@@ -161,44 +166,52 @@ def _cell_bytes(cells: np.ndarray) -> np.ndarray:
     if fallback.size:
         text = np.array(["%.17g" % v for v in values[fallback].tolist()], "S24")
         slots[fallback, :24] = text.view(np.uint8).reshape(-1, 24)
-    return slots.reshape(len(cells), -1)
+    return slots.reshape(*cells.shape[:-1], -1)
 
 
-def _csv_table(header: list[str], cells):
-    """The header line, then one line per row of a 2-D float array, each cell
-    exactly '%.17g' % x (which re-parses to the same double), as pieces of
-    whole lines: one per row below the cell kernel, else one per chunk."""
-    cells = np.asarray(cells, dtype=float)
-    if cells.size < _KERNEL_MIN_CELLS:
-        template = ",".join(["%.17g"] * cells.shape[-1]) + "\n"
-        return [",".join(header) + "\n", *(template % tuple(row) for row in cells)]
-    step = max(1, _CHUNK_CELLS // cells.shape[1])
-    return _join_rows(header, (_cell_bytes(cells[start:start + step])
-                               for start in range(0, len(cells), step)))
+def _csv_table(header: list[str], columns, point_lead: list[str], row_lead: list[str]):
+    """The header line, then a line per point p and row q: ``point_lead[p] +
+    row_lead[q]`` (strings that end in a comma, or empty), then ``column[p, q]``
+    of each (P, d, k) float array, each cell exactly '%.17g' % x, as whole-line
+    pieces: one per row below the cell kernel, else one per chunk of points."""
+    points, dim = len(point_lead), len(row_lead)
+    first = ",".join(header) + "\n"
+    if points * dim * len(header) < _KERNEL_MIN_CELLS:
+        values = np.concatenate(columns, axis=2)
+        template = ",".join(["%.17g"] * values.shape[2]) + "\n"
+        leads = [p + q for p in point_lead for q in row_lead]
+        return [first, *(lead + template % tuple(row) for lead, row in
+                         zip(leads, values.reshape(points * dim, -1).tolist()))]
+    # the leads as NUL-padded bytes, which are dropped with the cells' padding
+    point_bytes = np.array(point_lead, "S")[:, None].view(np.uint8)
+    row_bytes = np.array(row_lead, "S")[:, None].view(np.uint8)
+    lead, width = point_bytes.shape[1], point_bytes.shape[1] + row_bytes.shape[1]
+    step = max(1, _CHUNK_CELLS // (dim * len(header)))
+    # one buffer for the rows of every chunk: each is written before the next is made
+    cells = sum(column.shape[2] for column in columns)
+    rows = np.empty((min(step, points), dim, width + 25 * cells), np.uint8)
+    rows[:, :, lead:width] = row_bytes
+
+    def chunks():
+        yield first
+        for start in range(0, points, step):
+            part = slice(start, start + step)
+            values = np.concatenate([column[part] for column in columns], axis=2)
+            size = len(values)
+            rows[:size, :, :lead] = point_bytes[part, None]
+            rows[:size, :, width:] = _cell_bytes(values)
+            yield rows[:size].tobytes().translate(None, b"\0").decode()
+
+    return chunks()
 
 
-def _join_rows(header: list[str], chunks):
-    """Yield the header line, then the rows of each chunk of NUL-padded row
-    bytes with the padding dropped."""
-    yield ",".join(header) + "\n"
-    for chunk in chunks:
-        yield chunk.tobytes().translate(None, b"\0").decode()
-
-
-def _table(args, header: list[str], cells: np.ndarray):
-    if args.format == "json":
-        return [json.dumps({"columns": header, "rows": cells.tolist()})]
-    return _csv_table(header, cells)
+def _json_table(header: list[str], columns):
+    rows = np.concatenate(columns, axis=2).reshape(-1, len(header))
+    return [json.dumps({"columns": header, "rows": rows.tolist()})]
 
 
 def _params(args) -> SystemParams:
     return SystemParams(two_s=parse_half_integer(args.s), c1=args.c1, c2=args.c2)
-
-
-def _n_max(args) -> float:
-    if not math.isfinite(args.n_max):
-        raise ValueError(f"--n-max must be finite, got {args.n_max}")
-    return args.n_max
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -217,34 +230,25 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_spectrum(args) -> int:
     params = _params(args)
     rows = []
-    for two_n, two_m in enumerate_blocks(params, _n_max(args)):
+    for two_n, two_m in enumerate_blocks(params, args.n_max):
         dc = derive_constants(params, two_m)
         rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2,
                      energy(params, two_m, two_n)])
     header = ["n", "m", "delta1", "delta2", "energy"]
-    _emit(_table(args, header, np.array(rows).reshape(-1, len(header))), args.out)
+    table = np.array(rows).reshape(-1, 1, len(header))
+    _emit(_json_table(header, [table]) if args.format == "json"
+          else _csv_table(header, [table], [""] * len(table), [""]), args.out)
     return 0
 
 
 def _matrix_output(args, matrix: ExpansionMatrix):
     if args.format == "json":
-        return [json.dumps({
-            "kind": args.kind,
-            "row_labels": list(matrix.row_labels),
-            "col_labels": list(matrix.col_labels),
-            "entries": [[float(v) for v in row] for row in matrix.entries],
-        })]
-    return _labelled(matrix.row_labels, _csv_table(["row", *matrix.col_labels], matrix.entries))
-
-
-def _labelled(labels, pieces):
-    """Yield the header piece, then each piece's rows after their labels
-    (labels hold no comma or quote)."""
-    labels = iter(labels)
-    pieces = iter(pieces)
-    yield next(pieces)
-    for piece in pieces:
-        yield "".join(f"{next(labels)},{row}\n" for row in piece.splitlines())
+        return [json.dumps({"kind": args.kind, "row_labels": list(matrix.row_labels),
+                            "col_labels": list(matrix.col_labels),
+                            "entries": matrix.entries.tolist()})]
+    # each row a point of its own, after its label (labels hold no comma or quote)
+    return _csv_table(["row", *matrix.col_labels], [matrix.entries[:, None]],
+                      [f"{label}," for label in matrix.row_labels], [""])
 
 
 def cmd_coefficients(args) -> int:
@@ -267,37 +271,6 @@ def cmd_coefficients(args) -> int:
     return 0
 
 
-def _sweep_table(args, header: list[str], grid: list[float], columns):
-    """One row per (R, q): R, q, then ``column[p, q]`` of each (P, d, k) column.
-
-    The kernel formats each grid value and each q once, as a slot ended by a
-    comma; a chunk of points at a time then puts them before its rows' values."""
-    points, dim = columns[0].shape[:2]
-    if args.format == "json" or points * dim * len(header) < _KERNEL_MIN_CELLS:
-        r_col = np.broadcast_to(np.reshape(grid, (points, 1, 1)), (points, dim, 1))
-        q_col = np.broadcast_to(np.arange(dim, dtype=float)[:, None], (points, dim, 1))
-        table = np.concatenate([r_col, q_col, *columns], axis=2)
-        return _table(args, header, table.reshape(points * dim, -1))
-    r_slots = _cell_bytes(np.reshape(grid, (points, 1)))
-    q_slots = _cell_bytes(np.arange(dim, dtype=float)[:, None])
-    r_slots[:, -1] = q_slots[:, -1] = ord(",")
-    step = max(1, _CHUNK_CELLS // (dim * len(header)))
-    # one buffer for the rows of every chunk: each is written before the next is made
-    rows = np.empty((min(step, points), dim, 25 * len(header)), np.uint8)
-    rows[:, :, 25:50] = q_slots
-
-    def chunks():
-        for start in range(0, points, step):
-            part = slice(start, start + step)
-            values = np.concatenate([column[part] for column in columns], axis=2)
-            size = len(values)
-            rows[:size, :, :25] = r_slots[part, None]
-            rows[:size, :, 50:] = _cell_bytes(values.reshape(size * dim, -1)).reshape(size, dim, -1)
-            yield rows[:size]
-
-    return _join_rows(header, chunks())
-
-
 def cmd_sweep(args) -> int:
     params = _params(args)
     two_n = parse_half_integer(args.n)
@@ -314,14 +287,20 @@ def cmd_sweep(args) -> int:
         header += [f"v[{lab}]" for lab in result.block.parabolic_labels]
         # row q of point p: lambda_q, then eigenvector q of U and of V
         columns += [result.u, result.v]
-    _emit(_sweep_table(args, header, grid, columns), args.out)
+    dim = result.block.dim
+    if args.format == "json":   # R and q as number columns
+        lead = np.broadcast_arrays(np.reshape(grid, (-1, 1, 1)), np.arange(float(dim))[:, None])
+        _emit(_json_table(header, [*lead, *columns]), args.out)
+    else:   # each R and each q formatted once
+        _emit(_csv_table(header, columns, ["%.17g," % r for r in grid],
+                         [f"{q}," for q in range(dim)]), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     params = _params(args)
     r_list = _parse_grid(args.R_grid) if args.R_grid else [0.1, 1.0, 10.0, 100.0]
-    reports = run_suite(params, n_max=_n_max(args), r_list=r_list, seed=args.seed)
+    reports = run_suite(params, n_max=args.n_max, r_list=r_list, seed=args.seed)
     _emit([to_json_lines(reports) if args.format == "json" else summary_table(reports)], args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -358,10 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--R", type=float, default=None)
-    p.add_argument("--R-grid", default=None, dest="R_grid",
-                   help="start:stop:steps (linear grid)")
-    p.add_argument("--vectors", action="store_true",
-                   help="include eigenvector columns")
+    p.add_argument("--R-grid", default=None, dest="R_grid", help="start:stop:steps (linear grid)")
+    p.add_argument("--vectors", action="store_true", help="include eigenvector columns")
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     common(p)
@@ -391,8 +368,10 @@ def main(argv=None) -> int:
     command = {"spectrum": cmd_spectrum, "coefficients": cmd_coefficients,
                "sweep": cmd_sweep, "verify": cmd_verify}[args.command]
     try:
+        if args.out:
+            _check_out(args.out)
         return command(args)
-    except (QuantumNumberError, ValueError) as exc:
+    except ValueError as exc:   # QuantumNumberError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -217,14 +217,24 @@ def enumerate_m_blocks(params: SystemParams, two_n: int) -> list[int]:
     return list(range(2 - two_n, two_n - 1, 2))
 
 
+def _two_n_max(params: SystemParams, n_max: float) -> int:
+    """2n of the highest level n <= n_max of the parity of s (it may hold no block);
+    QuantumNumberError unless n_max is finite."""
+    if not math.isfinite(n_max):
+        raise QuantumNumberError(f"n_max must be finite, got {n_max:g}")
+    two_n_max = int(2 * n_max)
+    return two_n_max - (two_n_max - params.two_s) % 2
+
+
 def enumerate_blocks(params: SystemParams, n_max: float) -> list[tuple[int, int]]:
     """Every nonempty (two_n, two_m) block with n <= n_max, by n, then m.
 
     Raises QuantumNumberError when there is none, so that a table or a
-    verification over no block cannot report success on nothing.
+    verification over no block cannot report success on nothing, and
+    when n_max is not finite.
     """
     blocks = [(two_n, two_m)
-              for two_n in range(params.two_s % 2 or 2, int(2 * n_max) + 1, 2)
+              for two_n in range(params.two_s % 2 or 2, _two_n_max(params, n_max) + 1, 2)
               for two_m in enumerate_m_blocks(params, two_n)]
     if not blocks:
         raise QuantumNumberError(

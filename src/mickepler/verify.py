@@ -67,6 +67,7 @@ from .qnum import (
     SystemParams,
     _block_dimension,
     _n_effective,
+    _two_n_max,
     derive_constants,
     enumerate_blocks,
     format_half_integer,
@@ -424,25 +425,27 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     eigensolve), its states and their radial values are built once, and
     one stacked eigensolve per block serves every R of ``r_list``, R = 0
     and the limit probes; every check of the block reads them.  Failures
-    are reported, never raised; a range holding no block raises
-    QuantumNumberError, and one whose largest block needs a quadrature
-    rule past DEFAULT_RADIAL_ORDER nodes raises ValueError before any
-    block is enumerated.  The report is exhaustive and, for fixed inputs
+    are reported, never raised; a range holding no block or an n_max
+    that is not finite raises QuantumNumberError, and an empty ``r_list``
+    or a range whose largest block needs a quadrature rule past
+    DEFAULT_RADIAL_ORDER nodes raises ValueError before any block is
+    enumerated.  The report is exhaustive and, for fixed inputs
     and seed, byte-identical across runs.
     """
+    r_list = [float(r) for r in r_list]
+    if not r_list:
+        raise ValueError("r_list must hold at least one R")
     # a block's largest integrand, of degree 2d, sets the largest rule of the run; the
     # largest d = n - m_plus is at m = s (m_plus = |s|) and the largest n, of the parity
     # of 2s, so a range is sized before its O(n_max^2) blocks are enumerated; every m
     # block of the range also runs up to that n
-    two_n_max = int(2 * n_max)
-    two_n_max -= (two_n_max - params.two_s) % 2
+    two_n_max = _two_n_max(params, n_max)
     _gauss_order(two_n_max - abs(params.two_s))
     blocks = enumerate_blocks(params, n_max)
     m_constants = {two_m: derive_constants(params, two_m)
                    for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
     # the self-checks have a generator of their own: they move no completeness point
     kernel_rng, rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    r_list = [float(r) for r in r_list]
     reports = _check_quadrature_selftest()
     reports += _check_kernel(kernel_rng)
     states = _States(params)

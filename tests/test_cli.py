@@ -97,8 +97,10 @@ class TestSpectrum:
         assert energies == approx([-2.0 / 9.0, -2.0 / 9.0], rel=1e-14)
 
     def test_csv_json_identical_numbers(self, capsys):
-        # n_max = 40 gives 1,599 rows, past the cell kernel's threshold
-        for n_max, count in (("4", 15), ("40", 1599)):
+        # n_max = 40 gives 1,599 rows, past the cell kernel's threshold, and
+        # n_max = 60 3,599 rows of 5 cells, more than one kernel chunk
+        assert 3599 * 5 > cli._CHUNK_CELLS
+        for n_max, count in (("4", 15), ("40", 1599), ("60", 3599)):
             args = ("spectrum", "--s", "1", "--c1", "0.3", "--c2", "0.7", "--n-max", n_max)
             _, out_csv = run_cli(capsys, *args)
             _, out_json = run_cli(capsys, *args, "--format", "json")
@@ -503,7 +505,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"--n-max must be finite, got {value}" in captured.err
+        assert f"n_max must be finite, got {value}" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--n-max", "0"),
@@ -595,15 +597,24 @@ class TestOutput:
 
     @pytest.mark.parametrize("command", [("spectrum", "--n-max", "2"),
                                          ("verify", "--n-max", "2")])
-    def test_out_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path, command):
-        # exit 2, not verify's 1 for failed checks, and one error line, no traceback
+    def test_out_that_cannot_be_opened_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                      command):
+        # exit 2, not verify's 1 for failed checks, and one error line, no traceback;
+        # refused before the command does any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before its --out was refused")
+
+        monkeypatch.setattr(cli, "run_suite", no_work)
+        monkeypatch.setattr(cli, "enumerate_blocks", no_work)
+        (tmp_path / "file").write_text("")
         for target, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                               (tmp_path / "file" / "x.csv", "Not a directory"),
                                (tmp_path, "Is a directory")):
             code = main([*command, "--out", str(target)])
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert captured.err == f"error: cannot open --out {target}: {reason}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]
 
     @pytest.mark.parametrize("command", [("spectrum", "--n-max", "2"),
                                          ("verify", "--n-max", "2")])
@@ -723,7 +734,8 @@ class TestCellKernel:
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20,
                                                         dtype=np.uint64)
         cells = bits.view(np.float64).reshape(-1, 16)
-        out = "".join(cli._csv_table([f"c{i}" for i in range(16)], cells))
+        out = "".join(cli._csv_table([f"c{i}" for i in range(16)], [cells[:, None]],
+                                     [""] * len(cells), [""]))
         got = out.partition("\n")[2].replace("\n", ",")[:-1].split(",")
         expected = ["%.17g" % v for v in cells.ravel().tolist()]
         assert len(got) == len(expected)

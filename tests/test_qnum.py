@@ -252,6 +252,12 @@ class TestEnumeration:
         assert qnum.enumerate_blocks(SystemParams(two_s=2, c1=1.7e308), 3) == [
             (4, -2), (4, 0), (4, 2), (6, -4), (6, -2), (6, 0), (6, 2), (6, 4)]
 
+    @pytest.mark.parametrize("n_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_n_max_is_refused(self, n_max):
+        # one message from one check, not OverflowError or int()'s NaN error
+        with pytest.raises(QuantumNumberError, match=f"n_max must be finite, got {n_max:g}"):
+            qnum.enumerate_blocks(HYDROGEN, n_max)
+
     def test_label_validation(self):
         with pytest.raises(QuantumNumberError):
             bases.spherical_state(HYDROGEN, 4, 6, 0)   # j = 3 > n - 1

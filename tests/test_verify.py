@@ -28,6 +28,7 @@ from mickepler.bases import (
 from mickepler.coords import SphericalPoint, spherical_to_parabolic
 from mickepler.interbasis import block
 from mickepler.qnum import (
+    QuantumNumberError,
     SystemParams,
     _block_dimension,
     _n_effective,
@@ -679,6 +680,17 @@ class TestDerivedOrders:
         # the cap is the largest block, at m = s: n = 129/2 at s = 1/2 fits (d = 64)
         with pytest.raises(AssertionError, match="enumerate_blocks"):
             run_suite(RING_HALF, 64.5, [1.0])
+
+    @pytest.mark.parametrize("n_max", [math.inf, math.nan])
+    def test_non_finite_n_max_is_refused(self, n_max):
+        # checked where enumerate_blocks checks it, before the rules are sized
+        with pytest.raises(QuantumNumberError, match=f"n_max must be finite, got {n_max:g}"):
+            run_suite(HYDROGEN, n_max, R_LIST)
+
+    def test_empty_r_list_is_refused(self):
+        # no R would leave no per-R spheroidal check, and the rest would all PASS
+        with pytest.raises(ValueError, match="r_list must hold at least one R"):
+            run_suite(HYDROGEN, 2, [])
 
     def test_perturbed_radial_polynomial_fails_the_quadrature_checks(self, monkeypatch):
         # the suite evaluates every radial and parabolic factor through the public
