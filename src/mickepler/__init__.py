@@ -36,7 +36,7 @@ from .interbasis import (
     expansion_matrix,
     inverse_expansion_matrix,
 )
-from .spheroidal import SpheroidalSolution, SpheroidalSweep, limits, solve, sweep
+from .spheroidal import SpheroidalSolution, SpheroidalSweep, solve, sweep
 from .verify import CheckReport, run_suite
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "energy",
     "expansion_matrix",
     "inverse_expansion_matrix",
-    "limits",
     "parabolic_separation_constant",
     "parabolic_state",
     "psi_parabolic",

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .qnum import SystemParams, derive_constants, energy, enumerate_blocks, parse_half_integer
+from .qnum import SystemParams, _energy, derive_constants, enumerate_blocks, parse_half_integer
 from .spheroidal import sweep
 from .interbasis import ExpansionMatrix, expansion_matrix, inverse_expansion_matrix
 from .verify import run_suite, summary_table, to_json_lines
@@ -229,11 +229,13 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
+    blocks = enumerate_blocks(params, args.n_max)
+    constants = {two_m: derive_constants(params, two_m)   # once per m
+                 for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
     rows = []
-    for two_n, two_m in enumerate_blocks(params, args.n_max):
-        dc = derive_constants(params, two_m)
-        rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2,
-                     energy(params, two_m, two_n)])
+    for two_n, two_m in blocks:
+        dc = constants[two_m]
+        rows.append([two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2, _energy(dc, two_n)])
     header = ["n", "m", "delta1", "delta2", "energy"]
     table = np.array(rows).reshape(-1, 1, len(header))
     _emit(_json_table(header, [table]) if args.format == "json"
@@ -312,10 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "MIC-Kepler system (dyon with ring-shaped perturbations).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse takes "-1/2" after a space for an option, not a value
+    m_help = "azimuthal quantum number; a negative half-integer is written --m=-1/2"
 
     def common(p):
         p.add_argument("--s", default="0",
-                       help="monopole number, integer or half-integer (e.g. 1/2)")
+                       help="monopole number, integer or half-integer (e.g. 1/2); "
+                            "a negative half-integer is written --s=-1/2")
         p.add_argument("--c1", type=float, default=0.0)
         p.add_argument("--c2", type=float, default=0.0)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -329,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=MATRIX_KINDS, default="parabolic-in-spherical")
     p.add_argument("--n", required=True, help="principal quantum number (half-integers ok)")
-    p.add_argument("--m", required=True, help="azimuthal quantum number")
+    p.add_argument("--m", required=True, help=m_help)
     p.add_argument("--R", type=float, default=None, help="interfocus distance")
 
     p = sub.add_parser("sweep", help="separation constants along an R grid")
     common(p)
     p.add_argument("--n", required=True)
-    p.add_argument("--m", required=True)
+    p.add_argument("--m", required=True, help=m_help)
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--R-grid", default=None, dest="R_grid", help="start:stop:steps (linear grid)")
     p.add_argument("--vectors", action="store_true", help="include eigenvector columns")

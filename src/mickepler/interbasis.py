@@ -14,12 +14,13 @@ continuation of the SU(2) Clebsch-Gordan closed form, is evaluated
 exactly in :mod:`mickepler.numkernel` as the oracle of the verification
 suite and the tests.
 
-A :class:`Block` holds the R-independent bands of the spheroidal
-separation operator of one (n, m) level: the angular spectrum and X on
-the spherical side, the angular momentum square M and the betas on the
-parabolic side.  :func:`block` derives them once; the mixing matrix here
+A :class:`Block` holds the R-independent bands of the spherical side of
+the spheroidal separation operator of one (n, m) level: the angular
+spectrum and X.  :func:`block` derives them once; the mixing matrix here
 and every spheroidal solve in :mod:`mickepler.spheroidal` read them, and
-both diagonalize them through one stacked tridiagonal eigensolver.
+both diagonalize them through one stacked tridiagonal eigensolver.  The
+parabolic side, the angular momentum square M and the betas, is built
+only in :mod:`mickepler.verify`, as the reference of its checks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .qnum import (
     DerivedConstants,
     SystemParams,
     _block_dimension,
-    _n_effective,
-    _separation_constant,
     derive_constants,
     format_half_integer,
 )
@@ -113,13 +112,10 @@ def _check_r(R) -> None:
 
 @dataclass(frozen=True)
 class Block:
-    """R-independent bands of the separation operator of one (n, m) block.
-
-    Spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
-    Runge-Lenz z-component in the spherical basis; its eigenvalues are
-    the betas.  Parabolic side: M + R diag(betas), with M = (m_diag,
-    m_off) the angular momentum square in the parabolic basis; its
-    eigenvalues are the angular spectrum.
+    """R-independent bands of the separation operator of one (n, m) block,
+    on its spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
+    Runge-Lenz z-component in the spherical basis; its eigenvalues are the
+    betas.  The parabolic labels name the columns of the mixing matrix.
     """
 
     dim: int
@@ -128,9 +124,6 @@ class Block:
     angular: np.ndarray
     x_diag: np.ndarray
     x_off: np.ndarray
-    m_diag: np.ndarray
-    m_off: np.ndarray
-    betas: np.ndarray
 
     def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal at R, a scalar or a column of grid values.
@@ -139,14 +132,6 @@ class Block:
         """
         _check_r(R)
         return self.angular + R * self.x_diag, R * self.x_off
-
-    def parabolic_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal at R, a scalar or a column of grid values.
-
-        Raises ValueError if any R is non-finite or negative.
-        """
-        _check_r(R)
-        return self.m_diag + R * self.betas, self.m_off
 
 
 def block(params: SystemParams, two_n: int, two_m: int) -> Block:
@@ -159,11 +144,8 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     delta = dc.delta_total
     half_delta = 0.5 * delta
     n = two_n / 2.0
-    eps = 1.0 / _n_effective(dc, two_n)
     num = (dc.m1 + dc.m2) * (dc.m1 - dc.m2)
-    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
     js = [dc.m_plus + k for k in range(d)]
-    pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
     blk = Block(
         dim=d,
         spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
@@ -178,17 +160,8 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
             -2.0 / (2.0 * n + delta) * _coupling(dc, two_n, dc.two_m_plus + 2 * k)
             for k in range(1, d)
         ]),
-        m_diag=np.array([
-            2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base for n1, n2 in pairs
-        ]),
-        m_off=np.array([
-            -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
-            for n1, n2 in pairs[:-1]
-        ]),
-        betas=np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs]),
     )
-    bands = (blk.angular, blk.x_diag, blk.x_off, blk.m_diag, blk.m_off, blk.betas)
-    if not np.isfinite(np.concatenate(bands)).all():
+    if not np.isfinite(np.concatenate((blk.angular, blk.x_diag, blk.x_off))).all():
         raise ValueError(f"c1={params.c1:g}, c2={params.c2:g} are too large: the bands of the "
                          f"n={format_half_integer(two_n)}, m={format_half_integer(two_m)} "
                          "block overflow")

@@ -190,15 +190,20 @@ def energy(params: SystemParams, two_m: int, two_n: int) -> float:
     Note the m-dependence through delta1, delta2: each azimuthal block
     carries its own energy ladder.
     """
-    eps = 1.0 / _n_effective(derive_constants(params, two_m), two_n)
+    return _energy(derive_constants(params, two_m), two_n)
+
+
+def _energy(dc: DerivedConstants, two_n: int) -> float:
+    """:func:`energy` from precomputed block constants."""
+    eps = 1.0 / _n_effective(dc, two_n)
     return -0.5 * eps * eps
 
 
 def parabolic_separation_constant(params: SystemParams, pq: ParabolicQN) -> float:
     """Eigenvalue beta = epsilon (n1 - n2 + (m1 - m2)/2) of the axial integral.
 
-    Label-based: production reads a block's betas from ``interbasis.block``,
-    and this is the reference they are checked against."""
+    Label-based; ``verify`` builds a block's betas, the diagonal of its
+    parabolic-side reference bands, with the same formula."""
     dc = derive_constants(params, pq.two_m)
     eps = 1.0 / _n_effective(dc, _principal_two_n(dc, pq))
     return _separation_constant(dc, eps, pq.n1, pq.n2)

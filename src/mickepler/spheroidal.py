@@ -8,21 +8,16 @@ tridiagonal matrix in n1.  Both representations share one spectrum
 lambda_q(R), q = 0 .. d-1 ascending, and their eigenvector matrices are
 related by the interbasis mixing matrix.
 
-The parabolic-side matrix uses the closed form rederived from the
-Clebsch-Gordan ladder relation; it is symmetric by construction and its
-spectrum reproduces the angular eigenvalue list exactly (both facts are
-enforced by the verification suite).
-
 Only R varies within a block: the spherical-side matrix is A + R X, with
-A the diagonal angular spectrum and X the Runge-Lenz matrix, and the
-parabolic-side matrix is M + R diag(beta).  Both are kept as bands of a
-:class:`mickepler.interbasis.Block`, derived once per block, so a sweep
-builds them once for its whole grid.
+A the diagonal angular spectrum and X the Runge-Lenz matrix, kept as the
+bands of a :class:`mickepler.interbasis.Block`, derived once per block, so
+a sweep builds them once for its whole grid.
 
-:func:`sweep`, the one production path (:func:`solve` and the CLI call it),
+:func:`sweep`, the one path (:func:`solve` and the CLI call it),
 diagonalizes the spherical side alone: V = W^T U, with W the block's mixing
-matrix, signed like U.  :func:`_eigensolve` keeps the independent
-parabolic-side eigensolve, the reference verification checks both against.
+matrix, signed like U.  The parabolic-side matrix M + R diag(beta) and its
+independent eigensolve live in :mod:`mickepler.verify`, the reference its
+checks hold both sides to.
 """
 
 from __future__ import annotations
@@ -47,9 +42,7 @@ from .qnum import SystemParams
 __all__ = [
     "SpheroidalSolution",
     "SpheroidalSweep",
-    "LimitReport",
     "solve",
-    "limits",
     "sweep",
 ]
 
@@ -125,22 +118,6 @@ class SpheroidalSweep(Sequence):
                                   self.spherical_coefficients(p), self.parabolic_coefficients(p))
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    """Max deviations of the four limit relations, signs aligned per column."""
-
-    r_small: float
-    r_large: float
-    u_identity_dev: float   # U(r_small) vs identity
-    u_mixing_dev: float     # U(r_large) vs mixing matrix
-    v_identity_dev: float   # V(r_large) vs identity
-    v_mixing_dev: float     # V(r_small) vs transposed mixing matrix
-
-    def max_deviation(self) -> float:
-        return max(self.u_identity_dev, self.u_mixing_dev,
-                   self.v_identity_dev, self.v_mixing_dev)
-
-
 def _continue_signs(vectors: np.ndarray) -> None:
     """Flip an eigenvector when its overlap with the same one at the previous,
     already continued grid point is negative; an overlap of 0 never flips.
@@ -159,18 +136,6 @@ def _continue_signs(vectors: np.ndarray) -> None:
     vectors[1:][negative % 2 == 1] *= -1.0
 
 
-def _eigensolve(blk: Block, r_values: list[float]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ascending eigenvalues of the spherical and of the parabolic side, and
-    the sign-fixed U and V stacks (vectors as rows), at each R, from one eigensolve
-    of each side: verification's and :func:`limits`' reference, not a production
-    path; :func:`sweep` takes V = W^T U instead."""
-    r = np.asarray(r_values, dtype=float)[:, None]
-    lambdas, u = _eigh_stack(*blk.spherical_bands(r))
-    lambdas_par, v = _eigh_stack(*blk.parabolic_bands(r))
-    return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
-
-
 def solve(params: SystemParams, two_n: int, two_m: int, R: float
           ) -> SpheroidalSolution:
     """Eigenvalues and both coefficient matrices at one R: :func:`sweep` over [R].
@@ -180,38 +145,6 @@ def solve(params: SystemParams, two_n: int, two_m: int, R: float
     component positive.
     """
     return sweep(params, two_n, two_m, [R])[0]
-
-
-def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Max entry deviation of each (..., d, d) matrix after flipping each column
-    to best match the target's."""
-    flip = np.einsum("...kq,...kq->...q", actual, target) < 0.0
-    return np.abs(np.where(flip[..., None, :], -actual, actual) - target).max(axis=(-2, -1))
-
-
-def limits(params: SystemParams, two_n: int, two_m: int,
-           r_small: float, r_large: float) -> LimitReport:
-    """Deviations of the four limit relations at the probe R values.
-
-    As R -> 0 the spherical-side eigenvectors approach unit vectors and
-    the parabolic-side ones the transposed mixing matrix; as R -> inf the
-    roles swap.  Deviations fall off linearly in R (or 1/R).
-    """
-    blk = block(params, two_n, two_m)
-    _, _, u, v = _eigensolve(blk, [r_small, r_large])
-    deviations = _limits(_mixing_matrix(blk)[0], u[None], v[None])[0]
-    return LimitReport(r_small, r_large, *deviations.tolist())
-
-
-def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The four deviations of :class:`LimitReport`, in its order, one row per
-    probe pair, from the block's mixing matrix ``w`` and the U and V stacks
-    (pairs, 2, d, d) of :func:`_eigensolve` at each (r_small, r_large)."""
-    eye = np.eye(len(w))
-    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)   # eigenvectors as columns
-    return np.stack([_aligned_deviation(u[:, 0], eye), _aligned_deviation(u[:, 1], w),
-                     _aligned_deviation(v[:, 1], eye), _aligned_deviation(v[:, 0], w.T)],
-                    axis=-1)
 
 
 def sweep(params: SystemParams, two_n: int, two_m: int, r_grid,

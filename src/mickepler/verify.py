@@ -27,9 +27,12 @@ the public :mod:`mickepler.bases` functions, each called once per family
 with the list of states it needs (a block's, or a chain of levels), one
 kernel call per factor.  Each block is diagonalized once per side: W and
 the spectrum of X come from one eigensolve, and one stacked eigensolve of
-the spheroidal bands covers every R of the list, R = 0 (whose parabolic
-side is the angular-momentum matrix M alone) and the limit probes.  The per-R checks
-and the limit deviations are array operations over that stack.  The
+each side of the spheroidal operator covers every R of the list, R = 0
+(whose parabolic side is the angular-momentum matrix M alone) and the limit
+probes.  The parabolic side, M + R diag(beta), is built only here: production
+solves the spherical side alone, and this second, independent eigensolve is
+the reference it is checked against.  The per-R checks and the limit
+deviations are array operations over that stack.  The
 checks are private cores that take those prebuilt objects;
 :func:`run_suite` is the one entry point to them.
 """
@@ -59,7 +62,7 @@ from .bases import (
     spherical_state,
 )
 from .coords import SphericalPoint, spherical_to_parabolic
-from .interbasis import _mixing_matrix, block
+from .interbasis import Block, _eigh_stack, _fix_signs, _mixing_matrix, block
 from .numkernel import (_over_power_of_two, clebsch_gordan_block, hyp3f2_terminating,
                         jacobi_exact, laguerre_exact)
 from .qnum import (
@@ -67,12 +70,12 @@ from .qnum import (
     SystemParams,
     _block_dimension,
     _n_effective,
+    _separation_constant,
     _two_n_max,
     derive_constants,
     enumerate_blocks,
     format_half_integer,
 )
-from .spheroidal import _aligned_deviation, _eigensolve, _limits
 
 __all__ = [
     "CheckReport",
@@ -414,6 +417,68 @@ def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) 
 
 
 # ---------------------------------------------------------------------------
+# the parabolic-side reference of the spheroidal checks
+# ---------------------------------------------------------------------------
+
+def _parabolic_side(dc: DerivedConstants, two_n: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M = (m_diag, m_off), the angular momentum square in the parabolic basis, and
+    the betas of the (n, m) block: its parabolic-side matrix is M + R diag(betas),
+    whose eigenvalues at R = 0 are the angular spectrum and whose eigenvectors are
+    V.  Production solves the spherical side alone; this is the reference."""
+    d = _block_dimension(dc, two_n)
+    half_delta = 0.5 * dc.delta_total
+    eps = 1.0 / _n_effective(dc, two_n)
+    base = (dc.m_plus + half_delta) * (dc.m_plus + half_delta + 1.0)
+    pairs = [(n1, d - 1 - n1) for n1 in range(d)]   # (n1, n2)
+    m_diag = np.array([
+        2.0 * n1 * n2 + n1 * dc.m2 + n2 * dc.m1 + n1 + n2 + base for n1, n2 in pairs
+    ])
+    m_off = np.array([
+        -math.sqrt((n1 + 1.0) * n2 * (n1 + dc.m1 + 1.0) * (n2 + dc.m2))
+        for n1, n2 in pairs[:-1]
+    ])
+    betas = np.array([_separation_constant(dc, eps, n1, n2) for n1, n2 in pairs])
+    return m_diag, m_off, betas
+
+
+def _eigensolve(blk: Block, parabolic: tuple[np.ndarray, np.ndarray, np.ndarray],
+                r_values: list[float]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of the spherical and of the parabolic side, and
+    the sign-fixed U and V stacks (vectors as rows), at each R, from one eigensolve
+    of each side, the parabolic one from the block's :func:`_parabolic_side`;
+    :func:`mickepler.spheroidal.sweep` takes V = W^T U instead."""
+    r = np.asarray(r_values, dtype=float)[:, None]
+    m_diag, m_off, betas = parabolic
+    lambdas, u = _eigh_stack(*blk.spherical_bands(r))
+    lambdas_par, v = _eigh_stack(m_diag + r * betas, m_off)
+    return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
+
+
+def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Max entry deviation of each (..., d, d) matrix after flipping each column
+    to best match the target's."""
+    flip = np.einsum("...kq,...kq->...q", actual, target) < 0.0
+    return np.abs(np.where(flip[..., None, :], -actual, actual) - target).max(axis=(-2, -1))
+
+
+def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The four limit deviations, one row per probe pair, from the block's mixing
+    matrix ``w`` and the U and V stacks (pairs, 2, d, d) of :func:`_eigensolve` at
+    each (r_small, r_large): U(r_small) against the identity, U(r_large) against W,
+    V(r_large) against the identity and V(r_small) against W^T, signs aligned per
+    column.  As R -> 0 the spherical-side eigenvectors approach unit vectors and
+    the parabolic-side ones W^T; as R -> inf the roles swap, and the deviations
+    fall off linearly in R (or 1/R)."""
+    eye = np.eye(len(w))
+    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)   # eigenvectors as columns
+    return np.stack([_aligned_deviation(u[:, 0], eye), _aligned_deviation(u[:, 1], w),
+                     _aligned_deviation(v[:, 1], eye), _aligned_deviation(v[:, 0], w.T)],
+                    axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
@@ -471,6 +536,7 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
         lv = states.level(two_n, two_m)
         dc = lv.dc
         w, x_eigs = _mixing_matrix(blk)
+        parabolic = _parabolic_side(dc, two_n)
 
         reports.append(_report("bases.parabolic.normalization", ctx,
                                np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
@@ -500,13 +566,13 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
 
         # the betas ascend with n1, as the eigenvalues of X do
         reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
-                               np.abs(x_eigs - blk.betas).max(), TOL_ALGEBRA))
+                               np.abs(x_eigs - parabolic[2]).max(), TOL_ALGEBRA))
 
         # one stacked eigensolve: the R list, R = 0, where the parabolic side is
         # M alone, and the limit probes; eigh diagonalizes each matrix of the
         # stack on its own, so every row is bit-identical to a solve at that R alone
         lambdas, lambdas_par, u, v = _eigensolve(
-            blk, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
+            blk, parabolic, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
 
         # the angular spectrum l(l + 1) ascends with j
         reports.append(_report("spheroidal.angular_spectrum", ctx,

@@ -2,7 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from mickepler.interbasis import block, expansion_matrix
 from mickepler.qnum import SystemParams, derive_constants, enumerate_m_blocks
+from mickepler.verify import _eigensolve, _limits, _parabolic_side
 
 # parameter grid used by the acceptance criteria: three monopole numbers,
 # unperturbed and perturbed ring strengths
@@ -39,6 +41,28 @@ def blocks_by_dimension(params, d_values, two_m_values):
         for d in d_values:
             out.append((dc.two_m_plus + 2 * d, two_m))
     return out
+
+
+def parabolic_bands(params, two_n, two_m, R):
+    """Diagonal and off-diagonal of the block's parabolic side M + R diag(beta) at
+    R, from the verify suite's reference bands."""
+    m_diag, m_off, betas = _parabolic_side(derive_constants(params, two_m), two_n)
+    return m_diag + R * betas, m_off
+
+
+def reference_eigensolve(params, two_n, two_m, r_values):
+    """The verify suite's eigensolve of each side of the block at each R: both
+    spectra and the sign-fixed U and V stacks."""
+    parabolic = _parabolic_side(derive_constants(params, two_m), two_n)
+    return _eigensolve(block(params, two_n, two_m), parabolic, r_values)
+
+
+def limit_deviations(params, two_n, two_m, r_small, r_large):
+    """The verify suite's four limit deviations of the block at one probe pair:
+    U(r_small) vs identity, U(r_large) vs W, V(r_large) vs identity and V(r_small)
+    vs W^T, signs aligned per column."""
+    _, _, u, v = reference_eigensolve(params, two_n, two_m, [r_small, r_large])
+    return _limits(expansion_matrix(params, two_n, two_m).entries, u[None], v[None])[0]
 
 
 def w_mpmath(two_s, c1, c2, two_n, two_j, n1, two_m, dps=60):

@@ -16,7 +16,15 @@ from scipy.linalg import eigvalsh_tridiagonal
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
-from conftest import blocks_by_dimension, blocks_up_to, grid_cases, w_mpmath
+from conftest import (
+    blocks_by_dimension,
+    blocks_up_to,
+    grid_cases,
+    limit_deviations,
+    parabolic_bands,
+    reference_eigensolve,
+    w_mpmath,
+)
 
 from mickepler.interbasis import block, expansion_matrix
 from mickepler.numkernel import clebsch_gordan_block
@@ -27,13 +35,15 @@ from mickepler.qnum import (
     energy,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import _aligned_deviation, _eigensolve, limits, solve
+from mickepler.spheroidal import solve
 from mickepler.verify import (
+    _aligned_deviation,
     _angular_gram,
     _biorthogonality,
     _identity_deviation,
     _overlap_matrix,
     _parabolic_norms,
+    _parabolic_side,
     _radial_gram,
     _States,
 )
@@ -144,7 +154,7 @@ def test_criterion_4_operator_spectrum_identities():
                 parabolic_separation_constant(params, ParabolicQN(n1, d - 1 - n1, two_m))
                 for n1 in range(d)])
             worst = max(worst, float(np.abs(x_eigs - betas).max()))
-            m_eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
+            m_eigs = eigvalsh_tridiagonal(*_parabolic_side(dc, two_n)[:2])
             half = 0.5 * dc.delta_total
             expected = np.sort([(dc.m_plus + k + half) * (dc.m_plus + k + half + 1)
                                 for k in range(d)])
@@ -163,13 +173,12 @@ def test_criterion_5_cross_basis_spectrum_equality():
         two_m_values = range(params.two_s - 4, params.two_s + 5, 2)
         for two_n, two_m in blocks_by_dimension(params, range(1, 9), two_m_values):
             w = expansion_matrix(params, two_n, two_m).entries
-            blk = block(params, two_n, two_m)
             for R in (0.1, 1.0, 10.0, 100.0):
                 sol = solve(params, two_n, two_m, R)
-                lam_par = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
+                lam_par = eigvalsh_tridiagonal(*parabolic_bands(params, two_n, two_m, R))
                 worst_lam = max(worst_lam, float(
                     np.abs(np.sort(sol.lambdas) - lam_par).max()))
-                _, _, u, v = _eigensolve(blk, [R])
+                _, _, u, v = reference_eigensolve(params, two_n, two_m, [R])
                 worst_uv = max(worst_uv, float(_aligned_deviation(w @ v[0].T, u[0].T)))
     ok = worst_lam <= 1e-10 and worst_uv <= 1e-9
     _line("criterion-5 cross-basis spectrum", ok,
@@ -181,21 +190,21 @@ def test_criterion_5_cross_basis_spectrum_equality():
 def test_criterion_6_limit_relations():
     """Limit deviations small at the probe R and shrinking 10x per decade.
 
-    The absolute bound applies to the smallest nontrivial blocks (d = 2);
-    the first-order deviation constant grows with the block dimension.
+    The four deviations are the verify suite's: U(r_small) vs identity,
+    U(r_large) vs W, V(r_large) vs identity and V(r_small) vs W^T.  The
+    absolute bound applies to the smallest nontrivial blocks (d = 2); the
+    first-order deviation constant grows with the block dimension.
     """
     worst_dev = 0.0
     worst_ratio = 0.0
     for params in GRID:
         two_m_values = range(params.two_s - 2, params.two_s + 3, 2)
         for two_n, two_m in blocks_by_dimension(params, [2], two_m_values):
-            inner = limits(params, two_n, two_m, 1e-6, 1e6)
-            outer = limits(params, two_n, two_m, 1e-7, 1e7)
-            worst_dev = max(worst_dev, inner.max_deviation())
-            for field in ("u_identity_dev", "u_mixing_dev",
-                          "v_identity_dev", "v_mixing_dev"):
-                worst_ratio = max(worst_ratio,
-                                  getattr(outer, field) / getattr(inner, field))
+            inner = limit_deviations(params, two_n, two_m, 1e-6, 1e6)
+            outer = limit_deviations(params, two_n, two_m, 1e-7, 1e7)
+            worst_dev = max(worst_dev, float(inner.max()))
+            for k in range(4):
+                worst_ratio = max(worst_ratio, outer[k] / inner[k])
     ok = worst_dev <= 1e-5 and worst_ratio <= 0.101
     _line("criterion-6 limit relations", ok,
           f"max deviation {worst_dev:.2e} (tol 1e-5), "

@@ -17,11 +17,12 @@ import scipy.linalg
 from pytest import approx
 
 import mickepler.cli as cli
+import mickepler.qnum as qnum
 import mickepler.spheroidal as spheroidal
 import mickepler.verify as verify
 from mickepler.cli import main
 from mickepler.interbasis import ExpansionMatrix, _fix_signs, block, expansion_matrix
-from mickepler.qnum import SystemParams
+from mickepler.qnum import SystemParams, derive_constants, energy, enumerate_blocks
 from mickepler.spheroidal import solve, sweep
 
 
@@ -112,6 +113,29 @@ class TestSpectrum:
                 for a, b in zip(csv_row, json_row):
                     assert float(a) == b  # bit-identical after re-parsing
             assert out_csv == reference_csv(data["columns"], data["rows"])
+
+    def test_constants_are_derived_once_per_m(self, capsys, monkeypatch):
+        # 9,999 rows of 199 m: one derivation per m, and the rows of the public
+        # energy and derive_constants called per row
+        calls = []
+
+        def counting(params, two_m):
+            calls.append(two_m)
+            return derive_constants(params, two_m)
+
+        monkeypatch.setattr(cli, "derive_constants", counting)
+        monkeypatch.setattr(qnum, "derive_constants", counting)
+        params = SystemParams(two_s=2, c1=0.3, c2=0.7)
+        code, out = run_cli(capsys, "spectrum", "--s", "1", "--c1", "0.3", "--c2", "0.7",
+                            "--n-max", "100")
+        assert code == 0
+        assert sorted(calls) == list(range(-198, 199, 2))
+        monkeypatch.undo()
+        rows = [[two_n / 2.0, two_m / 2.0, dc.delta1, dc.delta2, energy(params, two_m, two_n)]
+                for two_n, two_m in enumerate_blocks(params, 100)
+                for dc in [derive_constants(params, two_m)]]
+        assert len(rows) == 9999
+        assert out == reference_csv(["n", "m", "delta1", "delta2", "energy"], rows)
 
 
 class TestCoefficients:
@@ -225,6 +249,27 @@ class TestCoefficients:
             "col_labels": list(matrix.col_labels),
             "entries": [[float(v) for v in row] for row in matrix.entries],
         }) + "\n"
+
+    def test_negative_half_integer_labels_in_equals_form(self, capsys):
+        # argparse takes "-1/2" after a space for an option, so the help and the
+        # README write a negative half-integer label as --m=-1/2 or --s=-1/2
+        for s, two_s in (("1/2", 1), ("-1/2", -1)):
+            code, out = run_cli(capsys, "coefficients", f"--s={s}", "--n", "5/2", "--m=-1/2")
+            assert code == 0
+            matrix = expansion_matrix(SystemParams(two_s=two_s), 5, -1)
+            rows = [[label, *row] for label, row in zip(matrix.row_labels, matrix.entries)]
+            assert out == reference_csv(["row", *matrix.col_labels], rows)
+            assert run_cli(capsys, "sweep", f"--s={s}", "--n", "5/2", "--m=-1/2",
+                           "--R", "1")[0] == 0
+        for command in ("coefficients", "sweep"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text = "".join(capsys.readouterr().out.split())   # whatever the wrapping
+            assert "--m=-1/2" in help_text and "--s=-1/2" in help_text
+        with pytest.raises(SystemExit) as refused:
+            main(["coefficients", "--s", "1/2", "--n", "5/2", "--m", "-1/2"])
+        assert refused.value.code == 2
+        assert "argument --m: expected one argument" in capsys.readouterr().err
 
     def test_json_shape(self, capsys):
         code, out = run_cli(capsys, "coefficients", "--n", "3", "--m", "1",

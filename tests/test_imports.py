@@ -80,13 +80,45 @@ def test_only_the_kernel_self_checks_reach_into_bases():
     assert reached == {("verify", "_angular"), ("verify", "_laguerre_factor")}
 
 
-def test_only_verify_reaches_into_spheroidal():
-    # the CLI takes every spheroidal result from the public sweep; verify keeps
-    # the independent two-sided eigensolve and the limit deviations as its reference
+def test_no_module_reaches_into_spheroidal():
+    # the CLI takes every spheroidal result from the public sweep; verify holds
+    # the independent two-sided eigensolve and the limit deviations itself
     reached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for module, name in private_imports(path) if module == "spheroidal"}
-    assert reached == {("verify", "_aligned_deviation"), ("verify", "_eigensolve"),
-                       ("verify", "_limits")}
+    assert reached == set()
+
+
+PRODUCTION = ("bases", "cli", "coords", "interbasis", "qnum", "spheroidal")
+# the parabolic side M + R diag(beta) of the spheroidal operator, the names it
+# was kept under and the solve that reads it: verify's reference alone
+PARABOLIC_SIDE = {"m_diag", "m_off", "betas", "parabolic_bands", "_parabolic_side",
+                  "_eigensolve", "_limits"}
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every name a tree defines, reads, imports, passes as a keyword or looks up."""
+    names = referenced_names(tree)
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+            names.add(sub.name)
+        elif isinstance(sub, ast.arg):
+            names.add(sub.arg)
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            names.add(sub.arg)
+    return names
+
+
+def test_no_production_module_builds_the_parabolic_side():
+    # the names are live: verify, the one module allowed to, uses all but the method
+    assert PARABOLIC_SIDE - {"parabolic_bands"} <= identifiers(
+        ast.parse((PACKAGE / "verify.py").read_text()))
+    for stem in PRODUCTION:
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        assert not identifiers(tree) & PARABOLIC_SIDE, stem
+        # a beta is formed one label at a time, by the public separation constant
+        callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and "_separation_constant" in referenced_names(node)}
+        assert callers <= {"parabolic_separation_constant"}, stem
 
 
 # the closed-form oracles: the verify suite and the tests hold production code to them

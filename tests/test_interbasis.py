@@ -20,7 +20,13 @@ from mickepler.qnum import (
     derive_constants,
     parabolic_separation_constant,
 )
-from mickepler.verify import _biorthogonality, _completeness_residual, _overlap_matrix, _States
+from mickepler.verify import (
+    _biorthogonality,
+    _completeness_residual,
+    _overlap_matrix,
+    _parabolic_side,
+    _States,
+)
 
 HYDROGEN = SystemParams(two_s=0)
 
@@ -314,6 +320,22 @@ class TestEigenvectorMatrix:
             block(params, 4, 0)
         with pytest.raises(ValueError, match=r"c1=0, c2=1e\+300 .* n=3, m=0 block"):
             expansion_matrix(SystemParams(two_s=0, c2=1e300), 6, 0)
+
+    @pytest.mark.parametrize("accepted, refused", [((1e152, 1e152), (1e154, 1e154)),
+                                                   ((1e204, 0.0), (1e206, 0.0)),
+                                                   ((1e204, 0.7), (1e206, 0.7))])
+    def test_overflow_edge_is_set_by_the_spherical_bands(self, accepted, refused):
+        # the n = 4, m = 0 block at s = 0, c two decades apart: block() refuses
+        # once its own bands overflow, and verify's parabolic-side bands are
+        # still finite on both sides of that edge, so checking them too, as
+        # block() once did, would refuse at the same c
+        blk = block(SystemParams(two_s=0, c1=accepted[0], c2=accepted[1]), 8, 0)
+        assert np.isfinite(np.concatenate([blk.angular, blk.x_diag, blk.x_off])).all()
+        with pytest.raises(ValueError, match=r"too large: the bands of the n=4, m=0 block"):
+            block(SystemParams(two_s=0, c1=refused[0], c2=refused[1]), 8, 0)
+        for c1, c2 in (accepted, refused):
+            dc = derive_constants(SystemParams(two_s=0, c1=c1, c2=c2), 0)
+            assert np.isfinite(np.concatenate(_parabolic_side(dc, 8))).all()
 
 
 class TestEigenStack:

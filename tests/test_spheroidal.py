@@ -5,6 +5,8 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
+from conftest import limit_deviations, parabolic_bands, reference_eigensolve
+
 import mickepler.spheroidal as spheroidal
 from mickepler.interbasis import _coupling, _fix_signs, _mixing_matrix, block, expansion_matrix
 from mickepler.qnum import (
@@ -13,14 +15,8 @@ from mickepler.qnum import (
     derive_constants,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import (
-    _aligned_deviation,
-    _continue_signs,
-    _eigensolve,
-    limits,
-    solve,
-    sweep,
-)
+from mickepler.spheroidal import _continue_signs, solve, sweep
+from mickepler.verify import _aligned_deviation, _parabolic_side
 
 HYDROGEN = SystemParams(two_s=0)
 
@@ -81,24 +77,25 @@ class TestRungeLenzMatrix:
 
 
 class TestAngularMomentumMatrix:
+    """M, the parabolic side at R = 0, of the verify suite's reference bands."""
+
     def test_d1_value(self):
         params = SystemParams(two_s=0, c1=0.4, c2=0.9)
         dc = derive_constants(params, 2)
-        blk = block(params, dc.two_m_plus + 2, 2)
+        m_diag, _, _ = _parabolic_side(dc, dc.two_m_plus + 2)
         expected = (dc.m_plus + dc.delta_total / 2) * (dc.m_plus + dc.delta_total / 2 + 1)
-        assert blk.m_diag[0] == approx(expected, rel=1e-13)
+        assert m_diag[0] == approx(expected, rel=1e-13)
 
     def test_hydrogen_n2_spectrum(self):
-        blk = block(HYDROGEN, 4, 0)
-        assert eigvalsh_tridiagonal(blk.m_diag, blk.m_off) == approx([0.0, 2.0], abs=1e-14)
+        m_diag, m_off, _ = _parabolic_side(derive_constants(HYDROGEN, 0), 4)
+        assert eigvalsh_tridiagonal(m_diag, m_off) == approx([0.0, 2.0], abs=1e-14)
 
     def test_perturbed_spectrum_identity(self):
         params = SystemParams(two_s=1, c1=0.55, c2=1.3)
         dc = derive_constants(params, -1)
         d = 4
         two_n = dc.two_m_plus + 2 * d
-        blk = block(params, two_n, -1)
-        eigs = eigvalsh_tridiagonal(blk.m_diag, blk.m_off)
+        eigs = eigvalsh_tridiagonal(*_parabolic_side(dc, two_n)[:2])
         half = dc.delta_total / 2
         expected = np.sort([(dc.m_plus + k + half) * (dc.m_plus + k + half + 1)
                             for k in range(d)])
@@ -144,7 +141,7 @@ class TestSolve:
             R = float(rng.uniform(0, 50))
             blk = block(params, two_n, two_m)
             lam_s = eigvalsh_tridiagonal(*blk.spherical_bands(R))
-            lam_p = eigvalsh_tridiagonal(*blk.parabolic_bands(R))
+            lam_p = eigvalsh_tridiagonal(*parabolic_bands(params, two_n, two_m, R))
             assert np.abs(lam_s - lam_p).max() <= 1e-10
 
     def test_basis_change_u_equals_wv(self):
@@ -173,44 +170,44 @@ class TestSolve:
     @pytest.mark.parametrize("R", [-1.0, np.array([[0.0], [2.0], [-1e-300]])])
     def test_negative_r_rejected_by_bands(self, R):
         blk = block(HYDROGEN, 6, 0)
-        for bands in (blk.spherical_bands, blk.parabolic_bands):
-            with pytest.raises(ValueError, match="nonnegative"):
-                bands(R)
+        with pytest.raises(ValueError, match="nonnegative"):
+            blk.spherical_bands(R)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reference_eigensolve(HYDROGEN, 6, 0, np.ravel(R))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_rejected(self, bad):
         blk = block(HYDROGEN, 6, 0)
-        for bands in (blk.spherical_bands, blk.parabolic_bands):
-            with pytest.raises(ValueError, match="finite"):
-                bands(bad)
-            with pytest.raises(ValueError, match="finite"):
-                bands(np.array([[0.0], [1.0], [bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            blk.spherical_bands(bad)
+        with pytest.raises(ValueError, match="finite"):
+            blk.spherical_bands(np.array([[0.0], [1.0], [bad]]))
         with pytest.raises(ValueError, match="finite"):
             solve(HYDROGEN, 6, 0, bad)
         with pytest.raises(ValueError, match="finite"):
-            limits(HYDROGEN, 6, 0, 1e-6, bad)
+            limit_deviations(HYDROGEN, 6, 0, 1e-6, bad)
         with pytest.raises(ValueError, match="finite"):
             sweep(HYDROGEN, 6, 0, [0.0, 1.0, bad] if bad > 0 else [bad, 0.0])
 
 
 class TestLimits:
+    """The verify suite's four limit deviations: U(r_small) vs identity, U(r_large)
+    vs W, V(r_large) vs identity and V(r_small) vs W^T."""
+
     def test_d1_exact(self):
-        rep = limits(HYDROGEN, 2, 0, 1e-6, 1e6)
-        assert rep.max_deviation() == 0.0
+        assert limit_deviations(HYDROGEN, 2, 0, 1e-6, 1e6).max() == 0.0
 
     def test_hydrogen_n2_small_r(self):
-        rep = limits(HYDROGEN, 4, 0, 1e-6, 1e6)
-        assert rep.u_identity_dev <= 1e-5
-        assert rep.u_mixing_dev <= 1e-5
-        assert rep.v_identity_dev <= 1e-5
-        assert rep.v_mixing_dev <= 1e-5
+        deviations = limit_deviations(HYDROGEN, 4, 0, 1e-6, 1e6)
+        assert deviations.shape == (4,)
+        for deviation in deviations:
+            assert deviation <= 1e-5
 
     def test_first_order_scaling(self):
-        inner = limits(HYDROGEN, 4, 0, 1e-6, 1e6)
-        outer = limits(HYDROGEN, 4, 0, 1e-7, 1e7)
-        for field in ("u_identity_dev", "u_mixing_dev",
-                      "v_identity_dev", "v_mixing_dev"):
-            assert getattr(outer, field) <= 0.101 * getattr(inner, field)
+        inner = limit_deviations(HYDROGEN, 4, 0, 1e-6, 1e6)
+        outer = limit_deviations(HYDROGEN, 4, 0, 1e-7, 1e7)
+        for k in range(4):
+            assert outer[k] <= 0.101 * inner[k]
 
     @pytest.mark.parametrize("params, two_n, two_m", [
         (SystemParams(two_s=0, c1=0.3, c2=0.7), 6, 0),
@@ -219,11 +216,11 @@ class TestLimits:
     def test_limit_convergence(self, params, two_n, two_m):
         # perturbed levels: every deviation falls tenfold per decade of R
         # (or 1/R) from 1e-3 down to 1e-6
-        reports = [limits(params, two_n, two_m, 10.0**-k, 10.0**k) for k in (3, 4, 5, 6)]
+        reports = [limit_deviations(params, two_n, two_m, 10.0**-k, 10.0**k)
+                   for k in (3, 4, 5, 6)]
         for inner, outer in zip(reports, reports[1:]):
-            for field in ("u_identity_dev", "u_mixing_dev",
-                          "v_identity_dev", "v_mixing_dev"):
-                assert getattr(outer, field) / getattr(inner, field) == approx(0.1, rel=1e-2)
+            for k in range(4):
+                assert outer[k] / inner[k] == approx(0.1, rel=1e-2)
 
 
 class TestSweep:
@@ -235,7 +232,7 @@ class TestSweep:
         for params, two_n, two_m, R in ((HYDROGEN, 4, 0, 3.0),
                                         (SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1, 2.5)):
             blk = block(params, two_n, two_m)
-            lambdas, _, u, v = _eigensolve(blk, [R])
+            lambdas, _, u, v = reference_eigensolve(params, two_n, two_m, [R])
             direct = solve(params, two_n, two_m, R)
             assert np.array_equal(direct.lambdas, lambdas[0])
             assert np.array_equal(direct.spherical_coefficients.entries, u[0].T)
@@ -447,8 +444,8 @@ class TestContinueSigns:
         self.check(raw)
 
     def test_solver_stack_matches_point_loop(self):
-        blk = block(SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1)
-        _, _, u, v = _eigensolve(blk, list(np.linspace(0.0, 60.0, 500)))
+        _, _, u, v = reference_eigensolve(SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1,
+                                          list(np.linspace(0.0, 60.0, 500)))
         self.check(u)
         self.check(v)
 

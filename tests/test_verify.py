@@ -10,7 +10,13 @@ from pytest import approx
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
-from conftest import blocks_up_to, grid_cases
+from conftest import (
+    blocks_up_to,
+    grid_cases,
+    limit_deviations,
+    parabolic_bands,
+    reference_eigensolve,
+)
 
 import mickepler.bases as bases
 import mickepler.cli as cli
@@ -35,8 +41,9 @@ from mickepler.qnum import (
     derive_constants,
     enumerate_blocks,
 )
-from mickepler.spheroidal import _aligned_deviation, _eigensolve, limits, solve
+from mickepler.spheroidal import solve
 import mickepler.verify as verify
+from mickepler.verify import _aligned_deviation
 from mickepler.verify import CheckReport, run_suite, summary_table, to_json_lines
 
 HYDROGEN = SystemParams(two_s=0)
@@ -242,8 +249,8 @@ class TestRunSuite:
         values through ``corrupt(lambdas_par, u, p)``."""
         real = verify._eigensolve
 
-        def corrupted(blk, r_stack):
-            lambdas, lambdas_par, u, v = real(blk, r_stack)
+        def corrupted(blk, parabolic, r_stack):
+            lambdas, lambdas_par, u, v = real(blk, parabolic, r_stack)
             for p, R in enumerate(r_stack):
                 if R in r_values:
                     corrupt(lambdas_par, u, p)
@@ -374,7 +381,7 @@ class TestBlockCores:
         # and the suite's own parabolic-side solve agrees with it to rounding
         for params, two_n, two_m in self.CASES + self.LARGE_CASES:
             blk = block(params, two_n, two_m)
-            lambdas, lambdas_par, u, v = _eigensolve(blk, R_LIST)
+            lambdas, lambdas_par, u, v = reference_eigensolve(params, two_n, two_m, R_LIST)
             v_from_u = interbasis._fix_signs(
                 np.einsum("pqk,kn->pqn", u, interbasis._mixing_matrix(blk)[0]))
             for p, R in enumerate(R_LIST):
@@ -384,12 +391,12 @@ class TestBlockCores:
                 assert np.array_equal(v_from_u[p].T, sol.parabolic_coefficients.entries)
                 assert _aligned_deviation(v[p].T, sol.parabolic_coefficients.entries) <= 1e-13
                 # the parabolic spectrum is the one scipy returns for that side alone
-                par_diag, par_off = blk.parabolic_bands(R)
+                par_diag, par_off = parabolic_bands(params, two_n, two_m, R)
                 assert np.array_equal(lambdas_par[p],
                                       eigh_tridiagonal(par_diag, par_off)[0])
 
     def test_block_limits_are_bit_equal_to_limits(self):
-        names = ("u_identity_dev", "u_mixing_dev", "v_identity_dev", "v_mixing_dev")
+        # the suite's stacked probes against the four deviations of each probe pair alone
         for params in (HYDROGEN, RING_HALF):
             residuals = {(r.check_id, r.context): r.residual
                          for r in run_suite(params, n_max=5, r_list=R_LIST)}
@@ -398,13 +405,13 @@ class TestBlockCores:
                 if d < 2:
                     continue
                 ctx = verify._context(params, two_m=two_m, two_n=two_n)
-                inner = limits(params, two_n, two_m, 1e-6, 1e6)
-                outer = limits(params, two_n, two_m, 1e-7, 1e7)
-                ratio = max((getattr(outer, name) / getattr(inner, name)
-                             for name in names if getattr(inner, name) > 0.0), default=0.0)
+                inner = limit_deviations(params, two_n, two_m, 1e-6, 1e6)
+                outer = limit_deviations(params, two_n, two_m, 1e-7, 1e7)
+                ratio = max((outer[k] / inner[k] for k in range(4) if inner[k] > 0.0),
+                            default=0.0)
                 assert residuals["spheroidal.limit_scaling", ctx] == ratio
                 if d == 2:
-                    assert residuals["spheroidal.limits", ctx] == inner.max_deviation()
+                    assert residuals["spheroidal.limits", ctx] == inner.max()
 
     def test_staged_overlap_matches_five_operand_einsum(self):
         for params, two_n, two_m in self.CASES:
