@@ -217,23 +217,25 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _mixing_matrix(blk: Block) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of the block's X as columns in ascending beta (ascending n1),
-    and those ascending eigenvalues, from one eigensolve.
+def _mixing_matrix(x_diag: np.ndarray, x_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row b of the stacked X bands (B, d) and (B, d - 1): the eigenvectors of
+    X as columns in ascending beta (ascending n1), and those ascending eigenvalues,
+    (B, d, d) and (B, d) from one eigensolve.
 
     Each column is signed so that its j = m_plus entry is positive.  That
     entry never vanishes: the off-diagonal of X has no zero inside a block,
     and an eigenvector of an unreduced tridiagonal matrix with a zero first
     component would vanish entirely.
     """
-    eigenvalues, vectors = _eigh_stack(blk.x_diag[None], blk.x_off)
-    return _fix_signs(vectors)[0].T, eigenvalues[0]
+    eigenvalues, vectors = _eigh_stack(x_diag, x_off)
+    return _fix_signs(vectors).swapaxes(-1, -2), eigenvalues
 
 
 def expansion_matrix(params: SystemParams, two_n: int, two_m: int) -> ExpansionMatrix:
     """Orthogonal d x d matrix; rows are spherical j, columns parabolic n1."""
     blk = block(params, two_n, two_m)
-    return ExpansionMatrix(dim=blk.dim, entries=_mixing_matrix(blk)[0],
+    w = _mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]
+    return ExpansionMatrix(dim=blk.dim, entries=w,
                            row_labels=blk.spherical_labels,
                            col_labels=blk.parabolic_labels)
 

@@ -88,7 +88,8 @@ class SpheroidalSweep(Sequence):
             return None
         # numpy's own loop, not BLAS: a first BLAS matrix product maps its work
         # buffer, 0.3 MiB more peak memory for a sweep that calls no other
-        v = _fix_signs(np.einsum("pqk,kn->pqn", self.u, _mixing_matrix(self.block)[0]))
+        w = _mixing_matrix(self.block.x_diag[None], self.block.x_off[None])[0][0]
+        v = _fix_signs(np.einsum("pqk,kn->pqn", self.u, w))
         _continue_signs(v)
         return v
 

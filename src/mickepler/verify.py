@@ -95,6 +95,7 @@ TOL_LIMITS = 1e-5
 TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
 # (r_small, r_large) of the inner, then of the outer decade of the limit checks
 _LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
+_LINEARITY_PROBES = [0.5, 2.0, 7.0]   # the R at which the bands are held to A + R X
 _OVERLAP_D_MAX = 4   # the 2D overlap quadrature is checked on blocks up to this d
 _ANGULAR_CHANNELS = 5   # the angular Gram matrix of each m covers j = m_plus .. m_plus + 4
 
@@ -274,37 +275,50 @@ def _check_kernel(rng: np.random.Generator) -> list[CheckReport]:
 # per-block residuals
 # ---------------------------------------------------------------------------
 
-def _context(params: SystemParams, two_m=None, two_n=None, R=None, extra="") -> str:
-    parts = [f"s={format_half_integer(params.two_s)}",
-             f"c1={params.c1:g}", f"c2={params.c2:g}"]
+def _params_context(params: SystemParams) -> str:
+    """The s, c1 and c2 that open every context of a parameter point."""
+    return f"s={format_half_integer(params.two_s)} c1={params.c1:g} c2={params.c2:g}"
+
+
+def _context(prefix: str, two_m=None, two_n=None, extra="") -> str:
+    parts = [prefix]
     if two_n is not None:
         parts.append(f"n={format_half_integer(two_n)}")
     if two_m is not None:
         parts.append(f"m={format_half_integer(two_m)}")
-    if R is not None:
-        parts.append(f"R={R:g}")
     if extra:
         parts.append(extra)
     return " ".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
-class _Level:
-    """The states of one (n, m) block and their radial values on one rule.
+class _Levels:
+    """The states of B (n, m) blocks of one dimension d and their radial values,
+    each block on its own rule, stacked on a leading block axis.
 
-    ``w_r`` are the weights of the Gauss-Laguerre rule with weight exponent
-    2 m_plus + delta, rescaled so that ``sum(w_r * f(r))`` approximates the
-    integral of f over (0, inf); it is exact to rounding for the block's
-    radial overlaps and the radial axis of its parabolic-spherical overlaps.
+    ``w_r`` are the weights of block b's Gauss-Laguerre rule with weight exponent
+    2 m_plus + delta, rescaled so that ``sum(w_r[b] * f(r[b]))`` approximates the
+    integral of f over (0, inf); it is exact to rounding for the block's radial
+    overlaps and the radial axis of its parabolic-spherical overlaps.
     """
 
-    n_eff: float
-    dc: DerivedConstants
-    sph: list[SphericalState]   # j = m_plus .. n-1
-    par: list[ParabolicState]   # n1 = 0 .. d-1
-    r: np.ndarray               # radial nodes
+    dim: int
+    n_eff: list[float]
+    dcs: list[DerivedConstants]
+    sph: list[SphericalState]   # block b's j = m_plus .. n-1 at b d .. b d + d - 1
+    par: list[ParabolicState]   # block b's n1 = 0 .. d-1 at b d .. b d + d - 1
+    r: np.ndarray               # (B, nodes) radial nodes
     w_r: np.ndarray
-    rad: np.ndarray             # (d, nodes) radial values of sph
+    rad: np.ndarray             # (B, d, nodes) radial values of sph
+
+    def per_state(self, coords: np.ndarray) -> np.ndarray:
+        """Block coordinates (B, ...) repeated for each of its d states, the
+        coordinates of one list call over ``sph`` or ``par``."""
+        return np.repeat(coords, self.dim, axis=0)
+
+    def per_block(self, values: np.ndarray) -> np.ndarray:
+        """The rows of a list call over ``sph`` or ``par`` as (B, d, ...)."""
+        return values.reshape(len(self.dcs), self.dim, *values.shape[1:])
 
 
 class _States:
@@ -320,24 +334,29 @@ class _States:
         self.spherical = lru_cache(maxsize=None)(partial(spherical_state, params))
         self.parabolic = lru_cache(maxsize=None)(partial(parabolic_state, params))
 
-    def level(self, two_n: int, two_m: int) -> _Level:
-        dc = derive_constants(self.params, two_m)
-        d = _block_dimension(dc, two_n)
-        sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m) for k in range(d)]
-        par = [self.parabolic(n1, d - 1 - n1, two_m) for n1 in range(d)]
+    def levels(self, labels: list[tuple[int, int]]) -> _Levels:
+        """The blocks (two_n, two_m) of ``labels``, all of one dimension d."""
+        dcs = [derive_constants(self.params, two_m) for _, two_m in labels]
+        d = _block_dimension(dcs[0], labels[0][0])
+        sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m)
+               for (two_n, two_m), dc in zip(labels, dcs) for k in range(d)]
+        par = [self.parabolic(n1, d - 1 - n1, two_m) for _, two_m in labels for n1 in range(d)]
         # each radial function, and each parabolic profile at fixed x, is
         # r^(m_plus + delta/2) e^(-eps r) times a polynomial of degree d - 1 in r;
         # a product of two, times the r^2 of the overlap, has degree 2d
-        power = float(dc.two_m_plus) + dc.delta_total
-        t, w = _laguerre(_gauss_order(2 * d), power)
-        scale = 2.0 * sph[0].eps
+        t, w = map(np.array, zip(*(_laguerre(_gauss_order(2 * d),
+                                             float(dc.two_m_plus) + dc.delta_total)
+                                   for dc in dcs)))
+        scale = np.array([2.0 * sph[b * d].eps for b in range(len(labels))])[:, None]
         r = t / scale
-        return _Level(n_eff=_n_effective(dc, two_n), dc=dc, sph=sph, par=par, r=r, w_r=w / scale,
-                      rad=radial_r(sph, r[None]))
+        return _Levels(dim=d, n_eff=[_n_effective(dc, two_n) for (two_n, _), dc in zip(labels, dcs)],
+                       dcs=dcs, sph=sph, par=par, r=r, w_r=w / scale,
+                       rad=radial_r(sph, np.repeat(r, d, axis=0)).reshape(len(labels), d, -1))
 
 
-def _identity_deviation(gram: np.ndarray) -> float:
-    return float(np.abs(gram - np.eye(len(gram))).max())
+def _identity_deviation(gram: np.ndarray) -> np.ndarray:
+    """Max |gram - I| of each (..., k, k) matrix."""
+    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
 
 
 def _angular_gram(states: _States, dc: DerivedConstants) -> np.ndarray:
@@ -372,48 +391,70 @@ def _radial_gram(states: _States, dc: DerivedConstants, two_j: int, two_n_list
     return np.sum(w * integrand, axis=-1) / pair_eps
 
 
-def _parabolic_norms(lv: _Level) -> np.ndarray:
-    eps = lv.par[0].eps
+def _parabolic_norms(lv: _Levels) -> np.ndarray:
+    """(B, d) norms of the blocks' parabolic states, each block on its own rules."""
+    eps = np.array([lv.par[b * lv.dim].eps for b in range(len(lv.dcs))])[:, None]
     # Phi_i^2 is x^m_i e^(-eps x) times a polynomial of degree 2 n_i <= 2d - 2,
     # and the volume element's xi + eta adds one
     moments = []
-    for axis, mi in ((0, lv.dc.m1), (1, lv.dc.m2)):
-        t, w = _laguerre(_gauss_order(2 * len(lv.par) - 1), mi)
+    for axis in (0, 1):
+        t, w = map(np.array, zip(*(_laguerre(_gauss_order(2 * lv.dim - 1),
+                                             dc.m2 if axis else dc.m1) for dc in lv.dcs)))
         x = t / eps
-        f2 = parabolic_factor(lv.par, axis, x[None])**2
-        moments.append((np.sum(w * f2, axis=1) / eps, np.sum(w * (f2 * x), axis=1) / eps))
-    return 0.5 * eps**4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
+        f2 = lv.per_block(parabolic_factor(lv.par, axis, lv.per_state(x)))**2
+        w = w[:, None]
+        moments.append((np.sum(w * f2, axis=-1) / eps,
+                        np.sum(w * (f2 * x[:, None]), axis=-1) / eps))
+    # eps^4 a Python float per block, as numpy's vector power may round otherwise
+    eps4 = np.array([0.5 * e**4 for e in eps[:, 0].tolist()])[:, None]
+    return eps4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
 
 
-def _biorthogonality(lv: _Level) -> np.ndarray:
-    """Unweighted radial overlaps of the block's spherical states, rows and columns j."""
-    return (lv.rad * lv.w_r) @ lv.rad.T
+def _biorthogonality(lv: _Levels) -> np.ndarray:
+    """Unweighted radial overlaps of each block's spherical states, rows and columns j."""
+    return (lv.rad * lv.w_r[:, None]) @ lv.rad.swapaxes(-1, -2)
 
 
-def _overlap_matrix(lv: _Level) -> np.ndarray:
+def _overlap_matrix(lv: _Levels) -> np.ndarray:
     # at fixed r, the angular profiles and the parabolic profiles are each
     # (1 - x)^(m2/2) (1 + x)^(m1/2) times a polynomial of degree <= d - 1 in x
-    x, w_x = _jacobi(_gauss_order(2 * len(lv.sph) - 2), lv.dc.m2, lv.dc.m1)
+    d = lv.dim
+    x, w_x = map(np.array, zip(*(_jacobi(_gauss_order(2 * d - 2), dc.m2, dc.m1)
+                                 for dc in lv.dcs)))
     theta = np.arccos(x)
-    xi = lv.r[:, None] * (1.0 + x)[None, :]
-    eta = lv.r[:, None] * (1.0 - x)[None, :]
-    ang = angular_profile(lv.sph, theta[None])              # (d, nx)
-    pab = parabolic_profile(lv.par, xi[None], eta[None])    # (d, nt, nx)
-    d, nt, nx = pab.shape
+    xi = lv.r[:, :, None] * (1.0 + x)[:, None, :]
+    eta = lv.r[:, :, None] * (1.0 - x)[:, None, :]
+    ang = lv.per_block(angular_profile(lv.sph, lv.per_state(theta)))        # (B, d, nx)
+    pab = lv.per_block(parabolic_profile(lv.par, lv.per_state(xi),
+                                         lv.per_state(eta)))                # (B, d, nt, nx)
+    b, _, nt, nx = pab.shape
     # the angular sum as one matrix product over the stacked (n1, node) rows,
     # then the radial sum
-    angular = (pab.reshape(d * nt, nx) @ (ang * w_x).T).reshape(d, nt, d)  # [l, i, j]
+    angular = (pab.reshape(b, d * nt, nx)
+               @ (ang * w_x[:, None]).swapaxes(-1, -2)).reshape(b, d, nt, d)  # [b, l, i, j]
     return math.sqrt(2.0 * math.pi) * np.einsum(
-        "lij,ji->jl", angular, lv.rad * (lv.w_r * lv.r * lv.r))
+        "blij,bji->bjl", angular, lv.rad * (lv.w_r * lv.r * lv.r)[:, None])
 
 
-def _completeness_residual(lv: _Level, w: np.ndarray, rng: np.random.Generator) -> float:
-    scale = lv.n_eff ** 2
-    draws = rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi], size=(20, 3))
-    point = SphericalPoint(r=scale * draws[None, :, 0], theta=np.arccos(draws[None, :, 1]),
-                           phi=draws[None, :, 2])
-    direct = psi_parabolic(lv.par, spherical_to_parabolic(point))
-    return float(np.abs(direct - w.T @ psi_spherical(lv.sph, point)).max())
+_COMPLETENESS_POINTS = 20
+
+
+def _completeness_draws(rng: np.random.Generator, blocks: int) -> np.ndarray:
+    """(blocks, points, 3) uniform draws of r / n_eff^2, cos theta and phi, block
+    after block: the same numbers as one draw of (points, 3) per block in turn."""
+    return rng.uniform([0.05, -1.0, 0.0], [3.0, 1.0, 2.0 * math.pi],
+                       size=(blocks, _COMPLETENESS_POINTS, 3))
+
+
+def _completeness_residual(lv: _Levels, w: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Per block, max |psi_par - W^T psi_sph| at its points of ``draws``."""
+    scale = np.array([n_eff**2 for n_eff in lv.n_eff])[:, None]
+    point = SphericalPoint(r=lv.per_state(scale * draws[:, :, 0]),
+                           theta=lv.per_state(np.arccos(draws[:, :, 1])),
+                           phi=lv.per_state(draws[:, :, 2]))
+    direct = lv.per_block(psi_parabolic(lv.par, spherical_to_parabolic(point)))
+    expanded = w.swapaxes(-1, -2) @ lv.per_block(psi_spherical(lv.sph, point))
+    return np.abs(direct - expanded).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +483,24 @@ def _parabolic_side(dc: DerivedConstants, two_n: int
     return m_diag, m_off, betas
 
 
-def _eigensolve(blk: Block, parabolic: tuple[np.ndarray, np.ndarray, np.ndarray],
-                r_values: list[float]
+def _eigensolve(diag: np.ndarray, off: np.ndarray,
+                parabolic: tuple[np.ndarray, np.ndarray, np.ndarray], r_values: list[float]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ascending eigenvalues of the spherical and of the parabolic side, and
-    the sign-fixed U and V stacks (vectors as rows), at each R, from one eigensolve
-    of each side, the parabolic one from the block's :func:`_parabolic_side`;
+    the sign-fixed U and V stacks (vectors as rows), of B blocks of one dimension
+    d at each of P values of R, from one eigensolve of each side: the spherical
+    one of the blocks' :meth:`Block.spherical_bands` at those R, (B, P, d) and
+    (B, P, d - 1), the parabolic one from their :func:`_parabolic_side`, stacked
+    (B, d), (B, d - 1) and (B, d).  Spectra come out (B, P, d), vectors (B, P, d, d);
     :func:`mickepler.spheroidal.sweep` takes V = W^T U instead."""
+    b, p, d = diag.shape
     r = np.asarray(r_values, dtype=float)[:, None]
     m_diag, m_off, betas = parabolic
-    lambdas, u = _eigh_stack(*blk.spherical_bands(r))
-    lambdas_par, v = _eigh_stack(m_diag + r * betas, m_off)
-    return lambdas, lambdas_par, _fix_signs(u), _fix_signs(v)
+    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1))
+    lambdas_par, v = _eigh_stack((m_diag[:, None] + r * betas[:, None]).reshape(b * p, d),
+                                 np.repeat(m_off, p, axis=0))
+    return (lambdas.reshape(b, p, d), lambdas_par.reshape(b, p, d),
+            _fix_signs(u).reshape(b, p, d, d), _fix_signs(v).reshape(b, p, d, d))
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -464,38 +511,144 @@ def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The four limit deviations, one row per probe pair, from the block's mixing
-    matrix ``w`` and the U and V stacks (pairs, 2, d, d) of :func:`_eigensolve` at
-    each (r_small, r_large): U(r_small) against the identity, U(r_large) against W,
-    V(r_large) against the identity and V(r_small) against W^T, signs aligned per
-    column.  As R -> 0 the spherical-side eigenvectors approach unit vectors and
-    the parabolic-side ones W^T; as R -> inf the roles swap, and the deviations
-    fall off linearly in R (or 1/R)."""
-    eye = np.eye(len(w))
+    """The four limit deviations, one row per probe pair, from a block's mixing
+    matrix ``w`` (..., d, d) and the U and V stacks (..., pairs, 2, d, d) of
+    :func:`_eigensolve` at each (r_small, r_large): U(r_small) against the
+    identity, U(r_large) against W, V(r_large) against the identity and V(r_small)
+    against W^T, signs aligned per column.  As R -> 0 the spherical-side
+    eigenvectors approach unit vectors and the parabolic-side ones W^T; as
+    R -> inf the roles swap, and the deviations fall off linearly in R (or 1/R)."""
+    eye = np.eye(w.shape[-1])
+    w = w[..., None, :, :]   # one W for every probe pair
     u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)   # eigenvectors as columns
-    return np.stack([_aligned_deviation(u[:, 0], eye), _aligned_deviation(u[:, 1], w),
-                     _aligned_deviation(v[:, 1], eye), _aligned_deviation(v[:, 0], w.T)],
-                    axis=-1)
+    return np.stack([_aligned_deviation(u[..., 0, :, :], eye),
+                     _aligned_deviation(u[..., 1, :, :], w),
+                     _aligned_deviation(v[..., 1, :, :], eye),
+                     _aligned_deviation(v[..., 0, :, :], w.swapaxes(-1, -2))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
+def _r_column(r_list: list[float], limits: bool) -> np.ndarray:
+    """The R of a block's bands as a column: the list, R = 0 and, for a block with
+    ``limits`` checks (d >= 2), the limit probes, which one eigensolve per side
+    covers; then the linearity probes, read only as bands."""
+    return np.array(r_list + [0.0] + (_LIMIT_PROBES if limits else [])
+                    + _LINEARITY_PROBES)[:, None]
+
+
+def _block_reports(prefix: str, states: _States, r_list: list[float],
+                   labels: list[tuple[int, int]], blks: list[Block],
+                   bands: list[tuple[np.ndarray, np.ndarray]], draws: np.ndarray
+                   ) -> list[CheckReport]:
+    """The checks of blocks of one dimension d, labels (two_n, two_m): each numeric
+    family runs once over all of them, stacked on a leading block axis, and each
+    block gets its own reports.  ``bands`` are each block's spherical bands at
+    :func:`_r_column`, ``draws`` its completeness points."""
+    d, n_r = blks[0].dim, len(r_list)
+    lv = states.levels(labels)
+    r_eig = r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else [])
+    x_diag, x_off = np.array([blk.x_diag for blk in blks]), np.array([blk.x_off for blk in blks])
+    w, x_eigs = _mixing_matrix(x_diag, x_off)
+    parabolic = tuple(map(np.array, zip(*(_parabolic_side(dc, two_n)
+                                          for (two_n, _), dc in zip(labels, lv.dcs)))))
+    diag, off = map(np.array, zip(*bands))   # (B, P, d) and (B, P, d - 1)
+    # one stacked eigensolve per side: the R list, R = 0, where the parabolic side
+    # is M alone, and the limit probes; eigh diagonalizes each matrix of the
+    # stack on its own, so every row is bit-identical to a solve at that R alone
+    lambdas, lambdas_par, u, v = _eigensolve(diag[:, :len(r_eig)], off[:, :len(r_eig)],
+                                             parabolic, r_eig)
+
+    norms = np.abs(_parabolic_norms(lv) - 1.0).max(axis=-1)
+    # same-level radial functions of different j are orthogonal without the r^2 weight;
+    # n_eff^3 as a Python product, which overflows to inf where float ** would raise
+    closed = np.zeros((len(blks), d, d))
+    closed[:, range(d), range(d)] = 2.0 / (
+        np.array([n_eff * n_eff * n_eff for n_eff in lv.n_eff])[:, None]
+        * (np.array([[st.qn.two_j for st in lv.sph[b * d:(b + 1) * d]]
+                     for b in range(len(blks))])
+           + np.array([dc.delta_total for dc in lv.dcs])[:, None] + 1.0))
+    biorthogonality = np.abs(_biorthogonality(lv) - closed).max(axis=(-2, -1))
+    orthogonality = _identity_deviation(w.swapaxes(-1, -2) @ w)
+    overlap = np.abs(_overlap_matrix(lv) - w).max(axis=(-2, -1)) if d <= _OVERLAP_D_MAX else None
+    completeness = _completeness_residual(lv, w, draws)
+    # the betas ascend with n1, as the eigenvalues of X do; the angular spectrum
+    # l(l + 1) ascends with j
+    runge_lenz = np.abs(x_eigs - parabolic[2]).max(axis=-1)
+    angular = np.abs(lambdas_par[:, n_r] - np.array([blk.angular for blk in blks])).max(axis=-1)
+    # the bands at the linearity probes against those at R = 0 plus R X
+    probes = np.array(_LINEARITY_PROBES)[:, None]
+    k = len(_LINEARITY_PROBES)
+    linearity = np.maximum(
+        np.abs(diag[:, -k:] - (diag[:, n_r, None] + probes * x_diag[:, None])).max(axis=(1, 2)),
+        np.abs(off[:, -k:] - (off[:, n_r, None] + probes * x_off[:, None])
+               ).max(axis=(1, 2), initial=0.0))
+
+    u_r, v_r = u[:, :n_r].swapaxes(-1, -2), v[:, :n_r].swapaxes(-1, -2)  # vectors as columns
+    spectrum_dev = np.abs(lambdas[:, :n_r] - lambdas_par[:, :n_r]).max(axis=-1)
+    basis_dev = _aligned_deviation(w[:, None] @ v_r, u_r)
+    norm_dev = np.maximum(np.abs(np.linalg.norm(u_r, axis=-2) - 1.0).max(axis=-1),
+                          np.abs(np.linalg.norm(v_r, axis=-2) - 1.0).max(axis=-1))
+    if d >= 2:
+        limits = _limits(w, u[:, n_r + 1:].reshape(-1, 2, 2, d, d),
+                         v[:, n_r + 1:].reshape(-1, 2, 2, d, d))
+
+    reports = []
+    r_tags = [f"R={R:g}" for R in r_list]
+    for b, (two_n, two_m) in enumerate(labels):
+        ctx = _context(prefix, two_m=two_m, two_n=two_n)
+        cg = np.abs(w[b] - clebsch_gordan_block(lv.dcs[b], two_n)).max()
+        reports += [
+            _report("bases.parabolic.normalization", ctx, norms[b], TOL_QUAD_VS_CLOSED),
+            _report("interbasis.biorthogonality", ctx, biorthogonality[b], TOL_QUAD_VS_CLOSED),
+            _report("interbasis.orthogonality", ctx, orthogonality[b], TOL_ALGEBRA),
+            _report("interbasis.cg_equivalence", ctx, cg, TOL_ALGEBRA),
+            _report("interbasis.completeness", ctx, completeness[b], TOL_QUAD_VS_CLOSED),
+            _report("spheroidal.runge_lenz_spectrum", ctx, runge_lenz[b], TOL_ALGEBRA),
+            _report("spheroidal.angular_spectrum", ctx, angular[b], TOL_ALGEBRA),
+            _report("spheroidal.r_linearity", ctx, linearity[b], 0.0),
+        ]
+        if overlap is not None:
+            reports.append(_report("interbasis.overlap", ctx, overlap[b], TOL_OVERLAP))
+        for tag, spectrum, basis, norm in zip(r_tags, spectrum_dev[b], basis_dev[b], norm_dev[b]):
+            ctx_r = f"{ctx} {tag}"
+            reports += [
+                _report("spheroidal.spectrum_equality", ctx_r, spectrum, TOL_ALGEBRA),
+                _report("spheroidal.basis_change", ctx_r, basis, TOL_BASIS_CHANGE),
+                _report("spheroidal.normalization", ctx_r, norm, TOL_ALGEBRA),
+            ]
+        if d >= 2:
+            inner, outer = limits[b]
+            if d == 2:
+                reports.append(_report("spheroidal.limits", ctx, inner.max(), TOL_LIMITS))
+            # the largest outer/inner ratio over the four relations
+            shrink = inner > 0.0
+            reports.append(_report("spheroidal.limit_scaling", ctx,
+                                   np.max(outer[shrink] / inner[shrink], initial=0.0),
+                                   TOL_LIMIT_SHRINK))
+    return reports
+
+
 def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
               ) -> list[CheckReport]:
     """Run every identity check over all blocks with n <= n_max.
 
-    Each block, its mixing matrix W with the spectrum of X (one
-    eigensolve), its states and their radial values are built once, and
-    one stacked eigensolve per block serves every R of ``r_list``, R = 0
-    and the limit probes; every check of the block reads them.  Failures
-    are reported, never raised; a range holding no block or an n_max
-    that is not finite raises QuantumNumberError, and an empty ``r_list``
-    or a range whose largest block needs a quadrature rule past
-    DEFAULT_RADIAL_ORDER nodes raises ValueError before any block is
-    enumerated.  The report is exhaustive and, for fixed inputs
-    and seed, byte-identical across runs.
+    The numerics run once per block dimension d and the checks once per
+    block: the blocks of one d share their shapes and rule orders, so each
+    numeric family (W and the spectrum of X, the spheroidal eigensolve of
+    each side over every R of ``r_list``, R = 0 and the limit probes, the
+    radial values, the quadratures and the deviations) is one stacked call
+    over all of them, and each block gets its own reports from it.  Each
+    block and state is built once.  Failures are reported, never raised; a
+    range holding no block or an n_max that is not finite raises
+    QuantumNumberError, an empty ``r_list`` or a range whose largest block
+    needs a quadrature rule past DEFAULT_RADIAL_ORDER nodes raises
+    ValueError before any block is enumerated, and a block whose bands
+    overflow, or an R that is negative or not finite, raises ValueError
+    before any block is checked.  The report is exhaustive and, for fixed
+    inputs and seed, byte-identical across runs.
     """
     r_list = [float(r) for r in r_list]
     if not r_list:
@@ -514,102 +667,33 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     reports = _check_quadrature_selftest()
     reports += _check_kernel(kernel_rng)
     states = _States(params)
+    prefix = _params_context(params)
 
     for two_m, dc in m_constants.items():
         reports.append(_report(
-            "bases.angular.orthonormality", _context(params, two_m=two_m),
+            "bases.angular.orthonormality", _context(prefix, two_m=two_m),
             _identity_deviation(_angular_gram(states, dc)), TOL_QUAD_VS_CLOSED))
         # the radial chain of each j holds the levels n = j + 1 .. n_max
         for two_j in range(dc.two_m_plus, two_n_max - 1, 2):
             reports.append(_report(
                 "bases.radial.orthonormality",
-                _context(params, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
+                _context(prefix, two_m=two_m, extra=f"j={format_half_integer(two_j)}"),
                 _identity_deviation(_radial_gram(
                     states, dc, two_j, range(two_j + 2, two_n_max + 1, 2))),
                 TOL_QUAD_VS_CLOSED))
 
-    n_r = len(r_list)
-    for two_n, two_m in blocks:
-        ctx = _context(params, two_m=two_m, two_n=two_n)
+    # block by block, in order: its bands at every R it is checked at, and its
+    # completeness points; then the checks, one dimension at a time
+    r_columns = {d_ge_2: _r_column(r_list, d_ge_2) for d_ge_2 in (False, True)}
+    groups = {}
+    for (two_n, two_m), points in zip(blocks, _completeness_draws(rng, len(blocks))):
         blk = block(params, two_n, two_m)
-        d = blk.dim
-        lv = states.level(two_n, two_m)
-        dc = lv.dc
-        w, x_eigs = _mixing_matrix(blk)
-        parabolic = _parabolic_side(dc, two_n)
-
-        reports.append(_report("bases.parabolic.normalization", ctx,
-                               np.abs(_parabolic_norms(lv) - 1.0).max(), TOL_QUAD_VS_CLOSED))
-
-        two_js = [st.qn.two_j for st in lv.sph]
-        # same-level radial functions of different j are orthogonal without the r^2 weight;
-        # n_eff^3 as a product, which overflows to inf where float ** would raise
-        closed = np.diag(2.0 / (lv.n_eff * lv.n_eff * lv.n_eff
-                                * (np.array(two_js) + dc.delta_total + 1.0)))
-        reports.append(_report("interbasis.biorthogonality", ctx,
-                               np.abs(_biorthogonality(lv) - closed).max(),
-                               TOL_QUAD_VS_CLOSED))
-
-        reports.append(_report("interbasis.orthogonality", ctx,
-                               _identity_deviation(w.T @ w), TOL_ALGEBRA))
-
-        reports.append(_report("interbasis.cg_equivalence", ctx,
-                               np.abs(w - clebsch_gordan_block(dc, two_n)).max(), TOL_ALGEBRA))
-
-        if d <= _OVERLAP_D_MAX:
-            reports.append(_report("interbasis.overlap", ctx,
-                                   np.abs(_overlap_matrix(lv) - w).max(), TOL_OVERLAP))
-
-        reports.append(_report(
-            "interbasis.completeness", ctx,
-            _completeness_residual(lv, w, rng), TOL_QUAD_VS_CLOSED))
-
-        # the betas ascend with n1, as the eigenvalues of X do
-        reports.append(_report("spheroidal.runge_lenz_spectrum", ctx,
-                               np.abs(x_eigs - parabolic[2]).max(), TOL_ALGEBRA))
-
-        # one stacked eigensolve: the R list, R = 0, where the parabolic side is
-        # M alone, and the limit probes; eigh diagonalizes each matrix of the
-        # stack on its own, so every row is bit-identical to a solve at that R alone
-        lambdas, lambdas_par, u, v = _eigensolve(
-            blk, parabolic, r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else []))
-
-        # the angular spectrum l(l + 1) ascends with j
-        reports.append(_report("spheroidal.angular_spectrum", ctx,
-                               np.abs(lambdas_par[n_r] - blk.angular).max(), TOL_ALGEBRA))
-
-        base_diag, base_off = blk.spherical_bands(0.0)
-        worst = 0.0
-        for r_probe in (0.5, 2.0, 7.0):
-            diag, off = blk.spherical_bands(r_probe)
-            worst = max(worst, float(np.abs(np.concatenate([
-                diag - (base_diag + r_probe * blk.x_diag),
-                off - (base_off + r_probe * blk.x_off),
-            ])).max()))
-        reports.append(_report("spheroidal.r_linearity", ctx, worst, 0.0))
-
-        u_r, v_r = u[:n_r].swapaxes(1, 2), v[:n_r].swapaxes(1, 2)   # vectors as columns
-        spectrum_dev = np.abs(lambdas[:n_r] - lambdas_par[:n_r]).max(axis=1)
-        basis_dev = _aligned_deviation(w @ v_r, u_r)
-        norm_dev = np.maximum(np.abs(np.linalg.norm(u_r, axis=1) - 1.0).max(axis=1),
-                              np.abs(np.linalg.norm(v_r, axis=1) - 1.0).max(axis=1))
-        for R, spectrum, basis, norm in zip(r_list, spectrum_dev, basis_dev, norm_dev):
-            ctx_r = _context(params, two_m=two_m, two_n=two_n, R=R)
-            reports.append(_report("spheroidal.spectrum_equality", ctx_r, spectrum,
-                                   TOL_ALGEBRA))
-            reports.append(_report("spheroidal.basis_change", ctx_r, basis, TOL_BASIS_CHANGE))
-            reports.append(_report("spheroidal.normalization", ctx_r, norm, TOL_ALGEBRA))
-
-        if d >= 2:
-            inner, outer = _limits(w, u[n_r + 1:].reshape(2, 2, d, d),
-                                   v[n_r + 1:].reshape(2, 2, d, d))
-            if d == 2:
-                reports.append(_report("spheroidal.limits", ctx, inner.max(), TOL_LIMITS))
-            # the largest outer/inner ratio over the four relations
-            shrink = inner > 0.0
-            reports.append(_report("spheroidal.limit_scaling", ctx,
-                                   np.max(outer[shrink] / inner[shrink], initial=0.0),
-                                   TOL_LIMIT_SHRINK))
+        group = groups.setdefault(blk.dim, ([], [], [], []))
+        for member, item in zip(group, ((two_n, two_m), blk,
+                                        blk.spherical_bands(r_columns[blk.dim >= 2]), points)):
+            member.append(item)
+    for labels, blks, bands, draws in groups.values():
+        reports += _block_reports(prefix, states, r_list, labels, blks, bands, np.array(draws))
 
     reports.sort(key=lambda r: (r.check_id, r.context))
     return reports

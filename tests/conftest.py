@@ -54,7 +54,10 @@ def reference_eigensolve(params, two_n, two_m, r_values):
     """The verify suite's eigensolve of each side of the block at each R: both
     spectra and the sign-fixed U and V stacks."""
     parabolic = _parabolic_side(derive_constants(params, two_m), two_n)
-    return _eigensolve(block(params, two_n, two_m), parabolic, r_values)
+    bands = block(params, two_n, two_m).spherical_bands(np.asarray(r_values, dtype=float)[:, None])
+    stacks = _eigensolve(*(band[None] for band in bands), [side[None] for side in parabolic],
+                         list(r_values))
+    return tuple(stack[0] for stack in stacks)
 
 
 def limit_deviations(params, two_n, two_m, r_small, r_large):

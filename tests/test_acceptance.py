@@ -66,10 +66,11 @@ def test_criterion_1_biorthogonality():
     for params in GRID:
         states = _States(params)
         for two_n, two_m in blocks_up_to(params, 5):
-            level = states.level(two_n, two_m)
+            level = states.levels([(two_n, two_m)])
             two_js = np.array([st.qn.two_j for st in level.sph])
-            closed = np.diag(2.0 / (level.n_eff**3 * (two_js + level.dc.delta_total + 1.0)))
-            worst = max(worst, float(np.abs(_biorthogonality(level) - closed).max()))
+            closed = np.diag(2.0 / (level.n_eff[0]**3
+                                    * (two_js + level.dcs[0].delta_total + 1.0)))
+            worst = max(worst, float(np.abs(_biorthogonality(level)[0] - closed).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     _line("criterion-1 bi-orthogonality", ok,
@@ -86,7 +87,7 @@ def test_criterion_2_interbasis_ground_truth():
         states = _States(params)
         for two_n, two_m in blocks_up_to(params, 5, d_max=4):
             w = expansion_matrix(params, two_n, two_m).entries
-            quad = _overlap_matrix(states.level(two_n, two_m))
+            quad = _overlap_matrix(states.levels([(two_n, two_m)]))[0]
             worst = max(worst, float(np.abs(quad - w).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed < 60.0
@@ -221,7 +222,7 @@ def test_criterion_7_normalization_orthonormality():
         blocks = blocks_up_to(params, 4)
         m_done = set()
         for two_n, two_m in blocks:
-            norms = _parabolic_norms(states.level(two_n, two_m))
+            norms = _parabolic_norms(states.levels([(two_n, two_m)]))
             worst = max(worst, float(np.abs(norms - 1.0).max()))
             if two_m not in m_done:
                 m_done.add(two_m)

@@ -50,7 +50,7 @@ def hydrogen_radial(n, l, r):
 
 def parabolic_norm_deviation(params, two_n, two_m):
     """Largest deviation from one of the block's parabolic volume-element norms."""
-    return float(np.abs(_parabolic_norms(_States(params).level(two_n, two_m)) - 1.0).max())
+    return float(np.abs(_parabolic_norms(_States(params).levels([(two_n, two_m)])) - 1.0).max())
 
 
 def spherical_mpmath(params, two_n, two_j, two_m, eps, thetas, dps=50):

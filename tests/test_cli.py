@@ -188,7 +188,7 @@ class TestCoefficients:
         class MixingMatrixBuilt(Exception):
             pass
 
-        def no_mixing_matrix(blk):
+        def no_mixing_matrix(x_diag, x_off):
             raise MixingMatrixBuilt
 
         monkeypatch.setattr(spheroidal, "_mixing_matrix", no_mixing_matrix)
@@ -488,9 +488,9 @@ class TestVerify:
         # the suite reads W from the one eigensolve that also gives eig(X)
         real = verify._mixing_matrix
 
-        def corrupted(blk):
-            w, x_eigs = real(blk)
-            w[0, 0] += 1e-3
+        def corrupted(x_diag, x_off):
+            w, x_eigs = real(x_diag, x_off)
+            w[:, 0, 0] += 1e-3
             return w, x_eigs
 
         monkeypatch.setattr(verify, "_mixing_matrix", corrupted)

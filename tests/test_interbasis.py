@@ -22,6 +22,7 @@ from mickepler.qnum import (
 )
 from mickepler.verify import (
     _biorthogonality,
+    _completeness_draws,
     _completeness_residual,
     _overlap_matrix,
     _parabolic_side,
@@ -33,12 +34,12 @@ HYDROGEN = SystemParams(two_s=0)
 
 def overlap_quadrature(params, two_n, two_m):
     """Overlaps <parabolic n1 | spherical j> by 2D quadrature, rows j, columns n1."""
-    return _overlap_matrix(_States(params).level(two_n, two_m))
+    return _overlap_matrix(_States(params).levels([(two_n, two_m)]))[0]
 
 
 def radial_overlaps(params, two_n, two_m):
     """Unweighted radial overlaps of the level's spherical states, rows and columns j."""
-    return _biorthogonality(_States(params).level(two_n, two_m))
+    return _biorthogonality(_States(params).levels([(two_n, two_m)]))[0]
 
 
 def closed_radial_overlap(params, two_n, two_m, two_j):
@@ -232,8 +233,8 @@ class TestCompleteness:
             (SystemParams(two_s=0, c1=1.1, c2=0.2), 8, -2),
         ]:
             w = expansion_matrix(params, two_n, two_m).entries
-            level = _States(params).level(two_n, two_m)
-            assert _completeness_residual(level, w, rng) <= 1e-8
+            level = _States(params).levels([(two_n, two_m)])
+            assert _completeness_residual(level, w[None], _completeness_draws(rng, 1)) <= 1e-8
 
 
 class TestEigenvectorMatrix:

@@ -394,7 +394,7 @@ class TestSweep:
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
         grid = np.linspace(0.0, 20.0, 30)
 
-        def no_mixing_matrix(blk):
+        def no_mixing_matrix(x_diag, x_off):
             raise AssertionError("the mixing matrix was built")
 
         monkeypatch.setattr(spheroidal, "_mixing_matrix", no_mixing_matrix)
@@ -407,13 +407,17 @@ class TestSweep:
             result.v
         calls = []
 
-        def counting(blk):
-            calls.append(blk)
-            return _mixing_matrix(blk)
+        def counting(x_diag, x_off):
+            calls.append((x_diag, x_off))
+            return _mixing_matrix(x_diag, x_off)
 
         monkeypatch.setattr(spheroidal, "_mixing_matrix", counting)
         v = result.v
-        assert result.v is v and calls == [result.block]
+        assert result.v is v
+        # one stack of B = 1: the X bands of the sweep's block
+        ((x_diag, x_off),) = calls
+        assert np.array_equal(x_diag, result.block.x_diag[None])
+        assert np.array_equal(x_off, result.block.x_off[None])
         assert np.array_equal(result[7].parabolic_coefficients.entries, v[7].T)
         assert len(calls) == 1
 

@@ -111,8 +111,8 @@ class TestIntegrateRadial:
 
     def test_biorthogonality_target_value(self):
         # hydrogen n=3, j=j'=1 unweighted radial overlap equals 2/81
-        level = verify._States(HYDROGEN).level(6, 0)
-        assert verify._biorthogonality(level)[1, 1] == approx(2.0 / 81.0, rel=1e-11)
+        level = verify._States(HYDROGEN).levels([(6, 0)])
+        assert verify._biorthogonality(level)[0, 1, 1] == approx(2.0 / 81.0, rel=1e-11)
 
     def test_fractional_power_exactness(self):
         power = 2.769
@@ -149,8 +149,8 @@ def test_completeness_residual_matches_point_loop():
     two_n, two_m = 9, 1
     rolled = np.roll(interbasis.expansion_matrix(params, two_n, two_m).entries, 1, axis=1)
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = verify._completeness_residual(verify._States(params).level(two_n, two_m),
-                                        rolled, rng_new)
+    (got,) = verify._completeness_residual(verify._States(params).levels([(two_n, two_m)]),
+                                           rolled[None], verify._completeness_draws(rng_new, 1))
     expected = completeness_point_loop(params, two_n, two_m, rng_ref, rolled)
     assert expected > 1e-3
     assert got == approx(expected, rel=1e-12)
@@ -219,9 +219,9 @@ class TestRunSuite:
         # the suite reads W from the one eigensolve that also gives eig(X)
         real = verify._mixing_matrix
 
-        def corrupted(blk):
-            w, x_eigs = real(blk)
-            w[0, 0] += 1e-3
+        def corrupted(x_diag, x_off):
+            w, x_eigs = real(x_diag, x_off)
+            w[:, 0, 0] += 1e-3
             return w, x_eigs
 
         monkeypatch.setattr(verify, "_mixing_matrix", corrupted)
@@ -234,8 +234,8 @@ class TestRunSuite:
     def test_negative_control_shifted_runge_lenz_spectrum(self, monkeypatch):
         real = verify._mixing_matrix
 
-        def shifted(blk):
-            w, x_eigs = real(blk)
+        def shifted(x_diag, x_off):
+            w, x_eigs = real(x_diag, x_off)
             return w, x_eigs + 1e-8
 
         monkeypatch.setattr(verify, "_mixing_matrix", shifted)
@@ -249,11 +249,12 @@ class TestRunSuite:
         values through ``corrupt(lambdas_par, u, p)``."""
         real = verify._eigensolve
 
-        def corrupted(blk, parabolic, r_stack):
-            lambdas, lambdas_par, u, v = real(blk, parabolic, r_stack)
+        def corrupted(diag, off, parabolic, r_stack):
+            lambdas, lambdas_par, u, v = real(diag, off, parabolic, r_stack)
             for p, R in enumerate(r_stack):
                 if R in r_values:
-                    corrupt(lambdas_par, u, p)
+                    for b in range(len(u)):   # every block of the stack
+                        corrupt(lambdas_par[b], u[b], p)
             return lambdas, lambdas_par, u, v
 
         monkeypatch.setattr(verify, "_eigensolve", corrupted)
@@ -363,8 +364,8 @@ class TestBlockCores:
 
     def test_biorthogonality_table_matches_scalar_integral(self):
         for params, two_n, two_m in self.CASES:
-            level = verify._States(params).level(two_n, two_m)
-            table = verify._biorthogonality(level)
+            level = verify._States(params).levels([(two_n, two_m)])
+            table = verify._biorthogonality(level)[0]
             for ka, sa in enumerate(level.sph):
                 for kb, sb in enumerate(level.sph):
                     # R_j R_j' is r^(j + j' + delta) e^(-2 eps r) times two Laguerre
@@ -373,7 +374,7 @@ class TestBlockCores:
                     scalar = laguerre_integral(
                         lambda r: bases.radial_r(sa, r) * bases.radial_r(sb, r), 2.0 * sa.eps,
                         verify._gauss_order(two_n - 2 - (two_j + two_jp) // 2),
-                        (two_j + two_jp) / 2.0 + level.dc.delta_total)
+                        (two_j + two_jp) / 2.0 + level.dcs[0].delta_total)
                     assert abs(table[ka, kb] - scalar) <= 1e-14
 
     def test_stacked_eigensolve_is_bit_equal_to_solve(self):
@@ -383,7 +384,7 @@ class TestBlockCores:
             blk = block(params, two_n, two_m)
             lambdas, lambdas_par, u, v = reference_eigensolve(params, two_n, two_m, R_LIST)
             v_from_u = interbasis._fix_signs(
-                np.einsum("pqk,kn->pqn", u, interbasis._mixing_matrix(blk)[0]))
+                np.einsum("pqk,kn->pqn", u, interbasis._mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]))
             for p, R in enumerate(R_LIST):
                 sol = solve(params, two_n, two_m, R)
                 assert np.array_equal(lambdas[p], sol.lambdas)
@@ -404,7 +405,7 @@ class TestBlockCores:
                 d = block(params, two_n, two_m).dim
                 if d < 2:
                     continue
-                ctx = verify._context(params, two_m=two_m, two_n=two_n)
+                ctx = verify._context(verify._params_context(params), two_m=two_m, two_n=two_n)
                 inner = limit_deviations(params, two_n, two_m, 1e-6, 1e6)
                 outer = limit_deviations(params, two_n, two_m, 1e-7, 1e7)
                 ratio = max((outer[k] / inner[k] for k in range(4) if inner[k] > 0.0),
@@ -415,23 +416,23 @@ class TestBlockCores:
 
     def test_staged_overlap_matches_five_operand_einsum(self):
         for params, two_n, two_m in self.CASES:
-            level = verify._States(params).level(two_n, two_m)
+            level = verify._States(params).levels([(two_n, two_m)])
             if len(level.sph) > 4:
                 continue
             # the block's own Gauss-Jacobi rule: d nodes, weight (1-x)^m2 (1+x)^m1
             # divided out of the weights
-            m1, m2 = level.dc.m1, level.dc.m2
+            m1, m2 = level.dcs[0].m1, level.dcs[0].m2
             x, w_jacobi = roots_jacobi(len(level.sph), m2, m1)
             w_x = w_jacobi / ((1.0 - x) ** m2 * (1.0 + x) ** m1)
             theta = np.arccos(x)
-            r = level.r[:, None]
+            r = level.r[0][:, None]
             ang = np.array([angular_profile(st, theta) for st in level.sph])
             pab = np.array([parabolic_profile(st, r * (1.0 + x), r * (1.0 - x))
                             for st in level.par])
             reference = math.sqrt(2.0 * math.pi) * np.einsum(
-                "i,ji,k,jk,lik->jl", level.w_r * level.r * level.r, level.rad,
+                "i,ji,k,jk,lik->jl", (level.w_r * level.r * level.r)[0], level.rad[0],
                 w_x, ang, pab)
-            staged = verify._overlap_matrix(level)
+            staged = verify._overlap_matrix(level)[0]
             assert np.abs(staged - reference).max() <= 1e-14 * np.abs(reference).max()
 
     def test_radial_gram_matches_pairwise_integrals(self):
@@ -473,8 +474,9 @@ class TestBatchedRows:
         states = verify._States(params)
         zero_powers = set()
         for two_n, two_m in blocks_up_to(params, 8):
-            lv = states.level(two_n, two_m)
-            zero_powers |= {axis for axis, m_i in enumerate((lv.dc.m1, lv.dc.m2)) if m_i == 0.0}
+            lv = states.levels([(two_n, two_m)])
+            dc = lv.dcs[0]
+            zero_powers |= {axis for axis, m_i in enumerate((dc.m1, dc.m2)) if m_i == 0.0}
             radial = radial_r(lv.sph, self.R[None])
             angular = angular_profile(lv.sph, self.THETA[None])
             # per-state points, as the radial Gram matrix passes them
@@ -483,7 +485,7 @@ class TestBatchedRows:
             for k, st in enumerate(lv.sph):
                 assert np.array_equal(radial[k], radial_r(st, self.R))
                 assert np.array_equal(radial_own[k], radial_r(st, own_r[k]))
-                assert np.array_equal(lv.rad[k], radial_r(st, lv.r))
+                assert np.array_equal(lv.rad[0, k], radial_r(st, lv.r[0]))
                 assert np.array_equal(angular[k], angular_profile(st, self.THETA))
             for axis in (0, 1):
                 factors = parabolic_factor(lv.par, axis, self.X[None])
@@ -592,7 +594,8 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
 
-    # one eigensolve for W and eig(X), and one per side over the stacked R axis
+    # per block dimension d, one eigensolve for W and eig(X) of all its blocks,
+    # and one per side over their stacked R axes
     eigensolves = collections.Counter()
     real_eigh_stack = interbasis._eigh_stack
 
@@ -608,10 +611,29 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
     blocks = enumerate_blocks(RING_HALF, 4)
     assert len(reports) == 285
     assert counts["block"] == collections.Counter(dict.fromkeys(blocks, 1))
-    assert eigensolves["calls"] == 3 * len(blocks)
+    dims = {block(RING_HALF, two_n, two_m).dim for two_n, two_m in blocks}
+    assert eigensolves["calls"] == 3 * len(dims) < 3 * len(blocks)
     assert not hasattr(verify, "eigvalsh_tridiagonal")
     for name in ("spherical_state", "parabolic_state"):
         assert counts[name] and max(counts[name].values()) == 1, name
+
+
+def test_suite_eigensolves_once_per_block_dimension(monkeypatch):
+    # every eigensolve the suite makes, W's in interbasis included: at most three
+    # per distinct d, not three per block (56 blocks of 7 dimensions here)
+    calls = collections.Counter()
+    real = interbasis._eigh_stack
+
+    def counting(diags, offdiags, *args, **kwargs):
+        calls[diags.shape[-1]] += 1
+        return real(diags, offdiags, *args, **kwargs)
+
+    for module in (interbasis, verify, sys.modules["mickepler.spheroidal"]):
+        monkeypatch.setattr(module, "_eigh_stack", counting)
+    run_suite(RING_HALF, n_max=8, r_list=R_LIST)
+    dims = {block(RING_HALF, two_n, two_m).dim for two_n, two_m in enumerate_blocks(RING_HALF, 8)}
+    assert len(dims) == 7 and set(calls) == dims
+    assert max(calls.values()) <= 3
 
 
 # the points of the derived-order checks: (s, c1, c2) = (1/2, .3, .7),
@@ -626,10 +648,10 @@ def quadrature_matrices(params, n_max=8):
     blocks = enumerate_blocks(params, n_max)
     matrices = {}
     for two_n, two_m in blocks:
-        level = states.level(two_n, two_m)
-        matrices["biorthogonality", two_n, two_m] = verify._biorthogonality(level)
-        matrices["overlap", two_n, two_m] = verify._overlap_matrix(level)
-        matrices["parabolic_norms", two_n, two_m] = verify._parabolic_norms(level)
+        level = states.levels([(two_n, two_m)])
+        matrices["biorthogonality", two_n, two_m] = verify._biorthogonality(level)[0]
+        matrices["overlap", two_n, two_m] = verify._overlap_matrix(level)[0]
+        matrices["parabolic_norms", two_n, two_m] = verify._parabolic_norms(level)[0]
     for two_m in sorted({two_m for _, two_m in blocks}):
         dc = verify.derive_constants(params, two_m)
         matrices["angular_gram", two_m] = verify._angular_gram(states, dc)
@@ -656,8 +678,8 @@ class TestDerivedOrders:
                 assert np.abs(matrix - richer[key]).max() <= 1e-13, key
 
     def test_orders_follow_the_integrand_degree(self):
-        level = verify._States(RING_HALF).level(9, 1)   # n = 9/2, d = 4
-        assert level.r.shape == (5,)
+        level = verify._States(RING_HALF).levels([(9, 1)])   # n = 9/2, d = 4
+        assert level.r.shape == (1, 5)
         assert verify._gauss_order(0) == 1
         assert verify._gauss_order(7) == 4
         assert verify._gauss_order(8) == 5
@@ -669,9 +691,9 @@ class TestDerivedOrders:
     def test_blocks_past_the_node_cap_are_refused(self):
         # hydrogen n = 127 (d = 127) is the largest block whose rules all fit
         states = verify._States(HYDROGEN)
-        assert np.abs(verify._parabolic_norms(states.level(254, 0)) - 1.0).max() <= 1e-12
+        assert np.abs(verify._parabolic_norms(states.levels([(254, 0)])) - 1.0).max() <= 1e-12
         with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
-            states.level(258, 0)
+            states.levels([(258, 0)])
         with pytest.raises(ValueError, match="DEFAULT_RADIAL_ORDER"):
             run_suite(HYDROGEN, n_max=128, r_list=R_LIST)
 
