@@ -86,9 +86,9 @@ class SpheroidalSweep(Sequence):
         continued like U (flipping a row of U flips that row of V exactly)."""
         if self.u is None:
             return None
+        w = _mixing_matrix(self.block.x_diag[None], self.block.x_off[None])[0][0]
         # numpy's own loop, not BLAS: a first BLAS matrix product maps its work
         # buffer, 0.3 MiB more peak memory for a sweep that calls no other
-        w = _mixing_matrix(self.block.x_diag[None], self.block.x_off[None])[0][0]
         v = _fix_signs(np.einsum("pqk,kn->pqn", self.u, w))
         _continue_signs(v)
         return v

@@ -19,21 +19,24 @@ degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp. 23, 221
 to the rule.  A rule past DEFAULT_RADIAL_ORDER nodes is refused with
 ValueError, so blocks up to d = 127 are checked.
 
-:func:`run_suite` builds each (n, m) block, its mixing matrix W and its
-spherical and parabolic states once, with the radial values of the
-states on one Gauss-Laguerre rule, and hands them to every check of the
-block; every state is built once per run.  The wavefunctions come from
-the public :mod:`mickepler.bases` functions, each called once per family
-with the list of states it needs (a block's, or a chain of levels), one
-kernel call per factor.  Each block is diagonalized once per side: W and
-the spectrum of X come from one eigensolve, and one stacked eigensolve of
-each side of the spheroidal operator covers every R of the list, R = 0
-(whose parabolic side is the angular-momentum matrix M alone) and the limit
-probes.  The parabolic side, M + R diag(beta), is built only here: production
-solves the spherical side alone, and this second, independent eigensolve is
-the reference it is checked against.  The per-R checks and the limit
-deviations are array operations over that stack.  The
-checks are private cores that take those prebuilt objects;
+:func:`run_suite` runs the numerics once per block dimension d and the
+checks once per block.  The blocks of one d share their shapes and rule
+orders, so each numeric family is one stacked call over all of them, with
+a leading block axis: the mixing matrices W and the spectra of X (one
+eigensolve), one eigensolve of each side of the spheroidal operator over
+every R of the list, R = 0 (whose parabolic side is the angular-momentum
+matrix M alone) and the limit probes, the radial values of the states on
+each block's Gauss-Laguerre rule, the quadratures and the deviations.  Each
+block, and each state, is built once per run.  The wavefunctions come from
+the public :mod:`mickepler.bases` functions, each called with the list of
+states a family needs (all blocks of a d, or a chain of levels), one kernel
+call per factor.  W comes from production
+:func:`mickepler.interbasis._mixing_matrix`, and the spherical side from
+production :meth:`~mickepler.interbasis.Block.spherical_bands`.  The
+parabolic side, M + R diag(beta), is built only here: production solves the
+spherical side alone, and this second, independent eigensolve is the
+reference it is checked against.  Each block then gets its own reports from
+the stacks.  The checks are private cores that take those prebuilt objects;
 :func:`run_suite` is the one entry point to them.
 """
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -334,7 +338,7 @@ class _States:
         self.spherical = lru_cache(maxsize=None)(partial(spherical_state, params))
         self.parabolic = lru_cache(maxsize=None)(partial(parabolic_state, params))
 
-    def levels(self, labels: list[tuple[int, int]]) -> _Levels:
+    def levels(self, labels: Sequence[tuple[int, int]]) -> _Levels:
         """The blocks (two_n, two_m) of ``labels``, all of one dimension d."""
         dcs = [derive_constants(self.params, two_m) for _, two_m in labels]
         d = _block_dimension(dcs[0], labels[0][0])
@@ -347,10 +351,10 @@ class _States:
         t, w = map(np.array, zip(*(_laguerre(_gauss_order(2 * d),
                                              float(dc.two_m_plus) + dc.delta_total)
                                    for dc in dcs)))
-        scale = np.array([2.0 * sph[b * d].eps for b in range(len(labels))])[:, None]
+        scale = np.array([2.0 * st.eps for st in sph[::d]])[:, None]
         r = t / scale
-        return _Levels(dim=d, n_eff=[_n_effective(dc, two_n) for (two_n, _), dc in zip(labels, dcs)],
-                       dcs=dcs, sph=sph, par=par, r=r, w_r=w / scale,
+        n_eff = [_n_effective(dc, two_n) for (two_n, _), dc in zip(labels, dcs)]
+        return _Levels(dim=d, n_eff=n_eff, dcs=dcs, sph=sph, par=par, r=r, w_r=w / scale,
                        rad=radial_r(sph, np.repeat(r, d, axis=0)).reshape(len(labels), d, -1))
 
 
@@ -393,7 +397,7 @@ def _radial_gram(states: _States, dc: DerivedConstants, two_j: int, two_n_list
 
 def _parabolic_norms(lv: _Levels) -> np.ndarray:
     """(B, d) norms of the blocks' parabolic states, each block on its own rules."""
-    eps = np.array([lv.par[b * lv.dim].eps for b in range(len(lv.dcs))])[:, None]
+    eps = np.array([st.eps for st in lv.par[::lv.dim]])[:, None]
     # Phi_i^2 is x^m_i e^(-eps x) times a polynomial of degree 2 n_i <= 2d - 2,
     # and the volume element's xi + eta adds one
     moments = []
@@ -406,7 +410,7 @@ def _parabolic_norms(lv: _Levels) -> np.ndarray:
         moments.append((np.sum(w * f2, axis=-1) / eps,
                         np.sum(w * (f2 * x[:, None]), axis=-1) / eps))
     # eps^4 a Python float per block, as numpy's vector power may round otherwise
-    eps4 = np.array([0.5 * e**4 for e in eps[:, 0].tolist()])[:, None]
+    eps4 = np.array([0.5 * st.eps**4 for st in lv.par[::lv.dim]])[:, None]
     return eps4 * (moments[0][1] * moments[1][0] + moments[0][0] * moments[1][1])
 
 
@@ -448,7 +452,7 @@ def _completeness_draws(rng: np.random.Generator, blocks: int) -> np.ndarray:
 
 def _completeness_residual(lv: _Levels, w: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Per block, max |psi_par - W^T psi_sph| at its points of ``draws``."""
-    scale = np.array([n_eff**2 for n_eff in lv.n_eff])[:, None]
+    scale = np.array([n_eff**2 for n_eff in lv.n_eff])[:, None]   # Python floats, as eps^4
     point = SphericalPoint(r=lv.per_state(scale * draws[:, :, 0]),
                            theta=lv.per_state(np.arccos(draws[:, :, 1])),
                            phi=lv.per_state(draws[:, :, 2]))
@@ -531,25 +535,24 @@ def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # the suite
 # ---------------------------------------------------------------------------
 
-def _r_column(r_list: list[float], limits: bool) -> np.ndarray:
-    """The R of a block's bands as a column: the list, R = 0 and, for a block with
-    ``limits`` checks (d >= 2), the limit probes, which one eigensolve per side
-    covers; then the linearity probes, read only as bands."""
-    return np.array(r_list + [0.0] + (_LIMIT_PROBES if limits else [])
-                    + _LINEARITY_PROBES)[:, None]
+def _r_stack(r_list: list[float], limits: bool) -> list[float]:
+    """The R of a block's bands: the list, R = 0 and, for a block with ``limits``
+    checks (d >= 2), the limit probes, which one eigensolve per side covers; then
+    the linearity probes, read only as bands."""
+    return r_list + [0.0] + (_LIMIT_PROBES if limits else []) + _LINEARITY_PROBES
 
 
 def _block_reports(prefix: str, states: _States, r_list: list[float],
-                   labels: list[tuple[int, int]], blks: list[Block],
-                   bands: list[tuple[np.ndarray, np.ndarray]], draws: np.ndarray
+                   labels: Sequence[tuple[int, int]], blks: Sequence[Block],
+                   bands: Sequence[tuple[np.ndarray, np.ndarray]], draws: np.ndarray
                    ) -> list[CheckReport]:
     """The checks of blocks of one dimension d, labels (two_n, two_m): each numeric
     family runs once over all of them, stacked on a leading block axis, and each
     block gets its own reports.  ``bands`` are each block's spherical bands at
-    :func:`_r_column`, ``draws`` its completeness points."""
-    d, n_r = blks[0].dim, len(r_list)
+    :func:`_r_stack`, ``draws`` its completeness points."""
+    d, n_r, k = blks[0].dim, len(r_list), len(_LINEARITY_PROBES)
     lv = states.levels(labels)
-    r_eig = r_list + [0.0] + (_LIMIT_PROBES if d >= 2 else [])
+    r_eig = _r_stack(r_list, d >= 2)[:-k]
     x_diag, x_off = np.array([blk.x_diag for blk in blks]), np.array([blk.x_off for blk in blks])
     w, x_eigs = _mixing_matrix(x_diag, x_off)
     parabolic = tuple(map(np.array, zip(*(_parabolic_side(dc, two_n)
@@ -563,13 +566,12 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
 
     norms = np.abs(_parabolic_norms(lv) - 1.0).max(axis=-1)
     # same-level radial functions of different j are orthogonal without the r^2 weight;
-    # n_eff^3 as a Python product, which overflows to inf where float ** would raise
+    # n_eff^3 as a product, which overflows to inf where float ** would raise
+    n_eff = np.array(lv.n_eff)[:, None]
+    two_js = np.array([st.qn.two_j for st in lv.sph]).reshape(-1, d)
+    delta = np.array([dc.delta_total for dc in lv.dcs])[:, None]
     closed = np.zeros((len(blks), d, d))
-    closed[:, range(d), range(d)] = 2.0 / (
-        np.array([n_eff * n_eff * n_eff for n_eff in lv.n_eff])[:, None]
-        * (np.array([[st.qn.two_j for st in lv.sph[b * d:(b + 1) * d]]
-                     for b in range(len(blks))])
-           + np.array([dc.delta_total for dc in lv.dcs])[:, None] + 1.0))
+    closed[:, range(d), range(d)] = 2.0 / (n_eff * n_eff * n_eff * (two_js + delta + 1.0))
     biorthogonality = np.abs(_biorthogonality(lv) - closed).max(axis=(-2, -1))
     orthogonality = _identity_deviation(w.swapaxes(-1, -2) @ w)
     overlap = np.abs(_overlap_matrix(lv) - w).max(axis=(-2, -1)) if d <= _OVERLAP_D_MAX else None
@@ -580,7 +582,6 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
     angular = np.abs(lambdas_par[:, n_r] - np.array([blk.angular for blk in blks])).max(axis=-1)
     # the bands at the linearity probes against those at R = 0 plus R X
     probes = np.array(_LINEARITY_PROBES)[:, None]
-    k = len(_LINEARITY_PROBES)
     linearity = np.maximum(
         np.abs(diag[:, -k:] - (diag[:, n_r, None] + probes * x_diag[:, None])).max(axis=(1, 2)),
         np.abs(off[:, -k:] - (off[:, n_r, None] + probes * x_off[:, None])
@@ -682,17 +683,17 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
                     states, dc, two_j, range(two_j + 2, two_n_max + 1, 2))),
                 TOL_QUAD_VS_CLOSED))
 
-    # block by block, in order: its bands at every R it is checked at, and its
-    # completeness points; then the checks, one dimension at a time
-    r_columns = {d_ge_2: _r_column(r_list, d_ge_2) for d_ge_2 in (False, True)}
+    # block by block, in order, so that a refusal comes where a pass block after
+    # block would raise it: the block, its bands at every R it is checked at and
+    # its completeness points; then the checks, one dimension at a time
+    r_columns = {limits: np.array(_r_stack(r_list, limits))[:, None] for limits in (False, True)}
     groups = {}
-    for (two_n, two_m), points in zip(blocks, _completeness_draws(rng, len(blocks))):
-        blk = block(params, two_n, two_m)
-        group = groups.setdefault(blk.dim, ([], [], [], []))
-        for member, item in zip(group, ((two_n, two_m), blk,
-                                        blk.spherical_bands(r_columns[blk.dim >= 2]), points)):
-            member.append(item)
-    for labels, blks, bands, draws in groups.values():
+    for label, points in zip(blocks, _completeness_draws(rng, len(blocks))):
+        blk = block(params, *label)
+        groups.setdefault(blk.dim, []).append(
+            (label, blk, blk.spherical_bands(r_columns[blk.dim >= 2]), points))
+    for members in groups.values():
+        labels, blks, bands, draws = zip(*members)
         reports += _block_reports(prefix, states, r_list, labels, blks, bands, np.array(draws))
 
     reports.sort(key=lambda r: (r.check_id, r.context))

@@ -383,8 +383,8 @@ class TestBlockCores:
         for params, two_n, two_m in self.CASES + self.LARGE_CASES:
             blk = block(params, two_n, two_m)
             lambdas, lambdas_par, u, v = reference_eigensolve(params, two_n, two_m, R_LIST)
-            v_from_u = interbasis._fix_signs(
-                np.einsum("pqk,kn->pqn", u, interbasis._mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]))
+            w = interbasis._mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]
+            v_from_u = interbasis._fix_signs(np.einsum("pqk,kn->pqn", u, w))
             for p, R in enumerate(R_LIST):
                 sol = solve(params, two_n, two_m, R)
                 assert np.array_equal(lambdas[p], sol.lambdas)
