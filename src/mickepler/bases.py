@@ -117,10 +117,8 @@ def parabolic_state(params: SystemParams, n1: int, n2: int, two_m: int
     qn = parabolic_qn(params, n1, n2, two_m)
     dc = derive_constants(params, two_m)
     eps = 1.0 / _n_effective(dc, _principal_two_n(dc, qn))
-    log_norms = tuple(
-        0.5 * (math.lgamma(ni + 1.0) - math.lgamma(ni + mi + 1.0))
-        for ni, mi in ((n1, dc.m1), (n2, dc.m2))
-    )
+    log_norms = (0.5 * (math.lgamma(n1 + 1.0) - math.lgamma(n1 + dc.m1 + 1.0)),
+                 0.5 * (math.lgamma(n2 + 1.0) - math.lgamma(n2 + dc.m2 + 1.0)))
     return ParabolicState(qn=qn, dc=dc, two_s=params.two_s, eps=eps, log_norms=log_norms)
 
 
@@ -170,8 +168,9 @@ def _check_domain(name: str, what: str, x: np.ndarray, upper: float = sys.float_
                   ) -> None:
     """Refuse a coordinate outside [0, upper], by default a negative or non-finite one;
     -0.0 is the origin and an empty array has none.  NaN propagates through min and
-    max, so their two reductions see it too."""
-    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= upper):
+    max, so their two reductions over all axes see it too."""
+    if not (np.minimum.reduce(x, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(x, axis=None, initial=0.0) <= upper):
         raise ValueError(f"{name} needs {what}, got {x[~((x >= 0.0) & (x <= upper))][0]}")
 
 

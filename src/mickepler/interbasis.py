@@ -25,6 +25,7 @@ only in :mod:`mickepler.verify`, as the reference of its checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -115,15 +116,24 @@ class Block:
     """R-independent bands of the separation operator of one (n, m) block,
     on its spherical side: diag(angular) + R X, with X = (x_diag, x_off) the
     Runge-Lenz z-component in the spherical basis; its eigenvalues are the
-    betas.  The parabolic labels name the columns of the mixing matrix.
+    betas.  The spherical labels name the rows of the mixing matrix and the
+    parabolic labels its columns; each is formatted the first time it is read.
     """
 
     dim: int
-    spherical_labels: tuple[str, ...]
-    parabolic_labels: tuple[str, ...]
+    two_m_plus: int
     angular: np.ndarray
     x_diag: np.ndarray
     x_off: np.ndarray
+
+    @functools.cached_property
+    def spherical_labels(self) -> tuple[str, ...]:
+        return tuple(f"j={format_half_integer(self.two_m_plus + 2 * k)}"
+                     for k in range(self.dim))
+
+    @functools.cached_property
+    def parabolic_labels(self) -> tuple[str, ...]:
+        return tuple(f"n1={n1}" for n1 in range(self.dim))
 
     def spherical_bands(self, R) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal at R, a scalar or a column of grid values.
@@ -148,9 +158,7 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
     js = [dc.m_plus + k for k in range(d)]
     blk = Block(
         dim=d,
-        spherical_labels=tuple(f"j={format_half_integer(dc.two_m_plus + 2 * k)}"
-                               for k in range(d)),
-        parabolic_labels=tuple(f"n1={n1}" for n1 in range(d)),
+        two_m_plus=dc.two_m_plus,
         angular=np.array([(j + half_delta) * (j + half_delta + 1.0) for j in js]),
         x_diag=np.array([
             0.0 if num == 0.0 else num / ((2.0 * j + delta) * (2.0 * j + delta + 2.0))

@@ -4,11 +4,17 @@ Half-integer quantum numbers are stored as doubled integers (two_s,
 two_m, two_j, two_n) so that parity checks and label ranges are exact.
 All floating-point constants (delta shifts, effective azimuthal indices,
 energies) derive from a :class:`SystemParams` and a doubled azimuthal
-number through :func:`derive_constants`.
+number through :func:`derive_constants`.  They depend on (params, two_m)
+alone, so they are computed once per (params, two_m) and shared: every
+state, band and energy of a block reads one :class:`DerivedConstants`, held
+in a least-recently-used memo of 256 entries, enough for every m block of a
+run up to block dimension d = 127, and bounded so that a scan over many
+ring strengths cannot grow it without end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,15 +76,15 @@ class DerivedConstants:
     m1: float
     m2: float
 
-    @property
+    @functools.cached_property
     def m_plus(self) -> float:
         return self.two_m_plus / 2.0
 
-    @property
+    @functools.cached_property
     def m_minus(self) -> float:
         return self.two_m_minus / 2.0
 
-    @property
+    @functools.cached_property
     def delta_total(self) -> float:
         return self.delta1 + self.delta2
 
@@ -101,11 +107,15 @@ class ParabolicQN:
     two_m: int
 
 
-def _check_parity(params: SystemParams, two_m: int) -> None:
-    if (two_m - params.two_s) % 2 != 0:
+def _check_parity(two_s: int, two_m: int) -> None:
+    if (two_m - two_s) % 2 != 0:
         raise QuantumNumberError(
-            f"m and s must share half-integrality: two_m={two_m}, two_s={params.two_s}"
+            f"m and s must share half-integrality: two_m={two_m}, two_s={two_s}"
         )
+
+
+# every m block of a run up to d = 127 (n_max = 127 at s = 0: 253 of them)
+_CONSTANTS_MEMO_SIZE = 256
 
 
 def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
@@ -114,20 +124,34 @@ def derive_constants(params: SystemParams, two_m: int) -> DerivedConstants:
     The shifts are evaluated as 4c / (sqrt((m∓s)^2 + 4c) + |m∓s|) when
     |m∓s| > 0, which avoids the cancellation of sqrt(x^2 + eps) - x for
     small c.  Raises ValueError naming c1 and c2 if m1 or m2 overflows.
+
+    The constants are computed once per (params, two_m) and shared: a call
+    returns the object of an earlier call with equal labels of the same
+    types (an int label and an equal float one never share it) while that
+    pair is among the 256 most recently used.  The bound holds every m block
+    of a run up to d = 127 (253 at s = 0) and keeps a scan over many ring
+    strengths from growing the memo without end.  An error is raised anew
+    on every call; nothing of it is kept.
     """
-    _check_parity(params, two_m)
-    two_sum = abs(two_m + params.two_s)
-    two_dif = abs(two_m - params.two_s)
+    return _derive_constants(params.two_s, params.c1, params.c2, two_m)
+
+
+@functools.lru_cache(maxsize=_CONSTANTS_MEMO_SIZE, typed=True)
+def _derive_constants(two_s: int, c1: float, c2: float, two_m: int) -> DerivedConstants:
+    """:func:`derive_constants` of SystemParams(two_s, c1, c2), memoized on typed values."""
+    _check_parity(two_s, two_m)
+    two_sum = abs(two_m + two_s)
+    two_dif = abs(two_m - two_s)
     abs_m_minus_s = two_dif / 2.0
     abs_m_plus_s = two_sum / 2.0
 
-    m1 = math.sqrt(abs_m_minus_s**2 + 4.0 * params.c1)
-    m2 = math.sqrt(abs_m_plus_s**2 + 4.0 * params.c2)
+    m1 = math.sqrt(abs_m_minus_s**2 + 4.0 * c1)
+    m2 = math.sqrt(abs_m_plus_s**2 + 4.0 * c2)
     if not math.isfinite(m1 + m2):
-        raise ValueError(f"c1={params.c1:g}, c2={params.c2:g} are too large: m1 and m2 of "
+        raise ValueError(f"c1={c1:g}, c2={c2:g} are too large: m1 and m2 of "
                          f"the m={format_half_integer(two_m)} block overflow")
-    delta1 = 4.0 * params.c1 / (m1 + abs_m_minus_s) if m1 + abs_m_minus_s > 0.0 else 0.0
-    delta2 = 4.0 * params.c2 / (m2 + abs_m_plus_s) if m2 + abs_m_plus_s > 0.0 else 0.0
+    delta1 = 4.0 * c1 / (m1 + abs_m_minus_s) if m1 + abs_m_minus_s > 0.0 else 0.0
+    delta2 = 4.0 * c2 / (m2 + abs_m_plus_s) if m2 + abs_m_plus_s > 0.0 else 0.0
 
     return DerivedConstants(
         two_m=two_m,
@@ -167,7 +191,7 @@ def _spherical_qn(dc: DerivedConstants, two_n: int, two_j: int) -> SphericalQN:
 
 def parabolic_qn(params: SystemParams, n1: int, n2: int, two_m: int) -> ParabolicQN:
     """Validated parabolic labels; n1, n2 nonnegative integers."""
-    _check_parity(params, two_m)
+    _check_parity(params.two_s, two_m)
     if n1 < 0 or n2 < 0:
         raise QuantumNumberError(f"n1, n2 must be nonnegative, got ({n1}, {n2})")
     return ParabolicQN(n1=n1, n2=n2, two_m=two_m)
@@ -256,8 +280,12 @@ def parse_half_integer(text: str) -> int:
     and a value beyond the float range, where every formula of a label
     would overflow.
     """
+    text_ = text.strip()
+    digits = text_[1:] if text_[:1] in ("+", "-") else text_
     try:
-        doubled = Fraction(text.strip()) * 2
+        # an optionally signed run of ASCII digits needs no Fraction
+        doubled = (int(text_) if digits.isascii() and digits.isdigit()
+                   else Fraction(text_)) * 2
         float(doubled)  # OverflowError beyond the float range
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{text!r} is not a finite number") from exc

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
+
+from conftest import blocks_up_to, grid_cases
 
 import mickepler.bases as bases
 import mickepler.interbasis as interbasis
@@ -289,6 +293,51 @@ class TestHalfIntegerParsing:
     def test_round_trip(self, two_x):
         assert parse_half_integer(format_half_integer(two_x)) == two_x
 
+    @staticmethod
+    def _by_fraction(text):
+        """Every text through Fraction: the parse without its integer fast path."""
+        try:
+            doubled = Fraction(text.strip()) * 2
+            float(doubled)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"{text!r} is not a finite number") from exc
+        if doubled.denominator != 1:
+            raise ValueError(f"{text!r} is not an integer or half-integer")
+        return int(doubled)
+
+    @staticmethod
+    def _outcome(parse, text):
+        try:
+            value = parse(text)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return type(value), value
+
+    _BODIES = st.one_of(
+        st.integers(min_value=0, max_value=10**6).map(str),
+        # 400 digits, and integers whose double straddles the float range's end
+        st.integers(min_value=10**399, max_value=10**400 - 1).map(str),
+        st.integers(min_value=2**1023 - 2**971, max_value=2**1023 + 2**971).map(str),
+        st.sampled_from(["1_000", "-3", "+3", "\u0663", "\u0661\u0662", "\u00b2", "1/2",
+                         "-3/2", "0.5", "1.5", "1e400", "1/0", "0.3", "", "_1", "1_"]),
+        st.text(alphabet="0123456789+-_./e \u0663", max_size=8),
+    )
+
+    @given(st.sampled_from(["", " ", "\t", " \n", "\u3000"]),
+           st.sampled_from(["", "+", "-", "--", "+-", "-+", "++"]),
+           st.sampled_from(["", "0", "000"]),
+           _BODIES,
+           st.sampled_from(["", " ", "\n", "\u3000"]))
+    def test_integer_fast_path_matches_fraction(self, lead, sign, zeros, body, trail):
+        text = lead + sign + zeros + body + trail
+        assert (self._outcome(parse_half_integer, text)
+                == self._outcome(self._by_fraction, text))
+
+    @pytest.mark.parametrize("text", ["1" * 400, " -0001" + "9" * 399 + " "])
+    def test_400_digit_integer_is_no_finite_number(self, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not a finite number$"):
+            parse_half_integer(text)
+
 
 class TestBlockConstantsDerivedOnce:
     """States and blocks derive their constants once and keep every label error."""
@@ -349,3 +398,64 @@ class TestBlockConstantsDerivedOnce:
         with pytest.raises(QuantumNumberError) as exc:
             build()
         assert str(exc.value) == message
+
+
+class TestConstantsMemo:
+    """derive_constants keeps one DerivedConstants per typed (params, two_m)."""
+
+    MEMO = qnum._derive_constants
+    FRESH = staticmethod(qnum._derive_constants.__wrapped__)   # the body, uncached
+
+    @staticmethod
+    def _typed(dc):
+        """Every field and property of dc with its type, floats by their bits."""
+        values = [getattr(dc, f.name) for f in dataclasses.fields(dc)]
+        values += [dc.m_plus, dc.m_minus, dc.delta_total]
+        return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+    def test_bound(self):
+        assert 256 <= self.MEMO.cache_info().maxsize < math.inf
+
+    def test_overflow_raises_on_every_call(self):
+        params = SystemParams(two_s=1, c1=1e308, c2=0.7)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^c1=1e\+308, c2=0\.7 are too large"):
+                derive_constants(params, 1)
+
+    def test_parity_error_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(QuantumNumberError,
+                               match="^m and s must share half-integrality: two_m=0, two_s=1$"):
+                derive_constants(SystemParams(two_s=1), 0)
+
+    @pytest.mark.parametrize("twin", [(1.0, 1.0), (1, 1.0), (1.0, 1), (np.int64(1), np.int64(1)),
+                                      (True, 1)])
+    def test_equal_labels_of_other_types_share_no_entry(self, twin):
+        # 1 == 1.0 == np.int64(1) == True with equal hashes; each returns its own types
+        two_s, two_m = twin
+        labels = [(1, 1), (two_s, two_m), (1, 1)]
+        for ts, tm in labels:
+            params = SystemParams(two_s=ts)
+            got = derive_constants(params, tm)
+            assert self._typed(got) == self._typed(self.FRESH(ts, 0.0, 0.0, tm))
+
+    def test_cached_equals_fresh_on_acceptance_grid(self):
+        for params in grid_cases():
+            for two_m in {two_m for _, two_m in blocks_up_to(params, 5)}:
+                first = derive_constants(params, two_m)
+                again = derive_constants(params, two_m)
+                assert again is first
+                fresh = self.FRESH(params.two_s, params.c1, params.c2, two_m)
+                assert self._typed(again) == self._typed(fresh)
+
+    def test_memo_stays_bounded(self):
+        for k in range(5000):
+            derive_constants(SystemParams(two_s=0, c1=1.0 + k), 0)
+        info = self.MEMO.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_one_constants_object_per_block(self):
+        params = SystemParams(two_s=1, c1=0.3, c2=0.7)
+        dc = derive_constants(params, 1)
+        assert bases.spherical_state(params, 9, 3, 1).dc is dc
+        assert bases.parabolic_state(params, 1, 2, 1).dc is dc

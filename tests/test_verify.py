@@ -177,6 +177,15 @@ class TestRunSuite:
                             n_max=3, r_list=[0.1, 10.0])
         assert reports and all(r.passed for r in reports)
 
+    def test_no_block_label_is_built(self, monkeypatch):
+        # labels name the rows and columns of printed tables; the suite prints none
+        read = []
+        for name in ("spherical_labels", "parabolic_labels"):
+            monkeypatch.setattr(interbasis.Block, name,
+                                property(lambda blk, name=name: read.append(name)))
+        reports = run_suite(SystemParams(two_s=0, c1=0.3, c2=0.7), n_max=4, r_list=[1.0])
+        assert reports and read == []
+
     def test_deterministic_output(self):
         a = to_json_lines(run_suite(HYDROGEN, n_max=2, r_list=[1.0], seed=3))
         b = to_json_lines(run_suite(HYDROGEN, n_max=2, r_list=[1.0], seed=3))
