@@ -65,7 +65,8 @@ class DerivedConstants:
 
     m1 and m2 are the effective azimuthal indices attached to the two
     half-angle (or xi/eta) factors; delta1 and delta2 are their shifts
-    relative to |m - s| and |m + s|.
+    relative to |m - s| and |m + s|; delta_total is delta1 + delta2, and
+    m_plus and m_minus are the halves of two_m_plus and two_m_minus.
     """
 
     two_m: int
@@ -75,18 +76,9 @@ class DerivedConstants:
     delta2: float
     m1: float
     m2: float
-
-    @functools.cached_property
-    def m_plus(self) -> float:
-        return self.two_m_plus / 2.0
-
-    @functools.cached_property
-    def m_minus(self) -> float:
-        return self.two_m_minus / 2.0
-
-    @functools.cached_property
-    def delta_total(self) -> float:
-        return self.delta1 + self.delta2
+    m_plus: float
+    m_minus: float
+    delta_total: float
 
 
 @dataclass(frozen=True)
@@ -153,14 +145,19 @@ def _derive_constants(two_s: int, c1: float, c2: float, two_m: int) -> DerivedCo
     delta1 = 4.0 * c1 / (m1 + abs_m_minus_s) if m1 + abs_m_minus_s > 0.0 else 0.0
     delta2 = 4.0 * c2 / (m2 + abs_m_plus_s) if m2 + abs_m_plus_s > 0.0 else 0.0
 
+    two_m_plus = (two_sum + two_dif) // 2
+    two_m_minus = (two_sum - two_dif) // 2
     return DerivedConstants(
         two_m=two_m,
-        two_m_plus=(two_sum + two_dif) // 2,
-        two_m_minus=(two_sum - two_dif) // 2,
+        two_m_plus=two_m_plus,
+        two_m_minus=two_m_minus,
         delta1=delta1,
         delta2=delta2,
         m1=m1,
         m2=m2,
+        m_plus=two_m_plus / 2.0,
+        m_minus=two_m_minus / 2.0,
+        delta_total=delta1 + delta2,
     )
 
 

@@ -12,12 +12,13 @@ Checks never raise on failure; they report.
 Each integrand of a check is a known weight times a polynomial: radial
 ones t^alpha e^-t, alpha the exact fractional power, and angular ones
 (1 - x)^m2 (1 + x)^m1 from the half-angle factors.  So there is one
-rule family: each integrand gets the cached Gauss-Laguerre or
+rule family: each integrand gets the memoized Gauss-Laguerre or
 Gauss-Jacobi rule of its weight, with the fewest nodes N exact to its
 degree, 2N - 1 >= degree (Golub and Welsch, Math. Comp. 23, 221
 (1969)), as :func:`_gauss_order` sizes it from the degree derived next
 to the rule.  A rule past DEFAULT_RADIAL_ORDER nodes is refused with
-ValueError, so blocks up to d = 127 are checked.
+ValueError, so blocks up to d = 127 are checked.  The memo keeps the
+1024 most recently used rules; a run at n_max = 8 uses up to about 190.
 
 :func:`run_suite` runs the numerics once per block dimension d and the
 checks once per block.  The blocks of one d share their shapes and rule
@@ -27,7 +28,8 @@ eigensolve), one eigensolve of each side of the spheroidal operator over
 every R of the list, R = 0 (whose parabolic side is the angular-momentum
 matrix M alone) and the limit probes, the radial values of the states on
 each block's Gauss-Laguerre rule, the quadratures and the deviations.  Each
-block, and each state, is built once per run.  The wavefunctions come from
+block, and each state, is built once per run, the spherical ones through
+the memo of :class:`_States`.  The wavefunctions come from
 the public :mod:`mickepler.bases` functions, each called with the list of
 states a family needs (all blocks of a d, or a chain of levels), one kernel
 call per factor.  W comes from production
@@ -118,7 +120,7 @@ def _gauss_order(degree: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _laguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes t of weight t^alpha e^-t, and weights rescaled
     (in log space) so that sum(w * f(t)) approximates the integral of f."""
@@ -126,7 +128,7 @@ def _laguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return _rule(t, np.exp(np.log(w) + t - alpha * np.log(t)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes x of weight (1 - x)^alpha (1 + x)^beta, and weights
     divided by that weight, so that sum(w * f(x)) approximates the integral of f."""
@@ -328,15 +330,13 @@ class _Levels:
 class _States:
     """The spherical and parabolic states of one parameter point, each built once.
 
-    The suite hands one of these to every check, so a state shared by
-    several checks (a level's states serve its block and the radial and
-    angular Gram matrices of its m) is derived a single time.
+    ``spherical`` memoizes a spherical state for the run, as the radial and
+    angular Gram matrices of its m read it too; a parabolic state serves one block.
     """
 
     def __init__(self, params: SystemParams):
         self.params = params
         self.spherical = lru_cache(maxsize=None)(partial(spherical_state, params))
-        self.parabolic = lru_cache(maxsize=None)(partial(parabolic_state, params))
 
     def levels(self, labels: Sequence[tuple[int, int]]) -> _Levels:
         """The blocks (two_n, two_m) of ``labels``, all of one dimension d."""
@@ -344,7 +344,8 @@ class _States:
         d = _block_dimension(dcs[0], labels[0][0])
         sph = [self.spherical(two_n, dc.two_m_plus + 2 * k, two_m)
                for (two_n, two_m), dc in zip(labels, dcs) for k in range(d)]
-        par = [self.parabolic(n1, d - 1 - n1, two_m) for _, two_m in labels for n1 in range(d)]
+        par = [parabolic_state(self.params, n1, d - 1 - n1, two_m)
+               for _, two_m in labels for n1 in range(d)]
         # each radial function, and each parabolic profile at fixed x, is
         # r^(m_plus + delta/2) e^(-eps r) times a polynomial of degree d - 1 in r;
         # a product of two, times the r^2 of the overlap, has degree 2d
@@ -661,8 +662,6 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     two_n_max = _two_n_max(params, n_max)
     _gauss_order(two_n_max - abs(params.two_s))
     blocks = enumerate_blocks(params, n_max)
-    m_constants = {two_m: derive_constants(params, two_m)
-                   for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
     # the self-checks have a generator of their own: they move no completeness point
     kernel_rng, rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     reports = _check_quadrature_selftest()
@@ -670,7 +669,8 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     states = _States(params)
     prefix = _params_context(params)
 
-    for two_m, dc in m_constants.items():
+    for two_m in dict.fromkeys(two_m for _, two_m in blocks):
+        dc = derive_constants(params, two_m)
         reports.append(_report(
             "bases.angular.orthonormality", _context(prefix, two_m=two_m),
             _identity_deviation(_angular_gram(states, dc)), TOL_QUAD_VS_CLOSED))

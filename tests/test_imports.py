@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -182,6 +183,29 @@ def test_every_definition_is_referenced():
                     and not any(node.name in referenced_names(other)
                                 for _, other in statements if other is not node)]
     assert unreferenced == []
+
+
+def test_every_memo_keyed_on_arguments_is_bounded():
+    # a module-level functools memo lives as long as the process; keyed on
+    # arguments (ring strengths among them), an unbounded one grows with every
+    # new point a long-running caller visits, while one without arguments holds
+    # a single entry
+    memos, unbounded = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "mickepler" if path.stem == "__init__" else f"mickepler.{path.stem}")
+        for name, obj in vars(module).items():
+            if (getattr(obj, "__module__", None) != module.__name__
+                    or not callable(getattr(obj, "cache_info", None))):
+                continue
+            memos.add(f"{path.stem}.{name}")
+            if (inspect.signature(obj.__wrapped__).parameters
+                    and obj.cache_info().maxsize is None):
+                unbounded.append(f"{path.stem}.{name}")
+    # the scan sees the package's memos, with and without arguments
+    assert {"qnum._derive_constants", "verify._laguerre", "verify._jacobi",
+            "cli._kernel_tables", "cli._parser"} <= memos
+    assert unbounded == []
 
 
 # Run in a fresh interpreter: records every import of scipy.linalg with the

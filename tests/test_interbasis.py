@@ -7,7 +7,7 @@ from pytest import approx
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
-from conftest import blocks_by_dimension, grid_cases, w_mpmath
+from conftest import blocks_by_dimension, blocks_up_to, grid_cases, w_mpmath
 
 import mickepler.interbasis as interbasis
 from mickepler.interbasis import _eigh_stack, block, expansion_matrix, inverse_expansion_matrix
@@ -293,6 +293,27 @@ class TestEigenvectorMatrix:
         w = expansion_matrix(params, 21, 1).entries.copy()
         w[3, 5] += 1e-12
         assert np.abs(w - cg_oracle(params, 21, 1)).max() > 1e-14
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: bands relative to a known "
+                       "spectral origin; W loses digits from c1 = 1e8 and block() refuses "
+                       "most blocks at c1 = 1e300")
+    def test_matches_exact_closed_form_at_huge_strengths(self):
+        # item 13's first "Done when": every n <= 8 block within 1e-14 of the exact
+        # form at s = 0 and 1/2, c2 = 0 and 0.7, c1 from 1e4 to 1e300, and at
+        # c1 = c2 = 1e200; a refused block fails it too
+        points = [SystemParams(two_s=two_s, c1=c1, c2=c2) for two_s in (0, 1)
+                  for c2 in (0.0, 0.7) for c1 in (1e4, 1e8, 1e12, 1e30, 1e100, 1e200, 1e300)]
+        points += [SystemParams(two_s=two_s, c1=1e200, c2=1e200) for two_s in (0, 1)]
+        worst, refused = 0.0, []
+        for params in points:
+            for two_n, two_m in blocks_up_to(params, 8):
+                try:
+                    w = expansion_matrix(params, two_n, two_m).entries
+                except ValueError:
+                    refused.append((params, two_n, two_m))
+                    continue
+                worst = max(worst, np.abs(w - cg_oracle(params, two_n, two_m)).max())
+        assert refused == [] and worst <= 1e-14
 
     def test_equality_by_labels_and_bits(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)

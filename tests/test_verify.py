@@ -584,6 +584,27 @@ def test_suite_builds_one_laguerre_rule_per_exponent():
     assert verify._laguerre.cache_info().misses == len(rules)
 
 
+def test_rule_memos_are_bounded_and_hold_a_benchmark_pass():
+    # each ring strength brings rules of its own weights, so a scan over c1
+    # would keep every rule it built in an unbounded memo
+    memos = (verify._laguerre, verify._jacobi)
+    for k in range(20):
+        run_suite(SystemParams(two_s=0, c1=0.3 + 0.01 * k, c2=0.7), n_max=3, r_list=[1.0])
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    # verify --n-max 8 at both benchmark points: the bound holds all their rules,
+    # so a second pass over them builds none
+    for memo in memos:
+        memo.cache_clear()
+    misses = []
+    for _ in range(2):
+        for params in (RING_HALF, HYDROGEN):
+            run_suite(params, n_max=8, r_list=R_LIST)
+        misses.append([memo.cache_info().misses for memo in memos])
+    assert misses[0] == misses[1]
+
+
 def test_suite_builds_each_block_and_state_once(monkeypatch):
     counts = {name: collections.Counter()
               for name in ("block", "spherical_state", "parabolic_state")}
