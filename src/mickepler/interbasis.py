@@ -179,19 +179,19 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
 _CHUNK = 256   # points per dense stack, so a long grid never holds two (P, d, d) copies
 
 
-def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True,
+                signed: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """One symmetric tridiagonal eigensolve per row of ``diags``.
 
     ``offdiags`` holds one row per point or a single row shared by all.
-    Returns ascending eigenvalues (P, d) and, if ``vectors``, eigenvectors
-    as rows (P, d, d), ``[p, q]`` being eigenvector q at point p; without
-    ``vectors``, None in their place.  Up to _CHUNK points at a time go to one
-    stacked ``numpy.linalg.eigh`` (``eigvalsh`` without vectors) as dense
-    matrices, only the diagonal and lower band filled; LAPACK reduces them
-    with identity reflectors, so the doubles are those of ``dstevd``
-    (``dsterf`` without vectors).  Raises ValueError for a non-finite band,
-    RuntimeError if the solver does not converge.
+    Returns ascending eigenvalues (P, d) and, if ``vectors``, eigenvectors as
+    rows (P, d, d), ``[p, q]`` being eigenvector q at point p, signed by
+    :func:`_sign_by_recursion` if ``signed``; without ``vectors``, None in their
+    place.  Up to _CHUNK points at a time go to one stacked ``numpy.linalg.eigh``
+    (``eigvalsh`` without vectors) as dense matrices, only the diagonal and lower
+    band filled; LAPACK reduces them with identity reflectors, so the doubles are
+    those of ``dstevd`` (``dsterf`` without vectors).  Raises ValueError for a
+    non-finite band, RuntimeError if the solver does not converge.
     """
     points, d = diags.shape
     if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
@@ -214,6 +214,8 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("tridiagonal eigensolver failed to converge for a system "
                                f"of dimension {d}") from exc
+        if vectors and signed:
+            _sign_by_recursion(diags[part], offdiags[part], lambdas[part], stack[part])
     return lambdas, stack
 
 
@@ -225,15 +227,40 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _sign_by_recursion(diags: np.ndarray, offdiags: np.ndarray, lambdas: np.ndarray,
+                       u: np.ndarray) -> None:
+    """Make the first component of each eigenvector row ``u[p, q]`` of the bands
+    (P, d) and (P, d - 1) positive, by the band's recursion, never by that
+    component, which can lie below rounding.  The b_j are <= 0 (R times X's, by
+    :func:`block`), so v_0 has the largest component's sign times (-1) per
+    negative forward LDL^T pivot D_j of T - lambda_q below it.  Each point is
+    scaled by the power of two that brings max |lambda| (>= every |entry|)
+    below 1, and a pivot under the smallest normal counts as minus it, as in
+    LAPACK ``dstebz``; the last one, D_{d-2}, divides nothing and is only counted.
+    """
+    largest = np.argmax(np.abs(u), axis=-1)
+    negative = np.take_along_axis(u, largest[..., None], axis=-1)[..., 0] < 0.0
+    scale = np.ldexp(1.0, -np.frexp(np.abs(lambdas).max(-1))[1])[:, None]
+    pivots = (diags[:, :-1] * scale).T[:, :, None] - lambdas * scale   # [j, p, q], j < d - 1
+    squares = ((offdiags * scale) ** 2).T[:, :, None]
+    tiny = np.finfo(float).tiny
+    for pivot, following, square in zip(pivots, pivots[1:], squares):
+        pivot[np.abs(pivot) < tiny] = -tiny
+        following -= square / pivot
+    below = np.arange(len(pivots))[:, None, None] < largest
+    negative ^= np.logical_xor.reduce((pivots < tiny) & below, axis=0)   # < tiny: as if guarded
+    u[negative] *= -1.0
+
+
 def _mixing_matrix(x_diag: np.ndarray, x_off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row b of the stacked X bands (B, d) and (B, d - 1): the eigenvectors of
     X as columns in ascending beta (ascending n1), and those ascending eigenvalues,
     (B, d, d) and (B, d) from one eigensolve.
 
     Each column is signed so that its j = m_plus entry is positive.  That
-    entry never vanishes: the off-diagonal of X has no zero inside a block,
-    and an eigenvector of an unreduced tridiagonal matrix with a zero first
-    component would vanish entirely.
+    entry is nonzero in exact arithmetic, since X's off-diagonal has no zero
+    inside a block, but from c1 = 1e4 at d = 64 it drops below rounding, and
+    the sign read off it is then arbitrary.
     """
     eigenvalues, vectors = _eigh_stack(x_diag, x_off)
     return _fix_signs(vectors).swapaxes(-1, -2), eigenvalues

@@ -14,10 +14,10 @@ bands of a :class:`mickepler.interbasis.Block`, derived once per block, so
 a sweep builds them once for its whole grid.
 
 :func:`sweep`, the one path (:func:`solve` and the CLI call it),
-diagonalizes the spherical side alone: V = W^T U, with W the block's mixing
-matrix, signed like U.  The parabolic-side matrix M + R diag(beta) and its
-independent eigensolve live in :mod:`mickepler.verify`, the reference its
-checks hold both sides to.
+diagonalizes the spherical side alone, U's columns with first components
+positive, and V = W^T U exactly, W the block's mixing matrix.  The parabolic
+side M + R diag(beta) and its independent eigensolve live in
+:mod:`mickepler.verify`, the reference its checks hold both sides to.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interbasis import (
-    Block,
-    ExpansionMatrix,
-    _eigh_stack,
-    _eq_by_value,
-    _fix_signs,
-    _mixing_matrix,
-    block,
-)
+from .interbasis import Block, ExpansionMatrix, _eigh_stack, _eq_by_value, _mixing_matrix, block
 from .qnum import SystemParams
 
 __all__ = [
@@ -78,20 +70,17 @@ class SpheroidalSweep(Sequence):
     block: Block
     grid: tuple[float, ...]          # P ascending R values
     lambdas: np.ndarray              # (P, d), ascending per point; index is q
-    u: np.ndarray | None             # (P, d, d), sign-continued
+    u: np.ndarray | None             # (P, d, d), first components positive
 
     @functools.cached_property
     def v(self) -> np.ndarray | None:
-        """(P, d, d): U's rows times W, each first nonzero made positive, then
-        continued like U (flipping a row of U flips that row of V exactly)."""
+        """(P, d, d): U's rows times W, so V = W^T U with no sign of its own."""
         if self.u is None:
             return None
         w = _mixing_matrix(self.block.x_diag[None], self.block.x_off[None])[0][0]
         # numpy's own loop, not BLAS: a first BLAS matrix product maps its work
         # buffer, 0.3 MiB more peak memory for a sweep that calls no other
-        v = _fix_signs(np.einsum("pqk,kn->pqn", self.u, w))
-        _continue_signs(v)
-        return v
+        return np.einsum("pqk,kn->pqn", self.u, w)
 
     def spherical_coefficients(self, p: int) -> ExpansionMatrix:
         """U at point p: rows j, columns q."""
@@ -119,31 +108,13 @@ class SpheroidalSweep(Sequence):
                                   self.spherical_coefficients(p), self.parabolic_coefficients(p))
 
 
-def _continue_signs(vectors: np.ndarray) -> None:
-    """Flip an eigenvector when its overlap with the same one at the previous,
-    already continued grid point is negative; an overlap of 0 never flips.
-
-    Flipping is exact, so that overlap is the raw one times the running
-    sign of the previous point: the sign is the product of the raw overlap
-    signs since the last exactly 0 overlap, where it restarts at +1.
-    """
-    if len(vectors) < 2:    # a one-point solve: skip a dozen calls on empty arrays
-        return
-    overlap = np.einsum("pqk,pqk->pq", vectors[:-1], vectors[1:])
-    negative = np.cumsum(overlap < 0.0, axis=0)
-    # the count is nondecreasing, so its running max over the 0 overlaps is
-    # its value at the last one
-    negative -= np.maximum.accumulate(np.where(overlap == 0.0, negative, 0), axis=0)
-    vectors[1:][negative % 2 == 1] *= -1.0
-
-
 def solve(params: SystemParams, two_n: int, two_m: int, R: float
           ) -> SpheroidalSolution:
     """Eigenvalues and both coefficient matrices at one R: :func:`sweep` over [R].
 
     Eigenvalues ascend (defining q).  U's columns are the spherical side's
-    unit eigenvectors and V = W^T U; each column has its first nonzero
-    component positive.
+    unit eigenvectors, first components positive (U = diag((-1)^q) at R = 0,
+    the limit R -> 0+), and V = W^T U: the bytes of any sweep's point at R.
     """
     return sweep(params, two_n, two_m, [R])[0]
 
@@ -153,10 +124,10 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid,
     """The block's solutions along an ascending R grid, stacked, from one
     spherical-side eigensolve per point with the bands built once.
 
-    Each eigenvector keeps the sign that makes its overlap with the previous
-    point nonnegative, so coefficient curves are continuous along the grid.
-    Without ``vectors`` only the eigenvalues are solved for: LAPACK
-    ``dsterf``'s, which may differ in the last bits from ``dstevd``'s.
+    Each eigenvector is signed at its own R, its first component positive;
+    that component never vanishes for R > 0, so the curves are continuous on
+    any grid.  Without ``vectors`` only the eigenvalues are solved for:
+    LAPACK ``dsterf``'s, which may differ in the last bits from ``dstevd``'s.
     """
     grid = tuple(map(float, r_grid))
     if not grid:
@@ -164,7 +135,6 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid,
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("R grid must be ascending")
     blk = block(params, two_n, two_m)
-    lambdas, u = _eigh_stack(*blk.spherical_bands(np.array(grid)[:, None]), vectors=vectors)
-    if u is not None:
-        _continue_signs(_fix_signs(u))
+    lambdas, u = _eigh_stack(*blk.spherical_bands(np.array(grid)[:, None]), vectors=vectors,
+                             signed=True)
     return SpheroidalSweep(blk, grid, lambdas, u)

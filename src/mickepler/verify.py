@@ -492,20 +492,20 @@ def _eigensolve(diag: np.ndarray, off: np.ndarray,
                 parabolic: tuple[np.ndarray, np.ndarray, np.ndarray], r_values: list[float]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ascending eigenvalues of the spherical and of the parabolic side, and
-    the sign-fixed U and V stacks (vectors as rows), of B blocks of one dimension
-    d at each of P values of R, from one eigensolve of each side: the spherical
-    one of the blocks' :meth:`Block.spherical_bands` at those R, (B, P, d) and
-    (B, P, d - 1), the parabolic one from their :func:`_parabolic_side`, stacked
-    (B, d), (B, d - 1) and (B, d).  Spectra come out (B, P, d), vectors (B, P, d, d);
-    :func:`mickepler.spheroidal.sweep` takes V = W^T U instead."""
+    the U and V stacks (vectors as rows; U signed as production signs it, V by
+    first components) of B blocks of one dimension d at each of P values of R,
+    from one eigensolve of each side: the spherical one of the blocks'
+    :meth:`Block.spherical_bands` at those R, (B, P, d) and (B, P, d - 1), the
+    parabolic one from their :func:`_parabolic_side`, stacked (B, d), (B, d - 1)
+    and (B, d).  Spectra come out (B, P, d), vectors (B, P, d, d)."""
     b, p, d = diag.shape
     r = np.asarray(r_values, dtype=float)[:, None]
     m_diag, m_off, betas = parabolic
-    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1))
+    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1), signed=True)
     lambdas_par, v = _eigh_stack((m_diag[:, None] + r * betas[:, None]).reshape(b * p, d),
                                  np.repeat(m_off, p, axis=0))
     return (lambdas.reshape(b, p, d), lambdas_par.reshape(b, p, d),
-            _fix_signs(u).reshape(b, p, d, d), _fix_signs(v).reshape(b, p, d, d))
+            u.reshape(b, p, d, d), _fix_signs(v).reshape(b, p, d, d))
 
 
 def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -662,6 +662,9 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     two_n_max = _two_n_max(params, n_max)
     _gauss_order(two_n_max - abs(params.two_s))
     blocks = enumerate_blocks(params, n_max)
+    # a strength too large for some m's constants is refused before any check runs
+    m_constants = {two_m: derive_constants(params, two_m)
+                   for two_m in dict.fromkeys(two_m for _, two_m in blocks)}
     # the self-checks have a generator of their own: they move no completeness point
     kernel_rng, rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     reports = _check_quadrature_selftest()
@@ -669,8 +672,7 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
     states = _States(params)
     prefix = _params_context(params)
 
-    for two_m in dict.fromkeys(two_m for _, two_m in blocks):
-        dc = derive_constants(params, two_m)
+    for two_m, dc in m_constants.items():
         reports.append(_report(
             "bases.angular.orthonormality", _context(prefix, two_m=two_m),
             _identity_deviation(_angular_gram(states, dc)), TOL_QUAD_VS_CLOSED))

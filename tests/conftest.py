@@ -52,7 +52,7 @@ def parabolic_bands(params, two_n, two_m, R):
 
 def reference_eigensolve(params, two_n, two_m, r_values):
     """The verify suite's eigensolve of each side of the block at each R: both
-    spectra and the sign-fixed U and V stacks."""
+    spectra and the U and V stacks, U signed as production signs it."""
     parabolic = _parabolic_side(derive_constants(params, two_m), two_n)
     bands = block(params, two_n, two_m).spherical_bands(np.asarray(r_values, dtype=float)[:, None])
     stacks = _eigensolve(*(band[None] for band in bands), [side[None] for side in parabolic],

@@ -21,7 +21,7 @@ import mickepler.qnum as qnum
 import mickepler.spheroidal as spheroidal
 import mickepler.verify as verify
 from mickepler.cli import main
-from mickepler.interbasis import ExpansionMatrix, _fix_signs, block, expansion_matrix
+from mickepler.interbasis import ExpansionMatrix, block, expansion_matrix
 from mickepler.qnum import SystemParams, derive_constants, energy, enumerate_blocks
 from mickepler.spheroidal import solve, sweep
 
@@ -164,7 +164,8 @@ class TestCoefficients:
         assert code == 0
         _, rows = parse_csv(out)
         values = np.array([[float(v) for v in r[1:]] for r in rows])
-        assert np.array_equal(values, np.eye(3))
+        # the limit R -> 0+ of a positive first component: column q is (-1)^q e_q
+        assert np.array_equal(values, np.diag([1.0, -1.0, 1.0]))
 
     def test_spheroidal_parabolic_near_identity_at_large_r(self, capsys):
         code, out = run_cli(capsys, "coefficients", "--kind",
@@ -238,11 +239,10 @@ class TestCoefficients:
         sol = solve(params, 10, 2, 3.5)
         matrix = (sol.spherical_coefficients if kind == "spheroidal-in-spherical"
                   else sol.parabolic_coefficients)
-        # V is the rows of U times W, signs fixed
+        # V is the rows of U times W
         w = expansion_matrix(params, 10, 2).entries
-        assert np.array_equal(sol.parabolic_coefficients.entries,
-                              _fix_signs(np.einsum(
-                                  "pqk,kn->pqn", sol.spherical_coefficients.entries.T[None], w))[0].T)
+        assert np.array_equal(sol.parabolic_coefficients.entries, np.einsum(
+            "pqk,kn->pqn", sol.spherical_coefficients.entries.T[None], w)[0].T)
         assert out == json.dumps({
             "kind": kind,
             "row_labels": list(matrix.row_labels),
@@ -317,6 +317,17 @@ class TestSweep:
         assert header == ["R", "q", "lambda", "u[j=0]", "u[j=1]", "v[n1=0]", "v[n1=1]"]
         first = [float(v) for v in rows[0][3:5]]
         assert math.hypot(*first) == approx(1.0, rel=1e-12)
+
+    def test_grid_end_equals_one_point_sweep(self, capsys):
+        # each point is signed at its own R, so the grid's last point (R = 50)
+        # prints the same rows as a one-point sweep at R = 50
+        ring = ("--n", "10", "--m", "0", "--c1", "0.3", "--c2", "0.7", "--vectors")
+        code, grid_out = run_cli(capsys, "sweep", *ring, "--R-grid", "0:50:2000")
+        assert code == 0
+        code, point_out = run_cli(capsys, "sweep", *ring, "--R", "50")
+        assert code == 0
+        assert grid_out.splitlines()[-10:] == point_out.splitlines()[-10:]
+        assert point_out.splitlines()[-1].startswith("50,9,")
 
     def test_branch_diagram(self, capsys):
         # the README's branch-diagram line on a 5-point grid: n = 7/2, m = 1/2

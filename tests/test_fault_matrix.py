@@ -96,8 +96,8 @@ def _scale_off_band(real):
 
 def _scale_eigenvectors(real):
     """Every eigenvector of the stacked eigensolve times (1 + 1e-9)."""
-    def faulty(diags, offdiags, vectors=True):
-        lambdas, stack = real(diags, offdiags, vectors)
+    def faulty(diags, offdiags, vectors=True, **kwargs):
+        lambdas, stack = real(diags, offdiags, vectors, **kwargs)
         return lambdas, stack * (1.0 + 1e-9)
     return faulty
 

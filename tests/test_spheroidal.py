@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
@@ -15,7 +17,7 @@ from mickepler.qnum import (
     derive_constants,
     parabolic_separation_constant,
 )
-from mickepler.spheroidal import _continue_signs, solve, sweep
+from mickepler.spheroidal import solve, sweep
 from mickepler.verify import _aligned_deviation, _parabolic_side
 
 HYDROGEN = SystemParams(two_s=0)
@@ -104,10 +106,10 @@ class TestAngularMomentumMatrix:
 
 class TestSolve:
     def test_r_zero_identity(self):
+        # the limit R -> 0+ of a positive first component: column q is (-1)^q e_q
         sol = solve(HYDROGEN, 6, 0, 0.0)
-        dc = derive_constants(HYDROGEN, 0)
         assert sol.lambdas == approx([0.0, 2.0, 6.0], abs=1e-14)
-        assert np.array_equal(sol.spherical_coefficients.entries, np.eye(3))
+        assert np.array_equal(sol.spherical_coefficients.entries, np.diag([1.0, -1.0, 1.0]))
 
     def test_hydrogen_n2_closed_form(self):
         # 2x2 oracle: eigenvalues of [[0, -3/2], [-3/2, 2]]
@@ -226,8 +228,8 @@ class TestLimits:
 class TestSweep:
     def test_single_point_equals_solve(self):
         # solve is a one-point sweep: its lambdas and U must equal the sign-fixed
-        # stacked spherical solve at that R alone, its V the rows of that U times W
-        # with signs fixed, and both a dense eigh of the spherical-side matrix and
+        # stacked spherical solve at that R alone, its V the rows of that U times W,
+        # and both a dense eigh of the spherical-side matrix and
         # the independent parabolic-side solve to rounding
         for params, two_n, two_m, R in ((HYDROGEN, 4, 0, 3.0),
                                         (SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1, 2.5)):
@@ -238,7 +240,7 @@ class TestSweep:
             assert np.array_equal(direct.spherical_coefficients.entries, u[0].T)
             w = expansion_matrix(params, two_n, two_m).entries
             assert np.array_equal(direct.parabolic_coefficients.entries,
-                                  _fix_signs(np.einsum("pqk,kn->pqn", u, w))[0].T)
+                                  np.einsum("pqk,kn->pqn", u, w)[0].T)
             assert _aligned_deviation(direct.parabolic_coefficients.entries, v[0].T) <= 1e-13
 
             diag, off = blk.spherical_bands(R)
@@ -255,9 +257,13 @@ class TestSweep:
             gaps = np.diff(sol.lambdas)
             assert gaps.min() > 1e-8
 
-    def test_vector_continuity(self):
-        grid = np.linspace(0.0, 20.0, 60)
-        sols = sweep(SystemParams(two_s=1, c1=0.3, c2=0.7), 7, 1, grid)
+    @pytest.mark.parametrize("two_s, two_n, two_m, grid", [
+        (1, 7, 1, np.linspace(0.0, 20.0, 60)),
+        # the spheroidal-sweep benchmark's d = 10 grid, signed point by point
+        (0, 20, 0, np.linspace(0.0, 50.0, 2000)),
+    ])
+    def test_vector_continuity(self, two_s, two_n, two_m, grid):
+        sols = sweep(SystemParams(two_s=two_s, c1=0.3, c2=0.7), two_n, two_m, grid)
         for prev, cur in zip(sols, sols[1:]):
             for attr in ("spherical_coefficients", "parabolic_coefficients"):
                 a = getattr(prev, attr).entries
@@ -284,28 +290,13 @@ class TestSweep:
         assert aligned_dev(sols[-1].parabolic_coefficients.entries, np.eye(2)) <= 1e-5
         assert aligned_dev(sols[-1].spherical_coefficients.entries, w) <= 1e-5
 
-    def test_every_point_equals_solve_up_to_continued_sign(self):
+    def test_every_point_equals_solve(self):
+        # each point is signed at its own R alone, so no grid changes a byte
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
         two_n, two_m = 11, 1
         grid = np.linspace(0.0, 40.0, 57)
-        previous = None
         for R, sol in zip(grid, sweep(params, two_n, two_m, grid)):
-            direct = solve(params, two_n, two_m, float(R))
-            assert sol.R == R
-            assert np.array_equal(sol.lambdas, direct.lambdas)
-            for attr in ("spherical_coefficients", "parabolic_coefficients"):
-                cont = getattr(sol, attr).entries
-                ref = getattr(direct, attr).entries
-                for q in range(ref.shape[1]):
-                    flipped = not np.array_equal(cont[:, q], ref[:, q])
-                    if flipped:
-                        assert np.array_equal(cont[:, q], -ref[:, q])
-                    # continuation rule: flip exactly when the overlap with the
-                    # previous, already continued column is negative
-                    expected = (previous is not None and np.dot(
-                        getattr(previous, attr).entries[:, q], ref[:, q]) < 0.0)
-                    assert flipped == expected
-            previous = sol
+            self.assert_same_solution(sol, solve(params, two_n, two_m, float(R)))
 
     def test_one_dimensional_block(self):
         params = SystemParams(two_s=0, c1=0.3, c2=0.7)
@@ -333,7 +324,7 @@ class TestSweep:
 
     def test_sequence_views(self):
         # len, negative indices, slices and iteration give the same views, and
-        # each equals the one-point solve up to its continued column signs
+        # each equals the one-point solve
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
         grid = [0.0, 0.5, 3.0, 12.5, 40.0]
         sols = sweep(params, 11, 1, grid)
@@ -350,12 +341,7 @@ class TestSweep:
             with pytest.raises(IndexError):
                 sols[index]
         for sol, R in zip(sols, grid):
-            direct = solve(params, 11, 1, R)
-            assert np.array_equal(sol.lambdas, direct.lambdas)
-            for attr in ("spherical_coefficients", "parabolic_coefficients"):
-                cont, ref = getattr(sol, attr).entries, getattr(direct, attr).entries
-                sign = np.where((cont == ref).all(axis=0), 1.0, -1.0)
-                assert np.array_equal(cont, sign * ref)
+            self.assert_same_solution(sol, solve(params, 11, 1, R))
 
     def test_solutions_compare_by_value(self):
         params = SystemParams(two_s=1, c1=0.3, c2=0.7)
@@ -366,8 +352,8 @@ class TestSweep:
         with pytest.raises(TypeError, match="unhashable"):
             hash(one)
         sols = sweep(params, 11, 1, [0.0, 2.5, 2.5, 40.0])
-        # each read builds a fresh view, found by value; a repeated R keeps its
-        # continued signs, so the first of two equal points is the one found
+        # each read builds a fresh view, found by value; a repeated R has the
+        # same bytes, so the first of two equal points is the one found
         assert sols[0] is not sols[0] and sols[0] == sols[0]
         assert all(sol in sols for sol in sols)
         assert [sols.index(sols[p]) for p in range(4)] == [0, 1, 1, 3]
@@ -420,48 +406,64 @@ class TestSweep:
         assert np.array_equal(x_off, result.block.x_off[None])
         assert np.array_equal(result[7].parabolic_coefficients.entries, v[7].T)
         assert len(calls) == 1
+        # V = W^T U exactly: no sign of its own
+        assert np.array_equal(v, np.einsum("pqk,kn->pqn", result.u,
+                                           expansion_matrix(params, 13, 1).entries))
 
 
-def continue_signs_loop(vectors):
-    """Per-point reference: flip a vector whose overlap with the previous,
-    already continued one is negative."""
-    for p in range(1, len(vectors)):
-        overlap = np.einsum("qk,qk->q", vectors[p - 1], vectors[p])
-        vectors[p][overlap < 0.0] *= -1.0
+RING = SystemParams(two_s=0, c1=0.3, c2=0.7)
 
 
-class TestContinueSigns:
-    def check(self, raw):
-        expected = raw.copy()
-        continue_signs_loop(expected)
-        got = raw.copy()
-        _continue_signs(got)
-        assert np.array_equal(got, expected)
-        return got
+@functools.lru_cache(maxsize=2)
+def exact_signed_u(two_n, R, c1=RING.c1):
+    """U of the ring's (n, m=0) block at R (at strength c1) from an 80-digit
+    eigensolve of production's own double band, each first component made
+    positive."""
+    diag, off = block(SystemParams(two_s=0, c1=c1, c2=RING.c2), two_n, 0).spherical_bands(R)
+    d = len(diag)
+    with mpmath.workdps(80):
+        band = mpmath.matrix(d, d)
+        for i in range(d):
+            band[i, i] = mpmath.mpf(float(diag[i]))
+        for i in range(d - 1):
+            band[i, i + 1] = band[i + 1, i] = mpmath.mpf(float(off[i]))
+        values, vectors = mpmath.eigsy(band)
+        order = sorted(range(d), key=lambda q: values[q])
+        return np.array([[float(vectors[i, q] if vectors[0, q] > 0 else -vectors[i, q])
+                          for q in order] for i in range(d)])
 
-    @pytest.mark.parametrize("points, d", [(1, 3), (2, 1), (40, 2), (300, 7)])
-    def test_random_stacks_match_point_loop(self, points, d):
-        rng = np.random.default_rng(points + d)
-        # slowly drifting vectors with random signs: long runs of flips
-        raw = np.cumsum(rng.standard_normal((points, d, d)) * 0.2, axis=0)
-        raw *= rng.choice([-1.0, 1.0], size=(points, d, 1))
-        self.check(raw)
 
-    def test_solver_stack_matches_point_loop(self):
-        _, _, u, v = reference_eigensolve(SystemParams(two_s=1, c1=0.3, c2=0.7), 13, 1,
-                                          list(np.linspace(0.0, 60.0, 500)))
-        self.check(u)
-        self.check(v)
+def assert_signed_like(u, exact):
+    assert (np.sum(u * exact, axis=0) > 0.0).all()
+    assert np.abs(u - exact).max() <= 1e-14
 
-    def test_negative_and_zero_overlaps(self):
-        e0, e1 = np.eye(2)
-        # vector 0: a negative overlap flips, the flip carries on, an exact
-        # 0 overlap restarts the sign at +1, and the next negative one flips
-        column = [e0, -e0, -e0, e1, -e1, -e1]
-        raw = np.array([[c, e1] for c in column])
-        got = self.check(raw)
-        assert np.array_equal(got[:, 0], np.array([e0, e0, e0, e1, e1, e1]))
-        assert np.array_equal(got[:, 1], raw[:, 1])
+
+class TestSignsAgainstExactReference:
+    """At d = 30, R = 10 the first components of the top levels lie far below
+    rounding, seven of them computed as 0.0, so no sign read off them can be
+    trusted; the band's recursion gives each one."""
+
+    @pytest.mark.parametrize("R", [10.0, 100.0])
+    def test_every_column_matches(self, R):
+        assert_signed_like(solve(RING, 60, 0, R).spherical_coefficients.entries,
+                           exact_signed_u(60, R))
+
+    def test_raw_first_component_fails(self):
+        # negative control: U signed by its first component as computed
+        u = solve(RING, 60, 0, 10.0).spherical_coefficients.entries
+        with pytest.raises(AssertionError):
+            assert_signed_like(_fix_signs(u.T.copy()).T, exact_signed_u(60, 10.0))
+
+    @pytest.mark.parametrize("c1, two_n, R", [
+        # entries near 1e300: the recursion runs on a power-of-two scaled band,
+        # so no square overflows into a RuntimeWarning
+        (RING.c1, 20, 1e300),
+        # a strong ring: 19 of the 20 first components compute as 0.0
+        (1e16, 40, 10.0),
+    ])
+    def test_extreme_bands(self, c1, two_n, R):
+        u = solve(SystemParams(two_s=0, c1=c1, c2=RING.c2), two_n, 0, R)
+        assert_signed_like(u.spherical_coefficients.entries, exact_signed_u(two_n, R, c1))
 
 
 def test_aligned_deviation_matches_column_loop():

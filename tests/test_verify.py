@@ -344,6 +344,14 @@ class TestRunSuite:
         monkeypatch.setattr(verify, "_check_kernel", more_draws)
         assert completeness() == before
 
+    def test_overflowing_strength_is_refused_before_the_self_checks(self, monkeypatch):
+        def self_check_ran():
+            raise AssertionError("a self-check ran")
+
+        monkeypatch.setattr(verify, "_check_quadrature_selftest", self_check_ran)
+        with pytest.raises(ValueError, match="are too large"):
+            run_suite(SystemParams(two_s=0, c1=1.7e308, c2=0.7), n_max=3, r_list=[1.0])
+
     def test_json_lines_round_trip(self):
         import json
         reports = run_suite(HYDROGEN, n_max=1, r_list=[1.0])
@@ -387,13 +395,13 @@ class TestBlockCores:
                     assert abs(table[ka, kb] - scalar) <= 1e-14
 
     def test_stacked_eigensolve_is_bit_equal_to_solve(self):
-        # solve's lambdas and U are the suite's; its V is U times W with signs fixed,
-        # and the suite's own parabolic-side solve agrees with it to rounding
+        # solve's lambdas and U are the suite's; its V is U times W, and the
+        # suite's own parabolic-side solve agrees with it to rounding
         for params, two_n, two_m in self.CASES + self.LARGE_CASES:
             blk = block(params, two_n, two_m)
             lambdas, lambdas_par, u, v = reference_eigensolve(params, two_n, two_m, R_LIST)
             w = interbasis._mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]
-            v_from_u = interbasis._fix_signs(np.einsum("pqk,kn->pqn", u, w))
+            v_from_u = np.einsum("pqk,kn->pqn", u, w)
             for p, R in enumerate(R_LIST):
                 sol = solve(params, two_n, two_m, R)
                 assert np.array_equal(lambdas[p], sol.lambdas)
@@ -629,9 +637,9 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
     eigensolves = collections.Counter()
     real_eigh_stack = interbasis._eigh_stack
 
-    def counting_eigh_stack(diags, offdiags):
+    def counting_eigh_stack(diags, offdiags, **kwargs):
         eigensolves["calls"] += 1
-        return real_eigh_stack(diags, offdiags)
+        return real_eigh_stack(diags, offdiags, **kwargs)
 
     for module in (interbasis, verify, sys.modules["mickepler.spheroidal"]):
         if getattr(module, "_eigh_stack", None) is real_eigh_stack:
