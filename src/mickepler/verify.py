@@ -24,22 +24,21 @@ ValueError, so blocks up to d = 127 are checked.  The memo keeps the
 checks once per block.  The blocks of one d share their shapes and rule
 orders, so each numeric family is one stacked call over all of them, with
 a leading block axis: the mixing matrices W and the spectra of X (one
-eigensolve), one eigensolve of each side of the spheroidal operator over
-every R of the list, R = 0 (whose parabolic side is the angular-momentum
-matrix M alone) and the limit probes, the radial values of the states on
-each block's Gauss-Laguerre rule, the quadratures and the deviations.  Each
-block, and each state, is built once per run, the spherical ones through
-the memo of :class:`_States`.  The wavefunctions come from
-the public :mod:`mickepler.bases` functions, each called with the list of
-states a family needs (all blocks of a d, or a chain of levels), one kernel
-call per factor.  W comes from production
-:func:`mickepler.interbasis._mixing_matrix`, and the spherical side from
-production :meth:`~mickepler.interbasis.Block.spherical_bands`.  The
-parabolic side, M + R diag(beta), is built only here: production solves the
-spherical side alone, and this second, independent eigensolve is the
-reference it is checked against.  Each block then gets its own reports from
-the stacks.  The checks are private cores that take those prebuilt objects;
-:func:`run_suite` is the one entry point to them.
+eigensolve), production's signed eigensolve of the spheroidal operator's
+spherical side over every R of the list, R = 0 and the limit probes, the
+radial values of the states on each block's Gauss-Laguerre rule, the
+quadratures and the deviations.  Each block, and each state, is built once
+per run, the spherical ones through the memo of :class:`_States`.  The
+wavefunctions come from the public :mod:`mickepler.bases` functions, each
+called with the list of states a family needs (all blocks of a d, or a
+chain of levels), one kernel call per factor.  W, the spherical bands and
+V = W^T U come from production :mod:`mickepler.interbasis`.  The spheroidal
+checks hold production's lambda, U and V to the paper's two recursions by
+their residuals, A + R X formed here from the block's bands and
+M + R diag(beta) built only here, and to the limits of its sign convention:
+no second eigensolve, no sign-blind comparison.  The checks are private
+cores that take those prebuilt objects; :func:`run_suite` is the one entry
+point to them.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from .bases import (
     spherical_state,
 )
 from .coords import SphericalPoint, spherical_to_parabolic
-from .interbasis import Block, _eigh_stack, _fix_signs, _mixing_matrix, block
+from .interbasis import Block, _eigh_stack, _mixing_matrix, _to_parabolic, block
 from .numkernel import (_over_power_of_two, clebsch_gordan_block, hyp3f2_terminating,
                         jacobi_exact, laguerre_exact)
 from .qnum import (
@@ -96,12 +95,12 @@ TOL_QUADRATURE = 1e-12
 TOL_ALGEBRA = 1e-10
 TOL_QUAD_VS_CLOSED = 1e-8
 TOL_OVERLAP = 1e-7
-TOL_BASIS_CHANGE = 1e-9
 TOL_LIMITS = 1e-5
 TOL_LIMIT_SHRINK = 0.101   # outer-decade deviation over inner-decade, 1% slack
 # (r_small, r_large) of the inner, then of the outer decade of the limit checks
 _LIMIT_PROBES = [1e-6, 1e6, 1e-7, 1e7]
-_LINEARITY_PROBES = [0.5, 2.0, 7.0]   # the R at which the bands are held to A + R X
+# a recursion residual of a block of dimension d is tolerated up to c d u, u = 2^-53
+TOL_RESIDUAL_C = 16
 _OVERLAP_D_MAX = 4   # the 2D overlap quadrature is checked on blocks up to this d
 _ANGULAR_CHANNELS = 5   # the angular Gram matrix of each m covers j = m_plus .. m_plus + 4
 
@@ -471,7 +470,7 @@ def _parabolic_side(dc: DerivedConstants, two_n: int
     """M = (m_diag, m_off), the angular momentum square in the parabolic basis, and
     the betas of the (n, m) block: its parabolic-side matrix is M + R diag(betas),
     whose eigenvalues at R = 0 are the angular spectrum and whose eigenvectors are
-    V.  Production solves the spherical side alone; this is the reference."""
+    V.  Production solves the spherical side alone; its V is held to this side."""
     d = _block_dimension(dc, two_n)
     half_delta = 0.5 * dc.delta_total
     eps = 1.0 / _n_effective(dc, two_n)
@@ -488,48 +487,38 @@ def _parabolic_side(dc: DerivedConstants, two_n: int
     return m_diag, m_off, betas
 
 
-def _eigensolve(diag: np.ndarray, off: np.ndarray,
-                parabolic: tuple[np.ndarray, np.ndarray, np.ndarray], r_values: list[float]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ascending eigenvalues of the spherical and of the parabolic side, and
-    the U and V stacks (vectors as rows; U signed as production signs it, V by
-    first components) of B blocks of one dimension d at each of P values of R,
-    from one eigensolve of each side: the spherical one of the blocks'
-    :meth:`Block.spherical_bands` at those R, (B, P, d) and (B, P, d - 1), the
-    parabolic one from their :func:`_parabolic_side`, stacked (B, d), (B, d - 1)
-    and (B, d).  Spectra come out (B, P, d), vectors (B, P, d, d)."""
-    b, p, d = diag.shape
-    r = np.asarray(r_values, dtype=float)[:, None]
-    m_diag, m_off, betas = parabolic
-    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1), signed=True)
-    lambdas_par, v = _eigh_stack((m_diag[:, None] + r * betas[:, None]).reshape(b * p, d),
-                                 np.repeat(m_off, p, axis=0))
-    return (lambdas.reshape(b, p, d), lambdas_par.reshape(b, p, d),
-            u.reshape(b, p, d, d), _fix_signs(v).reshape(b, p, d, d))
-
-
-def _aligned_deviation(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Max entry deviation of each (..., d, d) matrix after flipping each column
-    to best match the target's."""
-    flip = np.einsum("...kq,...kq->...q", actual, target) < 0.0
-    return np.abs(np.where(flip[..., None, :], -actual, actual) - target).max(axis=(-2, -1))
+def _residual(base: np.ndarray, slope: np.ndarray, off: np.ndarray, r: np.ndarray,
+              lambdas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per symmetric tridiagonal T = diag(base + R slope) + off at each R of the
+    column ``r`` (P, 1), the bands broadcasting to (..., P, d) and (..., P, d - 1),
+    with eigenvalues (..., P, d) and eigenvectors as rows (..., P, d, d): the
+    backward error of the pairs,
+    max_q ||(T - lambda_q) v_q||_max over the inf-norm of |base| + R |slope| + |off|,
+    the size of the terms T's entries are summed from, so an R at which an entry
+    cancels does not inflate it; a zero T with a zero residual gives 0."""
+    diag = base + r * slope
+    product = (diag[..., None, :] - lambdas[..., :, None]) * vectors
+    product[..., 1:] += off[..., None, :] * vectors[..., :-1]
+    product[..., :-1] += off[..., None, :] * vectors[..., 1:]
+    edge = np.zeros(off.shape[:-1] + (1,))
+    size = (np.abs(base) + r * np.abs(slope) + np.concatenate([edge, np.abs(off)], -1)
+            + np.concatenate([np.abs(off), edge], -1)).max(axis=-1)
+    return np.abs(product).max(axis=(-2, -1)) / np.maximum(size, np.finfo(float).tiny)
 
 
 def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The four limit deviations, one row per probe pair, from a block's mixing
-    matrix ``w`` (..., d, d) and the U and V stacks (..., pairs, 2, d, d) of
-    :func:`_eigensolve` at each (r_small, r_large): U(r_small) against the
-    identity, U(r_large) against W, V(r_large) against the identity and V(r_small)
-    against W^T, signs aligned per column.  As R -> 0 the spherical-side
-    eigenvectors approach unit vectors and the parabolic-side ones W^T; as
-    R -> inf the roles swap, and the deviations fall off linearly in R (or 1/R)."""
-    eye = np.eye(w.shape[-1])
+    matrix ``w`` (..., d, d) and production's U and V stacks (..., pairs, 2, d, d),
+    vectors as rows, at each (r_small, r_large), against its sign convention's
+    limits: U(r_small) against diag((-1)^q), U(r_large) against W, V(r_large)
+    against the identity and V(r_small) against W^T diag((-1)^q).  The deviations
+    fall off linearly in R (or 1/R), and a wrong sign fails them."""
+    d = w.shape[-1]
+    signs = (-1.0) ** np.arange(d)[:, None]
     w = w[..., None, :, :]   # one W for every probe pair
-    u, v = u.swapaxes(-1, -2), v.swapaxes(-1, -2)   # eigenvectors as columns
-    return np.stack([_aligned_deviation(u[..., 0, :, :], eye),
-                     _aligned_deviation(u[..., 1, :, :], w),
-                     _aligned_deviation(v[..., 1, :, :], eye),
-                     _aligned_deviation(v[..., 0, :, :], w.swapaxes(-1, -2))], axis=-1)
+    targets = (np.diag(signs[:, 0]), w.swapaxes(-1, -2), np.eye(d), signs * w)   # as rows
+    actual = (u[..., 0, :, :], u[..., 1, :, :], v[..., 1, :, :], v[..., 0, :, :])
+    return np.stack([np.abs(a - t).max(axis=(-2, -1)) for a, t in zip(actual, targets)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +527,8 @@ def _limits(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _r_stack(r_list: list[float], limits: bool) -> list[float]:
     """The R of a block's bands: the list, R = 0 and, for a block with ``limits``
-    checks (d >= 2), the limit probes, which one eigensolve per side covers; then
-    the linearity probes, read only as bands."""
-    return r_list + [0.0] + (_LIMIT_PROBES if limits else []) + _LINEARITY_PROBES
+    checks (d >= 2), the limit probes, which one eigensolve covers."""
+    return r_list + [0.0] + (_LIMIT_PROBES if limits else [])
 
 
 def _block_reports(prefix: str, states: _States, r_list: list[float],
@@ -551,19 +539,19 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
     family runs once over all of them, stacked on a leading block axis, and each
     block gets its own reports.  ``bands`` are each block's spherical bands at
     :func:`_r_stack`, ``draws`` its completeness points."""
-    d, n_r, k = blks[0].dim, len(r_list), len(_LINEARITY_PROBES)
+    d, n_r = blks[0].dim, len(r_list)
     lv = states.levels(labels)
-    r_eig = _r_stack(r_list, d >= 2)[:-k]
     x_diag, x_off = np.array([blk.x_diag for blk in blks]), np.array([blk.x_off for blk in blks])
     w, x_eigs = _mixing_matrix(x_diag, x_off)
-    parabolic = tuple(map(np.array, zip(*(_parabolic_side(dc, two_n)
-                                          for (two_n, _), dc in zip(labels, lv.dcs)))))
+    m_diag, m_off, betas = map(np.array, zip(*(_parabolic_side(dc, two_n)
+                                               for (two_n, _), dc in zip(labels, lv.dcs))))
     diag, off = map(np.array, zip(*bands))   # (B, P, d) and (B, P, d - 1)
-    # one stacked eigensolve per side: the R list, R = 0, where the parabolic side
-    # is M alone, and the limit probes; eigh diagonalizes each matrix of the
-    # stack on its own, so every row is bit-identical to a solve at that R alone
-    lambdas, lambdas_par, u, v = _eigensolve(diag[:, :len(r_eig)], off[:, :len(r_eig)],
-                                             parabolic, r_eig)
+    # production's signed eigensolve at every R of the bands, one stacked call: eigh
+    # solves each matrix on its own, so every row is bit-identical to sweep's at that R
+    b, p = diag.shape[:2]
+    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1), signed=True)
+    lambdas, u = lambdas.reshape(b, p, d), u.reshape(b, p, d, d)
+    v = _to_parabolic(u, w)
 
     norms = np.abs(_parabolic_norms(lv) - 1.0).max(axis=-1)
     # same-level radial functions of different j are orthogonal without the r^2 weight;
@@ -577,22 +565,21 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
     orthogonality = _identity_deviation(w.swapaxes(-1, -2) @ w)
     overlap = np.abs(_overlap_matrix(lv) - w).max(axis=(-2, -1)) if d <= _OVERLAP_D_MAX else None
     completeness = _completeness_residual(lv, w, draws)
-    # the betas ascend with n1, as the eigenvalues of X do; the angular spectrum
-    # l(l + 1) ascends with j
-    runge_lenz = np.abs(x_eigs - parabolic[2]).max(axis=-1)
-    angular = np.abs(lambdas_par[:, n_r] - np.array([blk.angular for blk in blks])).max(axis=-1)
-    # the bands at the linearity probes against those at R = 0 plus R X
-    probes = np.array(_LINEARITY_PROBES)[:, None]
-    linearity = np.maximum(
-        np.abs(diag[:, -k:] - (diag[:, n_r, None] + probes * x_diag[:, None])).max(axis=(1, 2)),
-        np.abs(off[:, -k:] - (off[:, n_r, None] + probes * x_off[:, None])
-               ).max(axis=(1, 2), initial=0.0))
+    # the betas ascend with n1, as the eigenvalues of X do
+    runge_lenz = np.abs(x_eigs - betas).max(axis=-1)
 
-    u_r, v_r = u[:, :n_r].swapaxes(-1, -2), v[:, :n_r].swapaxes(-1, -2)  # vectors as columns
-    spectrum_dev = np.abs(lambdas[:, :n_r] - lambdas_par[:, :n_r]).max(axis=-1)
-    basis_dev = _aligned_deviation(w[:, None] @ v_r, u_r)
-    norm_dev = np.maximum(np.abs(np.linalg.norm(u_r, axis=-2) - 1.0).max(axis=-1),
-                          np.abs(np.linalg.norm(v_r, axis=-2) - 1.0).max(axis=-1))
+    # production's pairs against each recursion, its bands formed here: the
+    # spherical one A + R X at the R list, and the parabolic one M + R diag(beta)
+    # at the R list and at R = 0, where it is M alone, lambda = A and V = W^T up to signs
+    r = np.array(r_list + [0.0])[:, None]
+    angular = np.array([blk.angular for blk in blks])[:, None]
+    spherical = _residual(angular, x_diag[:, None], r[:n_r] * x_off[:, None], r[:n_r],
+                          lambdas[:, :n_r], u[:, :n_r])
+    parabolic = _residual(m_diag[:, None], betas[:, None], m_off[:, None], r,
+                          lambdas[:, :n_r + 1], v[:, :n_r + 1])
+    tol_residual = TOL_RESIDUAL_C * d * 2.0**-53
+    norm_dev = np.maximum(np.abs(np.linalg.norm(u[:, :n_r], axis=-1) - 1.0).max(axis=-1),
+                          np.abs(np.linalg.norm(v[:, :n_r], axis=-1) - 1.0).max(axis=-1))
     if d >= 2:
         limits = _limits(w, u[:, n_r + 1:].reshape(-1, 2, 2, d, d),
                          v[:, n_r + 1:].reshape(-1, 2, 2, d, d))
@@ -609,16 +596,15 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
             _report("interbasis.cg_equivalence", ctx, cg, TOL_ALGEBRA),
             _report("interbasis.completeness", ctx, completeness[b], TOL_QUAD_VS_CLOSED),
             _report("spheroidal.runge_lenz_spectrum", ctx, runge_lenz[b], TOL_ALGEBRA),
-            _report("spheroidal.angular_spectrum", ctx, angular[b], TOL_ALGEBRA),
-            _report("spheroidal.r_linearity", ctx, linearity[b], 0.0),
+            _report("spheroidal.angular_spectrum", ctx, parabolic[b, n_r], tol_residual),
         ]
         if overlap is not None:
             reports.append(_report("interbasis.overlap", ctx, overlap[b], TOL_OVERLAP))
-        for tag, spectrum, basis, norm in zip(r_tags, spectrum_dev[b], basis_dev[b], norm_dev[b]):
+        for tag, par, sph, norm in zip(r_tags, parabolic[b], spherical[b], norm_dev[b]):
             ctx_r = f"{ctx} {tag}"
             reports += [
-                _report("spheroidal.spectrum_equality", ctx_r, spectrum, TOL_ALGEBRA),
-                _report("spheroidal.basis_change", ctx_r, basis, TOL_BASIS_CHANGE),
+                _report("spheroidal.parabolic_residual", ctx_r, par, tol_residual),
+                _report("spheroidal.spherical_residual", ctx_r, sph, tol_residual),
                 _report("spheroidal.normalization", ctx_r, norm, TOL_ALGEBRA),
             ]
         if d >= 2:
@@ -639,9 +625,9 @@ def run_suite(params: SystemParams, n_max: float, r_list, seed: int = 0
 
     The numerics run once per block dimension d and the checks once per
     block: the blocks of one d share their shapes and rule orders, so each
-    numeric family (W and the spectrum of X, the spheroidal eigensolve of
-    each side over every R of ``r_list``, R = 0 and the limit probes, the
-    radial values, the quadratures and the deviations) is one stacked call
+    numeric family (W and the spectrum of X, production's spheroidal
+    eigensolve over every R of ``r_list``, R = 0 and the limit probes, the
+    radial values, the quadratures and the residuals) is one stacked call
     over all of them, and each block gets its own reports from it.  Each
     block and state is built once.  Failures are reported, never raised; a
     range holding no block or an n_max that is not finite raises

@@ -1,10 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from mickepler.interbasis import block, expansion_matrix
+from mickepler.interbasis import _eigh_stack, _mixing_matrix, _to_parabolic, block, expansion_matrix
 from mickepler.qnum import SystemParams, derive_constants, enumerate_m_blocks
-from mickepler.verify import _eigensolve, _limits, _parabolic_side
+from mickepler.verify import _limits, _parabolic_side
 
 # parameter grid used by the acceptance criteria: three monopole numbers,
 # unperturbed and perturbed ring strengths
@@ -50,21 +51,37 @@ def parabolic_bands(params, two_n, two_m, R):
     return m_diag + R * betas, m_off
 
 
+def production_eigensolve(params, two_n, two_m, r_values):
+    """Production's spectra, U and V = W^T U of the block at each R, in any order,
+    as sweep and the verify suite solve them: (P, d) and (P, d, d), vectors as rows."""
+    blk = block(params, two_n, two_m)
+    lambdas, u = _eigh_stack(*blk.spherical_bands(np.asarray(r_values, dtype=float)[:, None]),
+                             signed=True)
+    return lambdas, u, _to_parabolic(u, _mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0])
+
+
 def reference_eigensolve(params, two_n, two_m, r_values):
-    """The verify suite's eigensolve of each side of the block at each R: both
-    spectra and the U and V stacks, U signed as production signs it."""
-    parabolic = _parabolic_side(derive_constants(params, two_m), two_n)
-    bands = block(params, two_n, two_m).spherical_bands(np.asarray(r_values, dtype=float)[:, None])
-    stacks = _eigensolve(*(band[None] for band in bands), [side[None] for side in parabolic],
-                         list(r_values))
-    return tuple(stack[0] for stack in stacks)
+    """Both sides of the block at each R: production's spectra and U, and the
+    parabolic side's own spectra and V, from scipy's eigh_tridiagonal of
+    :func:`parabolic_bands`, each V as scipy signs it; vectors as rows."""
+    lambdas, u, _ = production_eigensolve(params, two_n, two_m, r_values)
+    lambdas_par, v = zip(*(eigh_tridiagonal(*parabolic_bands(params, two_n, two_m, R))
+                           for R in r_values))
+    return lambdas, np.array(lambdas_par), u, np.array(v).swapaxes(-1, -2)
+
+
+def aligned_deviation(actual, target):
+    """Max entry deviation of two d x d matrices after flipping each column of
+    ``actual`` to best match the target's: for eigenvectors of independent solves."""
+    flip = np.sum(actual * target, axis=0) < 0.0
+    return float(np.abs(np.where(flip, -actual, actual) - target).max())
 
 
 def limit_deviations(params, two_n, two_m, r_small, r_large):
     """The verify suite's four limit deviations of the block at one probe pair:
-    U(r_small) vs identity, U(r_large) vs W, V(r_large) vs identity and V(r_small)
-    vs W^T, signs aligned per column."""
-    _, _, u, v = reference_eigensolve(params, two_n, two_m, [r_small, r_large])
+    U(r_small) vs diag((-1)^q), U(r_large) vs W, V(r_large) vs identity and
+    V(r_small) vs W^T diag((-1)^q), each sign as production gives it."""
+    _, u, v = production_eigensolve(params, two_n, two_m, [r_small, r_large])
     return _limits(expansion_matrix(params, two_n, two_m).entries, u[None], v[None])[0]
 
 

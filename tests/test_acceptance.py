@@ -17,6 +17,7 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
 from conftest import (
+    aligned_deviation,
     blocks_by_dimension,
     blocks_up_to,
     grid_cases,
@@ -37,7 +38,6 @@ from mickepler.qnum import (
 )
 from mickepler.spheroidal import solve
 from mickepler.verify import (
-    _aligned_deviation,
     _angular_gram,
     _biorthogonality,
     _identity_deviation,
@@ -180,7 +180,7 @@ def test_criterion_5_cross_basis_spectrum_equality():
                 worst_lam = max(worst_lam, float(
                     np.abs(np.sort(sol.lambdas) - lam_par).max()))
                 _, _, u, v = reference_eigensolve(params, two_n, two_m, [R])
-                worst_uv = max(worst_uv, float(_aligned_deviation(w @ v[0].T, u[0].T)))
+                worst_uv = max(worst_uv, aligned_deviation(w @ v[0].T, u[0].T))
     ok = worst_lam <= 1e-10 and worst_uv <= 1e-9
     _line("criterion-5 cross-basis spectrum", ok,
           f"lambda sets {worst_lam:.2e} (tol 1e-10), U vs WV {worst_uv:.2e} (tol 1e-9)")
@@ -191,8 +191,9 @@ def test_criterion_5_cross_basis_spectrum_equality():
 def test_criterion_6_limit_relations():
     """Limit deviations small at the probe R and shrinking 10x per decade.
 
-    The four deviations are the verify suite's: U(r_small) vs identity,
-    U(r_large) vs W, V(r_large) vs identity and V(r_small) vs W^T.  The
+    The four deviations are the verify suite's, each sign as production gives
+    it: U(r_small) vs diag((-1)^q), U(r_large) vs W, V(r_large) vs identity
+    and V(r_small) vs W^T diag((-1)^q).  The
     absolute bound applies to the smallest nontrivial blocks (d = 2); the
     first-order deviation constant grows with the block dimension.
     """

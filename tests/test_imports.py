@@ -82,8 +82,8 @@ def test_only_the_kernel_self_checks_reach_into_bases():
 
 
 def test_no_module_reaches_into_spheroidal():
-    # the CLI takes every spheroidal result from the public sweep; verify holds
-    # the independent two-sided eigensolve and the limit deviations itself
+    # the CLI takes every spheroidal result from the public sweep; verify takes
+    # the solve and V from interbasis and holds the residuals and limits itself
     reached = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
                for module, name in private_imports(path) if module == "spheroidal"}
     assert reached == set()
@@ -91,9 +91,8 @@ def test_no_module_reaches_into_spheroidal():
 
 PRODUCTION = ("bases", "cli", "coords", "interbasis", "qnum", "spheroidal")
 # the parabolic side M + R diag(beta) of the spheroidal operator, the names it
-# was kept under and the solve that reads it: verify's reference alone
-PARABOLIC_SIDE = {"m_diag", "m_off", "betas", "parabolic_bands", "_parabolic_side",
-                  "_eigensolve", "_limits"}
+# was kept under and the limits that read V: verify's alone
+PARABOLIC_SIDE = {"m_diag", "m_off", "betas", "parabolic_bands", "_parabolic_side", "_limits"}
 
 
 def identifiers(tree: ast.AST) -> set[str]:

@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from conftest import limit_deviations, parabolic_bands, reference_eigensolve
+from conftest import aligned_deviation, limit_deviations, parabolic_bands, reference_eigensolve
 
 import mickepler.spheroidal as spheroidal
 from mickepler.interbasis import _coupling, _fix_signs, _mixing_matrix, block, expansion_matrix
@@ -18,7 +18,7 @@ from mickepler.qnum import (
     parabolic_separation_constant,
 )
 from mickepler.spheroidal import solve, sweep
-from mickepler.verify import _aligned_deviation, _parabolic_side
+from mickepler.verify import _parabolic_side
 
 HYDROGEN = SystemParams(two_s=0)
 
@@ -193,8 +193,8 @@ class TestSolve:
 
 
 class TestLimits:
-    """The verify suite's four limit deviations: U(r_small) vs identity, U(r_large)
-    vs W, V(r_large) vs identity and V(r_small) vs W^T."""
+    """The verify suite's four limit deviations: U(r_small) vs diag((-1)^q),
+    U(r_large) vs W, V(r_large) vs identity and V(r_small) vs W^T diag((-1)^q)."""
 
     def test_d1_exact(self):
         assert limit_deviations(HYDROGEN, 2, 0, 1e-6, 1e6).max() == 0.0
@@ -241,13 +241,13 @@ class TestSweep:
             w = expansion_matrix(params, two_n, two_m).entries
             assert np.array_equal(direct.parabolic_coefficients.entries,
                                   np.einsum("pqk,kn->pqn", u, w)[0].T)
-            assert _aligned_deviation(direct.parabolic_coefficients.entries, v[0].T) <= 1e-13
+            assert aligned_deviation(direct.parabolic_coefficients.entries, v[0].T) <= 1e-13
 
             diag, off = blk.spherical_bands(R)
             ref_lambdas, ref_u = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
             scale = np.abs(ref_lambdas).max()
             assert np.abs(direct.lambdas - ref_lambdas).max() <= 1e-14 * scale
-            assert _aligned_deviation(direct.spherical_coefficients.entries, ref_u) <= 1e-13
+            assert aligned_deviation(direct.spherical_coefficients.entries, ref_u) <= 1e-13
             assert (direct.spherical_coefficients.entries[0] > 0.0).all()
 
     def test_branches_never_cross(self):
@@ -275,20 +275,15 @@ class TestSweep:
         params = SystemParams(two_s=0, c1=0.3, c2=0.7)
         w = expansion_matrix(params, 4, 0).entries
         sols = sweep(params, 4, 0, [1e-6, 1.0, 1e6])
-        def aligned_dev(actual, target):
-            worst = 0.0
-            for q in range(target.shape[1]):
-                col = actual[:, q]
-                if np.dot(col, target[:, q]) < 0:
-                    col = -col
-                worst = max(worst, np.abs(col - target[:, q]).max())
-            return worst
+        signs = np.diag([1.0, -1.0])   # the limit R -> 0+ of the sign convention
 
-        # all limit comparisons are up to a per-column sign
-        assert aligned_dev(sols[0].spherical_coefficients.entries, np.eye(2)) <= 1e-5
-        assert aligned_dev(sols[0].parabolic_coefficients.entries, w.T) <= 1e-5
-        assert aligned_dev(sols[-1].parabolic_coefficients.entries, np.eye(2)) <= 1e-5
-        assert aligned_dev(sols[-1].spherical_coefficients.entries, w) <= 1e-5
+        # every limit holds with its signs: U -> diag((-1)^q), V -> W^T diag((-1)^q)
+        # as R -> 0+, and V -> I, U -> W as R -> inf
+        for actual, target in ((sols[0].spherical_coefficients, signs),
+                               (sols[0].parabolic_coefficients, w.T @ signs),
+                               (sols[-1].parabolic_coefficients, np.eye(2)),
+                               (sols[-1].spherical_coefficients, w)):
+            assert np.abs(actual.entries - target).max() <= 1e-5
 
     def test_every_point_equals_solve(self):
         # each point is signed at its own R alone, so no grid changes a byte
@@ -464,25 +459,6 @@ class TestSignsAgainstExactReference:
     def test_extreme_bands(self, c1, two_n, R):
         u = solve(SystemParams(two_s=0, c1=c1, c2=RING.c2), two_n, 0, R)
         assert_signed_like(u.spherical_coefficients.entries, exact_signed_u(two_n, R, c1))
-
-
-def test_aligned_deviation_matches_column_loop():
-    rng = np.random.default_rng(3)
-    for d in (1, 2, 5, 12):
-        target = rng.normal(size=(d, d))
-        actual = (target + 1e-3 * rng.normal(size=(d, d))) * rng.choice([-1.0, 1.0], d)
-        expected = 0.0
-        for q in range(d):
-            col = actual[:, q]
-            if np.dot(col, target[:, q]) < 0.0:
-                col = -col
-            expected = max(expected, float(np.abs(col - target[:, q]).max()))
-        assert _aligned_deviation(actual, target) == expected
-        # a stack gives the deviation of each matrix, with one target or a stack
-        stack = actual * rng.choice([-1.0, 1.0], (3, 1, d))
-        each = [_aligned_deviation(a, target) for a in stack]
-        assert np.array_equal(_aligned_deviation(stack, target), each)
-        assert np.array_equal(_aligned_deviation(stack, np.stack([target] * 3)), each)
 
 
 class TestHydrogenReduction:

@@ -7,16 +7,9 @@ import sys
 import numpy as np
 import pytest
 from pytest import approx
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre, roots_jacobi, roots_legendre
 
-from conftest import (
-    blocks_up_to,
-    grid_cases,
-    limit_deviations,
-    parabolic_bands,
-    reference_eigensolve,
-)
+from conftest import blocks_up_to, grid_cases, limit_deviations
 
 import mickepler.bases as bases
 import mickepler.cli as cli
@@ -41,14 +34,22 @@ from mickepler.qnum import (
     derive_constants,
     enumerate_blocks,
 )
-from mickepler.spheroidal import solve
+from mickepler.spheroidal import sweep
 import mickepler.verify as verify
-from mickepler.verify import _aligned_deviation
 from mickepler.verify import CheckReport, run_suite, summary_table, to_json_lines
 
 HYDROGEN = SystemParams(two_s=0)
 RING_HALF = SystemParams(two_s=1, c1=0.3, c2=0.7)
 R_LIST = [0.1, 1.0, 10.0, 100.0]
+
+
+def recording(real, log, arg=None):
+    """``real`` that appends each result, or its positional argument ``arg``, to ``log``."""
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        log.append(result if arg is None else args[arg])
+        return result
+    return wrapper
 
 
 def laguerre_integral(f, scale, order, power=0.0):
@@ -192,11 +193,22 @@ class TestRunSuite:
         assert a == b
 
     def test_single_state_blocks_trivial(self):
-        # s = 0, n = 1 has only the d = 1 block: algebraic residuals vanish
+        # s = 0, n = 1 has only the d = 1 block, a zero matrix on both sides: its
+        # recursion residuals are 0, not 0 / 0
         reports = run_suite(HYDROGEN, n_max=1, r_list=[1.0])
-        for r in reports:
-            if r.check_id in ("spheroidal.basis_change", "spheroidal.spectrum_equality"):
-                assert r.residual == 0.0
+        residuals = [r.residual for r in reports if r.check_id in (
+            "spheroidal.angular_spectrum", "spheroidal.parabolic_residual",
+            "spheroidal.spherical_residual")]
+        assert residuals == [0.0] * 3
+
+    def test_residual_is_scaled_by_the_terms_of_its_matrix(self):
+        # the d = 1 block n = 7/2, m = 5/2 has A + R X = 0 at R = -A / X, where its
+        # matrix norm would be its own rounding; each residual is taken relative to
+        # |A| + R |X| (|M| + R |beta|), so that R passes like any other
+        blk = block(RING_HALF, 7, 5)
+        crossing = float(-blk.angular[0] / blk.x_diag[0])
+        reports = run_suite(RING_HALF, n_max=3.5, r_list=[crossing])
+        assert reports and all(r.passed for r in reports)
 
     def test_expected_check_families(self):
         reports = run_suite(HYDROGEN, n_max=2, r_list=[1.0])
@@ -209,8 +221,8 @@ class TestRunSuite:
             "interbasis.orthogonality", "interbasis.cg_equivalence",
             "interbasis.overlap", "interbasis.completeness",
             "spheroidal.runge_lenz_spectrum", "spheroidal.angular_spectrum",
-            "spheroidal.r_linearity", "spheroidal.spectrum_equality",
-            "spheroidal.basis_change", "spheroidal.normalization",
+            "spheroidal.parabolic_residual", "spheroidal.spherical_residual",
+            "spheroidal.normalization",
             "spheroidal.limits", "spheroidal.limit_scaling",
         ]:
             assert expected in ids, expected
@@ -219,9 +231,9 @@ class TestRunSuite:
         reports = run_suite(HYDROGEN, n_max=2, r_list=[0.5, 5.0])
         keys = [(r.check_id, r.context) for r in reports]
         assert keys == sorted(keys)
-        # one spectrum-equality entry per (block, R): blocks n=2 has 3 m-values,
+        # one parabolic residual per (block, R): blocks n=2 has 3 m-values,
         # n=1 has one, times two R values
-        count = sum(r.check_id == "spheroidal.spectrum_equality" for r in reports)
+        count = sum(r.check_id == "spheroidal.parabolic_residual" for r in reports)
         assert count == 4 * 2
 
     def test_negative_control_corrupted_mixing_matrix(self, monkeypatch):
@@ -253,35 +265,37 @@ class TestRunSuite:
         assert failed == {"spheroidal.runge_lenz_spectrum"}
 
     @staticmethod
-    def _corrupt_stack_at(monkeypatch, r_values, corrupt):
-        """Make the suite's stacked eigensolve pass its rows at the given R
-        values through ``corrupt(lambdas_par, u, p)``."""
-        real = verify._eigensolve
+    def _corrupt_stack_at(monkeypatch, r_value, corrupt):
+        """Make the suite's stacked spheroidal eigensolve pass its rows at one R of
+        the stack, in every block, through ``corrupt(lambdas, u)``."""
+        real = verify._eigh_stack
 
-        def corrupted(diag, off, parabolic, r_stack):
-            lambdas, lambdas_par, u, v = real(diag, off, parabolic, r_stack)
-            for p, R in enumerate(r_stack):
-                if R in r_values:
-                    for b in range(len(u)):   # every block of the stack
-                        corrupt(lambdas_par[b], u[b], p)
-            return lambdas, lambdas_par, u, v
+        def corrupted(diags, offdiags, **kwargs):
+            lambdas, u = real(diags, offdiags, **kwargs)
+            r_stack = verify._r_stack(R_LIST, diags.shape[-1] >= 2)
+            if r_value in r_stack:
+                rows = slice(r_stack.index(r_value), None, len(r_stack))
+                corrupt(lambdas[rows], u[rows])
+            return lambdas, u
 
-        monkeypatch.setattr(verify, "_eigensolve", corrupted)
+        monkeypatch.setattr(verify, "_eigh_stack", corrupted)
 
-    def test_negative_control_shifted_r0_parabolic_spectrum(self, monkeypatch):
-        def shift(lambdas_par, u, p):
-            lambdas_par[p] += 1e-8
+    def test_negative_control_shifted_r0_spectrum(self, monkeypatch):
+        # at R = 0 the parabolic residual is the angular spectrum's check, and no
+        # other family reads that lambda
+        def shift(lambdas, u):
+            lambdas += 1e-8
 
-        self._corrupt_stack_at(monkeypatch, {0.0}, shift)
+        self._corrupt_stack_at(monkeypatch, 0.0, shift)
         failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
                   if not r.passed}
         assert failed == {"spheroidal.angular_spectrum"}
 
     def test_negative_control_moved_limit_probe_vector(self, monkeypatch):
-        def move(lambdas_par, u, p):
-            u[p, 0, 0] += 1e-3
+        def move(lambdas, u):
+            u[:, 0, 0] += 1e-3
 
-        self._corrupt_stack_at(monkeypatch, {1e-7}, move)
+        self._corrupt_stack_at(monkeypatch, 1e-7, move)
         failed = {r.check_id for r in run_suite(HYDROGEN, n_max=3, r_list=R_LIST)
                   if not r.passed}
         assert failed == {"spheroidal.limit_scaling"}
@@ -394,24 +408,43 @@ class TestBlockCores:
                         (two_j + two_jp) / 2.0 + level.dcs[0].delta_total)
                     assert abs(table[ka, kb] - scalar) <= 1e-14
 
-    def test_stacked_eigensolve_is_bit_equal_to_solve(self):
-        # solve's lambdas and U are the suite's; its V is U times W, and the
-        # suite's own parabolic-side solve agrees with it to rounding
-        for params, two_n, two_m in self.CASES + self.LARGE_CASES:
+    def test_stacked_eigensolve_is_bit_equal_to_solve(self, monkeypatch):
+        # the suite's lambdas, U and V, from one stacked solve per d, are those of a
+        # sweep at each R of a block's stack alone: every block of n <= 5 through
+        # run_suite, and the large blocks, whose V sums over many k, through the
+        # suite's per-d core
+        groups, solved, formed = [], [], []
+        monkeypatch.setattr(verify, "_block_reports", recording(verify._block_reports, groups, 3))
+        monkeypatch.setattr(verify, "_eigh_stack", recording(verify._eigh_stack, solved))
+        monkeypatch.setattr(verify, "_to_parabolic", recording(verify._to_parabolic, formed))
+
+        def assert_recorded_equal_sweep(params):
+            assert len(groups) == len(solved) == len(formed) > 0
+            for labels, (lambdas, u), v in zip(groups, solved, formed):
+                d = lambdas.shape[-1]
+                r_stack = verify._r_stack(R_LIST, d >= 2)
+                lambdas = lambdas.reshape(len(labels), len(r_stack), d)
+                u, v = (stack.reshape(len(labels), len(r_stack), d, d) for stack in (u, v))
+                for b, (two_n, two_m) in enumerate(labels):
+                    for p, R in enumerate(r_stack):
+                        sol = sweep(params, two_n, two_m, [R])
+                        assert np.array_equal(lambdas[b, p], sol.lambdas[0])
+                        assert np.array_equal(u[b, p], sol.u[0])
+                        assert np.array_equal(v[b, p], sol.v[0])
+            for log in (groups, solved, formed):
+                log.clear()
+
+        for params in (HYDROGEN, RING_HALF):
+            run_suite(params, n_max=5, r_list=R_LIST)
+            assert_recorded_equal_sweep(params)
+        r_column = np.array(verify._r_stack(R_LIST, True))[:, None]
+        for params, two_n, two_m in self.LARGE_CASES:
             blk = block(params, two_n, two_m)
-            lambdas, lambdas_par, u, v = reference_eigensolve(params, two_n, two_m, R_LIST)
-            w = interbasis._mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0]
-            v_from_u = np.einsum("pqk,kn->pqn", u, w)
-            for p, R in enumerate(R_LIST):
-                sol = solve(params, two_n, two_m, R)
-                assert np.array_equal(lambdas[p], sol.lambdas)
-                assert np.array_equal(u[p].T, sol.spherical_coefficients.entries)
-                assert np.array_equal(v_from_u[p].T, sol.parabolic_coefficients.entries)
-                assert _aligned_deviation(v[p].T, sol.parabolic_coefficients.entries) <= 1e-13
-                # the parabolic spectrum is the one scipy returns for that side alone
-                par_diag, par_off = parabolic_bands(params, two_n, two_m, R)
-                assert np.array_equal(lambdas_par[p],
-                                      eigh_tridiagonal(par_diag, par_off)[0])
+            verify._block_reports(
+                verify._params_context(params), verify._States(params), R_LIST,
+                [(two_n, two_m)], [blk], [blk.spherical_bands(r_column)],
+                verify._completeness_draws(np.random.default_rng(0), 1))
+            assert_recorded_equal_sweep(params)
 
     def test_block_limits_are_bit_equal_to_limits(self):
         # the suite's stacked probes against the four deviations of each probe pair alone
@@ -633,7 +666,7 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, real))
 
     # per block dimension d, one eigensolve for W and eig(X) of all its blocks,
-    # and one per side over their stacked R axes
+    # and one of the spherical side over their stacked R axes
     eigensolves = collections.Counter()
     real_eigh_stack = interbasis._eigh_stack
 
@@ -647,18 +680,18 @@ def test_suite_builds_each_block_and_state_once(monkeypatch):
 
     reports = run_suite(RING_HALF, n_max=4, r_list=R_LIST)
     blocks = enumerate_blocks(RING_HALF, 4)
-    assert len(reports) == 285
+    assert len(reports) == 273
     assert counts["block"] == collections.Counter(dict.fromkeys(blocks, 1))
     dims = {block(RING_HALF, two_n, two_m).dim for two_n, two_m in blocks}
-    assert eigensolves["calls"] == 3 * len(dims) < 3 * len(blocks)
+    assert eigensolves["calls"] == 2 * len(dims) < 2 * len(blocks)
     assert not hasattr(verify, "eigvalsh_tridiagonal")
     for name in ("spherical_state", "parabolic_state"):
         assert counts[name] and max(counts[name].values()) == 1, name
 
 
 def test_suite_eigensolves_once_per_block_dimension(monkeypatch):
-    # every eigensolve the suite makes, W's in interbasis included: at most three
-    # per distinct d, not three per block (56 blocks of 7 dimensions here)
+    # every eigensolve the suite makes, W's in interbasis included: at most two
+    # per distinct d, not two per block (56 blocks of 7 dimensions here)
     calls = collections.Counter()
     real = interbasis._eigh_stack
 
@@ -671,7 +704,23 @@ def test_suite_eigensolves_once_per_block_dimension(monkeypatch):
     run_suite(RING_HALF, n_max=8, r_list=R_LIST)
     dims = {block(RING_HALF, two_n, two_m).dim for two_n, two_m in enumerate_blocks(RING_HALF, 8)}
     assert len(dims) == 7 and set(calls) == dims
-    assert max(calls.values()) <= 3
+    assert max(calls.values()) <= 2
+
+
+# the families that hold production's spheroidal pairs to the two recursions
+RESIDUAL_FAMILIES = ("spheroidal.angular_spectrum", "spheroidal.parabolic_residual",
+                     "spheroidal.spherical_residual")
+
+
+@pytest.mark.parametrize("params", [SystemParams(two_s=2, c1=2.5, c2=0.1),
+                                    SystemParams(two_s=0, c1=0.3, c2=0.7)])
+def test_recursion_residuals_keep_headroom(params):
+    # the c d u tolerance is a bound, not a fit: every block up to n = 20 (d <= 20)
+    # stays within a quarter of it
+    reports = [r for r in run_suite(params, n_max=20, r_list=R_LIST)
+               if r.check_id in RESIDUAL_FAMILIES]
+    assert {r.check_id for r in reports} == set(RESIDUAL_FAMILIES)
+    assert max(r.residual / r.tolerance for r in reports) <= 0.25
 
 
 # the points of the derived-order checks: (s, c1, c2) = (1/2, .3, .7),
@@ -790,17 +839,17 @@ BENCHMARK_REPORT_COUNTS = {
     "interbasis.orthogonality": 120, "interbasis.overlap": 92, "kernel.bailey": 2,
     "kernel.jacobi.exact": 2, "kernel.laguerre.exact": 2,
     "quad.laguerre.monomials": 2, "quad.legendre.monomials": 2,
-    "spheroidal.angular_spectrum": 120, "spheroidal.basis_change": 480,
-    "spheroidal.limit_scaling": 91, "spheroidal.limits": 25,
-    "spheroidal.normalization": 480, "spheroidal.r_linearity": 120,
-    "spheroidal.runge_lenz_spectrum": 120, "spheroidal.spectrum_equality": 480,
+    "spheroidal.angular_spectrum": 120, "spheroidal.limit_scaling": 91,
+    "spheroidal.limits": 25, "spheroidal.normalization": 480,
+    "spheroidal.parabolic_residual": 480, "spheroidal.runge_lenz_spectrum": 120,
+    "spheroidal.spherical_residual": 480,
 }
 # sha256 of both reports, one line after the other, with the residual= fields removed
-BENCHMARK_REPORT_SHA256 = "f16b792c96c0ba11986a45ff11b56d0c4a01421dc5267172f6b1492d1082973f"
+BENCHMARK_REPORT_SHA256 = "7269130ffd5c829942f752e0221d6a01d9dc2e073c8e1956b8a679f09e4d64cf"
 
 
 def test_verify_report_at_benchmark_points(capsys):
-    # verify --n-max 8 at both benchmark points: 2767 checks, and the only
+    # verify --n-max 8 at both benchmark points: 2647 checks, and the only
     # FAILs are spheroidal.limits in three blocks (both signs of m) per point;
     # every status, check id, context and tolerance is pinned, only residual
     # digits may move
@@ -817,7 +866,7 @@ def test_verify_report_at_benchmark_points(capsys):
         assert code == 1
     checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
     fails = [line for line in checks if line.startswith("FAIL")]
-    assert len(checks) == 2767
+    assert len(checks) == 2647
     assert sorted(line.split()[1] for line in fails) == ["spheroidal.limits"] * 12
     assert {" ".join(line.split()[2:-2]) for line in fails} == known
     assert collections.Counter(line.split()[1] for line in checks) == BENCHMARK_REPORT_COUNTS
