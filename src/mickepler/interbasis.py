@@ -5,9 +5,10 @@ d = n - m_plus spherical states of the same level.  The parabolic states
 are the eigenstates of the generalized Runge-Lenz z-component, which is
 a symmetric tridiagonal matrix X in the spherical basis, so the real
 orthogonal mixing matrix is the eigenvector matrix of X: column n1 is
-the eigenvector of the n1-th smallest separation constant beta, signed
-so that its j = m_plus entry is positive.  One tridiagonal eigensolve
-per block keeps every entry accurate to rounding at any dimension.
+the eigenvector of the n1-th smallest separation constant beta, its
+j = m_plus entry positive by X's recursion, the one sign rule of every
+eigenvector here.  One tridiagonal eigensolve per block keeps every
+entry accurate to rounding at any dimension.
 
 The paper's closed form of the same coefficients, the analytic
 continuation of the SU(2) Clebsch-Gordan closed form, is evaluated
@@ -181,19 +182,19 @@ def block(params: SystemParams, two_n: int, two_m: int) -> Block:
 _CHUNK = 256   # points per dense stack, so a long grid never holds two (P, d, d) copies
 
 
-def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True,
-                signed: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """One symmetric tridiagonal eigensolve per row of ``diags``.
 
-    ``offdiags`` holds one row per point or a single row shared by all.
-    Returns ascending eigenvalues (P, d) and, if ``vectors``, eigenvectors as
-    rows (P, d, d), ``[p, q]`` being eigenvector q at point p, signed by
-    :func:`_sign_by_recursion` if ``signed``; without ``vectors``, None in their
-    place.  Up to _CHUNK points at a time go to one stacked ``numpy.linalg.eigh``
+    ``offdiags`` holds one row per point or a single row shared by all, entries
+    <= 0 as in :func:`block`'s bands.  Returns ascending eigenvalues (P, d) and, if
+    ``vectors``, eigenvectors as rows (P, d, d), ``[p, q]`` being eigenvector q at
+    point p, signed by :func:`_sign_by_recursion`; without ``vectors``, None in
+    their place.  Up to _CHUNK points at a time go to one stacked ``numpy.linalg.eigh``
     (``eigvalsh`` without vectors) as dense matrices, only the diagonal and lower
     band filled; LAPACK reduces them with identity reflectors, so the doubles are
-    those of ``dstevd`` (``dsterf`` without vectors).  Raises ValueError for a
-    non-finite band, RuntimeError if the solver does not converge.
+    those of ``dstevd`` (``dsterf`` without vectors), each vector up to its sign.
+    Raises ValueError for a non-finite band, RuntimeError if the solver does not converge.
     """
     points, d = diags.shape
     if not (np.isfinite(diags).all() and np.isfinite(offdiags).all()):
@@ -216,25 +217,17 @@ def _eigh_stack(diags: np.ndarray, offdiags: np.ndarray, vectors: bool = True,
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("tridiagonal eigensolver failed to converge for a system "
                                f"of dimension {d}") from exc
-        if vectors and signed:
+        if vectors:
             _sign_by_recursion(diags[part], offdiags[part], lambdas[part], stack[part])
     return lambdas, stack
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # first nonzero component of each eigenvector (last axis) made positive
-    first = np.argmax(vectors != 0.0, axis=-1)[..., None]
-    lead = np.take_along_axis(vectors, first, axis=-1)
-    vectors *= np.where(lead < 0.0, -1.0, 1.0)
-    return vectors
 
 
 def _sign_by_recursion(diags: np.ndarray, offdiags: np.ndarray, lambdas: np.ndarray,
                        u: np.ndarray) -> None:
     """Make the first component of each eigenvector row ``u[p, q]`` of the bands
     (P, d) and (P, d - 1) positive, by the band's recursion, never by that
-    component, which can lie below rounding.  The b_j are <= 0 (R times X's, by
-    :func:`block`), so v_0 has the largest component's sign times (-1) per
+    component, which can lie below rounding.  The b_j are <= 0 (X's and R times
+    X's, by :func:`block`), so v_0 has the largest component's sign times (-1) per
     negative forward LDL^T pivot D_j of T - lambda_q below it.  Each point is
     scaled by the power of two that brings max |lambda| (>= every |entry|)
     below 1, and a pivot under the smallest normal counts as minus it, as in
@@ -259,13 +252,13 @@ def _mixing_matrix(x_diag: np.ndarray, x_off: np.ndarray) -> tuple[np.ndarray, n
     X as columns in ascending beta (ascending n1), and those ascending eigenvalues,
     (B, d, d) and (B, d) from one eigensolve.
 
-    Each column is signed so that its j = m_plus entry is positive.  That
-    entry is nonzero in exact arithmetic, since X's off-diagonal has no zero
-    inside a block, but from c1 = 1e4 at d = 64 it drops below rounding, and
-    the sign read off it is then arbitrary.
+    Each column's j = m_plus entry is positive, the sign :func:`_eigh_stack` gives
+    it from X's recursion, whose off-diagonal is <= 0.  The entry is nonzero in
+    exact arithmetic, since that off-diagonal has no zero inside a block, and from
+    c1 = 1e4 at d = 64 it drops below rounding, so it is never read for its sign.
     """
     eigenvalues, vectors = _eigh_stack(x_diag, x_off)
-    return _fix_signs(vectors).swapaxes(-1, -2), eigenvalues
+    return vectors.swapaxes(-1, -2), eigenvalues
 
 
 def _to_parabolic(u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,6 +271,27 @@ def enumerate_blocks(params: SystemParams, n_max: float) -> list[tuple[int, int]
     return blocks
 
 
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, every outcome and error alike, but no 10**e is built for a
+    decimal exponent e beyond 400 + len(text) in size: a nonzero value is then past
+    the float range (e > 0) or no half-integer (e < 0), and 10**(+-400) stands in."""
+    match = _EXPONENT.fullmatch(text)
+    if match:
+        try:   # Fraction's own grammar, with an exponent of zeros: no power of ten
+            mantissa = Fraction(match[1] + "e" + re.sub(r"\d", "0", match[2]))
+            e = int(match[2])
+        except ValueError:
+            return Fraction(text)   # refused as before, ahead of any power of ten
+        if not mantissa:
+            return mantissa
+        if abs(e) > 400 + len(text):
+            return Fraction(10) ** (400 if e > 0 else -400)
+    return Fraction(text)
+
+
 def parse_half_integer(text: str) -> int:
     """Parse '3/2', '-1/2', '2', '0.5' etc. into a doubled integer.
 
@@ -282,7 +304,7 @@ def parse_half_integer(text: str) -> int:
     try:
         # an optionally signed run of ASCII digits needs no Fraction
         doubled = (int(text_) if digits.isascii() and digits.isdigit()
-                   else Fraction(text_)) * 2
+                   else _fraction(text_)) * 2
         float(doubled)  # OverflowError beyond the float range
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{text!r} is not a finite number") from exc

@@ -134,6 +134,5 @@ def sweep(params: SystemParams, two_n: int, two_m: int, r_grid,
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("R grid must be ascending")
     blk = block(params, two_n, two_m)
-    lambdas, u = _eigh_stack(*blk.spherical_bands(np.array(grid)[:, None]), vectors=vectors,
-                             signed=True)
+    lambdas, u = _eigh_stack(*blk.spherical_bands(np.array(grid)[:, None]), vectors=vectors)
     return SpheroidalSweep(blk, grid, lambdas, u)

@@ -24,7 +24,7 @@ ValueError, so blocks up to d = 127 are checked.  The memo keeps the
 checks once per block.  The blocks of one d share their shapes and rule
 orders, so each numeric family is one stacked call over all of them, with
 a leading block axis: the mixing matrices W and the spectra of X (one
-eigensolve), production's signed eigensolve of the spheroidal operator's
+eigensolve), production's eigensolve of the spheroidal operator's
 spherical side over every R of the list, R = 0 and the limit probes, the
 radial values of the states on each block's Gauss-Laguerre rule, the
 quadratures and the deviations.  Each block, and each state, is built once
@@ -546,10 +546,10 @@ def _block_reports(prefix: str, states: _States, r_list: list[float],
     m_diag, m_off, betas = map(np.array, zip(*(_parabolic_side(dc, two_n)
                                                for (two_n, _), dc in zip(labels, lv.dcs))))
     diag, off = map(np.array, zip(*bands))   # (B, P, d) and (B, P, d - 1)
-    # production's signed eigensolve at every R of the bands, one stacked call: eigh
-    # solves each matrix on its own, so every row is bit-identical to sweep's at that R
+    # production's eigensolve at every R of the bands, one stacked call: eigh solves
+    # each matrix on its own, so every row is bit-identical to sweep's at that R
     b, p = diag.shape[:2]
-    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1), signed=True)
+    lambdas, u = _eigh_stack(diag.reshape(b * p, d), off.reshape(b * p, d - 1))
     lambdas, u = lambdas.reshape(b, p, d), u.reshape(b, p, d, d)
     v = _to_parabolic(u, w)
 

@@ -55,9 +55,16 @@ def production_eigensolve(params, two_n, two_m, r_values):
     """Production's spectra, U and V = W^T U of the block at each R, in any order,
     as sweep and the verify suite solve them: (P, d) and (P, d, d), vectors as rows."""
     blk = block(params, two_n, two_m)
-    lambdas, u = _eigh_stack(*blk.spherical_bands(np.asarray(r_values, dtype=float)[:, None]),
-                             signed=True)
+    lambdas, u = _eigh_stack(*blk.spherical_bands(np.asarray(r_values, dtype=float)[:, None]))
     return lambdas, u, _to_parabolic(u, _mixing_matrix(blk.x_diag[None], blk.x_off[None])[0][0])
+
+
+def sign_by_first_component(vectors):
+    """Each vector along the last axis negated where its first nonzero entry, as
+    computed, is negative: the sign rule that fails once that entry lies below
+    rounding, for the negative controls of the recursion's signs."""
+    first = np.argmax(vectors != 0.0, axis=-1)[..., None]
+    return vectors * np.where(np.take_along_axis(vectors, first, axis=-1) < 0.0, -1.0, 1.0)
 
 
 def reference_eigensolve(params, two_n, two_m, r_values):

@@ -15,6 +15,8 @@ import dataclasses
 
 import pytest
 
+from conftest import sign_by_first_component
+
 import mickepler.bases as bases
 import mickepler.interbasis as interbasis
 import mickepler.verify as verify
@@ -98,8 +100,8 @@ def _scale_off_band(factor):
 
 def _scale_eigenvectors(real):
     """Every eigenvector of the stacked eigensolve times (1 + 1e-9)."""
-    def faulty(diags, offdiags, vectors=True, **kwargs):
-        lambdas, stack = real(diags, offdiags, vectors, **kwargs)
+    def faulty(diags, offdiags, vectors=True):
+        lambdas, stack = real(diags, offdiags, vectors)
         return lambdas, stack * (1.0 + 1e-9)
     return faulty
 
@@ -107,8 +109,8 @@ def _scale_eigenvectors(real):
 def _negate_odd_rows(real):
     """Every eigenvector of odd q of the stacked eigensolve negated: a sign
     convention of (-1)^q times the true one."""
-    def faulty(diags, offdiags, vectors=True, **kwargs):
-        lambdas, stack = real(diags, offdiags, vectors, **kwargs)
+    def faulty(diags, offdiags, vectors=True):
+        lambdas, stack = real(diags, offdiags, vectors)
         stack[:, 1::2] *= -1.0
         return lambdas, stack
     return faulty
@@ -116,7 +118,7 @@ def _negate_odd_rows(real):
 
 def _resign_by_first_component(real):
     """V signed on its own, by each row's first component as computed."""
-    return lambda u, w: interbasis._fix_signs(real(u, w))
+    return lambda u, w: sign_by_first_component(real(u, w))
 
 
 def _shift_3f2(real):

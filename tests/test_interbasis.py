@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from pytest import approx
 from sympy import Rational
 from sympy.physics.quantum.cg import CG
 
-from conftest import blocks_by_dimension, blocks_up_to, grid_cases, w_mpmath
+from conftest import (blocks_by_dimension, blocks_up_to, grid_cases, sign_by_first_component,
+                      w_mpmath)
 
 import mickepler.interbasis as interbasis
 from mickepler.interbasis import _eigh_stack, block, expansion_matrix, inverse_expansion_matrix
@@ -238,7 +240,7 @@ class TestCompleteness:
 
 
 class TestEigenvectorMatrix:
-    """Production W: sign-fixed eigenvectors of the Runge-Lenz matrix X."""
+    """Production W: eigenvectors of the Runge-Lenz matrix X, signed by its recursion."""
 
     @pytest.mark.parametrize("d", [20, 30, 60])
     def test_matches_high_precision_closed_form(self, d, rng):
@@ -360,8 +362,56 @@ class TestEigenvectorMatrix:
             assert np.isfinite(np.concatenate(_parabolic_side(dc, 8))).all()
 
 
+# (c1, d) at s = 0, m = 0, c2 = 0.7 where W's j = m_plus entries lie below rounding:
+# signed by those entries as computed, 10, 1, 1 and 18 columns were flipped
+STRONG_RINGS = [(1e4, 64), (1e6, 32), (1e8, 32), (1e8, 64)]
+
+
+@functools.cache
+def strong_ring(c1, d):
+    """Production W and its exact continued-CG form for the s = 0, m = 0 block of
+    dimension d at c1 and c2 = 0.7."""
+    params = SystemParams(two_s=0, c1=c1, c2=0.7)
+    dc = derive_constants(params, 0)
+    two_n = dc.two_m_plus + 2 * d
+    return expansion_matrix(params, two_n, 0).entries, clebsch_gordan_block(dc, two_n)
+
+
+def assert_exact_signs(w, exact):
+    """Each column of ``w`` has the sign of ``exact``'s column at its largest entry."""
+    at = np.argmax(np.abs(exact), axis=0), range(len(exact))
+    assert np.array_equal(np.sign(w[at]), np.sign(exact[at]))
+
+
+class TestSignsAtStrongRings:
+    """X's recursion signs every column of W, also where the first entries it
+    fixes positive lie below rounding."""
+
+    def test_matches_exact_form_at_c1_1e4_d_64(self):
+        w, exact = strong_ring(1e4, 64)
+        assert np.abs(w - exact).max() <= 1e-14
+
+    @pytest.mark.parametrize("c1, d", STRONG_RINGS)
+    def test_every_column_has_the_exact_sign(self, c1, d):
+        assert_exact_signs(*strong_ring(c1, d))
+
+    @pytest.mark.parametrize("c1, d", STRONG_RINGS)
+    def test_signs_read_off_first_entries_fail(self, c1, d):
+        # negative control: W re-signed by its first entries as computed
+        w, exact = strong_ring(c1, d)
+        with pytest.raises(AssertionError):
+            assert_exact_signs(sign_by_first_component(w.T).T, exact)
+
+
+def assert_rows_equal_up_to_sign(vectors, reference):
+    """Each row of ``vectors`` is that of ``reference`` or its negation, exactly."""
+    same = (vectors == reference).all(axis=-1)
+    assert (same | (vectors == -reference).all(axis=-1)).all()
+
+
 class TestEigenStack:
-    """The stacked dense ``eigh`` against scipy's ``dstevd`` wrapper, double for double."""
+    """The stacked dense ``eigh`` against scipy's ``dstevd`` wrapper, double for
+    double: the eigenvalues bit-equal, each eigenvector up to its sign."""
 
     @pytest.mark.parametrize("d", [*range(1, 41), 64, 127])
     def test_bit_equal_to_eigh_tridiagonal(self, d):
@@ -373,7 +423,7 @@ class TestEigenStack:
                 off = offdiags if offdiags.ndim == 1 else offdiags[p]
                 w, v = scipy.linalg.eigh_tridiagonal(diags[p], off, lapack_driver="stevd")
                 assert np.array_equal(lambdas[p], w)
-                assert np.array_equal(vectors[p], v.T)
+                assert_rows_equal_up_to_sign(vectors[p], v.T)
 
     @pytest.mark.parametrize("d", [2, 7])
     def test_bit_equal_across_chunks(self, d):
@@ -387,7 +437,7 @@ class TestEigenStack:
                 off = offdiags if offdiags.ndim == 1 else offdiags[p]
                 w, v = scipy.linalg.eigh_tridiagonal(diags[p], off, lapack_driver="stevd")
                 assert np.array_equal(lambdas[p], w)
-                assert np.array_equal(vectors[p], v.T)
+                assert_rows_equal_up_to_sign(vectors[p], v.T)
 
     @pytest.mark.parametrize("d", [*range(1, 41), 64, 127])
     def test_values_only_bit_equal_to_sterf(self, d):

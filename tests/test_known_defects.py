@@ -13,9 +13,7 @@ import pytest
 
 from mickepler.bases import radial_r, spherical_state
 from mickepler.cli import main
-from mickepler.interbasis import expansion_matrix
-from mickepler.numkernel import clebsch_gordan_block
-from mickepler.qnum import SystemParams, derive_constants
+from mickepler.qnum import SystemParams
 from mickepler.verify import run_suite
 
 RING = SystemParams(two_s=0, c1=0.3, c2=0.7)
@@ -56,13 +54,3 @@ def test_suite_residuals_are_finite_at_c1_1e4():
         "s = 90 (563 FAILs)")
 def test_verify_passes_at_s_90(capsys):
     assert main(["verify", "--s", "90", "--n-max", "91"]) == 0
-
-
-@defect(24, "W is signed by a first entry below rounding from c1 = 1e4 at d = 64 "
-        "(10 columns flipped)")
-def test_mixing_matrix_matches_exact_form_at_c1_1e4_d_64():
-    params = SystemParams(two_s=0, c1=1e4, c2=0.7)
-    dc = derive_constants(params, 0)
-    two_n = dc.two_m_plus + 2 * 64
-    w = expansion_matrix(params, two_n, 0).entries
-    assert np.abs(w - clebsch_gordan_block(dc, two_n)).max() <= 1e-14

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,17 @@ class TestHalfIntegerParsing:
         text = lead + sign + zeros + body + trail
         assert (self._outcome(parse_half_integer, text)
                 == self._outcome(self._by_fraction, text))
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("0e9999999", (int, 0)),
+        ("1e-9999999", (ValueError, "'1e-9999999' is not an integer or half-integer")),
+        ("1e820675", (ValueError, "'1e820675' is not a finite number")),
+    ])
+    def test_huge_decimal_exponent_is_decided_before_the_value(self, text, outcome):
+        # 10**exponent alone takes seconds here: the exponent's size decides
+        start = time.thread_time()
+        assert self._outcome(parse_half_integer, text) == outcome
+        assert time.thread_time() - start < 0.01
 
     @pytest.mark.parametrize("text", ["1" * 400, " -0001" + "9" * 399 + " "])
     def test_400_digit_integer_is_no_finite_number(self, text):

@@ -7,10 +7,11 @@ import pytest
 from pytest import approx
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from conftest import aligned_deviation, limit_deviations, parabolic_bands, reference_eigensolve
+from conftest import (aligned_deviation, limit_deviations, parabolic_bands, reference_eigensolve,
+                      sign_by_first_component)
 
 import mickepler.spheroidal as spheroidal
-from mickepler.interbasis import _coupling, _fix_signs, _mixing_matrix, block, expansion_matrix
+from mickepler.interbasis import _coupling, _mixing_matrix, block, expansion_matrix
 from mickepler.qnum import (
     ParabolicQN,
     SystemParams,
@@ -447,7 +448,7 @@ class TestSignsAgainstExactReference:
         # negative control: U signed by its first component as computed
         u = solve(RING, 60, 0, 10.0).spherical_coefficients.entries
         with pytest.raises(AssertionError):
-            assert_signed_like(_fix_signs(u.T.copy()).T, exact_signed_u(60, 10.0))
+            assert_signed_like(sign_by_first_component(u.T).T, exact_signed_u(60, 10.0))
 
     @pytest.mark.parametrize("c1, two_n, R", [
         # entries near 1e300: the recursion runs on a power-of-two scaled band,
